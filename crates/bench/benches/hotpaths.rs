@@ -286,6 +286,91 @@ fn bench_machine_snapshot(c: &mut Criterion) {
     });
 }
 
+/// The IPI-wait yield hook (`MicroslicePolicy::on_yield`, §4.2) on a warm
+/// `io-tlb-corun`-shaped machine: iperf + swaptions next to dedup, two
+/// micro cores. The traced benchmark pass reports that 99% of this
+/// workload's yields are IPI waits and 91% of acceleration attempts are
+/// rejected. So the bench finds a running vCPU waiting for TLB acks while
+/// preempted siblings still owe them, then yields it 1k times. The first
+/// yield fills the micro slots; every later one classifies the IP, scans
+/// the preempted ack owers and has each attempt rejected. That reject
+/// path is the steady state the workload spends its hook time in.
+fn bench_policy_ipi_wait_yield(c: &mut Criterion) {
+    use hypervisor::policy::{SchedPolicy, YieldCause};
+    use ksym::CriticalClass;
+    use microslice::DetectionEngine;
+    use simcore::ids::{VcpuId, VmId};
+
+    let (cfg, mut specs) = scenarios::mixed_iperf_corun();
+    specs[1] = scenarios::vm_with_iters(Workload::Dedup, cfg.num_pcpus, Some(1_000_000_000));
+    let mut m = Machine::new(cfg, specs, Box::new(MicroslicePolicy::fixed(2)));
+    let mut detect = DetectionEngine::new();
+    let mut yielder: Option<VcpuId> = None;
+    let mut at = SimTime::from_millis(100);
+    while yielder.is_none() {
+        m.run_until(at).unwrap();
+        at += SimDuration::from_micros(50);
+        if detect.preempted_ack_owers(&m, VmId(1)).is_empty() {
+            continue;
+        }
+        for v in m.siblings(VmId(1)) {
+            if m.vcpu(v).is_running() && detect.classify(&m, v) == CriticalClass::IpiWait {
+                yielder = Some(v);
+            }
+        }
+    }
+    let vcpu = yielder.unwrap();
+    let mut policy = MicroslicePolicy::fixed(2);
+    c.bench_function("policy_ipi_wait_yield", |b| {
+        b.iter(|| {
+            for _ in 0..1_000 {
+                policy.on_yield(&mut m, vcpu, YieldCause::Ipi);
+            }
+            std::hint::black_box(m.stats.counters.total())
+        })
+    });
+}
+
+/// 1k counter increments at `io-tlb-corun`'s call mix, in calls per
+/// 1,000. The mix comes from the traced benchmark pass: 21.5M calls over
+/// 4 cells at seed 7, of which `micro_rejects` is 46%. `ipis_sent` moves
+/// by one `add` per shootdown. The calls go through the enum keys the
+/// hypervisor's hot sites pass, in a fixed shuffled order.
+fn bench_counter_incr_mix(c: &mut Criterion) {
+    use metrics::counters::{Counter, CounterSet};
+
+    const MIX: [(Counter, usize); 11] = [
+        (Counter::MicroRejects, 465),
+        (Counter::CtxSwitches, 171),
+        (Counter::IpiYields, 141),
+        (Counter::Virqs, 111),
+        (Counter::MicroMigrations, 48),
+        (Counter::TlbShootdowns, 29),
+        (Counter::IpisSent, 29),
+        (Counter::Steals, 3),
+        (Counter::HaltYields, 1),
+        (Counter::Boosts, 1),
+        (Counter::Preemptions, 1),
+    ];
+    let mut calls: Vec<Counter> = MIX
+        .iter()
+        .flat_map(|&(counter, n)| std::iter::repeat_n(counter, n))
+        .collect();
+    let mut rng = SimRng::new(0x5EED);
+    for i in (1..calls.len()).rev() {
+        calls.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    let mut set = CounterSet::new();
+    c.bench_function("counter_incr_mix", |b| {
+        b.iter(|| {
+            for &counter in &calls {
+                set.incr(std::hint::black_box(counter));
+            }
+            std::hint::black_box(set.total())
+        })
+    });
+}
+
 /// Makespan of a fixed grid of sleep cells on 2 workers, FIFO admission
 /// vs a warm cost model's longest-estimated-first order. Cells sleep
 /// rather than compute, so the scheduling effect shows on any host core
@@ -327,6 +412,6 @@ fn bench_adaptive_admission(c: &mut Criterion) {
 criterion_group! {
     name = hotpaths;
     config = sim_criterion();
-    targets = bench_calibration, bench_event_queue, bench_event_queue_cancel, bench_parallel_fanout, bench_runq_dispatch_scan, bench_segment_step, bench_rng, bench_histogram, bench_symbol_resolution, bench_sim_second, bench_machine_snapshot, bench_adaptive_admission
+    targets = bench_calibration, bench_event_queue, bench_event_queue_cancel, bench_parallel_fanout, bench_runq_dispatch_scan, bench_segment_step, bench_rng, bench_histogram, bench_symbol_resolution, bench_sim_second, bench_machine_snapshot, bench_policy_ipi_wait_yield, bench_counter_incr_mix, bench_adaptive_admission
 }
 criterion_main!(hotpaths);

@@ -237,14 +237,12 @@ mod tests {
         assert!(migrated > 0, "vTRS never classified anything");
         let sticky: usize = m
             .siblings(VmId(0))
-            .into_iter()
             .filter(|&v| m.vcpu(v).sticky_micro)
             .count();
         assert!(sticky > 0, "no sticky short-class residents");
         // Sticky vCPUs actually live in the micro pool when scheduled.
         let in_micro = m
             .siblings(VmId(0))
-            .into_iter()
             .filter(|&v| m.vcpu(v).pool == PoolId::Micro)
             .count();
         assert!(in_micro > 0);

@@ -10,7 +10,10 @@
 //! [`DetectionEngine`] packages those three steps plus the two sibling
 //! scans §4.2 needs: "which preempted siblings owe TLB acknowledgements"
 //! and "which preempted sibling is inside a spinlock critical section".
+//! Each scan returns a [`VcpuSet`] bitmask of vCPU indices, so a scan on
+//! the yield path allocates nothing.
 
+use guest::tlb::VcpuSet;
 use hypervisor::Machine;
 use ksym::whitelist::{CriticalClass, Whitelist};
 use simcore::ids::{VcpuId, VmId};
@@ -87,36 +90,34 @@ impl DetectionEngine {
     ///
     /// Detection is transparent: the hypervisor relayed those IPIs itself,
     /// so it knows who has not yet acknowledged.
-    pub fn preempted_ack_owers(&self, machine: &Machine, vm: VmId) -> Vec<VcpuId> {
+    pub fn preempted_ack_owers(&self, machine: &Machine, vm: VmId) -> VcpuSet {
         machine
             .vcpus_owing_acks(vm)
-            .into_iter()
-            .filter(|&v| machine.vcpu(v).is_preempted())
+            .iter()
+            .filter(|&i| machine.vcpu(VcpuId::new(vm, i)).is_preempted())
             .collect()
     }
 
     /// Preempted siblings whose instruction pointer lies inside a
     /// whitelisted spinlock critical section — the suspected preempted
     /// lock holders of §4.2.
-    pub fn preempted_critical_siblings(&mut self, machine: &Machine, vm: VmId) -> Vec<VcpuId> {
+    pub fn preempted_critical_siblings(&mut self, machine: &Machine, vm: VmId) -> VcpuSet {
         machine
             .siblings(vm)
-            .into_iter()
             .filter(|&v| machine.vcpu(v).is_preempted())
-            .collect::<Vec<_>>()
-            .into_iter()
             .filter(|&v| self.classify(machine, v) == CriticalClass::SpinlockCritical)
+            .map(|v| v.idx)
             .collect()
     }
 
     /// Preempted siblings with undelivered relayed interrupts (reschedule
     /// IPIs or vIRQs) — recipients whose handling is stalled.
-    pub fn preempted_ipi_recipients(&self, machine: &Machine, vm: VmId) -> Vec<VcpuId> {
+    pub fn preempted_ipi_recipients(&self, machine: &Machine, vm: VmId) -> VcpuSet {
         machine
             .siblings(vm)
-            .into_iter()
             .filter(|&v| machine.vcpu(v).is_preempted())
             .filter(|&v| machine.has_pending_kwork(v))
+            .map(|v| v.idx)
             .collect()
     }
 }
@@ -237,7 +238,7 @@ mod tests {
         let mut m = contended_machine();
         m.run_until(SimTime::from_millis(50)).unwrap();
         let engine = DetectionEngine::new();
-        for v in engine.preempted_ack_owers(&m, VmId(0)) {
+        for v in engine.preempted_ack_owers(&m, VmId(0)).vcpus(VmId(0)) {
             assert!(m.vcpu(v).is_preempted());
         }
     }

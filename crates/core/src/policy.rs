@@ -2,10 +2,11 @@
 
 use crate::adaptive::{AdaptiveConfig, AdaptiveController, UrgentEvents};
 use crate::detect::DetectionEngine;
+use guest::tlb::VcpuSet;
 use hypervisor::policy::{SchedPolicy, YieldCause};
 use hypervisor::Machine;
 use ksym::whitelist::CriticalClass;
-use metrics::counters::CounterSet;
+use metrics::counters::{Counter, CounterSet};
 use simcore::ids::{VcpuId, VmId};
 
 /// How the micro pool is sized.
@@ -64,34 +65,14 @@ impl MicroslicePolicy {
     pub fn mode(&self) -> &PolicyMode {
         &self.mode
     }
+}
 
-    /// Accelerates every preempted sibling of `vm` that owes a TLB
-    /// acknowledgement (§4.2, first case). Returns how many migrated.
-    fn accelerate_ack_owers(&mut self, machine: &mut Machine, vm: VmId) -> usize {
-        let owers = self.detect.preempted_ack_owers(machine, vm);
-        owers
-            .into_iter()
-            .filter(|&v| machine.try_accelerate(v))
-            .count()
-    }
-
-    /// Accelerates preempted siblings of `vm` caught inside critical
-    /// sections (§4.2, second case — suspected preempted lock holders).
-    fn accelerate_lock_holders(&mut self, machine: &mut Machine, vm: VmId) -> usize {
-        let holders = self.detect.preempted_critical_siblings(machine, vm);
-        holders
-            .into_iter()
-            .filter(|&v| machine.try_accelerate(v))
-            .count()
-    }
-
-    /// Accelerates preempted siblings with undelivered relayed interrupts.
-    fn accelerate_ipi_recipients(&mut self, machine: &mut Machine, vm: VmId) -> usize {
-        let recipients = self.detect.preempted_ipi_recipients(machine, vm);
-        recipients
-            .into_iter()
-            .filter(|&v| machine.try_accelerate(v))
-            .count()
+/// Tries to accelerate each candidate vCPU of `vm`, in ascending index
+/// order. `candidates` is a copy taken before the first attempt, so
+/// migrations made by earlier attempts cannot change which vCPUs are tried.
+fn accelerate_all(machine: &mut Machine, vm: VmId, candidates: VcpuSet) {
+    for v in candidates.vcpus(vm) {
+        machine.try_accelerate(v);
     }
 }
 
@@ -128,19 +109,22 @@ impl SchedPolicy for MicroslicePolicy {
                 // yielding initiator cycling on the micro pool so it
                 // re-checks completion every 0.1 ms instead of after a
                 // full normal-pool queueing round (§4.1 step 3).
-                self.accelerate_ack_owers(machine, vm);
+                let owers = self.detect.preempted_ack_owers(machine, vm);
+                accelerate_all(machine, vm, owers);
                 machine.request_acceleration(vcpu);
             }
             CriticalClass::SpinWait => {
                 // PLE while spinning: migrate the preempted lock holder(s)
                 // and the spinning waiter itself.
-                self.accelerate_lock_holders(machine, vm);
+                let holders = self.detect.preempted_critical_siblings(machine, vm);
+                accelerate_all(machine, vm, holders);
                 machine.request_acceleration(vcpu);
             }
             CriticalClass::SchedWakeup => {
                 // Waiting for a reschedule-IPI acknowledgement: migrate the
                 // stalled recipient(s) and the waiter.
-                self.accelerate_ipi_recipients(machine, vm);
+                let recipients = self.detect.preempted_ipi_recipients(machine, vm);
+                accelerate_all(machine, vm, recipients);
                 machine.request_acceleration(vcpu);
             }
             CriticalClass::TlbHandler
@@ -184,21 +168,10 @@ impl SchedPolicy for MicroslicePolicy {
         let delta = now.delta_since(&self.last_snapshot);
         self.last_snapshot = now;
         let events = UrgentEvents {
-            ipis: delta.get("ipi_yields"),
-            ples: delta.get("ple_exits"),
-            irqs: delta.get("virqs"),
+            ipis: delta.value(Counter::IpiYields),
+            ples: delta.value(Counter::PleExits),
+            irqs: delta.value(Counter::Virqs),
         };
-        static DEBUG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        if *DEBUG.get_or_init(|| std::env::var("MS_DEBUG").is_ok()) {
-            eprintln!(
-                "[adaptive t={}] events ipis={} ples={} irqs={} cores={}",
-                machine.now(),
-                events.ipis,
-                events.ples,
-                events.irqs,
-                machine.micro_cores()
-            );
-        }
         let decision = controller.on_timer(events);
         machine.set_micro_cores(decision.micro_cores);
         machine.set_policy_timer(decision.next_interval, ADAPTIVE_TIMER);

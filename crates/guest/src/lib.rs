@@ -37,4 +37,4 @@ pub use activity::{Activity, KWork, VcpuCtx};
 pub use kernel::{LockKind, VmKernel};
 pub use segment::{Program, Segment};
 pub use task::{Task, TaskState};
-pub use tlb::{ShootdownId, ShootdownTable};
+pub use tlb::{ShootdownId, ShootdownTable, VcpuSet};

@@ -22,6 +22,7 @@
 //! poisons itself with a [`SimError`](crate::SimError) on violation.
 
 use crate::machine::{Event, Machine};
+use metrics::counters::Counter;
 use simcore::ids::{PcpuId, VcpuId, VmId};
 use simcore::rng::SimRng;
 use simcore::time::{SimDuration, SimTime};
@@ -131,17 +132,17 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// Counter key incremented when this fault is applied.
-    pub fn counter_key(&self) -> &'static str {
+    /// The counter incremented when this fault is applied.
+    pub fn counter(&self) -> Counter {
         match self {
-            FaultKind::IpiDelay { .. } => "fault_ipi_delay",
-            FaultKind::DropKicks { .. } => "fault_drop_kicks",
-            FaultKind::SpuriousKick { .. } => "fault_spurious_kick",
-            FaultKind::StolenTime { .. } => "fault_stolen_time",
-            FaultKind::ZeroBurst { .. } => "fault_zero_burst",
-            FaultKind::TimerJitter { .. } => "fault_timer_jitter",
-            FaultKind::CreditSkew { .. } => "fault_credit_skew",
-            FaultKind::CreditSabotage { .. } => "fault_sabotage",
+            FaultKind::IpiDelay { .. } => Counter::FaultIpiDelay,
+            FaultKind::DropKicks { .. } => Counter::FaultDropKicks,
+            FaultKind::SpuriousKick { .. } => Counter::FaultSpuriousKick,
+            FaultKind::StolenTime { .. } => Counter::FaultStolenTime,
+            FaultKind::ZeroBurst { .. } => Counter::FaultZeroBurst,
+            FaultKind::TimerJitter { .. } => Counter::FaultTimerJitter,
+            FaultKind::CreditSkew { .. } => Counter::FaultCreditSkew,
+            FaultKind::CreditSabotage { .. } => Counter::FaultSabotage,
         }
     }
 }
@@ -561,7 +562,7 @@ impl Machine {
         }
         self.stats
             .counters
-            .add("faults_planned", plan.entries.len() as u64);
+            .add(Counter::FaultsPlanned, plan.entries.len() as u64);
         for (seq, entry) in plan.entries.iter().enumerate() {
             self.push_event(entry.at, Event::Fault { seq: seq as u32 });
         }
@@ -573,8 +574,8 @@ impl Machine {
         let Some(entry) = self.faults.plan.entries.get(seq as usize).copied() else {
             return; // No plan installed (stale event): nothing to do.
         };
-        self.stats.counters.incr("faults_injected");
-        self.stats.counters.incr(entry.kind.counter_key());
+        self.stats.counters.incr(Counter::FaultsInjected);
+        self.stats.counters.incr(entry.kind.counter());
         match entry.kind {
             FaultKind::IpiDelay { extra } => {
                 self.faults.ipi_extra = extra;
@@ -619,7 +620,7 @@ impl Machine {
                 self.vcpu_mut(vcpu).credits = cap.saturating_mul(2).saturating_add(1);
             }
         }
-        self.stats.counters.incr("invariant_checks");
+        self.stats.counters.incr(Counter::InvariantChecks);
         if let Err(e) = self.check_invariants() {
             self.fail(e);
         }

@@ -7,6 +7,8 @@
 use super::{Event, Machine};
 use crate::machine::sched::RequeueMode;
 use crate::pool::PoolId;
+use guest::tlb::VcpuSet;
+use metrics::counters::Counter;
 use simcore::ids::{PcpuId, VcpuId, VmId};
 use simcore::time::SimDuration;
 
@@ -17,23 +19,15 @@ impl Machine {
         self.vcpu(vcpu).ctx.ip(&self.map)
     }
 
-    /// All vCPU ids of a VM.
-    pub fn siblings(&self, vm: VmId) -> Vec<VcpuId> {
-        (0..self.vcpus[vm.0 as usize].len() as u16)
-            .map(|i| VcpuId::new(vm, i))
-            .collect()
+    /// All vCPU ids of a VM, in index order.
+    pub fn siblings(&self, vm: VmId) -> impl Iterator<Item = VcpuId> {
+        (0..self.vcpus[vm.0 as usize].len() as u16).map(move |i| VcpuId::new(vm, i))
     }
 
     /// Sibling vCPU indices with outstanding TLB-shootdown
     /// acknowledgements (the vCPUs §4.2 wakes and migrates).
-    pub fn vcpus_owing_acks(&self, vm: VmId) -> Vec<VcpuId> {
-        self.vms[vm.0 as usize]
-            .kernel
-            .shootdowns
-            .vcpus_owing_acks()
-            .into_iter()
-            .map(|i| VcpuId::new(vm, i))
-            .collect()
+    pub fn vcpus_owing_acks(&self, vm: VmId) -> VcpuSet {
+        self.vms[vm.0 as usize].kernel.shootdowns.vcpus_owing_acks()
     }
 
     /// The pool a pCPU currently belongs to.
@@ -69,7 +63,7 @@ impl Machine {
         if changed.is_empty() {
             return;
         }
-        self.stats.counters.incr("pool_resizes");
+        self.stats.counters.incr(Counter::PoolResizes);
         self.trace_record(super::TraceEvent::PoolResize { micro_cores: n });
         for pcpu in changed {
             // Preempt whatever runs there.
@@ -123,7 +117,7 @@ impl Machine {
             }
         }
         let Some(slot) = self.micro_slot() else {
-            self.stats.counters.incr("micro_rejects");
+            self.stats.counters.incr(Counter::MicroRejects);
             return false;
         };
         // Remove from its current run queue, if preempted.
@@ -131,7 +125,7 @@ impl Machine {
             let removed = self.pcpus[pcpu.0 as usize].remove(vcpu);
             debug_assert!(removed, "preempted vCPU missing from its run queue");
         }
-        self.stats.counters.incr("micro_migrations");
+        self.stats.counters.incr(Counter::MicroMigrations);
         self.stats.per_vm[vcpu.vm.0 as usize].micro_migrations += 1;
         self.trace_record(super::TraceEvent::MicroMigration { vcpu });
         self.vcpu_mut(vcpu).pool = PoolId::Micro;
@@ -192,7 +186,7 @@ impl Machine {
                 self.vcpu_mut(vcpu).micro_requested = true;
                 return true;
             }
-            self.stats.counters.incr("micro_rejects");
+            self.stats.counters.incr(Counter::MicroRejects);
             return false;
         }
         self.try_accelerate(vcpu)

@@ -14,6 +14,7 @@ use crate::pool::PoolId;
 use crate::stats::YieldCause;
 use guest::activity::{Activity, KWork};
 use guest::net::ArrivalAction;
+use metrics::counters::Counter;
 use simcore::ids::VcpuId;
 
 impl Machine {
@@ -25,7 +26,7 @@ impl Machine {
             Event::Account => self.on_account(),
             Event::PacketArrival { vm, flow } => self.on_packet(vm, flow),
             Event::PolicyTimer { id } => {
-                self.stats.counters.incr("policy_timers");
+                self.stats.counters.incr(Counter::PolicyTimers);
                 self.with_policy(|policy, machine| policy.on_timer(machine, id));
             }
             Event::Kick { vcpu } => self.on_kick(vcpu),
@@ -113,7 +114,7 @@ impl Machine {
         let next = self.now + self.cfg.tick + jitter;
         self.push_event(next, Event::Tick);
         if self.cfg.paranoid {
-            self.stats.counters.incr("invariant_checks");
+            self.stats.counters.incr(Counter::InvariantChecks);
             if let Err(e) = self.check_invariants() {
                 self.fail(e);
             }
@@ -158,12 +159,12 @@ impl Machine {
                 // saw a physical IRQ for this VM: the policy hook fires
                 // exactly as the paper's prototype hooks Xen's relay
                 // path (§4.1 "Detecting from IRQ events").
-                self.stats.counters.incr("virqs");
+                self.stats.counters.incr(Counter::Virqs);
                 let target = VcpuId::new(vm, self.vms[vmi].kernel.flows[fi].cfg.virq_vcpu);
                 self.with_policy(|policy, machine| policy.on_virq(machine, vm, target));
             }
             ArrivalAction::DeliverVirq => {
-                self.stats.counters.incr("virqs");
+                self.stats.counters.incr(Counter::Virqs);
                 let target = VcpuId::new(vm, self.vms[vmi].kernel.flows[fi].cfg.virq_vcpu);
                 self.with_policy(|policy, machine| policy.on_virq(machine, vm, target));
                 self.deliver_kwork(

@@ -27,6 +27,7 @@ use crate::stats::MachineStats;
 use crate::vcpu::{VState, Vcpu};
 use crate::vm::{Vm, VmSpec};
 use ksym::linux44::Linux44Map;
+use metrics::counters::Counter;
 use simcore::event::ShardedEventQueue;
 use simcore::ids::{PcpuId, VcpuId, VmId};
 use simcore::rng::SimRng;
@@ -302,7 +303,7 @@ impl Machine {
     /// crash session is armed on this thread, the first failure also
     /// publishes a rendered crash report (see [`crate::crash`]).
     pub(crate) fn fail(&mut self, e: SimError) {
-        self.stats.counters.incr("sim_errors");
+        self.stats.counters.incr(Counter::SimErrors);
         if self.fatal.is_none() {
             if crate::crash::session_armed() {
                 crate::crash::publish_report(self.render_crash_report(&e));

@@ -4,6 +4,7 @@ use super::{Event, Machine, Stop};
 use crate::pool::PoolId;
 use crate::stats::YieldCause;
 use crate::vcpu::{Prio, VState};
+use metrics::counters::Counter;
 use simcore::ids::{PcpuId, VcpuId};
 use simcore::time::SimTime;
 
@@ -112,7 +113,7 @@ impl Machine {
                 self.cfg.cache_refill_cost / 2
             };
         }
-        self.stats.counters.incr("ctx_switches");
+        self.stats.counters.incr(Counter::CtxSwitches);
 
         {
             let p = &mut self.pcpus[pcpu.0 as usize];
@@ -168,7 +169,7 @@ impl Machine {
             }
             let entry = self.pcpus[donor.0 as usize].steal_tail(|v| admissible.contains(&v));
             if let Some(entry) = entry {
-                self.stats.counters.incr("steals");
+                self.stats.counters.incr(Counter::Steals);
                 self.vcpu_mut(entry.vcpu).state = VState::Runnable { pcpu };
                 return Some(entry);
             }
@@ -242,7 +243,7 @@ impl Machine {
             return;
         };
         if head.rank() < self.vcpu(current).prio().rank() {
-            self.stats.counters.incr("preemptions");
+            self.stats.counters.incr(Counter::Preemptions);
             self.deschedule(current, RequeueMode::SamePcpu);
             self.dispatch(pcpu);
         }
@@ -274,7 +275,7 @@ impl Machine {
         if mode != RequeueMode::Block && self.vcpu(vcpu).micro_requested {
             self.vcpu_mut(vcpu).micro_requested = false;
             if let Some(slot) = self.micro_slot() {
-                self.stats.counters.incr("micro_migrations");
+                self.stats.counters.incr(Counter::MicroMigrations);
                 self.stats.per_vm[vcpu.vm.0 as usize].micro_migrations += 1;
                 self.vcpu_mut(vcpu).pool = PoolId::Micro;
                 let prio = self.vcpu(vcpu).prio();
@@ -285,7 +286,7 @@ impl Machine {
                 }
                 return;
             }
-            self.stats.counters.incr("micro_rejects");
+            self.stats.counters.incr(Counter::MicroRejects);
         }
         if mode == RequeueMode::Block {
             self.vcpu_mut(vcpu).micro_requested = false;
@@ -346,7 +347,7 @@ impl Machine {
         }
         if boost_enabled && vc.credits > 0 {
             vc.boosted = true;
-            self.stats.counters.incr("boosts");
+            self.stats.counters.incr(Counter::Boosts);
         }
         let pool = self.vcpu(vcpu).pool;
         let pcpu = self.choose_pcpu(vcpu, pool);

@@ -17,6 +17,8 @@ use crate::error::SimError;
 use crate::stats::YieldCause;
 use guest::activity::{Activity, KWork};
 use guest::task::TaskState;
+use guest::tlb::VcpuSet;
+use metrics::counters::Counter;
 use simcore::ids::VcpuId;
 use simcore::time::SimDuration;
 
@@ -252,21 +254,21 @@ impl Machine {
         let num_vcpus = self.vms[vmi].num_vcpus;
         // Targets: every sibling in the address space. Halted-idle vCPUs
         // are in lazy-TLB mode and are skipped (leave_mm), as in Linux.
-        let targets: Vec<u16> = (0..num_vcpus)
+        let targets: VcpuSet = (0..num_vcpus)
             .filter(|&v| v != vcpu.idx)
             .filter(|&v| {
                 let vc = &self.vcpus[vmi][v as usize];
                 !(vc.is_blocked() && vc.ctx.is_idle())
             })
             .collect();
-        self.stats.counters.incr("tlb_shootdowns");
-        self.stats.counters.add("ipis_sent", targets.len() as u64);
-        let sd = self.vms[vmi].kernel.shootdowns.start(
-            vcpu.idx,
-            task,
-            targets.iter().copied(),
-            self.now,
-        );
+        self.stats.counters.incr(Counter::TlbShootdowns);
+        self.stats
+            .counters
+            .add(Counter::IpisSent, targets.len() as u64);
+        let sd = self.vms[vmi]
+            .kernel
+            .shootdowns
+            .start(vcpu.idx, task, targets, self.now);
         if targets.is_empty() {
             let started = self.vms[vmi].kernel.shootdowns.finish(sd);
             let latency = self.now.saturating_since(started);
@@ -279,8 +281,8 @@ impl Machine {
             sd,
             spun: SimDuration::ZERO,
         };
-        for t in targets {
-            self.deliver_kwork(VcpuId::new(vcpu.vm, t), KWork::TlbFlush { sd });
+        for t in targets.vcpus(vcpu.vm) {
+            self.deliver_kwork(t, KWork::TlbFlush { sd });
         }
     }
 
@@ -296,7 +298,7 @@ impl Machine {
                 // natural transition (slice end at the latest) — dropped
                 // kicks delay delivery, they never deadlock it.
                 self.faults.drop_kicks -= 1;
-                self.stats.counters.incr("fault_dropped_kicks");
+                self.stats.counters.incr(Counter::FaultDroppedKicks);
                 return;
             }
             let at = self.now + self.cfg.ipi_deliver_latency + self.faults.ipi_extra;
@@ -574,7 +576,7 @@ impl Machine {
         self.vcpus[vmi][home as usize].ctx.runq.push_back(target);
         let token = self.vcpus[vmi][vi].ctx.alloc_token();
         let target_vcpu = VcpuId::new(vcpu.vm, home);
-        self.stats.counters.incr("resched_ipis");
+        self.stats.counters.incr(Counter::ReschedIpis);
         self.vcpus[vmi][vi].ctx.activity = Activity::ReschedWait {
             task,
             target: home,

@@ -4,7 +4,7 @@
 //! global counters (IPIs, PLEs, vIRQs) feed the adaptive controller of
 //! §4.3; CPU-time accounting supports the utilization analysis of §6.
 
-use metrics::counters::CounterSet;
+use metrics::counters::{Counter, CounterSet};
 use simcore::ids::VmId;
 use simcore::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -67,15 +67,12 @@ pub struct VmStats {
 /// Statistics for the whole machine.
 #[derive(Clone, Debug, Default)]
 pub struct MachineStats {
-    /// Global event counters. Well-known keys: `ple_exits`, `ipi_yields`,
-    /// `virqs`, `resched_ipis`, `tlb_shootdowns`, `ctx_switches`,
-    /// `micro_migrations`, `boosts`, `steals`, `preemptions`.
+    /// Global event counters, keyed by [`Counter`]: its variants document
+    /// each key, and [`Counter::ALL`] lists them in rendering order.
     ///
-    /// Robustness keys (absent unless the feature is engaged, so the
-    /// default counter fingerprint is unchanged): `faults_planned`,
-    /// `faults_injected`, `fault_ipi_delay`, `fault_drop_kicks`,
-    /// `fault_dropped_kicks`, `fault_spurious_kick`, `fault_stolen_time`,
-    /// `fault_zero_burst`, `invariant_checks`, `sim_errors`.
+    /// The robustness keys (`faults_*`, `fault_*`, `invariant_checks`,
+    /// `sim_errors`) stay absent unless their feature is engaged, so the
+    /// default counter fingerprint is unchanged by those features.
     pub counters: CounterSet,
     /// Per-VM statistics, indexed by VM id.
     pub per_vm: Vec<VmStats>,
@@ -102,10 +99,10 @@ impl MachineStats {
     pub fn record_yield(&mut self, vm: VmId, cause: YieldCause) {
         self.per_vm[vm.0 as usize].yields.record(cause);
         match cause {
-            YieldCause::Spinlock => self.counters.incr("ple_exits"),
-            YieldCause::Ipi => self.counters.incr("ipi_yields"),
-            YieldCause::Halt => self.counters.incr("halt_yields"),
-            YieldCause::Other => self.counters.incr("other_yields"),
+            YieldCause::Spinlock => self.counters.incr(Counter::PleExits),
+            YieldCause::Ipi => self.counters.incr(Counter::IpiYields),
+            YieldCause::Halt => self.counters.incr(Counter::HaltYields),
+            YieldCause::Other => self.counters.incr(Counter::OtherYields),
         }
     }
 

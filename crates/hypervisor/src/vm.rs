@@ -4,6 +4,7 @@ use guest::kernel::VmKernel;
 use guest::net::FlowCfg;
 use guest::segment::Program;
 use guest::task::Task;
+use guest::tlb::VcpuSet;
 use ksym::linux44::Linux44Map;
 use simcore::ids::{PcpuId, TaskId, VmId};
 use simcore::rng::SimRng;
@@ -103,6 +104,10 @@ pub struct Vm {
 impl Vm {
     /// Builds VM runtime state from a spec.
     pub fn from_spec(id: VmId, spec: VmSpec, map: Arc<Linux44Map>, rng: &mut SimRng) -> Self {
+        assert!(
+            spec.num_vcpus <= VcpuSet::MAX_VCPUS,
+            "VM has more than 64 vCPUs"
+        );
         let mut kernel = VmKernel::new(spec.num_vcpus);
         for flow_cfg in &spec.flows {
             assert!(
@@ -219,6 +224,22 @@ mod tests {
         let map = Arc::new(Linux44Map::new());
         let spec = VmSpec::new("bad", 2).task(2, prog());
         Vm::from_spec(VmId(0), spec, map, &mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "more than 64 vCPUs")]
+    fn more_than_64_vcpus_panics() {
+        let mut rng = SimRng::new(1);
+        let map = Arc::new(Linux44Map::new());
+        Vm::from_spec(VmId(0), VmSpec::new("wide", 65), map, &mut rng);
+    }
+
+    #[test]
+    fn exactly_64_vcpus_is_accepted() {
+        let mut rng = SimRng::new(1);
+        let map = Arc::new(Linux44Map::new());
+        let vm = Vm::from_spec(VmId(0), VmSpec::new("wide", 64), map, &mut rng);
+        assert_eq!(vm.num_vcpus, 64);
     }
 
     #[test]

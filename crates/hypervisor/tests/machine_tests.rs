@@ -374,7 +374,6 @@ fn micro_pool_resize_and_accelerate() {
     // Accelerate a preempted vCPU.
     let preempted: Vec<VcpuId> = m
         .siblings(VmId(0))
-        .into_iter()
         .chain(m.siblings(VmId(1)))
         .filter(|&v| m.vcpu(v).is_preempted())
         .collect();

@@ -62,7 +62,6 @@ fn trace_records_pool_resizes_and_migrations() {
         .any(|r| r.event == TraceEvent::PoolResize { micro_cores: 1 }));
     let victim = m
         .siblings(VmId(0))
-        .into_iter()
         .chain(m.siblings(VmId(1)))
         .find(|&v| m.vcpu(v).is_preempted())
         .expect("someone is waiting at 2:1");
@@ -82,7 +81,6 @@ fn sticky_micro_residents_stay_until_unpinned() {
     m.run_until(SimTime::from_millis(50)).unwrap();
     let target = m
         .siblings(VmId(0))
-        .into_iter()
         .find(|&x| m.vcpu(x).is_preempted())
         .unwrap_or(v);
     m.set_sticky_micro(target, true);
@@ -107,7 +105,6 @@ fn resize_to_zero_evicts_everyone() {
     m.run_until(SimTime::from_millis(40)).unwrap();
     let victims: Vec<VcpuId> = m
         .siblings(VmId(1))
-        .into_iter()
         .filter(|&x| m.vcpu(x).is_preempted())
         .take(2)
         .collect();
@@ -133,7 +130,6 @@ fn request_acceleration_of_running_vcpu_defers_to_deschedule() {
     m.run_until(SimTime::from_millis(20)).unwrap();
     let running = m
         .siblings(VmId(0))
-        .into_iter()
         .chain(m.siblings(VmId(1)))
         .find(|&x| m.vcpu(x).is_running() && m.vcpu(x).pool == PoolId::Normal)
         .expect("someone is running in the normal pool");

@@ -20,7 +20,7 @@ pub mod hist;
 pub mod render;
 pub mod summary;
 
-pub use counters::CounterSet;
+pub use counters::{Counter, CounterSet};
 pub use hist::Histogram;
 pub use render::Table;
 pub use summary::Summary;

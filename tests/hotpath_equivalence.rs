@@ -1,27 +1,31 @@
 //! Equivalence suite for the data-oriented hot-path rewrites.
 //!
-//! Three structures were rewritten for cache locality — the SoA run
-//! queue (`hypervisor::pcpu`), the flattened program arena
-//! (`guest::segment::FlatProgram`), and the pool-sharded event queue
-//! (`simcore::event::ShardedEventQueue`). Each claims *observable
+//! Four structures were rewritten for the hot path — the SoA run queue
+//! (`hypervisor::pcpu`), the flattened program arena
+//! (`guest::segment::FlatProgram`), the pool-sharded event queue
+//! (`simcore::event::ShardedEventQueue`), and the enum-indexed counter
+//! set (`metrics::counters::CounterSet`). Each claims *observable
 //! equivalence* with the representation it replaced. This suite checks
 //! that claim twice over:
 //!
 //! - structurally, against reference models written here that reproduce
 //!   the replaced implementations verbatim (the `VecDeque` run queue,
-//!   direct `Box<dyn Program>` pulls, a single flat `EventQueue`),
-//!   driven through long pseudo-random op sequences; and
+//!   direct `Box<dyn Program>` pulls, a single flat `EventQueue`, the
+//!   `BTreeMap` counter set), driven through long pseudo-random op
+//!   sequences; and
 //! - end-to-end, on the fig4 and table2 quick grids: the rendered bytes
 //!   must be identical across seeds and across `--jobs 1` vs `--jobs 8`
-//!   (the fan-out path exercises all three structures concurrently).
+//!   (the fan-out path exercises these structures concurrently).
 
 use guest::segment::{FlatProgram, Program, ScriptedProgram, Segment};
 use hypervisor::pcpu::{first_rank_above, Pcpu, RunqEntry};
 use hypervisor::Prio;
+use metrics::counters::{Counter, CounterSet};
 use simcore::event::{EventQueue, ShardedEventQueue};
 use simcore::ids::{PcpuId, VcpuId, VmId};
 use simcore::rng::SimRng;
 use simcore::time::{SimDuration, SimTime};
+use std::collections::BTreeMap;
 use workloads::Workload;
 
 // ---------------------------------------------------------------------
@@ -534,6 +538,124 @@ fn sharded_cancel_on_level_boundary_rederives_head() {
     assert_eq!(q.pop(), Some((SimTime::from_nanos(L2_SLOT + 1), 2)));
     assert_eq!(q.pop(), Some((SimTime::from_nanos(2 * L2_SLOT), 3)));
     assert_eq!(q.pop(), None);
+}
+
+// ---------------------------------------------------------------------
+// Enum-indexed counters vs the replaced `BTreeMap` counter set.
+// ---------------------------------------------------------------------
+
+/// The pre-rewrite `CounterSet`, verbatim: one `BTreeMap` keyed by name.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+struct RefCounters {
+    counts: BTreeMap<&'static str, u64>,
+}
+
+impl RefCounters {
+    fn add(&mut self, name: &'static str, n: u64) {
+        *self.counts.entry(name).or_insert(0) += n;
+    }
+
+    fn get(&self, name: &str) -> u64 {
+        self.counts.get(name).copied().unwrap_or(0)
+    }
+
+    fn delta_since(&self, earlier: &RefCounters) -> RefCounters {
+        let mut delta = RefCounters::default();
+        for (&name, &now) in &self.counts {
+            let before = earlier.get(name);
+            if now > before {
+                delta.counts.insert(name, now - before);
+            }
+        }
+        delta
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        self.counts.iter().map(|(&k, &v)| (k, v))
+    }
+
+    fn total(&self) -> u64 {
+        self.counts.values().sum()
+    }
+
+    fn render(&self) -> String {
+        self.iter()
+            .map(|(name, value)| format!("{name}={value}"))
+            .collect::<Vec<_>>()
+            .join(" ")
+    }
+}
+
+/// Every observable of a `CounterSet` against its reference twin.
+fn assert_counters_match(c: &CounterSet, r: &RefCounters, names: &[&'static str], what: &str) {
+    assert_eq!(c.to_string(), r.render(), "{what}: Display");
+    assert!(c.iter().eq(r.iter()), "{what}: iter");
+    assert_eq!(c.total(), r.total(), "{what}: total");
+    assert_eq!(c.is_empty(), r.counts.is_empty(), "{what}: is_empty");
+    for &name in names {
+        assert_eq!(c.get(name), r.get(name), "{what}: get({name})");
+    }
+    let mut rebuilt = CounterSet::new();
+    for (name, value) in r.iter() {
+        rebuilt.add(name, value);
+    }
+    assert!(
+        rebuilt == *c,
+        "{what}: PartialEq with a set rebuilt by name"
+    );
+}
+
+/// Random mixed streams of enum- and string-keyed `incr`/`add` calls —
+/// zero adds included, and names on both sides of every well-known name
+/// in sort order — with snapshots, deltas against older and newer
+/// snapshots, and resets. Every observable, and `PartialEq` between
+/// sets, must match the `BTreeMap` reference after every operation.
+#[test]
+fn enum_indexed_counters_match_btreemap_reference() {
+    // Names outside the enum that sort before, between and after the
+    // well-known ones.
+    let extra = ["aaa", "ctx", "fault_", "faults_planned_x", "ipi", "zzz"];
+    let names: Vec<&'static str> = Counter::ALL.iter().map(|c| c.name()).chain(extra).collect();
+    for seed in 0..24u64 {
+        let mut rng = SimRng::new(0xC0DE_0000 + seed);
+        let mut c = CounterSet::new();
+        let mut r = RefCounters::default();
+        let mut snaps = vec![(CounterSet::new(), RefCounters::default())];
+        for step in 0..600 {
+            let name = names[rng.below(names.len() as u64) as usize];
+            let n = [0, 1, 1, 2, 1_000][rng.below(5) as usize];
+            let what = format!("seed {seed} step {step}");
+            match rng.below(10) {
+                0..=5 => {
+                    let by_enum = rng.below(2) == 0;
+                    match (Counter::from_name(name).filter(|_| by_enum), n) {
+                        (Some(counter), 1) => c.incr(counter),
+                        (Some(counter), _) => c.add(counter, n),
+                        (None, 1) => c.incr(name),
+                        (None, _) => c.add(name, n),
+                    }
+                    r.add(name, n);
+                }
+                6 => snaps.push((c.snapshot(), r.clone())),
+                7 | 8 => {
+                    let (sc, sr) = &snaps[rng.below(snaps.len() as u64) as usize];
+                    let (dc, dr) = (c.delta_since(sc), r.delta_since(sr));
+                    assert_counters_match(&dc, &dr, &names, &format!("{what}: delta"));
+                    let (back_c, back_r) = (sc.delta_since(&c), sr.delta_since(&r));
+                    assert_counters_match(&back_c, &back_r, &names, &format!("{what}: back"));
+                    assert_eq!(sc == &c, sr == &r, "{what}: snapshot PartialEq");
+                    assert_eq!(dc == back_c, dr == back_r, "{what}: delta PartialEq");
+                }
+                _ => {
+                    if rng.below(4) == 0 {
+                        c.reset();
+                        r.counts.clear();
+                    }
+                }
+            }
+            assert_counters_match(&c, &r, &names, &what);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
