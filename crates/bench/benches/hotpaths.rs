@@ -43,7 +43,7 @@ fn bench_event_queue(c: &mut Criterion) {
         b.iter(|| {
             let mut q = EventQueue::new();
             for i in 0..1_000u64 {
-                // Pseudo-shuffled timestamps exercise heap reordering.
+                // Pseudo-shuffled timestamps exercise bucket sorting.
                 q.push(
                     SimTime::from_nanos(i.wrapping_mul(2_654_435_761) % 100_000),
                     i,
@@ -58,28 +58,31 @@ fn bench_event_queue(c: &mut Criterion) {
     });
 }
 
-/// Cancellation-heavy queue traffic: the scheduler's actual pattern is
-/// push-then-cancel (timers superseded by earlier wakeups). Half the
-/// pushed events are cancelled before the drain.
-fn bench_event_queue_cancel(c: &mut Criterion) {
-    c.bench_function("event_queue_push_cancel_1k", |b| {
+/// One step of the guest spinlock protocol under contention, as the
+/// `CriticalHold` path drives it: 1k acquire/release rounds, each with
+/// the seven other vCPUs of an 8-vCPU VM spinning on the holder. The
+/// next round's holder is a spinner, so every acquisition after the
+/// first is contended.
+fn bench_spinlock_contended(c: &mut Criterion) {
+    use guest::spinlock::SpinLock;
+    use simcore::ids::{VcpuId, VmId};
+
+    c.bench_function("spinlock_contended_1k", |b| {
         b.iter(|| {
-            let mut q = EventQueue::new();
-            let mut keys = Vec::with_capacity(1_000);
-            for i in 0..1_000u64 {
-                let at = SimTime::from_nanos(i.wrapping_mul(2_654_435_761) % 100_000);
-                keys.push(q.push(at, i));
-            }
-            for (i, k) in keys.into_iter().enumerate() {
-                if i % 2 == 0 {
-                    q.cancel(k);
+            let mut lock = SpinLock::new();
+            let mut spinning = 0usize;
+            for round in 0..1_000u16 {
+                let holder = VcpuId::new(VmId(0), round % 8);
+                let acquired = lock.try_acquire(holder);
+                for i in 1..8 {
+                    lock.try_acquire(VcpuId::new(VmId(0), (round + i) % 8));
+                }
+                spinning += lock.spinner_count();
+                if acquired {
+                    lock.release(holder);
                 }
             }
-            let mut sum = 0u64;
-            while let Some((_, v)) = q.pop() {
-                sum = sum.wrapping_add(v);
-            }
-            std::hint::black_box(sum)
+            std::hint::black_box((spinning, lock.contended))
         })
     });
 }
@@ -412,6 +415,6 @@ fn bench_adaptive_admission(c: &mut Criterion) {
 criterion_group! {
     name = hotpaths;
     config = sim_criterion();
-    targets = bench_calibration, bench_event_queue, bench_event_queue_cancel, bench_parallel_fanout, bench_runq_dispatch_scan, bench_segment_step, bench_rng, bench_histogram, bench_symbol_resolution, bench_sim_second, bench_machine_snapshot, bench_policy_ipi_wait_yield, bench_counter_incr_mix, bench_adaptive_admission
+    targets = bench_calibration, bench_event_queue, bench_spinlock_contended, bench_parallel_fanout, bench_runq_dispatch_scan, bench_segment_step, bench_rng, bench_histogram, bench_symbol_resolution, bench_sim_second, bench_machine_snapshot, bench_policy_ipi_wait_yield, bench_counter_incr_mix, bench_adaptive_admission
 }
 criterion_main!(hotpaths);

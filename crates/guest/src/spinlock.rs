@@ -8,16 +8,19 @@
 //! simulation can observe lock-holder preemption, and per-lock wait-time
 //! statistics feed Table 4a.
 
+use crate::tlb::VcpuSet;
 use simcore::ids::VcpuId;
-use std::collections::BTreeSet;
 
 /// A guest kernel spinlock.
+///
+/// Locks are per-VM: every vCPU passed in must belong to the lock's own
+/// VM, because spinners are kept by vCPU index.
 #[derive(Clone, Debug)]
 pub struct SpinLock {
     /// The vCPU currently inside the critical section, if any.
     holder: Option<VcpuId>,
-    /// vCPUs currently spinning on this lock (ordered for determinism).
-    spinners: BTreeSet<VcpuId>,
+    /// Indices of the vCPUs currently spinning on this lock.
+    spinners: VcpuSet,
     /// Total successful acquisitions.
     pub acquisitions: u64,
     /// Acquisitions that had to spin first.
@@ -35,7 +38,7 @@ impl SpinLock {
     pub fn new() -> Self {
         SpinLock {
             holder: None,
-            spinners: BTreeSet::new(),
+            spinners: VcpuSet::new(),
             acquisitions: 0,
             contended: 0,
         }
@@ -64,14 +67,15 @@ impl SpinLock {
         match self.holder {
             None => {
                 self.holder = Some(vcpu);
-                if self.spinners.remove(&vcpu) {
+                if self.spinners.contains(vcpu.idx) {
+                    self.spinners.remove(vcpu.idx);
                     self.contended += 1;
                 }
                 self.acquisitions += 1;
                 true
             }
             Some(_) => {
-                self.spinners.insert(vcpu);
+                self.spinners.insert(vcpu.idx);
                 false
             }
         }
@@ -94,12 +98,13 @@ impl SpinLock {
     /// Removes a vCPU from the spinner set (it gave up, e.g. its task was
     /// migrated or the simulation is tearing down).
     pub fn remove_spinner(&mut self, vcpu: VcpuId) {
-        self.spinners.remove(&vcpu);
+        self.spinners.remove(vcpu.idx);
     }
 
-    /// The vCPUs currently spinning, in deterministic order.
-    pub fn spinners(&self) -> impl Iterator<Item = VcpuId> + '_ {
-        self.spinners.iter().copied()
+    /// The indices of the vCPUs currently spinning; the set is `Copy` and
+    /// iterates in ascending order.
+    pub fn spinners(&self) -> VcpuSet {
+        self.spinners
     }
 
     /// Number of spinning vCPUs.
@@ -177,11 +182,75 @@ mod tests {
         for idx in [5, 1, 3] {
             l.try_acquire(v(idx));
         }
-        let order: Vec<u16> = l.spinners().map(|vc| vc.idx).collect();
+        let order: Vec<u16> = l.spinners().iter().collect();
         assert_eq!(order, vec![1, 3, 5]);
     }
 
+    /// The lock as it was with a `BTreeSet<VcpuId>` spinner set, verbatim.
+    #[derive(Default)]
+    struct RefLock {
+        holder: Option<VcpuId>,
+        spinners: std::collections::BTreeSet<VcpuId>,
+        acquisitions: u64,
+        contended: u64,
+    }
+
+    impl RefLock {
+        fn try_acquire(&mut self, vcpu: VcpuId) -> bool {
+            match self.holder {
+                None => {
+                    self.holder = Some(vcpu);
+                    if self.spinners.remove(&vcpu) {
+                        self.contended += 1;
+                    }
+                    self.acquisitions += 1;
+                    true
+                }
+                Some(_) => {
+                    self.spinners.insert(vcpu);
+                    false
+                }
+            }
+        }
+    }
+
     proptest! {
+        /// Random acquire/release/give-up streams over up to 64 vCPUs: the
+        /// bitmask lock and the `BTreeSet` reference agree on every acquire
+        /// result, the holder, both counters, and the spinner set in
+        /// ascending order after every operation.
+        #[test]
+        fn prop_bitmask_spinners_match_btreeset_reference(
+            ops in proptest::collection::vec((0u8..5, 0u16..64), 1..300),
+        ) {
+            let mut l = SpinLock::new();
+            let mut r = RefLock::default();
+            for (op, idx) in ops {
+                match op {
+                    0..=2 => {
+                        if r.holder != Some(v(idx)) {
+                            prop_assert_eq!(l.try_acquire(v(idx)), r.try_acquire(v(idx)));
+                        }
+                    }
+                    3 => {
+                        if let Some(h) = r.holder.take() {
+                            l.release(h);
+                        }
+                    }
+                    _ => {
+                        l.remove_spinner(v(idx));
+                        r.spinners.remove(&v(idx));
+                    }
+                }
+                prop_assert_eq!(l.holder(), r.holder);
+                prop_assert_eq!(l.acquisitions, r.acquisitions);
+                prop_assert_eq!(l.contended, r.contended);
+                prop_assert_eq!(l.spinner_count(), r.spinners.len());
+                let spinners: Vec<VcpuId> = l.spinners().vcpus(VmId(0)).collect();
+                prop_assert!(spinners.iter().eq(r.spinners.iter()));
+            }
+        }
+
         /// Mutual exclusion and statistics hold for arbitrary operation
         /// sequences: at most one holder, every successful acquire pairs
         /// with the holder, and counts are consistent.

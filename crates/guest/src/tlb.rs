@@ -52,6 +52,12 @@ impl VcpuSet {
         }
     }
 
+    /// True if vCPU `idx` is in the set.
+    #[inline]
+    pub fn contains(self, idx: u16) -> bool {
+        idx < Self::MAX_VCPUS && self.0 & (1 << idx) != 0
+    }
+
     /// True if the set is empty.
     #[inline]
     pub fn is_empty(self) -> bool {

@@ -4,9 +4,9 @@
 //! through the queue — `on_transition` drops them by generation-stamp
 //! comparison when they fire. That idiom is what the timing-wheel queue
 //! is shaped around: a dead event sits in its wheel bucket untouched
-//! (no sift, no lookup) and costs exactly one skip when its slot drains,
-//! so replanning a vCPU's stop is O(1) no matter how many stale plans it
-//! leaves behind.
+//! (no sift, no lookup) and costs one pop and one generation compare
+//! when it fires, so replanning a vCPU's stop is O(1) no matter how many
+//! stale plans it leaves behind.
 
 use super::{Event, Machine, Stop};
 use crate::machine::sched::RequeueMode;

@@ -86,11 +86,11 @@ impl Machine {
         }
 
         // Event-queue time monotonicity (invariant 5). `earliest` is the
-        // non-mutating peek: O(1) against the cached shard heads in the
-        // common case, an exact slab scan when a cancellation just hit a
-        // head — either way it cannot perturb the queue it is checking,
-        // and under `--paranoid` (re-checked every accounting tick) it
-        // replaces a full live-event walk.
+        // exact non-mutating peek: O(1) when the drain buffer holds the
+        // head, a scan of the first occupied wheel bucket per level when
+        // it is empty — either way it cannot perturb the queue it is
+        // checking, and under `--paranoid` (re-checked every accounting
+        // tick) it replaces a full pending-event walk.
         if let Some(t) = self.queue.earliest() {
             if t < self.now {
                 return Err(err(format!(

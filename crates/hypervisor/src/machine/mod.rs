@@ -28,7 +28,7 @@ use crate::vcpu::{VState, Vcpu};
 use crate::vm::{Vm, VmSpec};
 use ksym::linux44::Linux44Map;
 use metrics::counters::Counter;
-use simcore::event::ShardedEventQueue;
+use simcore::event::EventQueue;
 use simcore::ids::{PcpuId, VcpuId, VmId};
 use simcore::rng::SimRng;
 use simcore::time::SimTime;
@@ -135,19 +135,9 @@ pub enum Event {
     },
 }
 
-/// Event-queue shard for machine-global events (timers, network flows,
-/// task wakeups, faults).
-const GLOBAL_SHARD: usize = 0;
-/// Event-queue shard for normal-pool scheduler events.
-const NORMAL_SHARD: usize = 1;
-/// Event-queue shard for micro-pool scheduler events.
-const MICRO_SHARD: usize = 2;
-/// Total shard count of the machine's event queue.
-const NUM_SHARDS: usize = 3;
-
 /// The simulated host.
 ///
-/// `Clone` is a deep checkpoint: every run queue, event-queue slab,
+/// `Clone` is a deep checkpoint: every run queue, the event queue,
 /// guest program arena, RNG stream, histogram, and the fault-plan cursor
 /// copy verbatim, so a clone replays bit-identically to the original.
 /// See [`Machine::snapshot`] / [`Snapshot`] for the checkpoint/fork API
@@ -157,7 +147,7 @@ pub struct Machine {
     /// Configuration (read-only after construction).
     pub cfg: MachineConfig,
     pub(crate) now: SimTime,
-    pub(crate) queue: ShardedEventQueue<Event>,
+    pub(crate) queue: EventQueue<Event>,
     /// Machine-level RNG (placement tie-breaking and the like).
     pub rng: SimRng,
     pub(crate) pcpus: Vec<Pcpu>,
@@ -213,7 +203,7 @@ impl Machine {
         let mut machine = Machine {
             cfg,
             now: SimTime::ZERO,
-            queue: ShardedEventQueue::new(NUM_SHARDS),
+            queue: EventQueue::new(),
             rng,
             pcpus,
             pools,
@@ -425,26 +415,10 @@ impl Machine {
         }
     }
 
-    /// Schedules an event, routed to the shard of the cpupool it concerns
-    /// (scheduler events) or the machine-global shard (timers, flows,
-    /// faults). Routing affects only locality — each shard is its own
-    /// timing wheel + slab — while pops come out ordered by
-    /// `(time, push order)` across all shards, so the shard choice can
-    /// never change the simulation.
+    /// Schedules an event. Pops come out ordered by `(time, push order)`.
     #[inline]
     pub(crate) fn push_event(&mut self, at: SimTime, event: Event) {
-        let shard = match event {
-            Event::Transition { vcpu, .. } | Event::Kick { vcpu } => match self.vcpu(vcpu).pool {
-                PoolId::Normal => NORMAL_SHARD,
-                PoolId::Micro => MICRO_SHARD,
-            },
-            Event::Preempt { pcpu } => match self.pools.pool_of(pcpu) {
-                PoolId::Normal => NORMAL_SHARD,
-                PoolId::Micro => MICRO_SHARD,
-            },
-            _ => GLOBAL_SHARD,
-        };
-        self.queue.push(shard, at, event);
+        self.queue.push(at, event);
     }
 
     /// Immutable vCPU accessor.

@@ -225,10 +225,8 @@ impl Machine {
                 self.vms[vmi].kernel.locks[lock as usize].release(vcpu);
                 // Spinners currently on a pCPU re-check via a kick; the
                 // preempted ones re-check at their next dispatch.
-                let spinners: Vec<VcpuId> = self.vms[vmi].kernel.locks[lock as usize]
-                    .spinners()
-                    .collect();
-                for s in spinners {
+                let spinners = self.vms[vmi].kernel.locks[lock as usize].spinners();
+                for s in spinners.vcpus(vcpu.vm) {
                     if self.vcpu(s).is_running() {
                         self.push_event(self.now, Event::Kick { vcpu: s });
                     }

@@ -20,7 +20,8 @@
 //! enters their tick, so every entry is sorted exactly once, in the
 //! finest-granularity bucket it ends up in. See DESIGN.md §4.10.
 
-use super::heap::HeapEntry;
+use super::Entry;
+use crate::time::SimTime;
 
 /// log2 of the level-0 slot width in nanoseconds.
 pub(super) const SHIFT0: u32 = 12;
@@ -82,21 +83,21 @@ fn scan64_after(occ: u64, start: usize) -> Option<usize> {
 ///   cascade, and [`Wheel::take_next_slot`] drains it in the same call —
 ///   direct pushes for the cursor slot stay in the queue's drain buffer.
 #[derive(Clone)]
-pub(super) struct Wheel {
-    l0: Vec<Vec<HeapEntry>>,
-    l1: Vec<Vec<HeapEntry>>,
-    l2: Vec<Vec<HeapEntry>>,
+pub(super) struct Wheel<E> {
+    l0: Vec<Vec<Entry<E>>>,
+    l1: Vec<Vec<Entry<E>>>,
+    l2: Vec<Vec<Entry<E>>>,
     occ0: [u64; 4],
     occ1: u64,
     occ2: u64,
     /// The drain frontier in ns, always a multiple of `2^SHIFT0`. Never
     /// moves backwards; never skips a non-empty slot.
     pub(super) cursor: u64,
-    /// Total entries across all buckets (cancelled ones included).
+    /// Total entries across all buckets.
     pub(super) count: usize,
 }
 
-impl Wheel {
+impl<E> Wheel<E> {
     pub(super) fn new() -> Self {
         Wheel {
             l0: (0..SLOTS0).map(|_| Vec::new()).collect(),
@@ -115,7 +116,7 @@ impl Wheel {
     /// caller must not pass times behind the cursor, and routes times in
     /// the cursor's own level-0 slot here only from a cascade.
     #[inline]
-    pub(super) fn insert(&mut self, entry: HeapEntry) -> Result<(), HeapEntry> {
+    pub(super) fn insert(&mut self, entry: Entry<E>) -> Result<(), Entry<E>> {
         let t = entry.at.as_nanos();
         debug_assert!(t >= self.cursor);
         if (t >> SHIFT0) - (self.cursor >> SHIFT0) < SLOTS0 {
@@ -137,51 +138,69 @@ impl Wheel {
         Ok(())
     }
 
-    /// A lower bound (slot start) on the earliest bucketed firing time,
-    /// without mutating anything. `None` iff the wheel is empty.
+    /// The absolute tick (firing time shifted by the level's granularity)
+    /// of the first occupied slot at or after the cursor, per level.
     #[inline]
-    pub(super) fn lower_bound(&self) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
+    fn next_ticks(&self) -> [Option<u64>; 3] {
         let cur0 = self.cursor >> SHIFT0;
         let cur1 = self.cursor >> SHIFT1;
         let cur2 = self.cursor >> SHIFT2;
-        let mut bound = u64::MAX;
-        if let Some(d) = scan256(&self.occ0, (cur0 & (SLOTS0 - 1)) as usize) {
-            bound = (cur0 + d as u64) << SHIFT0;
+        [
+            scan256(&self.occ0, (cur0 & (SLOTS0 - 1)) as usize).map(|d| cur0 + d as u64),
+            scan64_after(self.occ1, (cur1 & (SLOTS1 - 1)) as usize).map(|d| cur1 + d as u64),
+            scan64_after(self.occ2, (cur2 & (SLOTS2 - 1)) as usize).map(|d| cur2 + d as u64),
+        ]
+    }
+
+    /// The exact earliest bucketed firing time, without mutating anything:
+    /// the minimum over the first occupied bucket of each level (a level's
+    /// later buckets fire later). `None` iff the wheel is empty.
+    pub(super) fn earliest(&self) -> Option<SimTime> {
+        let [a, b, c] = self.next_ticks();
+        let first = |level: &[Vec<Entry<E>>], tick: Option<u64>| {
+            let bucket = &level[(tick? as usize) & (level.len() - 1)];
+            bucket.iter().map(|e| e.at).min()
+        };
+        [first(&self.l0, a), first(&self.l1, b), first(&self.l2, c)]
+            .into_iter()
+            .flatten()
+            .min()
+    }
+
+    /// Every bucketed entry, in unspecified order.
+    pub(super) fn iter(&self) -> impl Iterator<Item = &Entry<E>> {
+        self.l0.iter().chain(&self.l1).chain(&self.l2).flatten()
+    }
+
+    /// Re-buckets a cascading level-1/2 bucket at the finer levels. The
+    /// cursor has just entered the bucket's tick, so every entry is
+    /// inside the wheel window.
+    fn rebucket(&mut self, bucket: Vec<Entry<E>>) {
+        self.count -= bucket.len();
+        for e in bucket {
+            let inside = self.insert(e).is_ok();
+            assert!(inside, "cascaded entry beyond the wheel window");
         }
-        if let Some(d) = scan64_after(self.occ1, (cur1 & (SLOTS1 - 1)) as usize) {
-            bound = bound.min((cur1 + d as u64) << SHIFT1);
-        }
-        if let Some(d) = scan64_after(self.occ2, (cur2 & (SLOTS2 - 1)) as usize) {
-            bound = bound.min((cur2 + d as u64) << SHIFT2);
-        }
-        debug_assert_ne!(bound, u64::MAX, "count > 0 but no occupied slot");
-        Some(bound)
     }
 
     /// Advances the cursor to the next non-empty level-0 slot — cascading
     /// level-1/2 buckets down as their ticks are entered — and moves that
-    /// slot's entries (unsorted) into `out`. Returns `false` iff the
-    /// wheel is empty.
-    pub(super) fn take_next_slot(&mut self, out: &mut Vec<HeapEntry>) -> bool {
+    /// slot's entries (unsorted) into `out`. Stops, returning `false`,
+    /// when the wheel is empty or the next occupied slot starts after
+    /// `limit` (ns), so the cursor never advances past `limit`.
+    pub(super) fn take_next_slot(&mut self, limit: u64, out: &mut Vec<Entry<E>>) -> bool {
         debug_assert!(out.is_empty());
         loop {
             if self.count == 0 {
                 return false;
             }
-            let cur0 = self.cursor >> SHIFT0;
-            let cur1 = self.cursor >> SHIFT1;
-            let cur2 = self.cursor >> SHIFT2;
-            let a = scan256(&self.occ0, (cur0 & (SLOTS0 - 1)) as usize).map(|d| cur0 + d as u64);
-            let b =
-                scan64_after(self.occ1, (cur1 & (SLOTS1 - 1)) as usize).map(|d| cur1 + d as u64);
-            let c =
-                scan64_after(self.occ2, (cur2 & (SLOTS2 - 1)) as usize).map(|d| cur2 + d as u64);
+            let [a, b, c] = self.next_ticks();
             let ab = a.map_or(u64::MAX, |t| t << SHIFT0);
             let bb = b.map_or(u64::MAX, |t| t << SHIFT1);
             let cb = c.map_or(u64::MAX, |t| t << SHIFT2);
+            if ab.min(bb).min(cb) > limit {
+                return false;
+            }
             // Deeper levels win ties: a bucket whose tick starts at the
             // same instant as a shallower slot may hold earlier entries,
             // so it must cascade before that slot drains.
@@ -191,10 +210,7 @@ impl Wheel {
                 let i = (tick & (SLOTS2 - 1)) as usize;
                 self.occ2 &= !(1 << i);
                 let bucket = core::mem::take(&mut self.l2[i]);
-                self.count -= bucket.len();
-                for e in bucket {
-                    self.insert(e).expect("within level-2 window");
-                }
+                self.rebucket(bucket);
                 // The cursor just landed on a level-2 boundary, which is
                 // also the *start* of a level-1 slot. That slot may hold
                 // entries inserted while the cursor was still in the
@@ -207,10 +223,7 @@ impl Wheel {
                 if self.occ1 & (1 << j) != 0 {
                     self.occ1 &= !(1 << j);
                     let bucket = core::mem::take(&mut self.l1[j]);
-                    self.count -= bucket.len();
-                    for e in bucket {
-                        self.insert(e).expect("within level-1 window");
-                    }
+                    self.rebucket(bucket);
                 }
             } else if bb <= ab {
                 let tick = b.expect("bb finite");
@@ -218,10 +231,7 @@ impl Wheel {
                 let i = (tick & (SLOTS1 - 1)) as usize;
                 self.occ1 &= !(1 << i);
                 let bucket = core::mem::take(&mut self.l1[i]);
-                self.count -= bucket.len();
-                for e in bucket {
-                    self.insert(e).expect("within level-1 window");
-                }
+                self.rebucket(bucket);
             } else {
                 let tick = a.expect("count > 0 with no level-1/2 slot");
                 self.cursor = tick << SHIFT0;

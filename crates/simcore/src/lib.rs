@@ -8,7 +8,7 @@
 //! - [`rng`] — a small, fully deterministic random number generator
 //!   ([`SimRng`], SplitMix64-seeded xoshiro256++) with the distributions the
 //!   workload models need. Identical seeds yield identical simulations.
-//! - [`event`] — a cancellable, stably-ordered event queue ([`EventQueue`]).
+//! - [`event`] — a stably-ordered event queue ([`EventQueue`]).
 //! - [`trace`] — a bounded trace ring buffer ([`TraceBuffer`]), the analogue
 //!   of `xentrace` used by the paper's analysis (§3.1).
 //! - [`ids`] — the identifier newtypes (`VmId`, `VcpuId`, `PcpuId`, ...)
@@ -38,7 +38,7 @@ pub mod time;
 pub mod trace;
 pub mod watchdog;
 
-pub use event::{EventKey, EventQueue};
+pub use event::EventQueue;
 pub use ids::{LockId, PcpuId, TaskId, VcpuId, VmId};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

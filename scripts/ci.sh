@@ -116,9 +116,9 @@ echo "== fault-fuzz smoke (fixed seeds) ==" >&2
 cargo test --release -p experiments --test fault_injection -q
 
 echo "== wheel-vs-heap differential smoke (fixed seeds) ==" >&2
-# The timing-wheel queue against the retained heap reference backend:
-# ~100 seeded op streams (push/pop/cancel/deadline-pop across all wheel
-# levels), flat and sharded, asserting len/peek/pop agreement each step.
+# The timing-wheel queue against a binary-heap reference: 72 seeded op
+# streams (push/pop/deadline-pop across all wheel levels), asserting
+# pop/deadline-pop/peek/earliest/len agreement each step.
 # Deterministic seeds, so a failure here is a real wheel bug, never flake.
 cargo test --release -p experiments --test wheel_vs_heap -q
 

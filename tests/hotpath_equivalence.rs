@@ -1,27 +1,28 @@
 //! Equivalence suite for the data-oriented hot-path rewrites.
 //!
-//! Four structures were rewritten for the hot path — the SoA run queue
+//! Three structures were rewritten for the hot path — the SoA run queue
 //! (`hypervisor::pcpu`), the flattened program arena
-//! (`guest::segment::FlatProgram`), the pool-sharded event queue
-//! (`simcore::event::ShardedEventQueue`), and the enum-indexed counter
-//! set (`metrics::counters::CounterSet`). Each claims *observable
+//! (`guest::segment::FlatProgram`), and the enum-indexed counter set
+//! (`metrics::counters::CounterSet`). Each claims *observable
 //! equivalence* with the representation it replaced. This suite checks
 //! that claim twice over:
 //!
 //! - structurally, against reference models written here that reproduce
 //!   the replaced implementations verbatim (the `VecDeque` run queue,
-//!   direct `Box<dyn Program>` pulls, a single flat `EventQueue`, the
-//!   `BTreeMap` counter set), driven through long pseudo-random op
-//!   sequences; and
+//!   direct `Box<dyn Program>` pulls, the `BTreeMap` counter set), driven
+//!   through long pseudo-random op sequences; and
 //! - end-to-end, on the fig4 and table2 quick grids: the rendered bytes
 //!   must be identical across seeds and across `--jobs 1` vs `--jobs 8`
 //!   (the fan-out path exercises these structures concurrently).
+//!
+//! It also pins the timing-wheel event queue's cascade boundaries with
+//! directed tests (`tests/wheel_vs_heap.rs` fuzzes the rest).
 
 use guest::segment::{FlatProgram, Program, ScriptedProgram, Segment};
 use hypervisor::pcpu::{first_rank_above, Pcpu, RunqEntry};
 use hypervisor::Prio;
 use metrics::counters::{Counter, CounterSet};
-use simcore::event::{EventQueue, ShardedEventQueue};
+use simcore::event::EventQueue;
 use simcore::ids::{PcpuId, VcpuId, VmId};
 use simcore::rng::SimRng;
 use simcore::time::{SimDuration, SimTime};
@@ -342,70 +343,6 @@ fn arena_matches_direct_dispatch_for_scripted_programs() {
 }
 
 // ---------------------------------------------------------------------
-// Sharded event queue vs the single flat queue.
-// ---------------------------------------------------------------------
-
-/// Mirrors a push/cancel/pop/pop_at_or_before stream against a flat
-/// `EventQueue` with shard routing assigned the way the machine routes
-/// (a static function of the payload), asserting identical pop order.
-/// Complements the proptest in `simcore::event` with the 3-shard layout
-/// the machine actually uses.
-#[test]
-fn three_shard_queue_matches_flat_queue() {
-    for seed in 0..24u64 {
-        let mut rng = SimRng::new(0x3AD_0000 + seed);
-        let mut flat: EventQueue<u64> = EventQueue::new();
-        let mut sharded: ShardedEventQueue<u64> = ShardedEventQueue::new(3);
-        let mut keys = Vec::new(); // (flat key, shard key), parallel.
-        for step in 0..600 {
-            match rng.range_u64(0, 10) {
-                0..=4 => {
-                    let payload = rng.range_u64(0, 1 << 40);
-                    let shard = (payload % 3) as usize; // routing = f(payload)
-                    let at = SimTime::from_nanos(rng.range_u64(0, 2_000));
-                    keys.push((flat.push(at, payload), sharded.push(shard, at, payload)));
-                }
-                5 => {
-                    if !keys.is_empty() {
-                        let i = rng.range_u64(0, keys.len() as u64) as usize;
-                        let (fk, sk) = keys.swap_remove(i);
-                        assert_eq!(
-                            flat.cancel(fk),
-                            sharded.cancel(sk),
-                            "cancel diverged (seed {seed}, step {step})"
-                        );
-                    }
-                }
-                6 | 7 => {
-                    assert_eq!(
-                        flat.pop(),
-                        sharded.pop(),
-                        "pop diverged (seed {seed}, step {step})"
-                    );
-                }
-                _ => {
-                    let deadline = SimTime::from_nanos(rng.range_u64(0, 2_000));
-                    assert_eq!(
-                        flat.pop_at_or_before(deadline),
-                        sharded.pop_at_or_before(deadline),
-                        "pop_at_or_before diverged (seed {seed}, step {step})"
-                    );
-                }
-            }
-            assert_eq!(flat.peek_time(), sharded.peek_time(), "seed {seed}");
-        }
-        // Drain both to the end: the full ordering must agree.
-        loop {
-            let (a, b) = (flat.pop(), sharded.pop());
-            assert_eq!(a, b, "drain diverged (seed {seed})");
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Timing-wheel cascade boundaries.
 // ---------------------------------------------------------------------
 //
@@ -428,12 +365,11 @@ const HORIZON: u64 = 1 << 32;
 
 /// Pushes events exactly on (and one nanosecond around) every level
 /// boundary, plus one at the horizon itself, and checks the drain order
-/// against the retained heap reference backend.
+/// against the reference order: the same events sorted by
+/// `(time, push order)`.
 #[test]
 fn wheel_level_rollover_boundaries_pop_in_order() {
-    use simcore::event::HeapEventQueue;
     let mut wheel: EventQueue<u64> = EventQueue::new();
-    let mut heap: HeapEventQueue<u64> = HeapEventQueue::new();
     let mut times = Vec::new();
     for base in [L1_SLOT, L2_SLOT, HORIZON] {
         for k in [1u64, 2, 3, 63, 64, 65] {
@@ -445,18 +381,20 @@ fn wheel_level_rollover_boundaries_pop_in_order() {
     }
     times.push(0); // zero-delta on an empty, never-advanced queue
     for (i, &t) in times.iter().enumerate() {
-        let at = SimTime::from_nanos(t);
-        wheel.push(at, i as u64);
-        heap.push(at, i as u64);
+        wheel.push(SimTime::from_nanos(t), i as u64);
     }
-    loop {
-        assert_eq!(wheel.peek_time(), heap.peek_time(), "peek at boundary");
-        let (a, b) = (wheel.pop(), heap.pop());
-        assert_eq!(a, b, "boundary drain diverged");
-        if a.is_none() {
-            break;
-        }
+    let mut reference: Vec<(SimTime, u64)> = times
+        .iter()
+        .enumerate()
+        .map(|(i, &t)| (SimTime::from_nanos(t), i as u64))
+        .collect();
+    reference.sort_unstable();
+    for &expected in &reference {
+        assert_eq!(wheel.earliest(), Some(expected.0), "earliest at boundary");
+        assert_eq!(wheel.peek_time(), Some(expected.0), "peek at boundary");
+        assert_eq!(wheel.pop(), Some(expected), "boundary drain diverged");
     }
+    assert_eq!(wheel.pop(), None);
 }
 
 /// Zero-delta pushes: after the cursor has advanced mid-stream, a push
@@ -493,51 +431,54 @@ fn zero_delta_pushes_at_the_drain_frontier_pop_first() {
     assert_eq!(rest, (33..64).collect::<Vec<u64>>());
 }
 
-/// Cancel-then-repush into the same wheel slot: the cancelled key must
-/// stay dead (double-cancel misses), the repushed event must pop at its
-/// time, and a cancel of a just-cascaded head must not disturb order.
+/// Cancel-then-repush into the same wheel slot, cancelling the way the
+/// machine does: the queue has no cancel, so a superseded event stays
+/// queued and is dropped when it fires because its generation stamp is
+/// stale (as `on_transition` drops an `Event::Transition`). The stale
+/// entry must still pop in its `(time, push order)` place, the repush
+/// lands in the same slot with a fresh seq and pops *after* the surviving
+/// tie, and a repush across the first cascade keeps its order too.
 #[test]
 fn cancel_then_repush_same_slot_keeps_order() {
-    let mut q: EventQueue<u64> = EventQueue::new();
+    // Payload `(id, generation)`; `live[id]` is the id's current generation.
+    let mut q: EventQueue<(usize, u64)> = EventQueue::new();
+    let mut live = [0u64; 4];
     // Three events in the same level-2 slot, one level-1 neighbor.
     let t0 = SimTime::from_nanos(3 * L2_SLOT + 17);
     let t1 = SimTime::from_nanos(3 * L2_SLOT + 17); // same slot, tie
     let t2 = SimTime::from_nanos(3 * L2_SLOT + 5 * L1_SLOT);
     let near = SimTime::from_nanos(L1_SLOT / 2);
-    let k0 = q.push(t0, 10);
-    let _k1 = q.push(t1, 11);
-    let k2 = q.push(t2, 12);
-    q.push(near, 13);
-    // Cancel the first of the tied pair, then repush at the same time:
-    // the repush lands in the same slot with a fresh seq, so it pops
-    // *after* the surviving tie.
-    assert!(q.cancel(k0));
-    assert!(!q.cancel(k0), "double cancel must miss");
-    q.push(t0, 14);
+    q.push(t0, (0, 0));
+    q.push(t1, (1, 0));
+    q.push(t2, (2, 0));
+    q.push(near, (3, 0));
+    // Cancel the first of the tied pair, then repush at the same time.
+    live[0] += 1;
+    q.push(t0, (0, live[0]));
     // Cancel-then-repush of the far entry too, across a pop that forces
     // the first cascade.
-    assert_eq!(q.pop(), Some((near, 13)));
-    assert!(q.cancel(k2));
-    q.push(t2, 15);
-    let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|(_, v)| v).collect();
-    assert_eq!(order, vec![11, 14, 15]);
-}
-
-/// The sharded queue under the same boundary stream: cancelling a cached
-/// merge-front head exactly on a level boundary must re-derive the next
-/// head correctly (the dirty-bit lower-bound path).
-#[test]
-fn sharded_cancel_on_level_boundary_rederives_head() {
-    let mut q: ShardedEventQueue<u64> = ShardedEventQueue::new(3);
-    let head = q.push(0, SimTime::from_nanos(L2_SLOT), 1);
-    q.push(1, SimTime::from_nanos(L2_SLOT + 1), 2);
-    q.push(2, SimTime::from_nanos(2 * L2_SLOT), 3);
-    assert_eq!(q.peek_time(), Some(SimTime::from_nanos(L2_SLOT)));
-    assert!(q.cancel(head));
-    assert_eq!(q.peek_time(), Some(SimTime::from_nanos(L2_SLOT + 1)));
-    assert_eq!(q.pop(), Some((SimTime::from_nanos(L2_SLOT + 1), 2)));
-    assert_eq!(q.pop(), Some((SimTime::from_nanos(2 * L2_SLOT), 3)));
-    assert_eq!(q.pop(), None);
+    assert_eq!(q.pop(), Some((near, (3, 0))));
+    live[2] += 1;
+    q.push(t2, (2, live[2]));
+    assert_eq!(q.len(), 5, "superseded entries stay queued");
+    let raw: Vec<(SimTime, (usize, u64))> = std::iter::from_fn(|| q.pop()).collect();
+    assert_eq!(
+        raw,
+        vec![
+            (t0, (0, 0)),
+            (t1, (1, 0)),
+            (t0, (0, 1)),
+            (t2, (2, 0)),
+            (t2, (2, 1)),
+        ]
+    );
+    // What the consumer acts on once stale generations are dropped.
+    let fired: Vec<(SimTime, usize)> = raw
+        .iter()
+        .filter(|&&(_, (id, gen))| live[id] == gen)
+        .map(|&(at, (id, _))| (at, id))
+        .collect();
+    assert_eq!(fired, vec![(t1, 1), (t0, 0), (t2, 2)]);
 }
 
 // ---------------------------------------------------------------------
