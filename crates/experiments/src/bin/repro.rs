@@ -29,7 +29,10 @@
 //! simulations execute at once across the whole suite. Output is
 //! byte-identical for every N — results collect in index order and
 //! experiments print in command-line order; `--jobs 1` also reproduces
-//! the serial execution order exactly.
+//! the serial execution order exactly. A cell that several experiments
+//! show (Figure 6's baseline and static-best cells are Figure 4/5 cells;
+//! `compare` re-checks six artifacts) is simulated once per invocation
+//! and shared, at every N.
 //!
 //! `--costs PATH` (default `COSTS.json`) loads persisted per-cell
 //! wall-clock records and admits cells **longest-estimated-first** across
@@ -363,13 +366,15 @@ fn main() {
         }
     };
     let mut cell_scope: Option<Arc<Scope>> = None;
+    // One budget per invocation: its `--jobs` permits gate cell execution
+    // and its cell memo simulates each cell several experiments show
+    // once. Both driver paths below run under it.
+    let budget = Arc::new(Budget::new(opts.jobs));
     if opts.jobs > 1 && ids.len() > 1 {
         // Cross-experiment fan-out: every experiment gets a driver
-        // thread, and one global budget of `--jobs` permits gates cell
-        // execution across all of them. Tables stream out strictly in
-        // command-line order, so stdout is byte-identical to the serial
-        // loop below.
-        let budget = Arc::new(Budget::new(opts.jobs));
+        // thread, and the budget gates cell execution across all of
+        // them. Tables stream out strictly in command-line order, so
+        // stdout is byte-identical to the serial loop below.
         pool::run_streamed(
             ids.len(),
             |i| {
@@ -384,7 +389,7 @@ fn main() {
     } else {
         for id in &ids {
             let started = Instant::now();
-            let out = plan_one(id);
+            let out = pool::with_budget(&budget, || plan_one(id));
             let scope = emit(id, out, started.elapsed(), csv, ledger.as_ref());
             if cell_mode {
                 cell_scope = scope;

@@ -5,7 +5,7 @@
 //! against embedded reference values from the paper's tables and figures.
 //! The output is the machine-checked core of `EXPERIMENTS.md`.
 
-use crate::runner::{Grid, PolicyKind, RunOptions};
+use crate::runner::{run_cells, CellResult, Grid, PolicyKind, RunOptions};
 use crate::{fig4, fig5, fig6, fig8, fig9, table2, table4};
 use metrics::render::Table;
 use workloads::Workload;
@@ -39,6 +39,24 @@ fn err_shape(
         measured: format!("ERR ({failure})"),
         pass: false,
     }
+}
+
+/// Runs one cell under the baseline and under one micro core as a
+/// two-cell [`run_cells`] batch, labelled like the owning figure's cells.
+/// Failures come back as the bare
+/// [`CellFailure`](crate::runner::CellFailure), the form the shape table
+/// renders.
+fn pair<T: Send>(
+    opts: &RunOptions,
+    label: impl Fn(PolicyKind) -> String + Sync,
+    cell: impl Fn(PolicyKind) -> CellResult<T> + Sync,
+) -> [CellResult<T>; 2] {
+    const POLICIES: [PolicyKind; 2] = [PolicyKind::Baseline, PolicyKind::Fixed(1)];
+    let mut out = run_cells(opts, 2, |i| label(POLICIES[i]), |i| cell(POLICIES[i]))
+        .into_iter()
+        .map(|r| r.map_err(|e| e.failure));
+    let mut next = || out.next().expect("the batch has two cells");
+    [next(), next()]
 }
 
 /// Runs every shape check.
@@ -124,25 +142,8 @@ pub fn measure(opts: &RunOptions) -> Vec<ShapeResult> {
         (Err(e), _) | (_, Err(e)) => err_shape("Table 4c", T4C_DESC, T4C_PAPER, e),
     });
 
-    // Figure 4: memclone wins big with one core.
-    const F4M_PAPER: &str = "norm. time ~0.52 at 1 core";
-    const F4M_DESC: &str = "memclone: one micro core shortens execution substantially";
-    let f4_grid = Grid::new(opts, fig4::WARM);
-    let mem_base = fig4::run_one(opts, &f4_grid, Workload::Memclone, PolicyKind::Baseline);
-    let mem_one = fig4::run_one(opts, &f4_grid, Workload::Memclone, PolicyKind::Fixed(1));
-    out.push(match (&mem_base, &mem_one) {
-        (Ok(base), Ok(one)) => {
-            let mem_norm = one.target_secs / base.target_secs;
-            ShapeResult {
-                artifact: "Figure 4",
-                description: F4M_DESC,
-                paper: F4M_PAPER.into(),
-                measured: format!("norm. time {mem_norm:.3} at 1 core"),
-                pass: mem_norm < 0.8,
-            }
-        }
-        (Err(e), _) | (_, Err(e)) => err_shape("Figure 4", F4M_DESC, F4M_PAPER, e),
-    });
+    // Figure 4 memclone goes here; its batch runs after Figure 8 (below).
+    let f4m_at = out.len();
 
     // Figure 4: dedup prefers 2-3 cores and degrades by 6.
     const F4D_PAPER: &str = "best at 3; worse at 1 and >=4";
@@ -234,12 +235,42 @@ pub fn measure(opts: &RunOptions) -> Vec<ShapeResult> {
         Err(e) => err_shape("Figure 8", F8_DESC, F8_PAPER, e),
     });
 
+    // The two baseline-vs-one-core pairs run last, as batches of their
+    // own, so the batches above keep their `batch:index` coordinates.
+    //
+    // Figure 4: memclone wins big with one core.
+    const F4M_PAPER: &str = "norm. time ~0.52 at 1 core";
+    const F4M_DESC: &str = "memclone: one micro core shortens execution substantially";
+    let f4_grid = Grid::new(opts, fig4::WARM);
+    let [mem_base, mem_one] = pair(
+        opts,
+        |p| fig4::label(opts, Workload::Memclone, p),
+        |p| fig4::run_one(opts, &f4_grid, Workload::Memclone, p),
+    );
+    let f4m = match (&mem_base, &mem_one) {
+        (Ok(base), Ok(one)) => {
+            let mem_norm = one.target_secs / base.target_secs;
+            ShapeResult {
+                artifact: "Figure 4",
+                description: F4M_DESC,
+                paper: F4M_PAPER.into(),
+                measured: format!("norm. time {mem_norm:.3} at 1 core"),
+                pass: mem_norm < 0.8,
+            }
+        }
+        (Err(e), _) | (_, Err(e)) => err_shape("Figure 4", F4M_DESC, F4M_PAPER, e),
+    };
+    out.insert(f4m_at, f4m);
+
     // Figure 9: micro-slicing restores the mixed vCPU's I/O.
     const F9_PAPER: &str = "~420 -> ~690 Mbps; >8ms -> ~0ms";
     const F9_DESC: &str = "mixed-vCPU TCP: bandwidth restored, jitter collapsed";
     let f9_grid = Grid::new(opts, fig9::WARM);
-    let f9b = fig9::measure_one(opts, &f9_grid, true, PolicyKind::Baseline);
-    let f9u = fig9::measure_one(opts, &f9_grid, true, PolicyKind::Fixed(1));
+    let [f9b, f9u] = pair(
+        opts,
+        |p| fig9::label(opts, true, p),
+        |p| fig9::measure_one(opts, &f9_grid, true, p),
+    );
     out.push(match (&f9b, &f9u) {
         (Ok(b), Ok(u)) => ShapeResult {
             artifact: "Figure 9",

@@ -7,7 +7,9 @@
 //! (dedup, vips) *lose* with one core and win with 2–3; beyond that the
 //! shrinking normal pool erodes the gains.
 
-use crate::runner::{fail_row, finish_time, run_cells, CellResult, Grid, PolicyKind, RunOptions};
+use crate::runner::{
+    fail_row, finish_time, pool, run_cells, CellResult, Grid, PolicyKind, RunOptions,
+};
 use hypervisor::{Machine, MachineConfig, VmSpec};
 use metrics::render::Table;
 use simcore::ids::VmId;
@@ -65,24 +67,29 @@ pub fn scenario(opts: &RunOptions, w: Workload) -> (MachineConfig, Vec<VmSpec>) 
 }
 
 /// Runs one configuration of one workload, forking the workload's warm
-/// snapshot from `grid` (grouped by workload).
+/// snapshot from `grid` (grouped by workload). Figure 6 and `compare`
+/// show these cells too, so each is simulated once per invocation
+/// budget (see [`pool::memo`]).
 pub fn run_one(
     opts: &RunOptions,
     grid: &Grid,
     w: Workload,
     policy: PolicyKind,
 ) -> CellResult<Cell> {
-    let mut m: Machine = grid.cell(opts, w as u64, || scenario(opts, w), policy.build())?;
-    let end = finish_time(m.run_until_vm_finished(VmId(0), opts.horizon()))?;
-    Ok(Cell {
-        policy,
-        target_secs: end.as_secs_f64(),
-        corunner_rate: m.vm_work_done(VmId(1)) as f64 / end.as_secs_f64(),
+    let args = (w, policy, grid.warm_until().as_nanos());
+    pool::memo("fig4::run_one", args, opts, || {
+        let mut m: Machine = grid.cell(opts, w as u64, || scenario(opts, w), policy.build())?;
+        let end = finish_time(m.run_until_vm_finished(VmId(0), opts.horizon()))?;
+        Ok(Cell {
+            policy,
+            target_secs: end.as_secs_f64(),
+            corunner_rate: m.vm_work_done(VmId(1)) as f64 / end.as_secs_f64(),
+        })
     })
 }
 
 /// Cell label for failure reports: names the (scenario, policy, seed).
-fn label(opts: &RunOptions, w: Workload, policy: PolicyKind) -> String {
+pub(crate) fn label(opts: &RunOptions, w: Workload, policy: PolicyKind) -> String {
     format!(
         "fig4[{} x {}, seed {:#x}]",
         w.name(),

@@ -2,7 +2,9 @@
 //! exim and psearchy (throughput benchmarks), with the swaptions
 //! co-runner's execution time on the second axis.
 
-use crate::runner::{fail_row, run_cells, CellFailure, CellResult, Grid, PolicyKind, RunOptions};
+use crate::runner::{
+    fail_row, pool, run_cells, CellFailure, CellResult, Grid, PolicyKind, RunOptions,
+};
 use hypervisor::{Machine, MachineConfig, VmSpec};
 use metrics::render::Table;
 use simcore::ids::VmId;
@@ -47,24 +49,29 @@ pub fn scenario(_opts: &RunOptions, w: Workload) -> (MachineConfig, Vec<VmSpec>)
 /// Runs one configuration over the measurement window, forking the
 /// workload's warm snapshot from `grid`. Rates count only work done
 /// inside the post-warm window: the shared prefix runs under the baseline
-/// policy and is excluded from every cell's measurement alike.
+/// policy and is excluded from every cell's measurement alike. Figure 6
+/// and `compare` show these cells too, so each is simulated once per
+/// invocation budget (see [`pool::memo`]).
 pub fn run_one(
     opts: &RunOptions,
     grid: &Grid,
     w: Workload,
     policy: PolicyKind,
 ) -> CellResult<Cell> {
-    let window = opts.window(SimDuration::from_secs(4));
-    let mut m: Machine = grid.cell(opts, w as u64, || scenario(opts, w), policy.build())?;
-    let warm_target = m.vm_work_done(VmId(0));
-    let warm_corun = m.vm_work_done(VmId(1));
-    m.run_until(grid.warm_until() + window)
-        .map_err(CellFailure::Sim)?;
-    let secs = window.as_secs_f64();
-    Ok(Cell {
-        policy,
-        throughput: (m.vm_work_done(VmId(0)) - warm_target) as f64 / secs,
-        corunner_rate: (m.vm_work_done(VmId(1)) - warm_corun) as f64 / secs,
+    let args = (w, policy, grid.warm_until().as_nanos());
+    pool::memo("fig5::run_one", args, opts, || {
+        let window = opts.window(SimDuration::from_secs(4));
+        let mut m: Machine = grid.cell(opts, w as u64, || scenario(opts, w), policy.build())?;
+        let warm_target = m.vm_work_done(VmId(0));
+        let warm_corun = m.vm_work_done(VmId(1));
+        m.run_until(grid.warm_until() + window)
+            .map_err(CellFailure::Sim)?;
+        let secs = window.as_secs_f64();
+        Ok(Cell {
+            policy,
+            throughput: (m.vm_work_done(VmId(0)) - warm_target) as f64 / secs,
+            corunner_rate: (m.vm_work_done(VmId(1)) - warm_corun) as f64 / secs,
+        })
     })
 }
 

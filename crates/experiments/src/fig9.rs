@@ -7,7 +7,7 @@
 //! bandwidth and drives jitter toward zero.
 
 use crate::runner::{
-    fail_row, run_cells, CellError, CellFailure, CellResult, Grid, PolicyKind, RunOptions,
+    fail_row, pool, run_cells, CellError, CellFailure, CellResult, Grid, PolicyKind, RunOptions,
 };
 use metrics::render::{fmt_f64, Table};
 use simcore::ids::VmId;
@@ -37,41 +37,55 @@ pub struct Row {
 }
 
 /// Runs one transport × policy cell, forking the transport's warm
-/// snapshot from `grid`.
+/// snapshot from `grid`. `compare` shows the TCP cells too, so each is
+/// simulated once per invocation budget (see [`pool::memo`]).
 pub fn measure_one(
     opts: &RunOptions,
     grid: &Grid,
     tcp: bool,
     policy: PolicyKind,
 ) -> CellResult<Row> {
-    let window = opts.window(SimDuration::from_secs(4));
-    let mut m = grid.cell(
-        opts,
-        u64::from(tcp),
-        || scenarios::fig9_mixed_pinned(tcp),
-        policy.build(),
-    )?;
-    let warm_flow = m.vm(VmId(0)).kernel.flows[0].clone();
-    m.run_until(grid.warm_until() + window)
-        .map_err(CellFailure::Sim)?;
-    let flow = &m.vm(VmId(0)).kernel.flows[0];
-    Ok(Row {
-        transport: if tcp { "TCP" } else { "UDP" },
-        policy,
-        bandwidth_mbps: flow.throughput_mbps_since(&warm_flow, window),
-        jitter_ms: flow.jitter_ms_since(&warm_flow),
-        dropped: flow.dropped - warm_flow.dropped,
+    let args = (tcp, policy, grid.warm_until().as_nanos());
+    pool::memo("fig9::measure_one", args, opts, || {
+        let window = opts.window(SimDuration::from_secs(4));
+        let mut m = grid.cell(
+            opts,
+            u64::from(tcp),
+            || scenarios::fig9_mixed_pinned(tcp),
+            policy.build(),
+        )?;
+        let warm_flow = m.vm(VmId(0)).kernel.flows[0].clone();
+        m.run_until(grid.warm_until() + window)
+            .map_err(CellFailure::Sim)?;
+        let flow = &m.vm(VmId(0)).kernel.flows[0];
+        Ok(Row {
+            transport: transport(tcp),
+            policy,
+            bandwidth_mbps: flow.throughput_mbps_since(&warm_flow, window),
+            jitter_ms: flow.jitter_ms_since(&warm_flow),
+            dropped: flow.dropped - warm_flow.dropped,
+        })
     })
 }
 
 const POLICIES: [PolicyKind; 2] = [PolicyKind::Baseline, PolicyKind::Fixed(1)];
 
-fn grid_transport(i: usize) -> &'static str {
-    if i / 2 == 0 {
+fn transport(tcp: bool) -> &'static str {
+    if tcp {
         "TCP"
     } else {
         "UDP"
     }
+}
+
+/// Cell label for failure reports: names the (scenario, policy, seed).
+pub(crate) fn label(opts: &RunOptions, tcp: bool, policy: PolicyKind) -> String {
+    format!(
+        "fig9[{} x {}, seed {:#x}]",
+        transport(tcp),
+        policy.label(),
+        opts.seed
+    )
 }
 
 /// Runs the full Figure 9 grid (TCP/UDP × baseline/micro-sliced), fanned
@@ -82,14 +96,7 @@ pub fn measure(opts: &RunOptions) -> Vec<Result<Row, CellError>> {
     run_cells(
         opts,
         4,
-        |i| {
-            format!(
-                "fig9[{} x {}, seed {:#x}]",
-                grid_transport(i),
-                POLICIES[i % 2].label(),
-                opts.seed
-            )
-        },
+        |i| label(opts, i / 2 == 0, POLICIES[i % 2]),
         |i| measure_one(opts, &plan, i / 2 == 0, POLICIES[i % 2]),
     )
 }
@@ -118,7 +125,7 @@ pub fn run(opts: &RunOptions) -> Vec<Table> {
                 r.dropped.to_string(),
             ]),
             Err(e) => {
-                let mut row = fail_row(grid_transport(i).to_string(), 4, &e.failure);
+                let mut row = fail_row(transport(i / 2 == 0).to_string(), 4, &e.failure);
                 row[1] = config;
                 t.row(row);
             }

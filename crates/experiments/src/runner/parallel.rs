@@ -31,14 +31,18 @@
 //! cell then also acquires a suite-wide permit before executing, so
 //! `--jobs` bounds concurrent simulations across *all* experiments, not
 //! per batch. Permits gate only *when* a cell runs — results stay a pure
-//! function of the index, and collection order is unchanged.
+//! function of the index, and collection order is unchanged. The
+//! budget's cell memo ([`pool::memo`]) is visible inside every cell,
+//! on whichever thread it runs; the permit budget is not, so a fan-out
+//! nested in a cell never queues for a second permit.
 //!
 //! The calling thread may additionally carry a
 //! [`pool::CostContext`] (`repro --costs`): the batch then claims its
 //! cells in the [`cost`](super::cost) model's longest-estimated-first
 //! order, waits on the budget at its cells' estimated priorities (so
 //! freed permits steal the longest pending cell suite-wide), and reports
-//! each cell's wall-clock to the context's recorder. All of that steers
+//! each simulated cell's wall-clock to the context's recorder (a cell the
+//! memo served simulated nothing, so it reports nothing). All of that steers
 //! only admission: results are still collected by grid index, so the
 //! rendered bytes match the FIFO schedule exactly.
 
@@ -67,6 +71,7 @@ where
     F: Fn(usize) -> T + Sync,
 {
     let budget = pool::current_budget();
+    let memo = pool::current_memo();
     // The admission plan (cell keys, estimates, longest-first claim
     // order) is computed for every batch the context sees — including
     // serial and single-cell ones — so batch sequence numbers, and with
@@ -76,8 +81,12 @@ where
     let recorder = costs.as_ref().map(|ctx| ctx.recorder());
     let timed = |i: usize, f: &F| -> T {
         let started = Instant::now();
-        let out = f(i);
-        if let (Some(plan), Some(recorder)) = (&plan, &recorder) {
+        // Worker threads start with no pool state: each cell sees the
+        // caller's cell memo, but no permit budget (it holds its permit).
+        let (out, served) = pool::in_cell(memo.as_ref(), || f(i));
+        // Only simulated cells teach the cost model: a memo-served cell's
+        // time is a lookup or a wait, not the cell's cost.
+        if let (Some(plan), Some(recorder), false) = (&plan, &recorder, served) {
             let elapsed = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
             recorder.record(plan.keys[i].clone(), elapsed);
         }

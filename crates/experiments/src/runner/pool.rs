@@ -37,10 +37,22 @@
 //! `'static` erasure. Gating the existing scoped workers with a shared
 //! priority semaphore gives the same schedule envelope with no `unsafe`
 //! and no new dependencies.
+//!
+//! A budget also carries the invocation's **cell memo** ([`memo`]):
+//! experiments show the same co-run configurations several ways (Figure
+//! 6 re-shows Figure 4/5 cells, `compare` re-checks six artifacts), and
+//! the memo simulates each such shared cell once per budget and hands
+//! the result to every other consumer. Only successes are kept, so a
+//! failing cell still fails — with its own crash artifact — wherever it
+//! is shown. The memo lives and dies with its `Budget`; nothing is
+//! process-global.
 
 use super::cost::{self, BatchPlan, CostModel, CostRecorder};
+use super::RunOptions;
 use hypervisor::pcpu::first_rank_above;
+use std::any::Any;
 use std::cell::{Cell, RefCell};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -132,11 +144,13 @@ struct BudgetState {
 
 /// A counting semaphore bounding how many experiment cells run at once
 /// across every in-flight experiment, admitting waiters
-/// longest-estimated-first (see [`Budget::acquire_ordered`]).
+/// longest-estimated-first (see [`Budget::acquire_ordered`]), plus the
+/// cell memo those cells share (see [`memo`]).
 #[derive(Debug)]
 pub struct Budget {
     state: Mutex<BudgetState>,
     available: Condvar,
+    memo: CellMemo,
 }
 
 impl Budget {
@@ -150,6 +164,7 @@ impl Budget {
                 next_seq: 0,
             }),
             available: Condvar::new(),
+            memo: CellMemo::default(),
         }
     }
 
@@ -223,10 +238,204 @@ impl Drop for BudgetGuard<'_> {
     }
 }
 
+/// One memo entry. An absent entry is an empty slot.
+enum Slot {
+    /// The first caller is computing the value; later callers wait.
+    Computing,
+    /// A computed success. Each key names one cell function, so it maps
+    /// to exactly one value type.
+    Ready(Arc<dyn Any + Send + Sync>),
+}
+
+/// A budget's cell memo: successes of shared cells by key (see [`memo`]).
+///
+/// The slots follow the rules of [`Grid`](super::Grid)'s snapshot
+/// slots: the first caller computes, concurrent callers block while
+/// holding their permit, and a computation that fails or panics leaves
+/// the slot empty, so the next caller recomputes. A memoized computation
+/// never consults the memo itself (see [`memo`]), so no wait here can
+/// form a cycle.
+#[derive(Default)]
+struct CellMemo {
+    slots: Mutex<BTreeMap<String, Slot>>,
+    settled: Condvar,
+}
+
+impl std::fmt::Debug for CellMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CellMemo").finish_non_exhaustive()
+    }
+}
+
+impl CellMemo {
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<String, Slot>> {
+        // Computations run outside the lock, so poison is spurious.
+        self.slots
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    fn get_or_compute<T, E>(&self, key: String, f: impl FnOnce() -> Result<T, E>) -> Result<T, E>
+    where
+        T: Clone + Send + Sync + 'static,
+    {
+        let mut slots = self.lock();
+        loop {
+            match slots.get(&key) {
+                Some(Slot::Ready(value)) => {
+                    SERVED.with(|served| served.set(true));
+                    return Ok(value
+                        .downcast_ref::<T>()
+                        .expect("each memo key maps to one value type")
+                        .clone());
+                }
+                Some(Slot::Computing) => {
+                    slots = self
+                        .settled
+                        .wait(slots)
+                        .unwrap_or_else(|poisoned| poisoned.into_inner());
+                }
+                None => break,
+            }
+        }
+        slots.insert(key.clone(), Slot::Computing);
+        drop(slots);
+        let mut settle = Settle {
+            memo: self,
+            key,
+            value: None,
+        };
+        let out = f();
+        if let Ok(value) = &out {
+            settle.value = Some(Arc::new(value.clone()));
+        }
+        out
+    }
+}
+
+/// Settles a `Computing` slot however its computation ends: a success
+/// is stored; a failure or an unwind empties the slot. Either way the
+/// waiters wake.
+struct Settle<'a> {
+    memo: &'a CellMemo,
+    key: String,
+    value: Option<Arc<dyn Any + Send + Sync>>,
+}
+
+impl Drop for Settle<'_> {
+    fn drop(&mut self) {
+        let mut slots = self.memo.lock();
+        match self.value.take() {
+            Some(value) => slots.insert(std::mem::take(&mut self.key), Slot::Ready(value)),
+            None => slots.remove(&self.key),
+        };
+        drop(slots);
+        self.memo.settled.notify_all();
+    }
+}
+
 thread_local! {
     static ACTIVE: RefCell<Option<Arc<Budget>>> = const { RefCell::new(None) };
+    static MEMO: RefCell<Option<Arc<Budget>>> = const { RefCell::new(None) };
     static COSTS: RefCell<Option<Rc<CostContext>>> = const { RefCell::new(None) };
     static SCOPE: RefCell<Option<Arc<Scope>>> = const { RefCell::new(None) };
+    /// Set when a memo point hands this thread a stored value; reset and
+    /// read per cell by [`in_cell`].
+    static SERVED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs `f` with the thread-local `slot` holding `value`, restoring the
+/// previous value afterwards, even if `f` unwinds.
+fn with_tls<T: 'static, R>(
+    slot: &'static std::thread::LocalKey<RefCell<Option<T>>>,
+    value: Option<T>,
+    f: impl FnOnce() -> R,
+) -> R {
+    struct Restore<T: 'static> {
+        slot: &'static std::thread::LocalKey<RefCell<Option<T>>>,
+        prev: Option<T>,
+    }
+    impl<T> Drop for Restore<T> {
+        fn drop(&mut self) {
+            let prev = self.prev.take();
+            self.slot.with(|s| *s.borrow_mut() = prev);
+        }
+    }
+    let prev = slot.with(|s| s.replace(value));
+    let _restore = Restore { slot, prev };
+    f()
+}
+
+/// Runs the shared cell `cell(args)` through the cell memo of the
+/// budget this thread runs under: the first call per budget computes
+/// `f`, and every later call with the same key gets a clone of that
+/// success instead of simulating again.
+///
+/// The key is `cell`, `args` (by `Debug`), and every [`RunOptions`]
+/// field except `jobs`, faults by their canonical `Display`. `cell`
+/// names the cell function, so each key maps to one value type, and
+/// `args` must pin everything else the value depends on.
+///
+/// Only successes are kept: a failing cell fails again for each
+/// consumer, each with its own crash artifact, shrink, and replay
+/// command. Without a budget (library callers, `simbench`'s serial
+/// pass) and in [`crash::with_scratch_mode`] (shrink probes, whose
+/// truncated fault plans must govern the whole run) `f` runs directly
+/// and the memo is neither read nor written.
+///
+/// [`crash::with_scratch_mode`]: hypervisor::crash::with_scratch_mode
+pub fn memo<T, E>(
+    cell: &str,
+    args: impl std::fmt::Debug,
+    opts: &RunOptions,
+    f: impl FnOnce() -> Result<T, E>,
+) -> Result<T, E>
+where
+    T: Clone + Send + Sync + 'static,
+{
+    let Some(budget) = current_memo().filter(|_| !hypervisor::crash::scratch_mode()) else {
+        return f();
+    };
+    // Destructured so a new option cannot be left out of the key.
+    let RunOptions {
+        quick,
+        seed,
+        jobs: _,
+        paranoid,
+        keep_going,
+        faults,
+        fork,
+    } = *opts;
+    let faults = faults.map_or_else(String::new, |spec| spec.to_string());
+    let key = format!(
+        "{cell}{args:?} quick={quick} seed={seed} paranoid={paranoid} \
+         keep_going={keep_going} fork={fork} faults={faults}"
+    );
+    // The computation runs with the memo hidden, so it never waits on
+    // another slot while its own is `Computing`.
+    budget.memo.get_or_compute(key, || with_tls(&MEMO, None, f))
+}
+
+/// Runs one fan-out cell `f` with `memo`'s cell memo visible and no
+/// permit budget installed. The cell already holds its permit: a
+/// fan-out nested inside it must not queue for a second one (under a
+/// one-permit budget that wait would never end), while the cell's memo
+/// points still share results with the rest of the invocation.
+///
+/// Also returns whether a memo point in the cell was served a stored
+/// value. Such a cell simulated little or nothing, so its wall-clock is
+/// not its cost and must not reach the cost model.
+pub(super) fn in_cell<R>(memo: Option<&Arc<Budget>>, f: impl FnOnce() -> R) -> (R, bool) {
+    let outer = SERVED.with(|served| served.replace(false));
+    let out = with_tls(&ACTIVE, None, || with_tls(&MEMO, memo.cloned(), f));
+    // A cell nested on this thread marks the cell around it too.
+    let served = SERVED.with(|served| served.replace(outer || served.get()));
+    (out, served)
+}
+
+/// The budget whose cell memo is visible on the calling thread, if any.
+pub(super) fn current_memo() -> Option<Arc<Budget>> {
+    MEMO.with(|slot| slot.borrow().clone())
 }
 
 /// Multiplier over a cell's estimated wall-clock when deriving its
@@ -360,16 +569,7 @@ impl Scope {
 /// and honor the cell filter. The previous scope is restored afterwards,
 /// even if `f` unwinds.
 pub fn with_scope<R>(scope: &Arc<Scope>, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<Arc<Scope>>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            let prev = self.0.take();
-            SCOPE.with(|slot| *slot.borrow_mut() = prev);
-        }
-    }
-    let prev = SCOPE.with(|slot| slot.borrow_mut().replace(scope.clone()));
-    let _restore = Restore(prev);
-    f()
+    with_tls(&SCOPE, Some(scope.clone()), f)
 }
 
 /// The crash-resilience scope installed on the calling thread, if any.
@@ -379,20 +579,14 @@ pub fn current_scope() -> Option<Arc<Scope>> {
 
 /// Runs `f` with `budget` installed as this thread's active budget:
 /// every [`run_indexed`](super::parallel::run_indexed) batch started
-/// under it acquires a permit per cell instead of running unthrottled.
-/// The previous budget (normally none) is restored afterwards, even if
-/// `f` unwinds.
+/// under it acquires a permit per cell instead of running unthrottled,
+/// and every [`memo`] point reached under it shares the budget's cell
+/// memo. The previous budget (normally none) is restored afterwards,
+/// even if `f` unwinds.
 pub fn with_budget<R>(budget: &Arc<Budget>, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<Arc<Budget>>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            let prev = self.0.take();
-            ACTIVE.with(|slot| *slot.borrow_mut() = prev);
-        }
-    }
-    let prev = ACTIVE.with(|slot| slot.borrow_mut().replace(budget.clone()));
-    let _restore = Restore(prev);
-    f()
+    with_tls(&ACTIVE, Some(budget.clone()), || {
+        with_tls(&MEMO, Some(budget.clone()), f)
+    })
 }
 
 /// The budget installed on the calling thread, if any.
@@ -441,22 +635,13 @@ pub fn with_costs<R>(
     recorder: &Arc<CostRecorder>,
     f: impl FnOnce() -> R,
 ) -> R {
-    struct Restore(Option<Rc<CostContext>>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            let prev = self.0.take();
-            COSTS.with(|slot| *slot.borrow_mut() = prev);
-        }
-    }
     let ctx = Rc::new(CostContext {
         experiment: experiment.to_string(),
         model: model.clone(),
         recorder: recorder.clone(),
         batches: Cell::new(0),
     });
-    let prev = COSTS.with(|slot| slot.borrow_mut().replace(ctx));
-    let _restore = Restore(prev);
-    f()
+    with_tls(&COSTS, Some(ctx), f)
 }
 
 /// The cost context installed on the calling thread, if any.
@@ -641,6 +826,191 @@ mod tests {
         }));
         assert!(result.is_err());
         assert!(current_budget().is_none(), "TLS budget leaked past unwind");
+    }
+
+    /// A memo point that counts how often its computation runs.
+    fn counted(runs: &AtomicUsize, value: u64) -> Result<u64, String> {
+        memo("counted", value, &RunOptions::quick(), || {
+            runs.fetch_add(1, Ordering::SeqCst);
+            Ok(value * 2)
+        })
+    }
+
+    #[test]
+    fn memo_computes_once_per_budget_and_never_across_budgets() {
+        let runs = AtomicUsize::new(0);
+        let (first, second) = (Arc::new(Budget::new(2)), Arc::new(Budget::new(2)));
+        for budget in [&first, &second] {
+            with_budget(budget, || {
+                assert_eq!(counted(&runs, 21), Ok(42));
+                assert_eq!(counted(&runs, 21), Ok(42));
+            });
+        }
+        assert_eq!(runs.load(Ordering::SeqCst), 2, "one computation per budget");
+        // Other arguments and other options are other keys.
+        with_budget(&first, || {
+            assert_eq!(counted(&runs, 5), Ok(10));
+            let other_seed = RunOptions {
+                seed: 1,
+                ..RunOptions::quick()
+            };
+            let out: Result<u64, String> = memo("counted", 21u64, &other_seed, || {
+                runs.fetch_add(1, Ordering::SeqCst);
+                Ok(0)
+            });
+            assert_eq!(out, Ok(0));
+        });
+        assert_eq!(runs.load(Ordering::SeqCst), 4);
+    }
+
+    #[test]
+    fn memo_key_ignores_jobs() {
+        let runs = AtomicUsize::new(0);
+        with_budget(&Arc::new(Budget::new(1)), || {
+            for jobs in [1, 2, 8] {
+                let out: Result<u64, String> =
+                    memo("jobs", (), &RunOptions::quick().with_jobs(jobs), || {
+                        runs.fetch_add(1, Ordering::SeqCst);
+                        Ok(7)
+                    });
+                assert_eq!(out, Ok(7));
+            }
+        });
+        assert_eq!(runs.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn memo_without_a_budget_computes_every_call() {
+        let runs = AtomicUsize::new(0);
+        for _ in 0..3 {
+            assert_eq!(counted(&runs, 21), Ok(42));
+        }
+        assert_eq!(runs.load(Ordering::SeqCst), 3);
+    }
+
+    #[test]
+    fn memo_does_not_cache_failures() {
+        let runs = AtomicUsize::new(0);
+        let failing = || -> Result<u64, String> {
+            memo("failing", (), &RunOptions::quick(), || {
+                runs.fetch_add(1, Ordering::SeqCst);
+                Err("cell failed".to_string())
+            })
+        };
+        with_budget(&Arc::new(Budget::new(1)), || {
+            assert!(failing().is_err());
+            assert!(failing().is_err());
+        });
+        assert_eq!(runs.load(Ordering::SeqCst), 2, "each consumer recomputes");
+    }
+
+    #[test]
+    fn memo_slot_is_emptied_by_a_panicking_computation() {
+        let runs = AtomicUsize::new(0);
+        with_budget(&Arc::new(Budget::new(1)), || {
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _: Result<u64, String> = memo("counted", 21u64, &RunOptions::quick(), || {
+                    panic!("cell panicked")
+                });
+            }));
+            assert!(result.is_err());
+            assert_eq!(counted(&runs, 21), Ok(42), "the slot must be empty again");
+        });
+        assert_eq!(runs.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn memo_is_neither_read_nor_written_in_scratch_mode() {
+        use hypervisor::crash::with_scratch_mode;
+        let runs = AtomicUsize::new(0);
+        with_budget(&Arc::new(Budget::new(1)), || {
+            // Not written: a scratch-mode computation leaves no entry.
+            with_scratch_mode(|| counted(&runs, 21)).unwrap();
+            counted(&runs, 21).unwrap();
+            assert_eq!(runs.load(Ordering::SeqCst), 2);
+            // Not read: the entry now cached is ignored in scratch mode.
+            with_scratch_mode(|| counted(&runs, 21)).unwrap();
+            assert_eq!(runs.load(Ordering::SeqCst), 3);
+        });
+    }
+
+    #[test]
+    fn callers_during_a_computation_share_its_value() {
+        use std::sync::mpsc::{channel, Receiver, Sender};
+        let runs = AtomicUsize::new(0);
+        let budget = Arc::new(Budget::new(4));
+        let (started_tx, started) = channel();
+        let (release, release_rx) = channel();
+        let (runs, budget) = (&runs, &budget);
+        let cell = move |gate: Option<(Sender<()>, Receiver<()>)>| {
+            with_budget(budget, || {
+                memo("slow", (), &RunOptions::quick(), || {
+                    runs.fetch_add(1, Ordering::SeqCst);
+                    if let Some((started, release)) = gate {
+                        started.send(()).unwrap();
+                        release.recv().unwrap();
+                    }
+                    Ok::<u64, String>(9)
+                })
+            })
+        };
+        let values = std::thread::scope(|scope| {
+            let first = scope.spawn(move || cell(Some((started_tx, release_rx))));
+            // The slot is `Computing` until the release: the callers
+            // spawned now either wait on it or find the stored value.
+            started.recv().unwrap();
+            let rest: Vec<_> = (0..3).map(|_| scope.spawn(move || cell(None))).collect();
+            release.send(()).unwrap();
+            std::iter::once(first)
+                .chain(rest)
+                .map(|h| h.join().unwrap())
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(values, vec![Ok(9); 4]);
+        assert_eq!(runs.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn cells_see_the_memo_but_not_the_permits() {
+        let budget = Arc::new(Budget::new(1));
+        with_budget(&budget, || {
+            for jobs in [1, 3] {
+                let seen = super::super::parallel::run_indexed(jobs, 3, |_| {
+                    let memo = current_memo().expect("the memo is visible in a cell");
+                    (Arc::ptr_eq(&memo, &budget), current_budget().is_none())
+                });
+                assert_eq!(seen, vec![(true, true); 3], "jobs {jobs}");
+                // A fan-out nested in a cell of a one-permit budget must
+                // not wait for a second permit.
+                let nested = super::super::parallel::run_indexed(jobs, 2, |i| {
+                    super::super::parallel::run_indexed(2, 2, |j| i * 2 + j)
+                });
+                assert_eq!(nested, vec![vec![0, 1], vec![2, 3]]);
+            }
+        });
+    }
+
+    #[test]
+    fn memo_served_cells_record_no_cost() {
+        // Every cell runs the same memo point: one simulates, the others
+        // are served, and only the simulated cell reaches the recorder.
+        for jobs in [1, 3] {
+            let model = Arc::new(CostModel::default());
+            let recorder = Arc::new(CostRecorder::default());
+            let runs = AtomicUsize::new(0);
+            with_budget(&Arc::new(Budget::new(jobs)), || {
+                with_costs("fig4", &model, &recorder, || {
+                    let out = super::super::parallel::run_indexed(jobs, 3, |_| counted(&runs, 21));
+                    assert_eq!(out, vec![Ok(42); 3]);
+                });
+            });
+            assert_eq!(runs.load(Ordering::SeqCst), 1, "jobs {jobs}");
+            let recorded: Vec<String> = recorder.take().into_iter().map(|(k, _)| k).collect();
+            assert_eq!(recorded.len(), 1, "jobs {jobs}: {recorded:?}");
+            if jobs == 1 {
+                assert_eq!(recorded, ["fig4/0:0"], "the serial path computes cell 0");
+            }
+        }
     }
 
     #[test]

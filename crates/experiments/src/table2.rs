@@ -5,7 +5,7 @@
 //! configurations. The reproduction target is the *shape*: co-run yields
 //! exceed solo yields by orders of magnitude.
 
-use crate::runner::{fail_row, run_cells, run_window, CellError, PolicyKind, RunOptions};
+use crate::runner::{fail_row, pool, run_cells, run_window, CellError, PolicyKind, RunOptions};
 use metrics::render::Table;
 use simcore::ids::VmId;
 use simcore::time::SimDuration;
@@ -49,25 +49,29 @@ pub fn measure(opts: &RunOptions) -> Vec<Result<Row, CellError>> {
                 opts.seed
             )
         },
+        // `compare` re-runs this grid, so each cell is simulated once
+        // per invocation budget.
         |i| {
-            let w = WORKLOADS[i / 2];
-            let scenario = if i % 2 == 0 {
-                let (cfg, _) = scenarios::solo(w);
-                let spec = scenarios::vm_with_iters(w, cfg.num_pcpus, None);
-                (cfg, vec![spec])
-            } else {
-                let (cfg, _) = scenarios::corun(w);
-                let n = cfg.num_pcpus;
-                (
-                    cfg,
-                    vec![
-                        scenarios::vm_with_iters(w, n, None),
-                        scenarios::vm_with_iters(Workload::Swaptions, n, None),
-                    ],
-                )
-            };
-            let m = run_window(opts, scenario, PolicyKind::Baseline, window)?;
-            Ok(m.stats.vm(VmId(0)).yields.total())
+            pool::memo("table2::measure", i, opts, || {
+                let w = WORKLOADS[i / 2];
+                let scenario = if i % 2 == 0 {
+                    let (cfg, _) = scenarios::solo(w);
+                    let spec = scenarios::vm_with_iters(w, cfg.num_pcpus, None);
+                    (cfg, vec![spec])
+                } else {
+                    let (cfg, _) = scenarios::corun(w);
+                    let n = cfg.num_pcpus;
+                    (
+                        cfg,
+                        vec![
+                            scenarios::vm_with_iters(w, n, None),
+                            scenarios::vm_with_iters(Workload::Swaptions, n, None),
+                        ],
+                    )
+                };
+                let m = run_window(opts, scenario, PolicyKind::Baseline, window)?;
+                Ok(m.stats.vm(VmId(0)).yields.total())
+            })
         },
     );
     WORKLOADS

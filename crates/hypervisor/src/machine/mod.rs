@@ -177,7 +177,7 @@ impl Machine {
         // SIMLINT: the machine-stream root — the one sanctioned seeding
         // site; every other generator forks from this stream.
         let mut rng = SimRng::new(cfg.seed);
-        let map = Arc::new(Linux44Map::new());
+        let map = Linux44Map::shared();
         let pools = PoolSet::new(cfg.num_pcpus, cfg.normal_slice, cfg.micro_slice);
         let pcpus = (0..cfg.num_pcpus).map(|i| Pcpu::new(PcpuId(i))).collect();
         let mut vms = Vec::new();

@@ -10,6 +10,7 @@
 //! whitelist classification.
 
 use crate::table::{Symbol, SymbolTable};
+use std::sync::{Arc, OnceLock};
 
 /// Base address of the synthetic kernel text region (the x86-64
 /// direct-mapped kernel text base used by Linux).
@@ -158,6 +159,15 @@ impl Linux44Map {
         Linux44Map {
             table: SymbolTable::from_symbols(symbols),
         }
+    }
+
+    /// The map every machine shares, built once per process: it is
+    /// immutable and the same for every machine, and building it (one
+    /// `String` per symbol) is a few microseconds of each `Machine::new`
+    /// otherwise.
+    pub fn shared() -> Arc<Linux44Map> {
+        static SHARED: OnceLock<Arc<Linux44Map>> = OnceLock::new();
+        Arc::clone(SHARED.get_or_init(|| Arc::new(Linux44Map::new())))
     }
 
     /// The underlying symbol table.

@@ -63,6 +63,17 @@ cmp "$ci_out/off.txt" "$ci_out/scratch.txt" || {
     exit 1
 }
 
+echo "== serial driver byte-identity (--jobs 1 vs --jobs 2) ==" >&2
+# The serial loop and the streamed fan-out are two driver paths over the
+# same invocation budget and cell memo: at --jobs 1 every experiment runs
+# in order on one thread, and the bytes must match the 2-job runs above.
+cargo run --release -p experiments --bin repro -- \
+    --quick --jobs 1 --costs off all > "$ci_out/serial.txt"
+cmp "$ci_out/off.txt" "$ci_out/serial.txt" || {
+    echo "the serial driver path changed repro output vs --jobs 2" >&2
+    exit 1
+}
+
 echo "== kill -9 and --resume byte-identity ==" >&2
 # A suite SIGKILL'd mid-run leaves a partial ledger; restarting the same
 # command with --resume must replay the committed prefix and produce
@@ -73,10 +84,14 @@ ci_ledger="$(mktemp -u)"
 target/release/repro --quick --jobs 2 --costs off \
     --resume --ledger "$ci_ledger" all > "$ci_out/killed.txt" 2>/dev/null &
 repro_pid=$!
-# The first experiment commits ~20 s in (commits stream in command-line
-# order), and the whole quick suite takes ~28 s at --jobs 2: a kill here
-# lands mid-suite with a partially committed ledger.
-sleep 22
+# Commits stream in command-line order. Killing right after the first
+# commit lands mid-suite with a partially committed ledger on any host
+# speed (the quick suite takes well under 28 s at --jobs 2 now, so a
+# fixed sleep would kill a finished run).
+for _ in $(seq 1200); do
+    grep -q '^end ' "$ci_ledger" 2>/dev/null && break
+    sleep 0.05
+done
 kill -9 "$repro_pid" 2>/dev/null || true
 wait "$repro_pid" 2>/dev/null || true
 target/release/repro --quick --jobs 2 --costs off \

@@ -109,6 +109,93 @@ fn sabotage_writes_an_artifact_whose_shrunk_spec_reproduces() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Failing cells stay failing under the invocation's cell memo:
+/// `compare` re-shows fig9's TCP cells and shares a budget with fig9,
+/// yet every cell of both experiments still fails on its own run, with
+/// its own flight recorder and a shrunk fault plan. A memo that cached
+/// failures would hand `compare` fig9's error without running a machine,
+/// leaving nothing to shrink ("shrink: not attempted").
+///
+/// Cells build from scratch (`fork: false`): a forked grid replays a
+/// failed warm-up to its group's other cells, which has the same
+/// no-shrink effect and would hide the one this test looks for.
+#[test]
+fn memoized_suite_still_shrinks_and_replays_every_failure() {
+    let dir = temp_dir("memo");
+    let spec = FaultSpec::parse("count=8,seed=5,window_ms=300,kinds=sabotage").unwrap();
+    let opts = RunOptions {
+        keep_going: true,
+        fork: false,
+        faults: Some(spec),
+        ..RunOptions::quick()
+    }
+    .with_jobs(2);
+    let ids = ["fig9", "compare"];
+    let budget = Arc::new(pool::Budget::new(opts.jobs));
+    pool::run_streamed(
+        ids.len(),
+        |i| {
+            let scope = Arc::new(Scope::new(ids[i], &dir));
+            pool::with_budget(&budget, || {
+                pool::with_scope(&scope, || experiments::run_experiment(ids[i], &opts))
+            })
+        },
+        |_, _| {},
+    );
+
+    let mut artifacts: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .expect("artifacts written")
+        .map(|e| e.unwrap().path())
+        .collect();
+    artifacts.sort();
+    let text = |p: &PathBuf| std::fs::read_to_string(p).unwrap();
+    let line = |t: &str, prefix: &str| -> String {
+        t.lines()
+            .find_map(|l| l.strip_prefix(prefix))
+            .unwrap_or_else(|| panic!("no {prefix:?} line in:\n{t}"))
+            .to_string()
+    };
+    // fig9's four cells plus every cell of compare's ten batches.
+    assert!(artifacts.len() > 60, "only {} artifacts", artifacts.len());
+    for p in &artifacts {
+        let t = text(p);
+        let shrink = line(&t, "shrink: ");
+        assert!(
+            shrink.ends_with(" of 8 planned entries suffice to reproduce"),
+            "{}: {shrink}",
+            p.display()
+        );
+        assert!(!t.contains("not attempted"), "{}", p.display());
+    }
+
+    // Replay compare's fig9 TCP baseline cell, a memo point shared with
+    // fig9, through the real binary: it must fail the same way.
+    let shared = artifacts
+        .iter()
+        .find(|p| {
+            let t = text(p);
+            line(&t, "experiment: ") == "compare" && line(&t, "label: ").starts_with("fig9[TCP")
+        })
+        .expect("compare runs fig9's TCP cells as a batch");
+    let t = text(shared);
+    let replay = line(&t, "replay: repro ");
+    let rerun_dir = dir.join("rerun");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--costs", "off", "--artifacts"])
+        .arg(&rerun_dir)
+        .args(replay.split_whitespace().map(|arg| arg.trim_matches('"')))
+        .output()
+        .expect("repro binary runs");
+    assert_eq!(out.status.code(), Some(3), "the replay must fail: {replay}");
+    let fresh: Vec<PathBuf> = std::fs::read_dir(&rerun_dir)
+        .expect("the replay writes an artifact")
+        .map(|e| e.unwrap().path())
+        .collect();
+    assert_eq!(fresh.len(), 1);
+    assert_eq!(line(&text(&fresh[0]), "failure: "), line(&t, "failure: "));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A cell that blows its wall-clock deadline is cancelled cooperatively
 /// — surfaced as a `HUNG` row — and its neighbours complete normally.
 #[test]

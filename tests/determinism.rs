@@ -256,8 +256,16 @@ fn cost_scheduling_byte_identical_fig9() {
     warm.absorb(&observations);
     let warm_model = Arc::new(warm);
     let rerun_recorder = Arc::new(CostRecorder::default());
-    let warm = render_with_costs("fig9", 4, &budget, &warm_model, &rerun_recorder);
+    // A fresh budget, so the warm run simulates every cell again instead
+    // of taking the cold run's results from the budget's cell memo.
+    let warm_budget = Arc::new(pool::Budget::new(4));
+    let warm = render_with_costs("fig9", 4, &warm_budget, &warm_model, &rerun_recorder);
     assert_eq!(fifo, warm, "warm cost model changed the rendered bytes");
+    assert_eq!(
+        rerun_recorder.len(),
+        observations.len(),
+        "the warm run must simulate, and so record, every cell again"
+    );
 }
 
 /// The acceptance contract for adaptive admission: the full suite at
@@ -303,18 +311,44 @@ fn cost_scheduling_byte_identical_full_suite_jobs8() {
     assert_eq!(fifo, warm, "warm cost model diverged at --jobs 8");
 }
 
-/// The full contract from the issue: every experiment, quick mode, must
-/// be byte-identical between `--jobs 1` and `--jobs N`. Slow under debug
-/// builds, so release-gated like the other whole-suite tests.
+/// The full contract: every experiment, quick mode, must be
+/// byte-identical between `--jobs 1` and `--jobs N`, and the cell memo
+/// must be an execution strategy, never an observable: the whole suite
+/// under one budget at `--jobs 2` (every experiment on its own driver
+/// thread, each shared cell simulated once and handed to the other
+/// experiments, as `repro all` runs it) renders what each experiment
+/// renders alone with no budget, so no memo. Checked at two seeds. Slow
+/// under debug builds, so release-gated like the other whole-suite tests.
 #[test]
 #[cfg_attr(
     debug_assertions,
     ignore = "slow under debug; run with cargo test --release"
 )]
 fn parallel_jobs_byte_identical_all_experiments() {
-    for id in experiments::ALL_EXPERIMENTS {
-        let serial = render(id, 1);
-        let parallel = render(id, 4);
-        assert_eq!(serial, parallel, "{id}: --jobs 4 diverged from --jobs 1");
+    let ids = experiments::ALL_EXPERIMENTS;
+    for seed in [RunOptions::quick().seed, 0xA5] {
+        let opts = RunOptions {
+            seed,
+            ..RunOptions::quick()
+        };
+        let budget = std::sync::Arc::new(pool::Budget::new(2));
+        let mut memoized = vec![String::new(); ids.len()];
+        pool::run_streamed(
+            ids.len(),
+            |i| pool::with_budget(&budget, || render_with(&opts.with_jobs(2), ids[i])),
+            |i, out| memoized[i] = out,
+        );
+        for (id, memoized) in ids.iter().zip(&memoized) {
+            let serial = render_with(&opts.with_jobs(1), id);
+            let parallel = render_with(&opts.with_jobs(4), id);
+            assert_eq!(
+                serial, parallel,
+                "{id}: --jobs 4 diverged from --jobs 1 at seed {seed:#x}"
+            );
+            assert_eq!(
+                serial, *memoized,
+                "{id}: the memoized suite diverged at seed {seed:#x}"
+            );
+        }
     }
 }
