@@ -12,7 +12,8 @@
 //!   criticizes for hurting cache-sensitive user work.
 
 use crate::runner::{
-    build, fail_row, finish_time, run_cells, CellFailure, CellResult, Grid, PolicyKind, RunOptions,
+    build, fail_row, finish_time, run_cells, CellFailure, CellPolicy, CellResult, Grid, PolicyKind,
+    RunOptions,
 };
 use hypervisor::{MachineConfig, VmSpec};
 use metrics::render::Table;
@@ -29,21 +30,27 @@ use workloads::{scenarios, Workload};
 /// their from-scratch runs.
 pub const WARM: SimDuration = SimDuration::from_secs(4);
 
+/// The exim co-run on the stock testbed, with `mutate` applied to its
+/// configuration.
+fn exim_corun(mutate: impl FnOnce(&mut MachineConfig)) -> (MachineConfig, Vec<VmSpec>) {
+    let mut cfg = MachineConfig::paper_testbed();
+    mutate(&mut cfg);
+    let n = cfg.num_pcpus;
+    let specs = vec![
+        scenarios::vm_with_iters(Workload::Exim, n, None),
+        scenarios::vm_with_iters(Workload::Swaptions, n, None),
+    ];
+    (cfg, specs)
+}
+
 /// Throughput of the exim pair over a window under a custom config.
 fn exim_rate(
     opts: &RunOptions,
     mutate: impl FnOnce(&mut MachineConfig),
     policy: PolicyKind,
 ) -> CellResult<f64> {
-    let mut cfg = MachineConfig::paper_testbed();
-    mutate(&mut cfg);
-    let n = cfg.num_pcpus;
-    let specs: Vec<VmSpec> = vec![
-        scenarios::vm_with_iters(Workload::Exim, n, None),
-        scenarios::vm_with_iters(Workload::Swaptions, n, None),
-    ];
     let window = opts.window(SimDuration::from_secs(3));
-    let mut m = build(opts, (cfg, specs), policy);
+    let mut m = build(opts, exim_corun(mutate), policy);
     m.run_until(SimTime::ZERO + window)
         .map_err(CellFailure::Sim)?;
     Ok(m.vm_work_done(VmId(0)) as f64 / window.as_secs_f64())
@@ -131,7 +138,7 @@ pub fn run_detection_off(opts: &RunOptions) -> Vec<Table> {
     let plan = Grid::new(opts, WARM);
     // Policies are constructed inside the worker (dispatched by index) so
     // no trait object needs to cross threads. All three cells share one
-    // config, so they fork a single warm snapshot (group 0).
+    // config, so they fork a single warm checkpoint.
     let rates = run_cells(
         opts,
         3,
@@ -142,28 +149,19 @@ pub fn run_detection_off(opts: &RunOptions) -> Vec<Table> {
             )
         },
         |i| {
-            let policy: Box<dyn hypervisor::policy::SchedPolicy> = match i {
-                0 => Box::new(hypervisor::BaselinePolicy),
-                1 => Box::new(MicroslicePolicy::fixed(1)),
-                _ => Box::new(
+            let policy = match i {
+                0 => PolicyKind::Baseline.into(),
+                1 => PolicyKind::Fixed(1).into(),
+                _ => CellPolicy::Custom(Box::new(
                     MicroslicePolicy::fixed(1)
                         .with_detection(DetectionEngine::with_whitelist(ksym::Whitelist::empty())),
-                ),
+                )),
             };
-            let scenario = || {
-                let cfg = MachineConfig::paper_testbed();
-                let n = cfg.num_pcpus;
-                let specs = vec![
-                    scenarios::vm_with_iters(Workload::Exim, n, None),
-                    scenarios::vm_with_iters(Workload::Swaptions, n, None),
-                ];
-                (cfg, specs)
-            };
-            let mut m = plan.cell(opts, 0, scenario, policy)?;
-            let warm_work = m.vm_work_done(VmId(0));
-            m.run_until(plan.warm_until() + window)
-                .map_err(CellFailure::Sim)?;
-            Ok((m.vm_work_done(VmId(0)) - warm_work) as f64 / window.as_secs_f64())
+            let (warm, end) = plan.window(opts, exim_corun(|_| {}), policy, window)?;
+            Ok(
+                (end.vm_work_done(VmId(0)) - warm.vm_work_done(VmId(0))) as f64
+                    / window.as_secs_f64(),
+            )
         },
     );
     for (label, rate) in DETECTION_LABELS.iter().zip(&rates) {
@@ -188,9 +186,8 @@ pub fn run_fixed_usliced(opts: &RunOptions) -> Vec<Table> {
         .with_title("Ablation: precise selection vs micro-slicing every core");
     let window = opts.window(SimDuration::from_secs(3));
     let plan = Grid::new(opts, WARM);
-    // The baseline and flexible cells share the stock config (group 0);
-    // the fixed-µsliced cell rewrites `normal_slice`, so its warm prefix
-    // differs and it forks its own snapshot (group 1).
+    // The fixed-µsliced cell rewrites `normal_slice`, so its warm prefix
+    // differs from the other two cells' and it forks its own checkpoint.
     let cells = run_cells(
         opts,
         3,
@@ -201,32 +198,20 @@ pub fn run_fixed_usliced(opts: &RunOptions) -> Vec<Table> {
             )
         },
         |i| {
-            let scenario = || {
-                let mut cfg = MachineConfig::paper_testbed();
+            let scenario = exim_corun(|cfg| {
                 if i == 2 {
                     cfg.normal_slice = SimDuration::from_micros(100);
                 }
-                let n = cfg.num_pcpus;
-                let specs = vec![
-                    scenarios::vm_with_iters(Workload::Exim, n, None),
-                    scenarios::vm_with_iters(Workload::Swaptions, n, None),
-                ];
-                (cfg, specs)
-            };
+            });
             let policy = if i == 1 {
                 PolicyKind::Fixed(1)
             } else {
                 PolicyKind::Baseline
             };
-            let mut m = plan.cell(opts, u64::from(i == 2), scenario, policy.build())?;
-            let warm = (m.vm_work_done(VmId(0)), m.vm_work_done(VmId(1)));
-            m.run_until(plan.warm_until() + window)
-                .map_err(CellFailure::Sim)?;
+            let (warm, end) = plan.window(opts, scenario, policy, window)?;
             let secs = window.as_secs_f64();
-            Ok((
-                (m.vm_work_done(VmId(0)) - warm.0) as f64 / secs,
-                (m.vm_work_done(VmId(1)) - warm.1) as f64 / secs,
-            ))
+            let rate = |vm| (end.vm_work_done(vm) - warm.vm_work_done(vm)) as f64 / secs;
+            Ok((rate(VmId(0)), rate(VmId(1))))
         },
     );
     for (label, cell) in USLICED_LABELS.iter().zip(&cells) {

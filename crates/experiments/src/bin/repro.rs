@@ -366,9 +366,10 @@ fn main() {
         }
     };
     let mut cell_scope: Option<Arc<Scope>> = None;
-    // One budget per invocation: its `--jobs` permits gate cell execution
-    // and its cell memo simulates each cell several experiments show
-    // once. Both driver paths below run under it.
+    // One budget per invocation: its `--jobs` permits gate cell
+    // execution, its cell memo simulates each cell several experiments
+    // show once, and its checkpoint store each warm-up and window several
+    // cells share. Both driver paths below run under it.
     let budget = Arc::new(Budget::new(opts.jobs));
     if opts.jobs > 1 && ids.len() > 1 {
         // Cross-experiment fan-out: every experiment gets a driver

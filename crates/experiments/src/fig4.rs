@@ -67,7 +67,7 @@ pub fn scenario(opts: &RunOptions, w: Workload) -> (MachineConfig, Vec<VmSpec>) 
 }
 
 /// Runs one configuration of one workload, forking the workload's warm
-/// snapshot from `grid` (grouped by workload). Figure 6 and `compare`
+/// checkpoint from `grid`. Figure 6 and `compare`
 /// show these cells too, so each is simulated once per invocation
 /// budget (see [`pool::memo`]).
 pub fn run_one(
@@ -78,7 +78,7 @@ pub fn run_one(
 ) -> CellResult<Cell> {
     let args = (w, policy, grid.warm_until().as_nanos());
     pool::memo("fig4::run_one", args, opts, || {
-        let mut m: Machine = grid.cell(opts, w as u64, || scenario(opts, w), policy.build())?;
+        let mut m: Machine = grid.cell(opts, scenario(opts, w), policy.build())?;
         let end = finish_time(m.run_until_vm_finished(VmId(0), opts.horizon()))?;
         Ok(Cell {
             policy,

@@ -47,7 +47,7 @@ pub fn scenario(_opts: &RunOptions, w: Workload) -> (MachineConfig, Vec<VmSpec>)
 }
 
 /// Runs one configuration over the measurement window, forking the
-/// workload's warm snapshot from `grid`. Rates count only work done
+/// workload's warm checkpoint from `grid`. Rates count only work done
 /// inside the post-warm window: the shared prefix runs under the baseline
 /// policy and is excluded from every cell's measurement alike. Figure 6
 /// and `compare` show these cells too, so each is simulated once per
@@ -61,7 +61,7 @@ pub fn run_one(
     let args = (w, policy, grid.warm_until().as_nanos());
     pool::memo("fig5::run_one", args, opts, || {
         let window = opts.window(SimDuration::from_secs(4));
-        let mut m: Machine = grid.cell(opts, w as u64, || scenario(opts, w), policy.build())?;
+        let mut m: Machine = grid.cell(opts, scenario(opts, w), policy.build())?;
         let warm_target = m.vm_work_done(VmId(0));
         let warm_corun = m.vm_work_done(VmId(1));
         m.run_until(grid.warm_until() + window)

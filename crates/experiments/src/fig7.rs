@@ -6,10 +6,9 @@
 //! the TLB-bound ones), and the halt share shrinks as the VMs regain
 //! utilization.
 
-use crate::runner::{
-    fail_row, run_cells, CellError, CellFailure, CellResult, Grid, PolicyKind, RunOptions,
-};
+use crate::runner::{fail_row, run_cells, CellError, CellResult, Grid, PolicyKind, RunOptions};
 use hypervisor::stats::YieldBreakdown;
+use hypervisor::{MachineConfig, VmSpec};
 use metrics::render::Table;
 use simcore::ids::VmId;
 use simcore::time::SimDuration;
@@ -32,10 +31,23 @@ fn delta(end: YieldBreakdown, start: YieldBreakdown) -> YieldBreakdown {
     }
 }
 
+/// The co-run of `w` with swaptions, both endless, so B/S/D windows
+/// align.
+pub fn scenario(w: Workload) -> (MachineConfig, Vec<VmSpec>) {
+    let (cfg, _) = scenarios::corun(w);
+    let n = cfg.num_pcpus;
+    let specs = vec![
+        scenarios::vm_with_iters(w, n, None),
+        scenarios::vm_with_iters(Workload::Swaptions, n, None),
+    ];
+    (cfg, specs)
+}
+
 /// Measures the target VM's yield breakdown under one policy, over a
-/// fixed post-warm window (endless workload variants, so B/S/D windows
-/// align). The cell forks `grid`'s warm snapshot (grouped by workload)
-/// and counts only yields after the divergence point.
+/// fixed post-warm window. The cell forks `grid`'s warm checkpoint and
+/// counts only yields after the divergence point; Table 1 and the
+/// ablations measure the exim windows too, so each is simulated once per
+/// invocation (see [`Grid::window`]).
 pub fn measure_one(
     opts: &RunOptions,
     grid: &Grid,
@@ -43,20 +55,11 @@ pub fn measure_one(
     policy: PolicyKind,
 ) -> CellResult<YieldBreakdown> {
     let window = opts.window(SimDuration::from_secs(3));
-    let scenario = || {
-        let (cfg, _) = scenarios::corun(w);
-        let n = cfg.num_pcpus;
-        let specs = vec![
-            scenarios::vm_with_iters(w, n, None),
-            scenarios::vm_with_iters(Workload::Swaptions, n, None),
-        ];
-        (cfg, specs)
-    };
-    let mut m = grid.cell(opts, w as u64, scenario, policy.build())?;
-    let warm = m.stats.vm(VmId(0)).yields;
-    m.run_until(grid.warm_until() + window)
-        .map_err(CellFailure::Sim)?;
-    Ok(delta(m.stats.vm(VmId(0)).yields, warm))
+    let (warm, end) = grid.window(opts, scenario(w), policy, window)?;
+    Ok(delta(
+        end.stats.vm(VmId(0)).yields,
+        warm.stats.vm(VmId(0)).yields,
+    ))
 }
 
 fn grid_policy(w: Workload, slot: usize) -> PolicyKind {

@@ -44,7 +44,7 @@ fn scenario(opts: &RunOptions, w: Workload) -> (MachineConfig, Vec<VmSpec>) {
 }
 
 fn exec_one(opts: &RunOptions, grid: &Grid, w: Workload, policy: PolicyKind) -> CellResult<f64> {
-    let mut m = grid.cell(opts, w as u64, || scenario(opts, w), policy.build())?;
+    let mut m = grid.cell(opts, scenario(opts, w), policy.build())?;
     let end = finish_time(m.run_until_vm_finished(VmId(0), opts.horizon()))?;
     Ok(end.as_secs_f64())
 }

@@ -37,7 +37,7 @@ pub struct Row {
 }
 
 /// Runs one transport × policy cell, forking the transport's warm
-/// snapshot from `grid`. `compare` shows the TCP cells too, so each is
+/// checkpoint from `grid`. `compare` shows the TCP cells too, so each is
 /// simulated once per invocation budget (see [`pool::memo`]).
 pub fn measure_one(
     opts: &RunOptions,
@@ -48,12 +48,7 @@ pub fn measure_one(
     let args = (tcp, policy, grid.warm_until().as_nanos());
     pool::memo("fig9::measure_one", args, opts, || {
         let window = opts.window(SimDuration::from_secs(4));
-        let mut m = grid.cell(
-            opts,
-            u64::from(tcp),
-            || scenarios::fig9_mixed_pinned(tcp),
-            policy.build(),
-        )?;
+        let mut m = grid.cell(opts, scenarios::fig9_mixed_pinned(tcp), policy.build())?;
         let warm_flow = m.vm(VmId(0)).kernel.flows[0].clone();
         m.run_until(grid.warm_until() + window)
             .map_err(CellFailure::Sim)?;

@@ -5,6 +5,7 @@ pub mod grid;
 pub mod ledger;
 pub mod parallel;
 pub mod pool;
+pub mod store;
 
 pub use grid::Grid;
 
@@ -18,7 +19,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 /// Which scheduling policy a run uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum PolicyKind {
     /// Vanilla Xen (credit scheduler, BOOST, PLE) — the paper's baseline.
     Baseline,
@@ -48,6 +49,33 @@ impl PolicyKind {
     }
 }
 
+/// The policy a grid cell installs at its divergence point (see
+/// [`Grid::window`]).
+pub enum CellPolicy {
+    /// A stock policy: cells share its post-warm windows through the
+    /// checkpoint store.
+    Kind(PolicyKind),
+    /// A policy object built for one cell (a comparator or an ablation):
+    /// the cell simulates its own window.
+    Custom(Box<dyn SchedPolicy>),
+}
+
+impl CellPolicy {
+    /// Instantiates the policy.
+    pub fn build(self) -> Box<dyn SchedPolicy> {
+        match self {
+            CellPolicy::Kind(kind) => kind.build(),
+            CellPolicy::Custom(policy) => policy,
+        }
+    }
+}
+
+impl From<PolicyKind> for CellPolicy {
+    fn from(kind: PolicyKind) -> Self {
+        CellPolicy::Kind(kind)
+    }
+}
+
 /// Global experiment options.
 #[derive(Clone, Copy, Debug)]
 pub struct RunOptions {
@@ -72,11 +100,11 @@ pub struct RunOptions {
     /// Fault plan installed into every machine the runner builds. `None`
     /// (the default) injects nothing and leaves output byte-identical.
     pub faults: Option<FaultSpec>,
-    /// Shared-prefix execution: grid cells fork a once-warmed snapshot
-    /// instead of re-simulating the warm-up (`repro --no-fork` disables
-    /// it). Both settings produce byte-identical output — see
-    /// [`grid::Grid`]; this flag only chooses between forking the warm
-    /// state and recomputing it.
+    /// Checkpoint sharing: cells fork the warm-ups and windows other
+    /// cells already simulated from the checkpoint store instead of
+    /// re-simulating them (`repro --no-fork` disables it). Both settings
+    /// produce byte-identical output — see [`store`]; this flag only
+    /// chooses between forking shared state and recomputing it.
     pub fork: bool,
 }
 
@@ -527,6 +555,14 @@ pub fn finish_time(r: Result<Option<SimTime>, SimError>) -> CellResult<SimTime> 
     }
 }
 
+/// `cfg` with the options' seed and paranoid mode, as [`build_with`]
+/// builds it.
+fn configured(opts: &RunOptions, mut cfg: MachineConfig) -> MachineConfig {
+    cfg.seed = opts.seed;
+    cfg.paranoid = opts.paranoid;
+    cfg
+}
+
 /// Builds a machine from a scenario and an explicit policy object,
 /// applying the options' seed, paranoid mode, and fault plan.
 pub fn build_with(
@@ -534,10 +570,8 @@ pub fn build_with(
     scenario: (MachineConfig, Vec<VmSpec>),
     policy: Box<dyn SchedPolicy>,
 ) -> Machine {
-    let (mut cfg, specs) = scenario;
-    cfg.seed = opts.seed;
-    cfg.paranoid = opts.paranoid;
-    let mut m = Machine::new(cfg, specs, policy);
+    let (cfg, specs) = scenario;
+    let mut m = Machine::new(configured(opts, cfg), specs, policy);
     if let Some(spec) = &opts.faults {
         m.install_faults(spec);
     }
@@ -555,16 +589,26 @@ pub fn build(
 }
 
 /// Runs for a fixed measurement window and returns the machine.
+///
+/// A baseline window is a checkpoint of the scenario's baseline
+/// trajectory: inside a budget it comes from the invocation's checkpoint
+/// store (see [`store`]), so every cell that measures the same scenario
+/// over the same baseline window shares one simulation.
 pub fn run_window(
     opts: &RunOptions,
     scenario: (MachineConfig, Vec<VmSpec>),
     policy: PolicyKind,
     window: SimDuration,
 ) -> CellResult<Machine> {
-    let mut m = build(opts, scenario, policy);
-    m.run_until(SimTime::ZERO + window)
-        .map_err(CellFailure::Sim)?;
-    Ok(m)
+    let shared = pool::current_store().filter(|_| policy == PolicyKind::Baseline);
+    let keyed = store::keyed(shared.as_ref(), opts, &scenario);
+    let (m, simulated) = store::trajectory_at(&keyed, None, SimTime::ZERO + window, || {
+        build(opts, scenario, policy)
+    })?;
+    if !simulated {
+        pool::note_served();
+    }
+    Ok(store::owned(m))
 }
 
 /// Runs until every VM finishes and returns the machine. Hitting the

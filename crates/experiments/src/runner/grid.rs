@@ -1,15 +1,19 @@
-//! Shared-prefix grid execution: warm once per group, fork per cell.
+//! Shared-prefix grid execution: warm once per scenario, fork per cell.
 //!
 //! Every cell of an experiment grid simulates the same scenario and
 //! diverges only in its policy (or another post-warmup parameter). The
 //! prefix before the divergence point is therefore identical work,
-//! re-simulated once per cell. A [`Grid`] shares it: the first cell of a
-//! group to execute builds the machine, runs it to [`Grid::warm_until`]
-//! under the *base* policy ([`BaselinePolicy`]), and snapshots it
-//! ([`hypervisor::Snapshot`] — a deep `Clone` over the machine's
-//! SoA/arena state). Every cell, including that first one, then forks the
-//! snapshot in O(state) and installs its own policy via
-//! [`Machine::set_policy`] at the divergence point.
+//! re-simulated once per cell. A [`Grid`] shares it through the
+//! checkpoint store ([`store`]): the first cell that needs
+//! a scenario's warm machine builds it, runs it to [`Grid::warm_until`]
+//! under the *base* policy ([`BaselinePolicy`]) and leaves the
+//! checkpoint in the store; every cell, including that first one, then
+//! forks the checkpoint in O(state) and installs its own policy via
+//! [`Machine::set_policy`] at the divergence point. Checkpoints are keyed
+//! by the scenario as built, so cells of different grids and different
+//! experiments share them too. [`Grid::window`] goes one step further
+//! for fixed measurement windows under a stock [`PolicyKind`]: the
+//! window's end is a checkpoint as well.
 //!
 //! With forking disabled (`repro --no-fork`) each cell builds and warms
 //! from scratch — but still warms under the base policy and diverges at
@@ -18,47 +22,27 @@
 //! taken from, and both modes execute the same warm-then-diverge
 //! schedule. `tests/determinism.rs` diffs the full suite both ways.
 //!
-//! Concurrency: groups are keyed by a caller-chosen `u64`; each group's
-//! snapshot lives in a `OnceLock`, so under the global `--jobs` budget
-//! the first cell to be admitted performs the warmup while its siblings
-//! (if already admitted) block on the lock. Blocked siblings hold their
-//! permits — wasteful for at most one warmup duration per group, and
-//! deadlock-free because the initializing cell always holds its own
-//! permit and runs to completion.
-//!
-//! Failure replay: a warmup that dies with a [`SimError`] is cached as
-//! the failed [`CellResult`] and replayed to every cell of the group —
-//! exactly the cells that would fail identically from scratch (the warm
-//! prefix is deterministic). A *panicking* warmup propagates out of the
-//! `OnceLock` initializer leaving it empty, so each sibling retries the
-//! warmup and panics the same way: again the from-scratch behaviour.
-//!
-//! [`SimError`]: hypervisor::SimError
+//! A failing warm-up is never stored: each cell that needs it reruns it,
+//! inside its own crash session, and fails the same way — the
+//! from-scratch behaviour.
 
-use super::{build_with, CellFailure, CellResult, RunOptions};
+use super::store::{self, CheckpointStore, Keyed};
+use super::{build_with, pool, CellPolicy, CellResult, PolicyKind, RunOptions};
 use hypervisor::policy::SchedPolicy;
-use hypervisor::{BaselinePolicy, Machine, MachineConfig, Snapshot, VmSpec};
+use hypervisor::{BaselinePolicy, Machine, MachineConfig, VmSpec};
 use simcore::time::{SimDuration, SimTime};
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
-type SnapshotSlot = Arc<OnceLock<CellResult<Arc<Snapshot>>>>;
-
-/// A grid execution plan: the shared warm-up horizon plus the per-group
-/// snapshot cache cells fork from.
+/// A grid execution plan: the shared warm-up horizon plus the checkpoint
+/// store cells fork from.
 ///
-/// One `Grid` serves one experiment invocation; cells that share a
-/// `(scenario, seed)` prefix pass the same group key and everything
-/// before [`Grid::warm_until`] is simulated once. Cells whose scenarios
-/// differ (other workload, other machine config) must use distinct keys —
-/// the group's machine is built by whichever cell runs first, so sharing
-/// a key across different scenarios would hand the wrong machine to the
-/// later cells.
+/// One `Grid` serves one experiment invocation. Its store is the one of
+/// the budget visible when the grid is made (one per `repro` run), else
+/// a private store for the grid's own cells.
 #[derive(Debug)]
 pub struct Grid {
     warm_until: SimTime,
-    fork: bool,
-    snapshots: Mutex<BTreeMap<u64, SnapshotSlot>>,
+    store: Arc<CheckpointStore>,
 }
 
 impl Grid {
@@ -69,8 +53,7 @@ impl Grid {
     pub fn new(opts: &RunOptions, warm: SimDuration) -> Self {
         Grid {
             warm_until: SimTime::ZERO + opts.warm(warm),
-            fork: opts.fork,
-            snapshots: Mutex::new(BTreeMap::new()),
+            store: pool::current_store().unwrap_or_default(),
         }
     }
 
@@ -79,57 +62,70 @@ impl Grid {
         self.warm_until
     }
 
-    fn slot(&self, group: u64) -> SnapshotSlot {
-        self.snapshots
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .entry(group)
-            .or_default()
-            .clone()
-    }
-
-    /// Builds and warms a machine from scratch — the `--no-fork` path and
-    /// the per-group initializer of the forked path.
-    fn warm_machine(
+    /// `scenario` at the warm point under the base policy, with its place
+    /// in the store and whether the call simulated.
+    fn warm(
         &self,
         opts: &RunOptions,
         scenario: (MachineConfig, Vec<VmSpec>),
-    ) -> CellResult<Machine> {
-        let mut m = build_with(opts, scenario, Box::new(BaselinePolicy));
-        m.run_until(self.warm_until).map_err(CellFailure::Sim)?;
-        Ok(m)
+    ) -> CellResult<(Keyed<'_>, Arc<Machine>, bool)> {
+        let keyed = store::keyed(Some(&self.store), opts, &scenario);
+        let (warm, simulated) = store::trajectory_at(&keyed, None, self.warm_until, || {
+            build_with(opts, scenario, Box::new(BaselinePolicy))
+        })?;
+        Ok((keyed, warm, simulated))
     }
 
     /// Produces the runnable machine for one cell: warmed to
     /// [`Grid::warm_until`] under the base policy, with `policy` installed
     /// at the divergence point (its `on_init` has run). The caller drives
     /// it to the cell's own measurement horizon.
-    ///
-    /// `scenario` is only invoked when a machine is actually built — with
-    /// forking on, once per group.
     pub fn cell(
         &self,
         opts: &RunOptions,
-        group: u64,
-        scenario: impl FnOnce() -> (MachineConfig, Vec<VmSpec>),
+        scenario: (MachineConfig, Vec<VmSpec>),
         policy: Box<dyn SchedPolicy>,
     ) -> CellResult<Machine> {
-        // Crash-shrink probes truncate the fault plan mid-replay
-        // (`crash::with_scratch_mode`); a cached snapshot was warmed
-        // under the *full* plan, so probes must rebuild from scratch or
-        // the truncation would not govern the warm prefix.
-        let mut m = if self.fork && !hypervisor::crash::scratch_mode() {
-            let slot = self.slot(group);
-            let warmed = slot.get_or_init(|| {
-                self.warm_machine(opts, scenario())
-                    .map(|m| Arc::new(m.snapshot()))
-            });
-            warmed.as_ref().map_err(Clone::clone)?.fork()
-        } else {
-            self.warm_machine(opts, scenario())?
-        };
+        let (_, warm, _) = self.warm(opts, scenario)?;
+        let mut m = store::owned(warm);
         m.set_policy(policy);
         Ok(m)
+    }
+
+    /// Runs one cell over the fixed window `[warm_until, warm_until +
+    /// window]` and returns its machine at both ends, for delta
+    /// measurements. Under a stock policy the window's end is a
+    /// checkpoint too, shared with every other cell that measures the
+    /// same scenario under the same policy over the same window; a custom
+    /// policy simulates its own window.
+    pub fn window(
+        &self,
+        opts: &RunOptions,
+        scenario: (MachineConfig, Vec<VmSpec>),
+        policy: impl Into<CellPolicy>,
+        window: SimDuration,
+    ) -> CellResult<(Arc<Machine>, Arc<Machine>)> {
+        let (keyed, warm, warm_simulated) = self.warm(opts, scenario)?;
+        // Installing the stateless base policy changes nothing, so a
+        // baseline window stays on the baseline trajectory.
+        let (keyed, diverge, policy) = match policy.into() {
+            CellPolicy::Kind(kind) => (
+                keyed,
+                (kind != PolicyKind::Baseline).then_some((self.warm_until, kind)),
+                kind.build(),
+            ),
+            CellPolicy::Custom(policy) => (None, None, policy),
+        };
+        let (end, simulated) =
+            store::trajectory_at(&keyed, diverge, self.warm_until + window, || {
+                let mut m = warm.fork();
+                m.set_policy(policy);
+                m
+            })?;
+        if !warm_simulated && !simulated {
+            pool::note_served();
+        }
+        Ok((warm, end))
     }
 }
 
@@ -152,7 +148,7 @@ mod tests {
         )
     }
 
-    fn fingerprint(m: &mut Machine) -> (u64, u64, u64) {
+    fn fingerprint(m: &Machine) -> (u64, u64, u64) {
         (
             m.vm_work_done(VmId(0)),
             m.vm_work_done(VmId(1)),
@@ -171,9 +167,12 @@ mod tests {
                 ..RunOptions::quick()
             };
             let grid = Grid::new(&opts, SimDuration::from_millis(400));
-            let mut m = grid.cell(&opts, 0, scenario, policy.build()).unwrap();
+            let mut m = grid.cell(&opts, scenario(), policy.build()).unwrap();
             m.run_until(horizon).unwrap();
-            fingerprint(&mut m)
+            let (warm, end) = grid
+                .window(&opts, scenario(), policy, SimDuration::from_millis(200))
+                .unwrap();
+            (fingerprint(&m), fingerprint(&warm), fingerprint(&end))
         };
         for policy in [
             PolicyKind::Baseline,
@@ -188,10 +187,10 @@ mod tests {
         }
     }
 
-    /// Cells of one group share the warm prefix but diverge by policy;
-    /// cells of different groups never see each other's machines.
+    /// Cells of one scenario share the warm prefix but diverge by policy;
+    /// another scenario never sees their machines.
     #[test]
-    fn groups_isolate_and_policies_diverge() {
+    fn cells_share_the_warm_prefix_and_policies_diverge() {
         let opts = RunOptions {
             fork: true,
             ..RunOptions::quick()
@@ -200,51 +199,54 @@ mod tests {
         let horizon = SimTime::from_millis(400);
 
         let mut base = grid
-            .cell(&opts, 0, scenario, PolicyKind::Baseline.build())
+            .cell(&opts, scenario(), PolicyKind::Baseline.build())
             .unwrap();
         let mut fast = grid
-            .cell(&opts, 0, scenario, PolicyKind::Fixed(1).build())
+            .cell(&opts, scenario(), PolicyKind::Fixed(1).build())
             .unwrap();
         assert_eq!(base.now(), grid.warm_until());
         assert_eq!(fast.now(), grid.warm_until());
         base.run_until(horizon).unwrap();
         fast.run_until(horizon).unwrap();
         assert_ne!(
-            fingerprint(&mut base),
-            fingerprint(&mut fast),
+            fingerprint(&base),
+            fingerprint(&fast),
             "policies must diverge after the warm point"
         );
 
-        // A second group warms independently and reproduces the first
-        // group's baseline exactly (same scenario, same seed).
+        // Another seed is another scenario: it warms on its own.
+        let other = RunOptions { seed: 1, ..opts };
         let mut twin = grid
-            .cell(&opts, 1, scenario, PolicyKind::Baseline.build())
+            .cell(&other, scenario(), PolicyKind::Baseline.build())
             .unwrap();
         twin.run_until(horizon).unwrap();
-        assert_eq!(fingerprint(&mut base), fingerprint(&mut twin));
+        assert_ne!(fingerprint(&base), fingerprint(&twin));
+        assert_eq!(grid.store.stats().extensions, 2, "one warm-up per scenario");
     }
 
-    /// With forking on, the scenario is built once per group.
+    /// With forking on, each scenario's warm-up and each stock-policy
+    /// window is simulated once; a custom policy simulates its own window.
     #[test]
-    fn fork_builds_the_scenario_once_per_group() {
+    fn fork_simulates_each_warm_up_and_window_once() {
         let opts = RunOptions {
             fork: true,
             ..RunOptions::quick()
         };
         let grid = Grid::new(&opts, SimDuration::from_millis(100));
-        let mut builds = 0usize;
+        let window = SimDuration::from_millis(100);
         for _ in 0..3 {
-            let m = grid.cell(
-                &opts,
-                7,
-                || {
-                    builds += 1;
-                    scenario()
-                },
-                PolicyKind::Baseline.build(),
-            );
-            assert!(m.is_ok());
+            assert!(grid
+                .cell(&opts, scenario(), PolicyKind::Baseline.build())
+                .is_ok());
+            assert!(grid
+                .window(&opts, scenario(), PolicyKind::Fixed(1), window)
+                .is_ok());
+            let custom = CellPolicy::Custom(PolicyKind::Fixed(1).build());
+            assert!(grid.window(&opts, scenario(), custom, window).is_ok());
         }
-        assert_eq!(builds, 1, "one warmup per group");
+        let stats = grid.store.stats();
+        assert_eq!(stats.extensions, 2, "{stats:?}");
+        assert_eq!(stats.retained, 2, "{stats:?}");
+        assert_eq!(stats.reextended, 0, "{stats:?}");
     }
 }

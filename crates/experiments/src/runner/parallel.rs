@@ -32,9 +32,10 @@
 //! `--jobs` bounds concurrent simulations across *all* experiments, not
 //! per batch. Permits gate only *when* a cell runs — results stay a pure
 //! function of the index, and collection order is unchanged. The
-//! budget's cell memo ([`pool::memo`]) is visible inside every cell,
-//! on whichever thread it runs; the permit budget is not, so a fan-out
-//! nested in a cell never queues for a second permit.
+//! budget's cell memo ([`pool::memo`]) and checkpoint store
+//! ([`store`](super::store)) are visible inside every cell, on whichever
+//! thread it runs; the permit budget is not, so a fan-out nested in a
+//! cell never queues for a second permit.
 //!
 //! The calling thread may additionally carry a
 //! [`pool::CostContext`] (`repro --costs`): the batch then claims its
@@ -42,7 +43,8 @@
 //! order, waits on the budget at its cells' estimated priorities (so
 //! freed permits steal the longest pending cell suite-wide), and reports
 //! each simulated cell's wall-clock to the context's recorder (a cell the
-//! memo served simulated nothing, so it reports nothing). All of that steers
+//! memo or the checkpoint store served simulated nothing, so it reports
+//! nothing). All of that steers
 //! only admission: results are still collected by grid index, so the
 //! rendered bytes match the FIFO schedule exactly.
 
@@ -72,6 +74,7 @@ where
 {
     let budget = pool::current_budget();
     let memo = pool::current_memo();
+    let store = pool::current_store();
     // The admission plan (cell keys, estimates, longest-first claim
     // order) is computed for every batch the context sees — including
     // serial and single-cell ones — so batch sequence numbers, and with
@@ -82,9 +85,10 @@ where
     let timed = |i: usize, f: &F| -> T {
         let started = Instant::now();
         // Worker threads start with no pool state: each cell sees the
-        // caller's cell memo, but no permit budget (it holds its permit).
-        let (out, served) = pool::in_cell(memo.as_ref(), || f(i));
-        // Only simulated cells teach the cost model: a memo-served cell's
+        // caller's cell memo and checkpoint store, but no permit budget
+        // (it holds its permit).
+        let (out, served) = pool::in_cell(memo.as_ref(), store.as_ref(), || f(i));
+        // Only simulated cells teach the cost model: a served cell's
         // time is a lookup or a wait, not the cell's cost.
         if let (Some(plan), Some(recorder), false) = (&plan, &recorder, served) {
             let elapsed = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;

@@ -44,10 +44,15 @@
 //! the memo simulates each such shared cell once per budget and hands
 //! the result to every other consumer. Only successes are kept, so a
 //! failing cell still fails — with its own crash artifact — wherever it
-//! is shown. The memo lives and dies with its `Budget`; nothing is
-//! process-global.
+//! is shown. Beside it sits the invocation's **checkpoint store**
+//! ([`store`](super::store)): machine checkpoints along simulated
+//! trajectories, so cells that need the same machine at the same time
+//! (a shared warm-up, a shared baseline window) fork it instead of
+//! simulating it again. Memo and store live and die with their `Budget`;
+//! nothing is process-global.
 
 use super::cost::{self, BatchPlan, CostModel, CostRecorder};
+use super::store::CheckpointStore;
 use super::RunOptions;
 use hypervisor::pcpu::first_rank_above;
 use std::any::Any;
@@ -145,12 +150,14 @@ struct BudgetState {
 /// A counting semaphore bounding how many experiment cells run at once
 /// across every in-flight experiment, admitting waiters
 /// longest-estimated-first (see [`Budget::acquire_ordered`]), plus the
-/// cell memo those cells share (see [`memo`]).
+/// cell memo (see [`memo`]) and checkpoint store (see
+/// [`store`](super::store)) those cells share.
 #[derive(Debug)]
 pub struct Budget {
     state: Mutex<BudgetState>,
     available: Condvar,
     memo: CellMemo,
+    store: Arc<CheckpointStore>,
 }
 
 impl Budget {
@@ -165,7 +172,13 @@ impl Budget {
             }),
             available: Condvar::new(),
             memo: CellMemo::default(),
+            store: Arc::default(),
         }
+    }
+
+    /// The invocation's checkpoint store.
+    pub fn store(&self) -> &CheckpointStore {
+        &self.store
     }
 
     fn lock(&self) -> MutexGuard<'_, BudgetState> {
@@ -249,8 +262,7 @@ enum Slot {
 
 /// A budget's cell memo: successes of shared cells by key (see [`memo`]).
 ///
-/// The slots follow the rules of [`Grid`](super::Grid)'s snapshot
-/// slots: the first caller computes, concurrent callers block while
+/// The first caller of a key computes, concurrent callers block while
 /// holding their permit, and a computation that fails or panics leaves
 /// the slot empty, so the next caller recomputes. A memoized computation
 /// never consults the memo itself (see [`memo`]), so no wait here can
@@ -283,7 +295,7 @@ impl CellMemo {
         loop {
             match slots.get(&key) {
                 Some(Slot::Ready(value)) => {
-                    SERVED.with(|served| served.set(true));
+                    note_served();
                     return Ok(value
                         .downcast_ref::<T>()
                         .expect("each memo key maps to one value type")
@@ -339,8 +351,9 @@ thread_local! {
     static MEMO: RefCell<Option<Arc<Budget>>> = const { RefCell::new(None) };
     static COSTS: RefCell<Option<Rc<CostContext>>> = const { RefCell::new(None) };
     static SCOPE: RefCell<Option<Arc<Scope>>> = const { RefCell::new(None) };
-    /// Set when a memo point hands this thread a stored value; reset and
-    /// read per cell by [`in_cell`].
+    static STORE: RefCell<Option<Arc<CheckpointStore>>> = const { RefCell::new(None) };
+    /// Set when a memo point or the checkpoint store hands this thread a
+    /// stored value; reset and read per cell by [`in_cell`].
     static SERVED: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -412,30 +425,51 @@ where
          keep_going={keep_going} fork={fork} faults={faults}"
     );
     // The computation runs with the memo hidden, so it never waits on
-    // another slot while its own is `Computing`.
+    // another slot while its own is `Computing`. The checkpoint store
+    // stays visible: an extension never waits on a memo slot.
     budget.memo.get_or_compute(key, || with_tls(&MEMO, None, f))
 }
 
-/// Runs one fan-out cell `f` with `memo`'s cell memo visible and no
-/// permit budget installed. The cell already holds its permit: a
+/// Runs one fan-out cell `f` with `memo`'s cell memo and `store` visible
+/// and no permit budget installed. The cell already holds its permit: a
 /// fan-out nested inside it must not queue for a second one (under a
 /// one-permit budget that wait would never end), while the cell's memo
-/// points still share results with the rest of the invocation.
+/// points and checkpoints still share results with the rest of the
+/// invocation.
 ///
-/// Also returns whether a memo point in the cell was served a stored
-/// value. Such a cell simulated little or nothing, so its wall-clock is
-/// not its cost and must not reach the cost model.
-pub(super) fn in_cell<R>(memo: Option<&Arc<Budget>>, f: impl FnOnce() -> R) -> (R, bool) {
+/// Also returns whether the cell was served a stored value (see
+/// [`note_served`]). Such a cell simulated little or nothing, so its
+/// wall-clock is not its cost and must not reach the cost model.
+pub(super) fn in_cell<R>(
+    memo: Option<&Arc<Budget>>,
+    store: Option<&Arc<CheckpointStore>>,
+    f: impl FnOnce() -> R,
+) -> (R, bool) {
     let outer = SERVED.with(|served| served.replace(false));
-    let out = with_tls(&ACTIVE, None, || with_tls(&MEMO, memo.cloned(), f));
+    let out = with_tls(&ACTIVE, None, || {
+        with_tls(&MEMO, memo.cloned(), || with_tls(&STORE, store.cloned(), f))
+    });
     // A cell nested on this thread marks the cell around it too.
     let served = SERVED.with(|served| served.replace(outer || served.get()));
     (out, served)
 }
 
+/// Marks the running cell as served: a memo point handed it a stored
+/// value, or the checkpoint store handed it its final machine without
+/// simulating.
+pub(super) fn note_served() {
+    SERVED.with(|served| served.set(true));
+}
+
 /// The budget whose cell memo is visible on the calling thread, if any.
 pub(super) fn current_memo() -> Option<Arc<Budget>> {
     MEMO.with(|slot| slot.borrow().clone())
+}
+
+/// The checkpoint store visible on the calling thread, if any: the
+/// budget's, in every cell and memo computation run under one.
+pub(super) fn current_store() -> Option<Arc<CheckpointStore>> {
+    STORE.with(|slot| slot.borrow().clone())
 }
 
 /// Multiplier over a cell's estimated wall-clock when deriving its
@@ -580,12 +614,14 @@ pub fn current_scope() -> Option<Arc<Scope>> {
 /// Runs `f` with `budget` installed as this thread's active budget:
 /// every [`run_indexed`](super::parallel::run_indexed) batch started
 /// under it acquires a permit per cell instead of running unthrottled,
-/// and every [`memo`] point reached under it shares the budget's cell
-/// memo. The previous budget (normally none) is restored afterwards,
-/// even if `f` unwinds.
+/// and every [`memo`] point and checkpoint reached under it shares the
+/// budget's cell memo and checkpoint store. The previous budget
+/// (normally none) is restored afterwards, even if `f` unwinds.
 pub fn with_budget<R>(budget: &Arc<Budget>, f: impl FnOnce() -> R) -> R {
     with_tls(&ACTIVE, Some(budget.clone()), || {
-        with_tls(&MEMO, Some(budget.clone()), f)
+        with_tls(&MEMO, Some(budget.clone()), || {
+            with_tls(&STORE, Some(budget.store.clone()), f)
+        })
     })
 }
 
@@ -977,9 +1013,14 @@ mod tests {
             for jobs in [1, 3] {
                 let seen = super::super::parallel::run_indexed(jobs, 3, |_| {
                     let memo = current_memo().expect("the memo is visible in a cell");
-                    (Arc::ptr_eq(&memo, &budget), current_budget().is_none())
+                    let store = current_store().expect("the store is visible in a cell");
+                    (
+                        Arc::ptr_eq(&memo, &budget),
+                        std::ptr::eq(&*store, budget.store()),
+                        current_budget().is_none(),
+                    )
                 });
-                assert_eq!(seen, vec![(true, true); 3], "jobs {jobs}");
+                assert_eq!(seen, vec![(true, true, true); 3], "jobs {jobs}");
                 // A fan-out nested in a cell of a one-permit budget must
                 // not wait for a second permit.
                 let nested = super::super::parallel::run_indexed(jobs, 2, |i| {
@@ -987,6 +1028,22 @@ mod tests {
                 });
                 assert_eq!(nested, vec![vec![0, 1], vec![2, 3]]);
             }
+        });
+    }
+
+    #[test]
+    fn memo_computations_hide_the_memo_but_not_the_store() {
+        let budget = Arc::new(Budget::new(1));
+        with_budget(&budget, || {
+            let seen: Result<(bool, bool), String> =
+                memo("visibility", (), &RunOptions::quick(), || {
+                    let store = current_store().expect("the store is visible");
+                    Ok((
+                        current_memo().is_none(),
+                        std::ptr::eq(&*store, budget.store()),
+                    ))
+                });
+            assert_eq!(seen, Ok((true, true)));
         });
     }
 

@@ -91,8 +91,8 @@ pub fn run(opts: &RunOptions, sc: &Scenario) -> Vec<Table> {
 /// equivalence tests pass an in-repo constructor instead and diff the
 /// rendered bytes.
 ///
-/// Cell layout is repeat-major (`rep × policy`): each repeat is one fork
-/// group (its cells share the seed and the warmed prefix), and repeat
+/// Cell layout is repeat-major (`rep × policy`): the cells of a repeat
+/// share the seed and so the warmed prefix, and repeat
 /// `r > 0` runs under the derived seed [`RunOptions::seed_for`]`(r)` —
 /// the uniform per-run seed derivation the rest of the suite uses.
 /// Scenario-file faults apply only when the command line injected none:
@@ -138,7 +138,7 @@ where
         |i| {
             let (rep, p) = (i / policies.len(), i % policies.len());
             let opts = cell_opts(rep as u32);
-            let mut m = grid.cell(&opts, rep as u64, &parts, policies[p].build())?;
+            let mut m = grid.cell(&opts, parts(), policies[p].build())?;
             let warm_work: Vec<u64> = (0..m.num_vms())
                 .map(|v| m.vm_work_done(VmId(v as u16)))
                 .collect();

@@ -11,13 +11,12 @@
 //! and the paper's flexible micro-sliced cores (static best + dynamic).
 
 use crate::runner::{
-    fail_row, finish_time, run_cells, CellError, CellFailure, CellResult, Grid, PolicyKind,
-    RunOptions,
+    fail_row, finish_time, run_cells, CellError, CellFailure, CellPolicy, CellResult, Grid,
+    PolicyKind, RunOptions,
 };
-use hypervisor::policy::SchedPolicy;
-use hypervisor::MachineConfig;
+use hypervisor::{MachineConfig, VmSpec};
 use metrics::render::{fmt_f64, Table};
-use microslice::{AdaptiveConfig, MicroslicePolicy, VTurboPolicy, VtrsPolicy};
+use microslice::{VTurboPolicy, VtrsPolicy};
 use simcore::ids::VmId;
 use simcore::time::SimDuration;
 use workloads::{scenarios, Workload};
@@ -62,15 +61,13 @@ impl Scheme {
         }
     }
 
-    fn policy(self, static_best: usize) -> Box<dyn SchedPolicy> {
+    fn policy(self, static_best: usize) -> CellPolicy {
         match self {
-            Scheme::Baseline | Scheme::FixedUsliced => PolicyKind::Baseline.build(),
-            Scheme::VTurbo => Box::new(VTurboPolicy::new()),
-            Scheme::Vtrs => Box::new(VtrsPolicy::default()),
-            Scheme::MicrosliceStatic => Box::new(MicroslicePolicy::fixed(static_best)),
-            Scheme::MicrosliceDynamic => {
-                Box::new(MicroslicePolicy::adaptive(AdaptiveConfig::default()))
-            }
+            Scheme::Baseline | Scheme::FixedUsliced => PolicyKind::Baseline.into(),
+            Scheme::VTurbo => CellPolicy::Custom(Box::new(VTurboPolicy::new())),
+            Scheme::Vtrs => CellPolicy::Custom(Box::new(VtrsPolicy::default())),
+            Scheme::MicrosliceStatic => PolicyKind::Fixed(static_best).into(),
+            Scheme::MicrosliceDynamic => PolicyKind::Adaptive.into(),
         }
     }
 
@@ -78,13 +75,6 @@ impl Scheme {
         if self == Scheme::FixedUsliced {
             cfg.normal_slice = SimDuration::from_micros(100);
         }
-    }
-
-    /// Snapshot-group offset: the fixed-µsliced scheme mutates the
-    /// machine config, so its warm prefix differs from every other
-    /// scheme's and it must not share their snapshots (see [`Grid`]).
-    fn group(self, symptom: u64) -> u64 {
-        symptom + if self == Scheme::FixedUsliced { 8 } else { 0 }
     }
 }
 
@@ -97,8 +87,8 @@ pub const WARM: SimDuration = SimDuration::from_millis(800);
 /// Warm prefix for the exim throughput cells — the same exim+swaptions
 /// scenario Figure 5 warms, and delta-measured the same way (work done
 /// after the warm point over the window), so the prefix length never
-/// compresses the measured rates and the five snapshot-sharing schemes
-/// can amortize a long one.
+/// compresses the measured rates and the checkpoint-sharing schemes can
+/// amortize a long one.
 pub const EXIM_WARM: SimDuration = SimDuration::from_secs(4);
 
 /// One scheme's results across the three symptom classes.
@@ -114,50 +104,45 @@ pub struct Row {
     pub iperf_jitter_ms: f64,
 }
 
+/// The exim co-run under `scheme`'s machine configuration.
+pub(crate) fn exim_scenario(scheme: Scheme) -> (MachineConfig, Vec<VmSpec>) {
+    let (mut cfg, _) = scenarios::corun(Workload::Exim);
+    scheme.mutate_config(&mut cfg);
+    let n = cfg.num_pcpus;
+    let specs = vec![
+        scenarios::vm_with_iters(Workload::Exim, n, None),
+        scenarios::vm_with_iters(Workload::Swaptions, n, None),
+    ];
+    (cfg, specs)
+}
+
+/// Figure 7 and the ablations measure the same exim windows, so each is
+/// simulated once per invocation (see [`Grid::window`]).
 fn exim_run(opts: &RunOptions, grid: &Grid, scheme: Scheme) -> CellResult<f64> {
     let window = opts.window(SimDuration::from_secs(3));
-    let scenario = || {
-        let (mut cfg, _) = scenarios::corun(Workload::Exim);
-        scheme.mutate_config(&mut cfg);
-        let n = cfg.num_pcpus;
-        let specs = vec![
-            scenarios::vm_with_iters(Workload::Exim, n, None),
-            scenarios::vm_with_iters(Workload::Swaptions, n, None),
-        ];
-        (cfg, specs)
-    };
-    let mut m = grid.cell(opts, scheme.group(0), scenario, scheme.policy(1))?;
-    let warm_work = m.vm_work_done(VmId(0));
-    m.run_until(grid.warm_until() + window)
-        .map_err(CellFailure::Sim)?;
-    Ok((m.vm_work_done(VmId(0)) - warm_work) as f64 / window.as_secs_f64())
+    let (warm, end) = grid.window(opts, exim_scenario(scheme), scheme.policy(1), window)?;
+    Ok((end.vm_work_done(VmId(0)) - warm.vm_work_done(VmId(0))) as f64 / window.as_secs_f64())
 }
 
 fn dedup_run(opts: &RunOptions, grid: &Grid, scheme: Scheme) -> CellResult<f64> {
-    let scenario = || {
-        let (mut cfg, _) = scenarios::corun(Workload::Dedup);
-        scheme.mutate_config(&mut cfg);
-        let n = cfg.num_pcpus;
-        let iters = opts.iters(Workload::Dedup.default_iters().expect("finite"));
-        let specs = vec![
-            scenarios::vm_with_iters(Workload::Dedup, n, Some(iters)),
-            scenarios::vm_with_iters(Workload::Swaptions, n, None),
-        ];
-        (cfg, specs)
-    };
-    let mut m = grid.cell(opts, scheme.group(1), scenario, scheme.policy(3))?;
+    let (mut cfg, _) = scenarios::corun(Workload::Dedup);
+    scheme.mutate_config(&mut cfg);
+    let n = cfg.num_pcpus;
+    let iters = opts.iters(Workload::Dedup.default_iters().expect("finite"));
+    let specs = vec![
+        scenarios::vm_with_iters(Workload::Dedup, n, Some(iters)),
+        scenarios::vm_with_iters(Workload::Swaptions, n, None),
+    ];
+    let mut m = grid.cell(opts, (cfg, specs), scheme.policy(3).build())?;
     let end = finish_time(m.run_until_vm_finished(VmId(0), opts.horizon()))?;
     Ok(end.as_secs_f64())
 }
 
 fn iperf_run(opts: &RunOptions, grid: &Grid, scheme: Scheme) -> CellResult<f64> {
     let window = opts.window(SimDuration::from_secs(3));
-    let scenario = || {
-        let (mut cfg, specs) = scenarios::fig9_mixed_pinned(true);
-        scheme.mutate_config(&mut cfg);
-        (cfg, specs)
-    };
-    let mut m = grid.cell(opts, scheme.group(2), scenario, scheme.policy(1))?;
+    let (mut cfg, specs) = scenarios::fig9_mixed_pinned(true);
+    scheme.mutate_config(&mut cfg);
+    let mut m = grid.cell(opts, (cfg, specs), scheme.policy(1).build())?;
     let warm_flow = m.vm(VmId(0)).kernel.flows[0].clone();
     m.run_until(grid.warm_until() + window)
         .map_err(CellFailure::Sim)?;

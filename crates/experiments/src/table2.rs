@@ -6,6 +6,7 @@
 //! exceed solo yields by orders of magnitude.
 
 use crate::runner::{fail_row, pool, run_cells, run_window, CellError, PolicyKind, RunOptions};
+use hypervisor::{MachineConfig, VmSpec};
 use metrics::render::Table;
 use simcore::ids::VmId;
 use simcore::time::SimDuration;
@@ -30,14 +31,32 @@ pub struct Row {
     pub corun: u64,
 }
 
+/// The solo run of `w`, or its co-run with swaptions, both endless:
+/// Table 2 counts yields while the workload runs, not completion times.
+pub fn scenario(w: Workload, corun: bool) -> (MachineConfig, Vec<VmSpec>) {
+    if corun {
+        let (cfg, _) = scenarios::corun(w);
+        let n = cfg.num_pcpus;
+        (
+            cfg,
+            vec![
+                scenarios::vm_with_iters(w, n, None),
+                scenarios::vm_with_iters(Workload::Swaptions, n, None),
+            ],
+        )
+    } else {
+        let (cfg, _) = scenarios::solo(w);
+        let spec = scenarios::vm_with_iters(w, cfg.num_pcpus, None);
+        (cfg, vec![spec])
+    }
+}
+
 /// Runs the measurement and returns the raw rows. The workload ×
 /// {solo, co-run} grid fans out across `opts.jobs` workers; each run
 /// returns only the target VM's yield count, so nothing heavyweight
 /// crosses threads.
 pub fn measure(opts: &RunOptions) -> Vec<Result<Row, CellError>> {
     let window = opts.window(SimDuration::from_secs(4));
-    // Endless variants in both configurations: Table 2 counts yields
-    // while the workload runs, not completion times.
     let yields = run_cells(
         opts,
         WORKLOADS.len() * 2,
@@ -53,22 +72,7 @@ pub fn measure(opts: &RunOptions) -> Vec<Result<Row, CellError>> {
         // per invocation budget.
         |i| {
             pool::memo("table2::measure", i, opts, || {
-                let w = WORKLOADS[i / 2];
-                let scenario = if i % 2 == 0 {
-                    let (cfg, _) = scenarios::solo(w);
-                    let spec = scenarios::vm_with_iters(w, cfg.num_pcpus, None);
-                    (cfg, vec![spec])
-                } else {
-                    let (cfg, _) = scenarios::corun(w);
-                    let n = cfg.num_pcpus;
-                    (
-                        cfg,
-                        vec![
-                            scenarios::vm_with_iters(w, n, None),
-                            scenarios::vm_with_iters(Workload::Swaptions, n, None),
-                        ],
-                    )
-                };
+                let scenario = scenario(WORKLOADS[i / 2], i % 2 == 1);
                 let m = run_window(opts, scenario, PolicyKind::Baseline, window)?;
                 Ok(m.stats.vm(VmId(0)).yields.total())
             })

@@ -128,8 +128,11 @@ impl Clone for Box<dyn Program> {
 ///
 /// `Send + Sync` (programs are plain data driven by the machine's RNG)
 /// plus [`ProgramClone`] let a machine holding boxed programs be
-/// snapshotted and the snapshot forked from worker threads.
-pub trait Program: ProgramClone + Send + Sync {
+/// snapshotted and the snapshot forked from worker threads. `Debug`
+/// renders every parameter the stream depends on, which is what lets a
+/// scenario's rendering serve as its identity (the experiment runner's
+/// checkpoint store keys machines by it).
+pub trait Program: ProgramClone + Send + Sync + core::fmt::Debug {
     /// Produces the next segment to execute.
     fn next_segment(&mut self, rng: &mut SimRng) -> Segment;
 

@@ -186,7 +186,8 @@ pub fn scratch_mode() -> bool {
 }
 
 /// Number of fault-plan entries installed by the most recent
-/// [`Machine::install_faults`](crate::Machine::install_faults) in this
+/// [`Machine::install_faults`](crate::Machine::install_faults), or carried
+/// by the most recent [`Machine::fork`](crate::Machine::fork), in this
 /// thread's session (before any `take` truncation) — the shrink pass's
 /// bisection upper bound.
 pub fn last_plan_len() -> u32 {

@@ -529,6 +529,9 @@ pub(crate) struct FaultState {
     /// One-shot delay applied to the next tick reschedule (timer
     /// coalescing jitter).
     pub(crate) tick_jitter: SimDuration,
+    /// Entries the installed plan had before any `take` truncation: what
+    /// a fork reports to a crash session (see [`Machine::fork`]).
+    pub(crate) planned: u32,
 }
 
 impl Machine {
@@ -550,7 +553,8 @@ impl Machine {
             &vcpus_per_vm,
             &tasks_per_vm,
         );
-        crate::crash::publish_plan_len(plan.entries.len() as u32);
+        self.faults.planned = plan.entries.len() as u32;
+        crate::crash::publish_plan_len(self.faults.planned);
         let take = crate::crash::fault_take().unwrap_or(spec.take);
         if take > 0 && (take as usize) < plan.entries.len() {
             plan.entries.truncate(take as usize);

@@ -53,7 +53,7 @@ impl Snapshot {
     /// and fork each cell from it (`--no-fork` re-simulates instead and
     /// must be byte-identical; `tests/determinism.rs` enforces it).
     pub fn fork(&self) -> Machine {
-        self.base.clone()
+        self.base.fork()
     }
 }
 
@@ -79,7 +79,13 @@ impl Machine {
     /// Forks an independent machine that continues bit-identically from
     /// the current state — [`Machine::snapshot`] plus [`Snapshot::fork`]
     /// without keeping the intermediate checkpoint.
+    ///
+    /// The fork runs the fault plan its original installed, so it reports
+    /// that plan's length to an armed crash session as
+    /// [`Machine::install_faults`] does: a forked cell that fails can then
+    /// still have its plan shrunk.
     pub fn fork(&self) -> Machine {
+        crate::crash::publish_plan_len(self.faults.planned);
         self.clone()
     }
 
@@ -109,7 +115,7 @@ mod tests {
     use simcore::time::{SimDuration, SimTime};
 
     /// A stochastic program exercising RNG streams, locks, and blocking.
-    #[derive(Clone)]
+    #[derive(Clone, Debug)]
     struct Churn {
         num_vcpus: u16,
     }

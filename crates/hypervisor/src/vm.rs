@@ -12,6 +12,7 @@ use simcore::time::SimTime;
 use std::sync::Arc;
 
 /// Specification of one guest task.
+#[derive(Debug)]
 pub struct TaskSpec {
     /// Home vCPU index.
     pub home_vcpu: u16,
@@ -20,6 +21,7 @@ pub struct TaskSpec {
 }
 
 /// Specification of one VM.
+#[derive(Debug)]
 pub struct VmSpec {
     /// Human-readable name (the workload, e.g. `"gmake"`).
     pub name: String,

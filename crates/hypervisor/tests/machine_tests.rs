@@ -450,7 +450,7 @@ fn halted_vm_consumes_no_cpu() {
 fn scripted_rng_programs_work() {
     // A stochastic program driven by the task RNG: exercises fork()
     // determinism through the whole machine.
-    #[derive(Clone)]
+    #[derive(Clone, Debug)]
     struct RandomWork;
     impl Program for RandomWork {
         fn next_segment(&mut self, rng: &mut SimRng) -> Segment {

@@ -10,7 +10,7 @@ use simcore::rng::SimRng;
 use simcore::time::{SimDuration, SimTime};
 
 /// A stochastic program whose behaviour mix is driven by three weights.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 struct FuzzProgram {
     kernel_weight: f64,
     lock_weight: f64,
@@ -186,6 +186,54 @@ proptest! {
             fingerprint(&fork),
             fingerprint(&twin),
             "the fork diverged from an unforked twin"
+        );
+    }
+
+    /// Split runs, the property the experiment runner's checkpoint store
+    /// leans on: stopping at any times before `t2` and running on to `t2`
+    /// gives the machine one `run_until(t2)` gives.
+    #[test]
+    fn split_runs_equal_one_run(
+        seed in any::<u64>(),
+        num_pcpus in 1u16..6,
+        vcpus_a in 1u16..6,
+        vcpus_b in 1u16..6,
+        micro in 0usize..3,
+        splits_ms in proptest::collection::vec(0u64..250, 1..4),
+    ) {
+        let build = || {
+            let mk = |n: u16| -> VmSpec {
+                VmSpec::new("fuzz", n).task_per_vcpu(move |_| {
+                    Box::new(FuzzProgram {
+                        kernel_weight: 0.2,
+                        lock_weight: 0.3,
+                        tlb_weight: 0.1,
+                        num_vcpus: n,
+                    })
+                })
+            };
+            let cfg = MachineConfig::small(num_pcpus).with_seed(seed);
+            let policy: Box<dyn hypervisor::SchedPolicy> = if micro == 0 {
+                Box::new(BaselinePolicy)
+            } else {
+                Box::new(microslice::MicroslicePolicy::fixed(micro))
+            };
+            Machine::new(cfg, vec![mk(vcpus_a), mk(vcpus_b)], policy)
+        };
+        let horizon = SimTime::ZERO + SimDuration::from_millis(250);
+        let mut splits_ms = splits_ms;
+        splits_ms.sort_unstable();
+        let mut split = build();
+        for ms in splits_ms {
+            split.run_until(SimTime::ZERO + SimDuration::from_millis(ms)).unwrap();
+        }
+        split.run_until(horizon).unwrap();
+        let mut whole = build();
+        whole.run_until(horizon).unwrap();
+        prop_assert_eq!(
+            (split.now(), fingerprint(&split)),
+            (whole.now(), fingerprint(&whole)),
+            "a split run diverged from one run to the same time"
         );
     }
 }

@@ -19,6 +19,10 @@ const BUCKETS: usize = 50;
 
 /// A log-linear histogram of durations with exact count/mean/min/max.
 ///
+/// The bucket array is allocated on the first recorded sample: most
+/// machines carry histograms that never record (a co-runner VM's lock
+/// and TLB histograms), and every machine checkpoint copies them.
+///
 /// # Examples
 ///
 /// ```
@@ -35,6 +39,8 @@ const BUCKETS: usize = 50;
 /// ```
 #[derive(Clone, Debug)]
 pub struct Histogram {
+    /// Per-bucket counts: empty until the first sample, then
+    /// `BUCKETS * SUB_BUCKETS` long.
     counts: Vec<u32>,
     summary: Summary,
     min: SimDuration,
@@ -74,7 +80,7 @@ impl Histogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {
         Histogram {
-            counts: vec![0; BUCKETS * SUB_BUCKETS],
+            counts: Vec::new(),
             summary: Summary::new(),
             min: SimDuration::MAX,
             max: SimDuration::ZERO,
@@ -83,6 +89,9 @@ impl Histogram {
 
     /// Records one duration sample.
     pub fn record(&mut self, d: SimDuration) {
+        if self.counts.is_empty() {
+            self.counts = vec![0; BUCKETS * SUB_BUCKETS];
+        }
         self.counts[bucket_of(d.as_nanos())] += 1;
         self.summary.add(d.as_nanos() as f64);
         self.min = self.min.min(d);
@@ -134,8 +143,12 @@ impl Histogram {
 
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
+        if self.counts.is_empty() {
+            self.counts = other.counts.clone();
+        } else {
+            for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+                *a += b;
+            }
         }
         self.summary.merge(&other.summary);
         if other.count() > 0 {
@@ -236,6 +249,61 @@ mod tests {
         h.reset();
         assert_eq!(h.count(), 0);
         assert_eq!(h.max(), SimDuration::ZERO);
+    }
+
+    /// Every statistic of `h`, for comparing histograms whose bucket
+    /// arrays were allocated at different times.
+    fn stats(h: &Histogram) -> (u64, SimDuration, SimDuration, SimDuration, [SimDuration; 3]) {
+        let p = [0.0, 0.5, 1.0].map(|q| h.percentile(q));
+        (h.count(), h.mean(), h.min(), h.max(), p)
+    }
+
+    #[test]
+    fn buckets_are_allocated_by_the_first_sample() {
+        let mut h = Histogram::new();
+        assert!(h.counts.is_empty(), "a new histogram holds no buckets");
+        h.percentile(0.5);
+        h.merge(&Histogram::new());
+        h.reset();
+        assert!(
+            h.counts.is_empty(),
+            "reads, empty merges and resets allocate nothing"
+        );
+        h.record(SimDuration::from_micros(7));
+        let mut eager = Histogram::new();
+        eager.counts = vec![0; BUCKETS * SUB_BUCKETS];
+        eager.record(SimDuration::from_micros(7));
+        assert_eq!(stats(&h), stats(&eager));
+    }
+
+    #[test]
+    fn merge_with_an_empty_side_either_way() {
+        let mut full = Histogram::new();
+        for us in [3, 40, 900] {
+            full.record(SimDuration::from_micros(us));
+        }
+        let mut into_empty = Histogram::new();
+        into_empty.merge(&full);
+        assert_eq!(stats(&into_empty), stats(&full));
+        let mut from_empty = full.clone();
+        from_empty.merge(&Histogram::new());
+        assert_eq!(stats(&from_empty), stats(&full));
+        // A merged-into empty histogram keeps recording like any other.
+        into_empty.record(SimDuration::from_micros(5));
+        full.record(SimDuration::from_micros(5));
+        assert_eq!(stats(&into_empty), stats(&full));
+    }
+
+    #[test]
+    fn reset_after_records_matches_a_new_histogram() {
+        let mut h = Histogram::new();
+        h.record(SimDuration::from_millis(2));
+        h.reset();
+        assert_eq!(stats(&h), stats(&Histogram::new()));
+        h.record(SimDuration::from_micros(9));
+        let mut fresh = Histogram::new();
+        fresh.record(SimDuration::from_micros(9));
+        assert_eq!(stats(&h), stats(&fresh));
     }
 
     proptest! {

@@ -93,7 +93,7 @@ impl WorkloadProfile {
 /// profile's probabilities), an optional TLB shootdown, an optional
 /// sibling wakeup, the user-compute phase, one [`Segment::WorkUnit`], and
 /// — for workers with `block_every` — periodic [`Segment::Block`]s.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct ProfileProgram {
     profile: WorkloadProfile,
     layout: LockLayout,

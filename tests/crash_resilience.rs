@@ -11,7 +11,7 @@
 
 use experiments::runner::cost::{self, CostModel};
 use experiments::runner::pool::{self, Scope};
-use experiments::runner::{build, fail_text, run_cells, CellFailure, PolicyKind, RunOptions};
+use experiments::runner::{build, fail_text, run_cells, CellFailure, Grid, PolicyKind, RunOptions};
 use hypervisor::faults::KIND_SABOTAGE;
 use hypervisor::{FaultSpec, MachineConfig, SimError, VmSpec};
 use simcore::time::{SimDuration, SimTime};
@@ -109,23 +109,85 @@ fn sabotage_writes_an_artifact_whose_shrunk_spec_reproduces() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Failing cells stay failing under the invocation's cell memo:
-/// `compare` re-shows fig9's TCP cells and shares a budget with fig9,
-/// yet every cell of both experiments still fails on its own run, with
-/// its own flight recorder and a shrunk fault plan. A memo that cached
-/// failures would hand `compare` fig9's error without running a machine,
-/// leaving nothing to shrink ("shrink: not attempted").
-///
-/// Cells build from scratch (`fork: false`): a forked grid replays a
-/// failed warm-up to its group's other cells, which has the same
-/// no-shrink effect and would hide the one this test looks for.
+/// A cell that forks a stored warm-up and fails after it still gets a
+/// shrunk fault plan: the fork reports the plan its checkpoint carries to
+/// the cell's crash session, as building the machine would have.
+#[test]
+fn forked_cells_failing_after_the_warm_point_still_shrink() {
+    let dir = temp_dir("forked");
+    let spec = FaultSpec {
+        seed: 0xDEAD,
+        count: 8,
+        kinds: KIND_SABOTAGE,
+        window: SimDuration::from_millis(100),
+        take: 0,
+    };
+    let opts = RunOptions {
+        keep_going: true,
+        faults: Some(spec),
+        ..RunOptions::quick()
+    };
+    let scope = Arc::new(Scope::new("demo", &dir));
+    let budget = Arc::new(pool::Budget::new(1));
+    let cells = pool::with_budget(&budget, || {
+        pool::with_scope(&scope, || {
+            // Faults fire from 1 ms on, so the shared warm-up succeeds.
+            let grid = Grid::new(&opts, SimDuration::ZERO);
+            run_cells(
+                &opts,
+                2,
+                |i| format!("demo[{i}]"),
+                |_| {
+                    let mut m = grid.cell(&opts, small_scenario(), PolicyKind::Baseline.build())?;
+                    m.run_until(SimTime::from_millis(500))
+                        .map_err(CellFailure::Sim)
+                },
+            )
+        })
+    });
+    assert_eq!(
+        budget.store().stats().served,
+        1,
+        "one cell forks the other's warm-up"
+    );
+    for cell in &cells {
+        let e = cell.as_ref().expect_err("sabotage must fail the cell");
+        let artifact = e.artifact.as_ref().expect("a crash artifact is written");
+        let text = std::fs::read_to_string(artifact).expect("artifact readable");
+        assert!(
+            text.contains(" of 8 planned entries suffice to reproduce"),
+            "{}:\n{text}",
+            artifact.display()
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Failing cells stay failing under the invocation's cell memo and
+/// checkpoint store: `compare` re-shows fig9's TCP cells and shares a
+/// budget with fig9, yet every cell of both experiments still fails on
+/// its own run, with its own flight recorder and a shrunk fault plan. A
+/// memo or store that cached failures would hand `compare` fig9's error
+/// without running a machine, leaving nothing to shrink ("shrink: not
+/// attempted").
 #[test]
 fn memoized_suite_still_shrinks_and_replays_every_failure() {
-    let dir = temp_dir("memo");
+    suite_shrinks_and_replays_every_failure(false, "memo");
+}
+
+/// The same with forking on: cells fork the store's checkpoints, and a
+/// failing warm-up is rerun by each cell that needs it.
+#[test]
+fn forked_suite_still_shrinks_and_replays_every_failure() {
+    suite_shrinks_and_replays_every_failure(true, "memo_fork");
+}
+
+fn suite_shrinks_and_replays_every_failure(fork: bool, tag: &str) {
+    let dir = temp_dir(tag);
     let spec = FaultSpec::parse("count=8,seed=5,window_ms=300,kinds=sabotage").unwrap();
     let opts = RunOptions {
         keep_going: true,
-        fork: false,
+        fork,
         faults: Some(spec),
         ..RunOptions::quick()
     }
