@@ -90,12 +90,12 @@ fn bench_spinlock_contended(c: &mut Criterion) {
 /// Serial vs parallel experiment fan-out over a grid of short windows —
 /// the speedup `--jobs N` buys on a multi-core host.
 fn bench_parallel_fanout(c: &mut Criterion) {
-    use experiments::runner::{parallel, run_window, PolicyKind, RunOptions};
+    use experiments::runner::{pool, run_window, PolicyKind, RunOptions};
 
     let run_grid = |jobs: usize| {
         let opts = RunOptions::quick().with_jobs(jobs);
         let window = SimDuration::from_millis(100);
-        let totals = parallel::run_indexed(opts.jobs, 8, |i| {
+        let totals = pool::run_indexed(opts.jobs, 8, |i| {
             let w = [Workload::Exim, Workload::Gmake][i % 2];
             let policy = [PolicyKind::Baseline, PolicyKind::Fixed(1)][(i / 2) % 2];
             let (cfg, _) = scenarios::corun(w);
@@ -374,47 +374,9 @@ fn bench_counter_incr_mix(c: &mut Criterion) {
     });
 }
 
-/// Makespan of a fixed grid of sleep cells on 2 workers, FIFO admission
-/// vs a warm cost model's longest-estimated-first order. Cells sleep
-/// rather than compute, so the scheduling effect shows on any host core
-/// count: five 10 ms cells plus one 100 ms cell finish in ~120 ms when
-/// the long cell is claimed last (FIFO) and ~100 ms when the warm model
-/// front-loads it.
-fn bench_adaptive_admission(c: &mut Criterion) {
-    use experiments::runner::cost::{cell_key, CostModel, CostRecorder};
-    use experiments::runner::{parallel, pool};
-    use std::sync::Arc;
-
-    const CELL_MS: [u64; 6] = [10, 10, 10, 10, 10, 100];
-    let run_grid = || {
-        let order = parallel::run_indexed(2, CELL_MS.len(), |i| {
-            std::thread::sleep(std::time::Duration::from_millis(CELL_MS[i]));
-            i
-        });
-        std::hint::black_box(order)
-    };
-    c.bench_function("admission_fifo_makespan", |b| b.iter(run_grid));
-
-    let mut model = CostModel::default();
-    model.absorb(
-        &CELL_MS
-            .iter()
-            .enumerate()
-            .map(|(i, ms)| (cell_key("admission", 0, i), ms * 1_000_000))
-            .collect::<Vec<_>>(),
-    );
-    let model = Arc::new(model);
-    c.bench_function("admission_warm_makespan", |b| {
-        b.iter(|| {
-            let recorder = Arc::new(CostRecorder::default());
-            pool::with_costs("admission", &model, &recorder, run_grid)
-        })
-    });
-}
-
 criterion_group! {
     name = hotpaths;
     config = sim_criterion();
-    targets = bench_calibration, bench_event_queue, bench_spinlock_contended, bench_parallel_fanout, bench_runq_dispatch_scan, bench_segment_step, bench_rng, bench_histogram, bench_symbol_resolution, bench_sim_second, bench_machine_snapshot, bench_policy_ipi_wait_yield, bench_counter_incr_mix, bench_adaptive_admission
+    targets = bench_calibration, bench_event_queue, bench_spinlock_contended, bench_parallel_fanout, bench_runq_dispatch_scan, bench_segment_step, bench_rng, bench_histogram, bench_symbol_resolution, bench_sim_second, bench_machine_snapshot, bench_policy_ipi_wait_yield, bench_counter_incr_mix
 }
 criterion_main!(hotpaths);

@@ -2,9 +2,9 @@
 //!
 //! ```text
 //! repro [--quick] [--csv] [--seed N] [--jobs N] [--faults SPEC]
-//!       [--keep-going] [--paranoid] [--costs PATH|off] [--record-costs]
-//!       [--fork|--no-fork] [--watchdog SECS|off] [--artifacts DIR]
-//!       [--resume] [--ledger PATH] <experiment>...
+//!       [--keep-going] [--paranoid] [--fork|--no-fork]
+//!       [--watchdog SECS|off] [--artifacts DIR] [--resume]
+//!       [--ledger PATH] <experiment>...
 //! repro all
 //! repro cell <experiment> --cell B:I [--seed N] [--faults SPEC] ...
 //! repro --scenario FILE [options]
@@ -14,42 +14,31 @@
 //!
 //! `--scenario FILE` runs one declarative scenario file and
 //! `repro scenarios DIR` sweeps every `.toml` file in a directory
-//! (sorted by name) as one cost-ordered, fork-aware suite — scenario
-//! ids ride the exact same machinery as built-in experiments, so all
-//! of the flags below (and the byte-identity contract across `--jobs`,
-//! `--fork`, and cost-model state) apply unchanged. Every file is
-//! parsed *and* semantically validated before anything runs;
-//! `--check` stops there, reporting each file. The schema reference
-//! is `SCENARIOS.md`; `examples/scenarios/` is the cookbook.
+//! (sorted by name) as one fork-aware suite — scenario ids ride the
+//! exact same machinery as built-in experiments, so all of the flags
+//! below (and the byte-identity contract across `--jobs` and `--fork`)
+//! apply unchanged. Every file is parsed *and* semantically validated
+//! before anything runs; `--check` stops there, reporting each file.
+//! The schema reference is `SCENARIOS.md`; `examples/scenarios/` is the
+//! cookbook.
 //!
 //! `--jobs N` fans independent runs across N worker threads (default:
 //! available parallelism). The budget is *global*: with several
 //! experiments (e.g. `repro all`) each experiment runs on its own driver
 //! thread and cells from different experiments overlap, but at most N
-//! simulations execute at once across the whole suite. Output is
-//! byte-identical for every N — results collect in index order and
-//! experiments print in command-line order; `--jobs 1` also reproduces
-//! the serial execution order exactly. A cell that several experiments
-//! show (Figure 6's baseline and static-best cells are Figure 4/5 cells;
-//! `compare` re-checks six artifacts) is simulated once per invocation
-//! and shared, at every N.
-//!
-//! `--costs PATH` (default `COSTS.json`) loads persisted per-cell
-//! wall-clock records and admits cells **longest-estimated-first** across
-//! all queued experiments, so long cells cannot become the suite's tail;
-//! unrecorded cells use a grid-size heuristic, and a missing or corrupt
-//! file silently degrades to that heuristic. `--record-costs` folds this
-//! run's measured cell times back into the file (exponential moving
-//! average) and prints a per-experiment cost report to stderr.
-//! `--costs off` disables the model entirely (pure FIFO admission).
-//! Estimates steer only admission order, never results: stdout is
-//! byte-identical whichever model — warm, cold, or off — drives the run.
+//! simulations execute at once across the whole suite, admitted in
+//! arrival order. Output is byte-identical for every N — results collect
+//! in index order and experiments print in command-line order; `--jobs
+//! 1` also reproduces the serial execution order exactly. A cell that
+//! several experiments show (Figure 6's baseline and static-best cells
+//! are Figure 4/5 cells; `compare` re-checks six artifacts) is simulated
+//! once per invocation and shared, at every N.
 //!
 //! `--fork` (the default) enables shared-prefix execution: grid cells
 //! that share a scenario fork a once-simulated warm snapshot instead of
 //! each re-simulating the warm-up. `--no-fork` re-simulates every cell
-//! from scratch. Like the cost model, forking steers only how results
-//! are computed, never what they are: stdout is byte-identical either
+//! from scratch. Like `--jobs`, forking steers only how results are
+//! computed, never what they are: stdout is byte-identical either
 //! way (the warm prefix runs under the baseline policy in both modes and
 //! policies diverge only after the snapshot point).
 //!
@@ -72,9 +61,8 @@
 //! command.
 //!
 //! `--watchdog SECS` (default 60, `off` to disable) arms a wall-clock
-//! watchdog per cell: the deadline is `max(SECS, 8x the cell's estimated
-//! cost)` from the `--costs` model, a blown deadline cancels just that
-//! cell — rendered as a `HUNG` row — and the suite continues.
+//! watchdog of SECS per cell: a blown deadline cancels just that cell —
+//! rendered as a `HUNG` row — and the suite continues.
 //!
 //! `repro cell <experiment> --cell B:I` re-executes exactly one cell of
 //! one experiment (batch `B`, index `I`, as named by a crash artifact's
@@ -91,7 +79,6 @@
 //! ledger recorded under different options (seed, quick, faults, csv) is
 //! discarded, never replayed.
 
-use experiments::runner::cost::{render_report, CostModel, CostRecorder};
 use experiments::runner::ledger::{fnv64, RunLedger};
 use experiments::runner::pool::{self, Budget, Scope};
 use experiments::{run_experiment, RunOptions, ALL_EXPERIMENTS};
@@ -104,8 +91,8 @@ use std::time::{Duration, Instant};
 fn usage() -> ! {
     eprintln!(
         "usage: repro [--quick] [--csv] [--seed N] [--jobs N] [--faults SPEC] \
-         [--keep-going] [--paranoid] [--costs PATH|off] [--record-costs] \
-         [--fork|--no-fork] [--watchdog SECS|off] [--artifacts DIR] \
+         [--keep-going] [--paranoid] [--fork|--no-fork] \
+         [--watchdog SECS|off] [--artifacts DIR] \
          [--resume] [--ledger PATH] <experiment>... | all | list"
     );
     eprintln!("       repro cell <experiment> --cell B:I [options]");
@@ -124,8 +111,6 @@ fn default_jobs() -> usize {
 fn main() {
     let mut opts = RunOptions::default().with_jobs(default_jobs());
     let mut csv = false;
-    let mut costs_path: Option<PathBuf> = Some(PathBuf::from("COSTS.json"));
-    let mut record_costs = false;
     let mut artifacts = PathBuf::from("crash");
     let mut watchdog: Option<Duration> = Some(Duration::from_secs(60));
     let mut cell_mode = false;
@@ -159,11 +144,6 @@ fn main() {
                     }
                 }
             }
-            "--costs" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                costs_path = (v != "off").then(|| PathBuf::from(v));
-            }
-            "--record-costs" => record_costs = true,
             "--keep-going" => opts.keep_going = true,
             "--paranoid" => opts.paranoid = true,
             "--fork" => opts.fork = true,
@@ -285,12 +265,8 @@ fn main() {
     if ledger_flag && !resume {
         eprintln!("--ledger has no effect without --resume");
     }
-    if record_costs && costs_path.is_none() {
-        eprintln!("--record-costs has no effect with --costs off");
-        record_costs = false;
-    }
     // The run ledger is keyed by every option that can change stdout
-    // bytes. Scheduling knobs (--jobs, --fork, --costs) are deliberately
+    // bytes. Scheduling knobs (--jobs, --fork) are deliberately
     // absent: stdout is byte-identical across them by contract, so a
     // ledger recorded under one is safe to replay under another.
     let ledger: Option<RunLedger> = resume.then(|| {
@@ -307,34 +283,10 @@ fn main() {
         );
         RunLedger::open(&ledger_path, fingerprint)
     });
-    // The cost model is advisory: a missing/corrupt file loads empty and
-    // unrecorded cells fall back to the grid-size heuristic. Quick and
-    // full budgets record under distinct keys — their cells cost ~4x
-    // apart, and mixing them would whipsaw the averages.
-    let cost_setup: Option<(Arc<CostModel>, Arc<CostRecorder>)> = costs_path.as_ref().map(|p| {
-        (
-            Arc::new(CostModel::load(p)),
-            Arc::new(CostRecorder::default()),
-        )
-    });
-    // Cost-model keys carry the budget knobs that change cell wall-clock
-    // by integer factors: quick cells cost ~4x less, forked cells skip
-    // the warm prefix. Keys only steer admission order, so the suffixes
-    // never reach stdout.
-    let experiment_label = |id: &str| {
-        let mut label = id.to_string();
-        if opts.quick {
-            label.push_str("@quick");
-        }
-        if opts.fork {
-            label.push_str("@fork");
-        }
-        label
-    };
-    // Every experiment run goes through this wrapper so cost-ordered
-    // admission, cost recording, and the crash-resilience scope (crash
-    // artifacts, watchdogs, the `repro cell` filter) apply uniformly to
-    // the streamed fan-out and the serial loop.
+    // Every experiment run goes through this wrapper so the
+    // crash-resilience scope (crash artifacts, watchdogs, the `repro
+    // cell` filter) applies uniformly to the streamed fan-out and the
+    // serial loop.
     let run_one = |id: &str| -> (Vec<Table>, Arc<Scope>) {
         let mut scope = Scope::new(id, &artifacts);
         if let Some(floor) = watchdog {
@@ -343,17 +295,9 @@ fn main() {
         if let Some((b, i)) = cell_filter {
             scope = scope.with_filter(b, i);
         }
-        if let Some((model, _)) = &cost_setup {
-            scope = scope.with_cost_model(&experiment_label(id), Arc::clone(model));
-        }
         let scope = Arc::new(scope);
-        let tables = pool::with_scope(&scope, || match &cost_setup {
-            Some((model, recorder)) => {
-                pool::with_costs(&experiment_label(id), model, recorder, || {
-                    run_experiment(id, &opts).expect("ids validated above")
-                })
-            }
-            None => run_experiment(id, &opts).expect("ids validated above"),
+        let tables = pool::with_scope(&scope, || {
+            run_experiment(id, &opts).expect("ids validated above")
         });
         (tables, scope)
     };
@@ -394,18 +338,6 @@ fn main() {
             let scope = emit(id, out, started.elapsed(), csv, ledger.as_ref());
             if cell_mode {
                 cell_scope = scope;
-            }
-        }
-    }
-    if record_costs {
-        if let (Some((model, recorder)), Some(path)) = (&cost_setup, &costs_path) {
-            let observations = recorder.take();
-            eprint!("{}", render_report(model, &observations));
-            let mut merged = (**model).clone();
-            merged.absorb(&observations);
-            match merged.save(path) {
-                Ok(()) => eprintln!("cost model: {} cells -> {}", merged.len(), path.display()),
-                Err(e) => eprintln!("cost model: could not write {}: {e}", path.display()),
             }
         }
     }

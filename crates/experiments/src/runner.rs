@@ -1,9 +1,7 @@
 //! Shared experiment machinery: policies, run options, and drivers.
 
-pub mod cost;
 pub mod grid;
 pub mod ledger;
-pub mod parallel;
 pub mod pool;
 pub mod store;
 
@@ -87,7 +85,7 @@ pub struct RunOptions {
     /// Worker threads for fanning out independent runs. `1` (the default
     /// here) executes serially on the calling thread in today's exact
     /// order; any value produces byte-identical results — see
-    /// [`parallel`].
+    /// [`pool`].
     pub jobs: usize,
     /// Run [`Machine::check_invariants`] on every accounting tick.
     /// Validation only: enabling it never changes simulation output.
@@ -281,19 +279,18 @@ where
     F: Fn(usize) -> CellResult<T> + Sync,
 {
     let scope = pool::current_scope();
-    // Claimed on the driver thread in program order, exactly like
-    // `CostContext::plan_batch`, so a cell's `batch:index` coordinate is
-    // stable across runs, job counts, and admission orders — that is
-    // what makes `repro cell --cell B:I` replays well-defined.
+    // Claimed on the driver thread in program order, so a cell's
+    // `batch:index` coordinate is stable across runs and job counts —
+    // that is what makes `repro cell --cell B:I` replays well-defined.
     let batch = scope.as_ref().map(|s| s.claim_batch());
-    let out: Vec<Result<T, CellError>> = parallel::run_indexed(opts.jobs, n, |i| {
+    let out: Vec<Result<T, CellError>> = pool::run_indexed(opts.jobs, n, |i| {
         let guarded = || {
             catch_unwind(AssertUnwindSafe(|| f(i)))
                 .unwrap_or_else(|p| Err(CellFailure::Panic(panic_text(p))))
         };
         match (&scope, batch) {
             (Some(scope), Some(batch)) => {
-                run_cell_scoped(scope, opts, batch, i, n, &label(i), &guarded)
+                run_cell_scoped(scope, opts, batch, i, &label(i), &guarded)
             }
             _ => guarded().map_err(|failure| CellError::bare(label(i), failure)),
         }
@@ -371,7 +368,6 @@ fn run_cell_scoped<T>(
     opts: &RunOptions,
     batch: usize,
     i: usize,
-    n: usize,
     label: &str,
     run: &dyn Fn() -> CellResult<T>,
 ) -> Result<T, CellError> {
@@ -381,7 +377,7 @@ fn run_cell_scoped<T>(
         }
         scope.note_matched();
     }
-    let deadline = scope.deadline_for(batch, i, n);
+    let deadline = scope.watchdog();
     let attempt = || {
         crash::with_session(|| match deadline {
             Some(d) => simcore::watchdog::with_deadline(Instant::now() + d, run),
@@ -602,12 +598,9 @@ pub fn run_window(
 ) -> CellResult<Machine> {
     let shared = pool::current_store().filter(|_| policy == PolicyKind::Baseline);
     let keyed = store::keyed(shared.as_ref(), opts, &scenario);
-    let (m, simulated) = store::trajectory_at(&keyed, None, SimTime::ZERO + window, || {
+    let m = store::trajectory_at(&keyed, None, SimTime::ZERO + window, || {
         build(opts, scenario, policy)
     })?;
-    if !simulated {
-        pool::note_served();
-    }
     Ok(store::owned(m))
 }
 

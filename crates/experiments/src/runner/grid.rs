@@ -63,17 +63,17 @@ impl Grid {
     }
 
     /// `scenario` at the warm point under the base policy, with its place
-    /// in the store and whether the call simulated.
+    /// in the store.
     fn warm(
         &self,
         opts: &RunOptions,
         scenario: (MachineConfig, Vec<VmSpec>),
-    ) -> CellResult<(Keyed<'_>, Arc<Machine>, bool)> {
+    ) -> CellResult<(Keyed<'_>, Arc<Machine>)> {
         let keyed = store::keyed(Some(&self.store), opts, &scenario);
-        let (warm, simulated) = store::trajectory_at(&keyed, None, self.warm_until, || {
+        let warm = store::trajectory_at(&keyed, None, self.warm_until, || {
             build_with(opts, scenario, Box::new(BaselinePolicy))
         })?;
-        Ok((keyed, warm, simulated))
+        Ok((keyed, warm))
     }
 
     /// Produces the runnable machine for one cell: warmed to
@@ -86,7 +86,7 @@ impl Grid {
         scenario: (MachineConfig, Vec<VmSpec>),
         policy: Box<dyn SchedPolicy>,
     ) -> CellResult<Machine> {
-        let (_, warm, _) = self.warm(opts, scenario)?;
+        let (_, warm) = self.warm(opts, scenario)?;
         let mut m = store::owned(warm);
         m.set_policy(policy);
         Ok(m)
@@ -105,7 +105,7 @@ impl Grid {
         policy: impl Into<CellPolicy>,
         window: SimDuration,
     ) -> CellResult<(Arc<Machine>, Arc<Machine>)> {
-        let (keyed, warm, warm_simulated) = self.warm(opts, scenario)?;
+        let (keyed, warm) = self.warm(opts, scenario)?;
         // Installing the stateless base policy changes nothing, so a
         // baseline window stays on the baseline trajectory.
         let (keyed, diverge, policy) = match policy.into() {
@@ -116,15 +116,11 @@ impl Grid {
             ),
             CellPolicy::Custom(policy) => (None, None, policy),
         };
-        let (end, simulated) =
-            store::trajectory_at(&keyed, diverge, self.warm_until + window, || {
-                let mut m = warm.fork();
-                m.set_policy(policy);
-                m
-            })?;
-        if !warm_simulated && !simulated {
-            pool::note_served();
-        }
+        let end = store::trajectory_at(&keyed, diverge, self.warm_until + window, || {
+            let mut m = warm.fork();
+            m.set_policy(policy);
+            m
+        })?;
         Ok((warm, end))
     }
 }

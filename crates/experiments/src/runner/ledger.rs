@@ -28,10 +28,10 @@
 //! end fig4
 //! ```
 //!
-//! Like `COSTS.json`, the ledger is advisory state keyed by a config
-//! fingerprint: opening it under different options (seed, quick, faults,
-//! csv...) discards it and starts fresh, because recorded bytes from a
-//! different configuration would be wrong to replay.
+//! The ledger is advisory state keyed by a config fingerprint: opening
+//! it under different options (seed, quick, faults, csv...) discards it
+//! and starts fresh, because recorded bytes from a different
+//! configuration would be wrong to replay.
 
 use std::collections::BTreeMap;
 use std::io::Write as _;

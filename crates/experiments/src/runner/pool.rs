@@ -1,42 +1,29 @@
-//! Cross-experiment fan-out: one global `--jobs` budget for the whole
-//! suite, with cost-ordered admission.
+//! Fan-out: one global `--jobs` budget for the whole suite, admitted in
+//! arrival order.
 //!
-//! [`parallel::run_indexed`](super::parallel::run_indexed) fans the cells
-//! of *one* experiment across workers. Driving `repro all` through it
-//! serially leaves a gap: the tail of each experiment idles most workers
-//! (grids rarely divide evenly), and single-cell batches hold the whole
-//! suite hostage. This module lifts the fan-out one level: every
-//! experiment runs on its own driver thread, and a single global
-//! [`Budget`] of `--jobs` permits gates *cell* execution across all of
-//! them — cells from different experiments overlap, but never more than
-//! `--jobs` simulations run at once.
-//!
-//! Admission is cost-ordered, not FIFO. Waiters queue with a priority —
-//! their cell's estimated wall-clock from the persisted
-//! [`CostModel`] — and each freed permit goes to
-//! the **longest-estimated pending cell across every queued experiment**
-//! (ties admit in arrival order). The effect is work-stealing along the
-//! critical path: the moment one experiment's workers idle (its grid
-//! drained), their permits are re-granted to whichever other experiment
-//! holds the longest outstanding cells, so long cells start early instead
-//! of becoming the suite's tail. Drivers install the estimates via
-//! [`with_costs`]; without a cost context every waiter has priority 0 and
-//! the budget degrades to plain FIFO.
+//! Every experiment is a grid of independent `(scenario, policy, seed)`
+//! cells. [`run_indexed`] fans one grid's cells across worker threads;
+//! [`run_streamed`] runs each experiment of a suite on its own driver
+//! thread. A single [`Budget`] of `--jobs` permits gates *cell* execution
+//! across all of them: cells from different experiments overlap, but
+//! never more than `--jobs` simulations run at once. Permits go to
+//! waiters strictly in arrival order (DESIGN.md §4.6 records why no
+//! smarter order is kept).
 //!
 //! Determinism is untouched by construction. The budget only decides
 //! *when* a cell runs, never *what* it computes: each cell is a pure
-//! function of its grid index (see [`parallel`](super::parallel)), each
-//! batch still collects results in index order, and [`run_streamed`]
-//! commits whole experiments in submission order. `repro all --jobs N`
-//! is byte-identical on stdout for every `N` — and for every cost model,
-//! warm, cold, or absent (`tests/determinism.rs` holds both).
+//! function of its grid index (its RNG seeds come from
+//! [`RunOptions::seed_for`] and the experiment's options, never from
+//! worker identity or wall-clock), each batch collects results in index
+//! order, and [`run_streamed`] commits whole experiments in submission
+//! order. `repro all --jobs N` is byte-identical on stdout for every `N`
+//! (`tests/determinism.rs`).
 //!
 //! The machinery is permit-based rather than a single type-erased job
 //! queue: experiment closures borrow their grids and options from the
-//! driver's stack, so handing them to long-lived pool workers would need
-//! `'static` erasure. Gating the existing scoped workers with a shared
-//! priority semaphore gives the same schedule envelope with no `unsafe`
-//! and no new dependencies.
+//! driver's stack, and [`std::thread::scope`] lets workers borrow them
+//! without `'static` bounds. `Machine`s live and die inside one cell, so
+//! they need no `Send` bound.
 //!
 //! A budget also carries the invocation's **cell memo** ([`memo`]):
 //! experiments show the same co-run configurations several ways (Figure
@@ -51,111 +38,34 @@
 //! simulating it again. Memo and store live and die with their `Budget`;
 //! nothing is process-global.
 
-use super::cost::{self, BatchPlan, CostModel, CostRecorder};
 use super::store::CheckpointStore;
 use super::RunOptions;
-use hypervisor::pcpu::first_rank_above;
 use std::any::Any;
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
-/// A queued admission request's packed key: `(priority << 64) | !seq`.
-///
-/// Admission order is "highest estimated cost first, ties to the earlier
-/// arrival", which under this packing is simply the *largest* key: the
-/// priority occupies the high bits, and complementing the sequence
-/// number makes earlier arrivals larger within a priority. Keys are
-/// unique (`seq` is unique), so a waiter can recognize itself at the
-/// head by key equality alone.
-type TicketKey = u128;
-
-/// The pending-waiter queue: two parallel ascending arrays, best ticket
-/// at the end.
-///
-/// The same structure-of-arrays discipline as the pCPU run queues
-/// ([`hypervisor::pcpu`]): a dense `Vec<u8>` of coarse priority ranks —
-/// the bit length of the priority, a monotone compression of the cost
-/// estimate into one byte — rides in front of the full 128-bit keys.
-/// An insert scans the rank bytes with the shared
-/// [`first_rank_above`] SWAR probe (eight waiters per step) and only
-/// falls back to comparing full keys inside the one rank bucket the
-/// ticket lands in; admission itself is a `Vec::pop`. Queues here are
-/// "every blocked driver thread in the suite" — dozens under a `repro
-/// all --jobs 2` run — so the word-at-a-time scan is the same win it is
-/// in the dispatch path, and the arrays stay cache-dense where the old
-/// binary heap chased sparse sift paths.
-#[derive(Debug, Default)]
-struct TicketQueue {
-    /// Bit length of each ticket's priority (0..=64, always < 0x7f, the
-    /// SWAR probe's operand bound), ascending in lockstep with `keys`.
-    coarse: Vec<u8>,
-    /// Packed `(priority, !seq)` keys, ascending; best at the end.
-    keys: Vec<TicketKey>,
-}
-
-impl TicketQueue {
-    fn pack(priority: u64, seq: u64) -> TicketKey {
-        ((priority as TicketKey) << 64) | (!seq) as TicketKey
-    }
-
-    /// Queue a ticket, keeping both arrays sorted.
-    fn push(&mut self, priority: u64, seq: u64) {
-        let rank = (64 - priority.leading_zeros()) as u8;
-        let key = Self::pack(priority, seq);
-        // SWAR scan to the end of this rank's bucket, then refine
-        // backwards by full key — the bucket is the only region where
-        // rank alone cannot order the ticket.
-        let mut i = first_rank_above(&self.coarse, rank);
-        while i > 0 && self.keys[i - 1] > key {
-            i -= 1;
-        }
-        self.coarse.insert(i, rank);
-        self.keys.insert(i, key);
-    }
-
-    /// The best pending ticket's key (highest priority, earliest
-    /// arrival), if any waiter is queued.
-    fn best(&self) -> Option<TicketKey> {
-        self.keys.last().copied()
-    }
-
-    /// Remove the best ticket. Callers only dequeue themselves after
-    /// matching [`best`](Self::best) against their own key.
-    fn pop_best(&mut self) {
-        self.coarse.pop();
-        self.keys.pop();
-    }
-
-    fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-}
-
+/// The budget's ticket counters.
 #[derive(Debug)]
-struct BudgetState {
-    permits: usize,
-    waiters: TicketQueue,
-    next_seq: u64,
+struct Tickets {
+    /// Tickets issued: the next arrival's ticket.
+    issued: u64,
+    /// Permits returned.
+    released: u64,
 }
 
 /// A counting semaphore bounding how many experiment cells run at once
-/// across every in-flight experiment, admitting waiters
-/// longest-estimated-first (see [`Budget::acquire_ordered`]), plus the
-/// cell memo (see [`memo`]) and checkpoint store (see
+/// across every in-flight experiment, admitting waiters in arrival
+/// order, plus the cell memo (see [`memo`]) and checkpoint store (see
 /// [`store`](super::store)) those cells share.
 #[derive(Debug)]
 pub struct Budget {
-    state: Mutex<BudgetState>,
-    available: Condvar,
+    permits: u64,
+    tickets: Mutex<Tickets>,
+    freed: Condvar,
     memo: CellMemo,
     store: Arc<CheckpointStore>,
 }
@@ -165,12 +75,12 @@ impl Budget {
     /// zero-permit budget would deadlock the first acquirer).
     pub fn new(permits: usize) -> Self {
         Budget {
-            state: Mutex::new(BudgetState {
-                permits: permits.max(1),
-                waiters: TicketQueue::default(),
-                next_seq: 0,
+            permits: permits.max(1) as u64,
+            tickets: Mutex::new(Tickets {
+                issued: 0,
+                released: 0,
             }),
-            available: Condvar::new(),
+            freed: Condvar::new(),
             memo: CellMemo::default(),
             store: Arc::default(),
         }
@@ -181,58 +91,40 @@ impl Budget {
         &self.store
     }
 
-    fn lock(&self) -> MutexGuard<'_, BudgetState> {
+    fn lock(&self) -> MutexGuard<'_, Tickets> {
         // A panicking cell never holds this lock (permits are held across
-        // `f(i)`, the lock only around the counter update), so poison is
-        // spurious; recover rather than cascade.
-        self.state
+        // the cell, the lock only around the counter update), so poison
+        // is spurious; recover rather than cascade.
+        self.tickets
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    /// Blocks until a permit is free and takes it, FIFO among priority-0
-    /// waiters. Equivalent to [`acquire_ordered`](Self::acquire_ordered)
-    /// with priority 0.
+    /// Blocks until a permit is free and takes it. Waiters are admitted
+    /// in arrival order: the `t`-th caller holds a permit once `t` is
+    /// below the number of permits returned plus the budget's size. The
+    /// permit returns to the pool when the guard drops — including on
+    /// unwind, so a panicking cell cannot leak the suite's concurrency.
     pub fn acquire(&self) -> BudgetGuard<'_> {
-        self.acquire_ordered(0)
-    }
-
-    /// Blocks until a permit is free *and* no pending waiter outranks
-    /// `priority` (estimated cell cost in ns), then takes the permit.
-    /// Permits therefore always go to the longest-estimated pending cell
-    /// suite-wide; equal priorities admit in arrival order, so a fixed
-    /// cost model gives a fixed admission discipline. The permit returns
-    /// to the pool when the guard drops — including on unwind, so a
-    /// panicking cell cannot leak the suite's concurrency.
-    pub fn acquire_ordered(&self, priority: u64) -> BudgetGuard<'_> {
-        let mut st = self.lock();
-        let seq = st.next_seq;
-        st.next_seq += 1;
-        let ticket = TicketQueue::pack(priority, seq);
-        st.waiters.push(priority, seq);
-        loop {
-            if st.permits > 0 && st.waiters.best() == Some(ticket) {
-                st.waiters.pop_best();
-                st.permits -= 1;
-                if st.permits > 0 && !st.waiters.is_empty() {
-                    // Permits remain for the next-ranked waiter; wake the
-                    // herd so the new head can claim one.
-                    self.available.notify_all();
-                }
-                return BudgetGuard { budget: self };
-            }
-            st = self
-                .available
-                .wait(st)
+        let mut tickets = self.lock();
+        let ticket = tickets.issued;
+        tickets.issued += 1;
+        while ticket >= tickets.released + self.permits {
+            tickets = self
+                .freed
+                .wait(tickets)
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
         }
+        BudgetGuard { budget: self }
     }
 
-    /// How many admission requests are currently queued waiting for a
-    /// permit. Diagnostic only — the count is stale the moment the lock
-    /// drops; tests use it to wait for contention to build up.
-    pub fn queued_waiters(&self) -> usize {
-        self.lock().waiters.len()
+    /// Tickets issued but not yet admitted.
+    #[cfg(test)]
+    fn waiting(&self) -> u64 {
+        let tickets = self.lock();
+        tickets
+            .issued
+            .saturating_sub(tickets.released + self.permits)
     }
 }
 
@@ -244,10 +136,10 @@ pub struct BudgetGuard<'a> {
 
 impl Drop for BudgetGuard<'_> {
     fn drop(&mut self) {
-        self.budget.lock().permits += 1;
-        // The condvar cannot target the top-ranked waiter, so wake them
-        // all; each re-checks rank under the lock.
-        self.budget.available.notify_all();
+        self.budget.lock().released += 1;
+        // The condvar cannot target the next ticket's holder, so wake
+        // every waiter; each re-checks its ticket under the lock.
+        self.budget.freed.notify_all();
     }
 }
 
@@ -295,7 +187,6 @@ impl CellMemo {
         loop {
             match slots.get(&key) {
                 Some(Slot::Ready(value)) => {
-                    note_served();
                     return Ok(value
                         .downcast_ref::<T>()
                         .expect("each memo key maps to one value type")
@@ -349,12 +240,8 @@ impl Drop for Settle<'_> {
 thread_local! {
     static ACTIVE: RefCell<Option<Arc<Budget>>> = const { RefCell::new(None) };
     static MEMO: RefCell<Option<Arc<Budget>>> = const { RefCell::new(None) };
-    static COSTS: RefCell<Option<Rc<CostContext>>> = const { RefCell::new(None) };
     static SCOPE: RefCell<Option<Arc<Scope>>> = const { RefCell::new(None) };
     static STORE: RefCell<Option<Arc<CheckpointStore>>> = const { RefCell::new(None) };
-    /// Set when a memo point or the checkpoint store hands this thread a
-    /// stored value; reset and read per cell by [`in_cell`].
-    static SERVED: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Runs `f` with the thread-local `slot` holding `value`, restoring the
@@ -430,39 +317,72 @@ where
     budget.memo.get_or_compute(key, || with_tls(&MEMO, None, f))
 }
 
-/// Runs one fan-out cell `f` with `memo`'s cell memo and `store` visible
-/// and no permit budget installed. The cell already holds its permit: a
-/// fan-out nested inside it must not queue for a second one (under a
-/// one-permit budget that wait would never end), while the cell's memo
-/// points and checkpoints still share results with the rest of the
-/// invocation.
+/// Runs `f(0), f(1), …, f(n - 1)` across up to `jobs` worker threads and
+/// returns the results in index order.
 ///
-/// Also returns whether the cell was served a stored value (see
-/// [`note_served`]). Such a cell simulated little or nothing, so its
-/// wall-clock is not its cost and must not reach the cost model.
-pub(super) fn in_cell<R>(
-    memo: Option<&Arc<Budget>>,
-    store: Option<&Arc<CheckpointStore>>,
-    f: impl FnOnce() -> R,
-) -> (R, bool) {
-    let outer = SERVED.with(|served| served.replace(false));
-    let out = with_tls(&ACTIVE, None, || {
-        with_tls(&MEMO, memo.cloned(), || with_tls(&STORE, store.cloned(), f))
+/// Workers claim indices from one shared counter, so uneven cells
+/// balance themselves. With `jobs <= 1` (or fewer than two items) this is
+/// exactly the serial loop `(0..n).map(f).collect()` on the calling
+/// thread. Each cell takes one permit from the calling thread's
+/// [`Budget`], if it has one, and sees that budget's cell memo and
+/// checkpoint store but no permit budget: the cell already holds its
+/// permit, so a fan-out nested inside it must not queue for a second one
+/// (under a one-permit budget that wait would never end). Panics in `f`
+/// propagate to the caller.
+///
+/// # Examples
+///
+/// ```
+/// use experiments::runner::pool::run_indexed;
+///
+/// let squares = run_indexed(4, 10, |i| i * i);
+/// assert_eq!(squares, (0..10).map(|i| i * i).collect::<Vec<_>>());
+/// ```
+pub fn run_indexed<T, F>(jobs: usize, n: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let (budget, memo, store) = (current_budget(), current_memo(), current_store());
+    let cell = |i: usize| {
+        let _permit = budget.as_ref().map(|b| b.acquire());
+        // Worker threads start with no pool state.
+        with_tls(&ACTIVE, None, || {
+            with_tls(&MEMO, memo.clone(), || {
+                with_tls(&STORE, store.clone(), || f(i))
+            })
+        })
+    };
+    if jobs <= 1 || n <= 1 {
+        return (0..n).map(cell).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let mut tagged: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..jobs.min(n))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut out = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break out;
+                        }
+                        out.push((i, cell(i)));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
     });
-    // A cell nested on this thread marks the cell around it too.
-    let served = SERVED.with(|served| served.replace(outer || served.get()));
-    (out, served)
-}
-
-/// Marks the running cell as served: a memo point handed it a stored
-/// value, or the checkpoint store handed it its final machine without
-/// simulating.
-pub(super) fn note_served() {
-    SERVED.with(|served| served.set(true));
+    tagged.sort_unstable_by_key(|&(i, _)| i);
+    tagged.into_iter().map(|(_, v)| v).collect()
 }
 
 /// The budget whose cell memo is visible on the calling thread, if any.
-pub(super) fn current_memo() -> Option<Arc<Budget>> {
+fn current_memo() -> Option<Arc<Budget>> {
     MEMO.with(|slot| slot.borrow().clone())
 }
 
@@ -471,13 +391,6 @@ pub(super) fn current_memo() -> Option<Arc<Budget>> {
 pub(super) fn current_store() -> Option<Arc<CheckpointStore>> {
     STORE.with(|slot| slot.borrow().clone())
 }
-
-/// Multiplier over a cell's estimated wall-clock when deriving its
-/// watchdog deadline: generous enough that honest variance (cold caches,
-/// host preemption, a debug build) never trips it, tight enough that a
-/// livelocked cell is cancelled within one order of magnitude of its
-/// budget.
-pub const WATCHDOG_COST_FACTOR: u32 = 8;
 
 /// One experiment run's crash-resilience context: where crash artifacts
 /// go, whether cells get wall-clock watchdogs, and (for `repro cell`
@@ -491,10 +404,8 @@ pub const WATCHDOG_COST_FACTOR: u32 = 8;
 pub struct Scope {
     experiment: String,
     artifacts_dir: PathBuf,
-    watchdog_floor: Option<Duration>,
+    watchdog: Option<Duration>,
     filter: Option<(usize, usize)>,
-    cost_label: String,
-    model: Option<Arc<CostModel>>,
     batches: AtomicUsize,
     matched: AtomicBool,
     failed: AtomicBool,
@@ -508,20 +419,17 @@ impl Scope {
         Scope {
             experiment: experiment.to_string(),
             artifacts_dir: dir.to_path_buf(),
-            watchdog_floor: None,
+            watchdog: None,
             filter: None,
-            cost_label: experiment.to_string(),
-            model: None,
             batches: AtomicUsize::new(0),
             matched: AtomicBool::new(false),
             failed: AtomicBool::new(false),
         }
     }
 
-    /// Arms per-cell watchdogs: each cell's deadline is
-    /// `max(floor, WATCHDOG_COST_FACTOR x its estimated wall-clock)`.
-    pub fn with_watchdog(mut self, floor: Duration) -> Self {
-        self.watchdog_floor = Some(floor);
+    /// Arms per-cell watchdogs: each cell gets `deadline` of wall-clock.
+    pub fn with_watchdog(mut self, deadline: Duration) -> Self {
+        self.watchdog = Some(deadline);
         self
     }
 
@@ -529,14 +437,6 @@ impl Scope {
     /// cell is reported as [`CellFailure::Skipped`](super::CellFailure).
     pub fn with_filter(mut self, batch: usize, index: usize) -> Self {
         self.filter = Some((batch, index));
-        self
-    }
-
-    /// Uses `model` (keyed under `cost_label`, which may carry `@quick` /
-    /// `@fork` suffixes) for watchdog deadline estimates.
-    pub fn with_cost_model(mut self, cost_label: &str, model: Arc<CostModel>) -> Self {
-        self.cost_label = cost_label.to_string();
-        self.model = Some(model);
         self
     }
 
@@ -555,26 +455,17 @@ impl Scope {
         self.filter
     }
 
-    /// Claims the next batch sequence number. Called once per
-    /// [`run_cells`](super::run_cells) invocation on the driver thread,
-    /// in program order — the same discipline as
-    /// [`CostContext::plan_batch`], so the two counters agree and cell
-    /// coordinates are stable across runs and job counts.
-    pub fn claim_batch(&self) -> usize {
-        self.batches.fetch_add(1, Ordering::Relaxed)
+    /// Each cell's wall-clock deadline, or `None` when watchdogs are off.
+    pub fn watchdog(&self) -> Option<Duration> {
+        self.watchdog
     }
 
-    /// The watchdog budget for cell `index` of an `n`-cell batch
-    /// `batch`, or `None` when watchdogs are off.
-    pub fn deadline_for(&self, batch: usize, index: usize, n: usize) -> Option<Duration> {
-        let floor = self.watchdog_floor?;
-        let est_ns = match &self.model {
-            Some(m) => m.estimate(&cost::cell_key(&self.cost_label, batch, index), n),
-            None => cost::heuristic_estimate(n),
-        };
-        Some(floor.max(Duration::from_nanos(
-            est_ns.saturating_mul(WATCHDOG_COST_FACTOR as u64),
-        )))
+    /// Claims the next batch sequence number. Called once per
+    /// [`run_cells`](super::run_cells) invocation on the driver thread,
+    /// in program order, so cell coordinates are stable across runs and
+    /// job counts.
+    pub fn claim_batch(&self) -> usize {
+        self.batches.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Marks that the filtered cell was reached (no-op without a filter).
@@ -612,11 +503,11 @@ pub fn current_scope() -> Option<Arc<Scope>> {
 }
 
 /// Runs `f` with `budget` installed as this thread's active budget:
-/// every [`run_indexed`](super::parallel::run_indexed) batch started
-/// under it acquires a permit per cell instead of running unthrottled,
-/// and every [`memo`] point and checkpoint reached under it shares the
-/// budget's cell memo and checkpoint store. The previous budget
-/// (normally none) is restored afterwards, even if `f` unwinds.
+/// every [`run_indexed`] batch started under it acquires a permit per
+/// cell instead of running unthrottled, and every [`memo`] point and
+/// checkpoint reached under it shares the budget's cell memo and
+/// checkpoint store. The previous budget (normally none) is restored
+/// afterwards, even if `f` unwinds.
 pub fn with_budget<R>(budget: &Arc<Budget>, f: impl FnOnce() -> R) -> R {
     with_tls(&ACTIVE, Some(budget.clone()), || {
         with_tls(&MEMO, Some(budget.clone()), || {
@@ -628,61 +519,6 @@ pub fn with_budget<R>(budget: &Arc<Budget>, f: impl FnOnce() -> R) -> R {
 /// The budget installed on the calling thread, if any.
 pub fn current_budget() -> Option<Arc<Budget>> {
     ACTIVE.with(|slot| slot.borrow().clone())
-}
-
-/// One driver's cost-scheduling state: which experiment it is running,
-/// the shared read-only [`CostModel`] snapshot estimates come from, the
-/// shared [`CostRecorder`] observations go to, and a counter assigning
-/// each fan-out batch its stable sequence number.
-#[derive(Debug)]
-pub struct CostContext {
-    experiment: String,
-    model: Arc<CostModel>,
-    recorder: Arc<CostRecorder>,
-    batches: Cell<usize>,
-}
-
-impl CostContext {
-    /// Builds the admission plan for the next batch of `n` cells,
-    /// consuming one batch sequence number. Called once per
-    /// [`run_indexed`](super::parallel::run_indexed) invocation on the
-    /// driver thread, in program order, so cell keys are stable across
-    /// runs and job counts.
-    pub fn plan_batch(&self, n: usize) -> BatchPlan {
-        let batch = self.batches.get();
-        self.batches.set(batch + 1);
-        self.model.plan_batch(&self.experiment, batch, n)
-    }
-
-    /// The shared observation sink (cloned into worker threads).
-    pub fn recorder(&self) -> Arc<CostRecorder> {
-        self.recorder.clone()
-    }
-}
-
-/// Runs `f` with a cost context installed on this thread: batches started
-/// under it are admitted longest-estimated-first per `model` and report
-/// their wall-clock into `recorder` under `experiment`-prefixed cell
-/// keys. The previous context is restored afterwards, even if `f`
-/// unwinds. Composes with [`with_budget`]; either works alone.
-pub fn with_costs<R>(
-    experiment: &str,
-    model: &Arc<CostModel>,
-    recorder: &Arc<CostRecorder>,
-    f: impl FnOnce() -> R,
-) -> R {
-    let ctx = Rc::new(CostContext {
-        experiment: experiment.to_string(),
-        model: model.clone(),
-        recorder: recorder.clone(),
-        batches: Cell::new(0),
-    });
-    with_tls(&COSTS, Some(ctx), f)
-}
-
-/// The cost context installed on the calling thread, if any.
-pub fn current_costs() -> Option<Rc<CostContext>> {
-    COSTS.with(|slot| slot.borrow().clone())
 }
 
 /// Drives `run(0), …, run(n - 1)` on one thread each, committing results
@@ -751,7 +587,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use proptest::prelude::*;
 
     #[test]
     fn budget_caps_concurrency() {
@@ -796,45 +632,19 @@ mod tests {
     }
 
     #[test]
-    fn contended_permits_admit_longest_estimate_first() {
+    fn permits_are_granted_in_arrival_order() {
         let budget = Budget::new(1);
         let admitted = Mutex::new(Vec::new());
         std::thread::scope(|scope| {
             let gate = budget.acquire(); // hold the only permit
-            for priority in [10u64, 500, 90] {
-                let (budget, admitted) = (&budget, &admitted);
-                scope.spawn(move || {
-                    let _permit = budget.acquire_ordered(priority);
-                    admitted.lock().unwrap().push(priority);
-                });
-            }
-            // Wait until all three waiters are queued, then open the gate.
-            while budget.queued_waiters() < 3 {
-                std::thread::yield_now();
-            }
-            drop(gate);
-        });
-        assert_eq!(
-            *admitted.lock().unwrap(),
-            vec![500, 90, 10],
-            "admission must be longest-estimated-first"
-        );
-    }
-
-    #[test]
-    fn equal_priorities_admit_in_arrival_order() {
-        let budget = Budget::new(1);
-        let admitted = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            let gate = budget.acquire();
             for arrival in 0..4u64 {
                 let (budget, admitted) = (&budget, &admitted);
                 scope.spawn(move || {
-                    let _permit = budget.acquire_ordered(7);
+                    let _permit = budget.acquire();
                     admitted.lock().unwrap().push(arrival);
                 });
                 // Queue one at a time so arrival order is well-defined.
-                while budget.queued_waiters() < (arrival + 1) as usize {
+                while budget.waiting() < arrival + 1 {
                     std::thread::yield_now();
                 }
             }
@@ -1011,7 +821,7 @@ mod tests {
         let budget = Arc::new(Budget::new(1));
         with_budget(&budget, || {
             for jobs in [1, 3] {
-                let seen = super::super::parallel::run_indexed(jobs, 3, |_| {
+                let seen = run_indexed(jobs, 3, |_| {
                     let memo = current_memo().expect("the memo is visible in a cell");
                     let store = current_store().expect("the store is visible in a cell");
                     (
@@ -1023,9 +833,7 @@ mod tests {
                 assert_eq!(seen, vec![(true, true, true); 3], "jobs {jobs}");
                 // A fan-out nested in a cell of a one-permit budget must
                 // not wait for a second permit.
-                let nested = super::super::parallel::run_indexed(jobs, 2, |i| {
-                    super::super::parallel::run_indexed(2, 2, |j| i * 2 + j)
-                });
+                let nested = run_indexed(jobs, 2, |i| run_indexed(2, 2, |j| i * 2 + j));
                 assert_eq!(nested, vec![vec![0, 1], vec![2, 3]]);
             }
         });
@@ -1048,55 +856,6 @@ mod tests {
     }
 
     #[test]
-    fn memo_served_cells_record_no_cost() {
-        // Every cell runs the same memo point: one simulates, the others
-        // are served, and only the simulated cell reaches the recorder.
-        for jobs in [1, 3] {
-            let model = Arc::new(CostModel::default());
-            let recorder = Arc::new(CostRecorder::default());
-            let runs = AtomicUsize::new(0);
-            with_budget(&Arc::new(Budget::new(jobs)), || {
-                with_costs("fig4", &model, &recorder, || {
-                    let out = super::super::parallel::run_indexed(jobs, 3, |_| counted(&runs, 21));
-                    assert_eq!(out, vec![Ok(42); 3]);
-                });
-            });
-            assert_eq!(runs.load(Ordering::SeqCst), 1, "jobs {jobs}");
-            let recorded: Vec<String> = recorder.take().into_iter().map(|(k, _)| k).collect();
-            assert_eq!(recorded.len(), 1, "jobs {jobs}: {recorded:?}");
-            if jobs == 1 {
-                assert_eq!(recorded, ["fig4/0:0"], "the serial path computes cell 0");
-            }
-        }
-    }
-
-    #[test]
-    fn with_costs_installs_numbers_batches_and_restores() {
-        assert!(current_costs().is_none());
-        let model = Arc::new(CostModel::default());
-        let recorder = Arc::new(CostRecorder::default());
-        with_costs("fig4", &model, &recorder, || {
-            let ctx = current_costs().expect("cost context installed");
-            let first = ctx.plan_batch(3);
-            let second = ctx.plan_batch(2);
-            assert_eq!(first.keys[0], "fig4/0:0");
-            assert_eq!(second.keys[1], "fig4/1:1");
-        });
-        assert!(current_costs().is_none());
-    }
-
-    #[test]
-    fn with_costs_restores_on_unwind() {
-        let model = Arc::new(CostModel::default());
-        let recorder = Arc::new(CostRecorder::default());
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            with_costs("fig4", &model, &recorder, || panic!("driver failure"));
-        }));
-        assert!(result.is_err());
-        assert!(current_costs().is_none(), "TLS context leaked past unwind");
-    }
-
-    #[test]
     fn scope_installs_restores_and_counts_batches() {
         assert!(current_scope().is_none());
         let scope = Arc::new(Scope::new("fig4", Path::new("crash")));
@@ -1115,27 +874,12 @@ mod tests {
     }
 
     #[test]
-    fn scope_deadlines_respect_floor_and_estimates() {
+    fn scope_watchdog_is_the_floor_when_armed() {
         let off = Scope::new("fig4", Path::new("crash"));
-        assert_eq!(off.deadline_for(0, 0, 4), None, "watchdog defaults off");
-
+        assert_eq!(off.watchdog(), None, "watchdog defaults off");
         let floor = Duration::from_secs(60);
         let armed = Scope::new("fig4", Path::new("crash")).with_watchdog(floor);
-        // Heuristic estimate for a 4-cell batch is 2 s; 8x = 16 s < floor.
-        assert_eq!(armed.deadline_for(0, 0, 4), Some(floor));
-
-        let mut model = CostModel::default();
-        // A 20 s recorded cell: 8x EMA = 160 s dominates the floor.
-        model.absorb(&[(cost::cell_key("fig4@quick", 0, 1), 20_000_000_000)]);
-        let scoped = Scope::new("fig4", Path::new("crash"))
-            .with_watchdog(floor)
-            .with_cost_model("fig4@quick", Arc::new(model));
-        assert_eq!(scoped.deadline_for(0, 1, 4), Some(Duration::from_secs(160)));
-        assert_eq!(
-            scoped.deadline_for(0, 0, 4),
-            Some(floor),
-            "unrecorded cells fall back to the heuristic under the floor"
-        );
+        assert_eq!(armed.watchdog(), Some(floor));
     }
 
     #[test]
@@ -1175,5 +919,48 @@ mod tests {
             },
             |_, _| {},
         );
+    }
+
+    #[test]
+    fn serial_path_runs_in_order_on_calling_thread() {
+        let caller = std::thread::current().id();
+        let ids = run_indexed(1, 8, |i| (i, std::thread::current().id()));
+        for (i, (idx, tid)) in ids.iter().enumerate() {
+            assert_eq!(*idx, i);
+            assert_eq!(*tid, caller, "jobs = 1 must not spawn threads");
+        }
+    }
+
+    #[test]
+    fn parallel_results_are_index_ordered() {
+        let out = run_indexed(4, 100, |i| i * 3);
+        assert_eq!(out, (0..100).map(|i| i * 3).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn more_jobs_than_items_is_fine() {
+        assert_eq!(run_indexed(64, 3, |i| i), vec![0, 1, 2]);
+        assert_eq!(run_indexed(4, 0, |i| i), Vec::<usize>::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "boom")]
+    fn worker_panics_propagate() {
+        run_indexed(2, 4, |i| {
+            if i == 2 {
+                panic!("boom");
+            }
+            i
+        });
+    }
+
+    proptest! {
+        /// Any job count produces the same vector as the serial loop.
+        #[test]
+        fn prop_jobs_invariant(jobs in 1usize..9, n in 0usize..64) {
+            let serial: Vec<u64> = (0..n).map(|i| (i as u64).wrapping_mul(0x9E37_79B9)).collect();
+            let parallel = run_indexed(jobs, n, |i| (i as u64).wrapping_mul(0x9E37_79B9));
+            prop_assert_eq!(parallel, serial);
+        }
     }
 }

@@ -114,22 +114,21 @@ impl CheckpointStore {
         lock(&self.trajectories)
     }
 
-    /// Trajectory `id` at `at`, and whether the call simulated. A
-    /// retained checkpoint at `at` is handed out as is; otherwise the
-    /// latest retained one before `at`, or `origin()` when there is none,
-    /// runs forward to `at` under the trajectory's lock and is retained
-    /// if it succeeds.
+    /// Trajectory `id` at `at`. A retained checkpoint at `at` is handed
+    /// out as is; otherwise the latest retained one before `at`, or
+    /// `origin()` when there is none, runs forward to `at` under the
+    /// trajectory's lock and is retained if it succeeds.
     fn checkpoint(
         &self,
         id: TrajectoryId,
         at: SimTime,
         origin: impl FnOnce() -> Machine,
-    ) -> CellResult<(Arc<Machine>, bool)> {
+    ) -> CellResult<Arc<Machine>> {
         let points = self.lock().entry(id).or_default().clone();
         let mut points = lock(&points);
         if let Some(m) = points.at.get(&at) {
             self.served.fetch_add(1, Ordering::Relaxed);
-            return Ok((m.clone(), false));
+            return Ok(m.clone());
         }
         self.extensions.fetch_add(1, Ordering::Relaxed);
         let mut m = match points.at.range(..at).next_back() {
@@ -147,7 +146,7 @@ impl CheckpointStore {
         // machine that ran holds them at their peak capacity (about three
         // times the bytes). The caller gets the machine that ran.
         points.at.insert(at, Arc::new(m.clone()));
-        Ok((Arc::new(m), true))
+        Ok(Arc::new(m))
     }
 }
 
@@ -195,21 +194,21 @@ pub(crate) fn owned(m: Arc<Machine>) -> Machine {
     Arc::try_unwrap(m).unwrap_or_else(|shared| shared.fork())
 }
 
-/// The keyed scenario's trajectory with schedule `diverge` at `at`, and
-/// whether the call simulated. Without a store, `origin()` (the
-/// trajectory's start machine) simply runs to `at`.
+/// The keyed scenario's trajectory with schedule `diverge` at `at`.
+/// Without a store, `origin()` (the trajectory's start machine) simply
+/// runs to `at`.
 pub(crate) fn trajectory_at(
     keyed: &Keyed<'_>,
     diverge: Option<(SimTime, PolicyKind)>,
     at: SimTime,
     origin: impl FnOnce() -> Machine,
-) -> CellResult<(Arc<Machine>, bool)> {
+) -> CellResult<Arc<Machine>> {
     match keyed {
         Some((store, key)) => store.checkpoint((key.clone(), diverge), at, origin),
         None => {
             let mut m = origin();
             m.run_until(at).map_err(CellFailure::Sim)?;
-            Ok((Arc::new(m), true))
+            Ok(Arc::new(m))
         }
     }
 }
@@ -306,32 +305,6 @@ mod tests {
             consume(&no_fork);
             assert_eq!(budget.store().stats(), filled);
         });
-    }
-
-    #[test]
-    fn checkpoint_served_cells_record_no_cost() {
-        use crate::runner::cost::{CostModel, CostRecorder};
-        use crate::runner::{parallel::run_indexed, pool::with_costs};
-        // Every cell measures the same baseline window: one simulates, the
-        // others are served, and only the simulated cell is recorded.
-        for jobs in [1, 3] {
-            let (model, recorder) = (
-                Arc::new(CostModel::default()),
-                Arc::new(CostRecorder::default()),
-            );
-            let ends = with_budget(&Arc::new(Budget::new(jobs)), || {
-                with_costs("table2", &model, &recorder, || {
-                    run_indexed(jobs, 3, |_| {
-                        let window = SimDuration::from_millis(100);
-                        let m =
-                            run_window(&RunOptions::quick(), small(), PolicyKind::Baseline, window);
-                        m.unwrap().now()
-                    })
-                })
-            });
-            assert_eq!(ends, vec![SimTime::from_millis(100); 3]);
-            assert_eq!(recorder.take().len(), 1, "jobs {jobs}");
-        }
     }
 
     /// Rendering the experiments that share co-runs under one budget

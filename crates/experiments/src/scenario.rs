@@ -7,10 +7,10 @@
 //! byte position), expanding a directory into a sorted id list, and
 //! driving a validated [`Scenario`] through the exact machinery every
 //! built-in experiment uses — [`Grid`] shared-prefix forking,
-//! [`run_cells`] fan-out/isolation, and the cost/crash scopes `repro`
-//! installs around each experiment. Because it is the same machinery,
-//! the suite contract carries over verbatim: stdout is byte-identical
-//! for any `--jobs`, `--fork`/`--no-fork`, and cost-model state.
+//! [`run_cells`] fan-out/isolation, and the crash scope `repro` installs
+//! around each experiment. Because it is the same machinery, the suite
+//! contract carries over verbatim: stdout is byte-identical for any
+//! `--jobs` and `--fork`/`--no-fork`.
 //!
 //! The equivalence proof that file-driven runs match constructor-driven
 //! runs (`tests/scenario_catalog.rs`) hinges on [`run_with_parts`]: the

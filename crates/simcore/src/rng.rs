@@ -140,19 +140,6 @@ impl SimRng {
         SimDuration::from_nanos(self.range_u64(lo.as_nanos(), hi.as_nanos()))
     }
 
-    /// A normally distributed duration (Box–Muller), truncated at zero.
-    pub fn normal_duration(&mut self, mean: SimDuration, std_dev: SimDuration) -> SimDuration {
-        let u1 = 1.0 - self.next_f64();
-        let u2 = self.next_f64();
-        let z = (-2.0 * u1.ln()).sqrt() * (core::f64::consts::TAU * u2).cos();
-        let ns = mean.as_nanos() as f64 + std_dev.as_nanos() as f64 * z;
-        if ns <= 0.0 {
-            SimDuration::ZERO
-        } else {
-            SimDuration::from_nanos(ns.round() as u64)
-        }
-    }
-
     /// Picks an index according to the given non-negative weights.
     ///
     /// Panics if `weights` is empty or sums to zero.
@@ -249,19 +236,6 @@ mod tests {
             (avg - expect).abs() < 0.03 * expect,
             "mean {avg} too far from {expect}"
         );
-    }
-
-    #[test]
-    fn normal_duration_is_truncated_and_centered() {
-        let mut rng = SimRng::new(19);
-        let mean = SimDuration::from_micros(50);
-        let sd = SimDuration::from_micros(10);
-        let n = 50_000u64;
-        let total: u64 = (0..n)
-            .map(|_| rng.normal_duration(mean, sd).as_nanos())
-            .sum();
-        let avg = total as f64 / n as f64;
-        assert!((avg - 50_000.0).abs() < 1_000.0);
     }
 
     #[test]

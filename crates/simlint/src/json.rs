@@ -1,6 +1,6 @@
-//! Hand-rolled JSON for `--format json` (same no-crates.io philosophy
-//! as the runner's COSTS.json codec): an emitter for findings and a
-//! minimal parser so tests can round-trip the output.
+//! Hand-rolled JSON for `--format json` (the workspace vendors no
+//! crates.io dependencies): an emitter for findings and a minimal parser
+//! so tests can round-trip the output.
 
 use crate::rules::Finding;
 use std::collections::BTreeMap;

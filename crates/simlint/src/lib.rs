@@ -12,7 +12,7 @@
 //! | `D2` | no `HashMap`/`HashSet`/`RandomState` anywhere hash-iteration order could leak into sim state or output — use `BTreeMap`/`BTreeSet` or justify |
 //! | `D3` | randomness only via the seeded `simcore::rng` streams; no fresh generator construction outside the machine/fault stream split |
 //! | `D4` | no `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` in `hypervisor` run paths — they are `Result`-poisoned (`SimError`) |
-//! | `D5` | no ad-hoc `thread::spawn`/`.spawn()`/`mpsc`/`Condvar` outside `runner::pool`, `runner::parallel` and the watchdog |
+//! | `D5` | no ad-hoc `thread::spawn`/`.spawn()`/`mpsc`/`Condvar` outside `runner::pool` and the watchdog |
 //! | `D6` | no float (`f64`/`f32`) reductions or in-place accumulation in crates whose state reaches rendered output — sum in integers or justify the fold order |
 //! | `D7` | cross-file: the `kinds=` fault grammar in `EXPERIMENTS.md`/`SCENARIOS.md` must match the `KIND_NAMES` table in `faults.rs` (see [`consistency`]) |
 //! | `J0` | justification tags must carry a reason (see below) |

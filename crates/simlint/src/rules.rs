@@ -148,7 +148,6 @@ const RULES: &[RuleDef] = &[
         crates: None,
         allow: &[
             "crates/experiments/src/runner/pool.rs",
-            "crates/experiments/src/runner/parallel.rs",
             "crates/simcore/src/watchdog.rs",
         ],
         pats: &[
@@ -160,7 +159,7 @@ const RULES: &[RuleDef] = &[
         ],
         just: JustKind::Simlint,
         hint: "ad-hoc threads and channels race the index-ordered commit discipline; \
-               only runner::pool, runner::parallel and the watchdog manage threads",
+               only runner::pool and the watchdog manage threads",
     },
     RuleDef {
         id: "D6",

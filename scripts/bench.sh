@@ -25,17 +25,12 @@ export BENCH_MEASURE_SECS="${BENCH_MEASURE_SECS:-3}"
 cargo bench -p bench --bench hotpaths -- "$@"
 
 # With no filter args (a full run), also time the real quick suite end to
-# end: FIFO admission, a cold cost file (heuristic order + recording),
-# and a warm rerun over the records the cold pass persisted. The
-# cold-vs-warm delta is the adaptive-admission payoff on real cells.
-# These three rows pin --no-fork so they keep measuring the admission
-# axis alone (forking is on by default and would shrink the cells they
-# compare); the fourth row re-enables forking on top of warm admission —
-# its delta against repro_suite_quick_warm is the shared-prefix payoff.
+# end: the default path users run (forking, with the cell memo and the
+# checkpoint store) and the same suite with --no-fork, whose rows go back
+# to pr5. Their delta is the shared-prefix payoff.
 if [ "$#" -eq 0 ]; then
     cargo build --release -p experiments --bin repro >/dev/null 2>&1
     repro=target/release/repro
-    suite_costs="$(mktemp -u)"
     time_suite() { # time_suite <name> <extra repro args...>
         local name="$1"
         shift
@@ -53,16 +48,8 @@ if [ "$#" -eq 0 ]; then
             "$name" "$((total / samples))" "$min" "$samples" "$BENCH_LABEL" >> "$BENCH_JSON"
         echo "suite ${name}: mean $((total / samples / 1000000)) ms over ${samples} runs"
     }
-    time_suite repro_suite_quick_fifo --no-fork --costs off
-    # One recording pass to warm the cost file, then time cold-style
-    # (heuristic only) and warm (recorded EMAs) admission.
-    rm -f "$suite_costs"
-    "$repro" --quick --jobs 8 --no-fork --costs "$suite_costs" --record-costs all >/dev/null 2>/dev/null
-    time_suite repro_suite_quick_warm --no-fork --costs "$suite_costs"
-    time_suite repro_suite_quick_fork --costs "$suite_costs"
-    rm -f "$suite_costs"
-    time_suite repro_suite_quick_cold --no-fork --costs "$suite_costs"
-    rm -f "$suite_costs"
+    time_suite repro_suite_quick_fork
+    time_suite repro_suite_quick_fifo --no-fork
 fi
 
 echo "appended results to ${BENCH_JSON} (label: ${BENCH_LABEL})"

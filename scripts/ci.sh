@@ -29,36 +29,21 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 echo "== tests ==" >&2
 cargo test -q
 
-echo "== adaptive admission byte-identity (off vs cold vs warm) ==" >&2
-# The quick suite must render identical stdout whether admission is FIFO
-# (--costs off), heuristic-ordered (cold COSTS file), or cost-ordered
-# from the records the cold run just persisted (warm). Doubles as the
-# quick-repro smoke.
-ci_costs="$(mktemp -u)"
+echo "== quick suite reference ==" >&2
+# The quick-repro smoke, and the reference stdout the fork, serial and
+# kill -9/--resume steps below compare against.
 ci_out="$(mktemp -d)"
 cargo run --release -p experiments --bin repro -- \
-    --quick --jobs 2 --costs off all > "$ci_out/off.txt"
-cargo run --release -p experiments --bin repro -- \
-    --quick --jobs 2 --costs "$ci_costs" --record-costs all > "$ci_out/cold.txt" 2> /dev/null
-cargo run --release -p experiments --bin repro -- \
-    --quick --jobs 2 --costs "$ci_costs" all > "$ci_out/warm.txt"
-cmp "$ci_out/off.txt" "$ci_out/cold.txt" || {
-    echo "cold COSTS admission changed repro output" >&2
-    exit 1
-}
-cmp "$ci_out/off.txt" "$ci_out/warm.txt" || {
-    echo "warm COSTS admission changed repro output" >&2
-    exit 1
-}
+    --quick --jobs 2 all > "$ci_out/reference.txt"
 
 echo "== shared-prefix fork byte-identity (--fork vs --no-fork) ==" >&2
 # Forking warm snapshots is an execution strategy, never an observable:
 # the quick suite's stdout must not change when cells re-simulate their
-# warm prefix from scratch. The runs above all forked (the default), so
+# warm prefix from scratch. The reference run forked (the default), so
 # one --no-fork pass closes the comparison.
 cargo run --release -p experiments --bin repro -- \
-    --quick --jobs 2 --no-fork --costs off all > "$ci_out/scratch.txt"
-cmp "$ci_out/off.txt" "$ci_out/scratch.txt" || {
+    --quick --jobs 2 --no-fork all > "$ci_out/scratch.txt"
+cmp "$ci_out/reference.txt" "$ci_out/scratch.txt" || {
     echo "forked cells changed repro output vs --no-fork" >&2
     exit 1
 }
@@ -68,8 +53,8 @@ echo "== serial driver byte-identity (--jobs 1 vs --jobs 2) ==" >&2
 # same invocation budget and cell memo: at --jobs 1 every experiment runs
 # in order on one thread, and the bytes must match the 2-job runs above.
 cargo run --release -p experiments --bin repro -- \
-    --quick --jobs 1 --costs off all > "$ci_out/serial.txt"
-cmp "$ci_out/off.txt" "$ci_out/serial.txt" || {
+    --quick --jobs 1 all > "$ci_out/serial.txt"
+cmp "$ci_out/reference.txt" "$ci_out/serial.txt" || {
     echo "the serial driver path changed repro output vs --jobs 2" >&2
     exit 1
 }
@@ -81,7 +66,7 @@ echo "== kill -9 and --resume byte-identity ==" >&2
 # lands — before, between, or mid-commit (a torn tail) — the contract is
 # the same.
 ci_ledger="$(mktemp -u)"
-target/release/repro --quick --jobs 2 --costs off \
+target/release/repro --quick --jobs 2 \
     --resume --ledger "$ci_ledger" all > "$ci_out/killed.txt" 2>/dev/null &
 repro_pid=$!
 # Commits stream in command-line order. Killing right after the first
@@ -94,14 +79,14 @@ for _ in $(seq 1200); do
 done
 kill -9 "$repro_pid" 2>/dev/null || true
 wait "$repro_pid" 2>/dev/null || true
-target/release/repro --quick --jobs 2 --costs off \
+target/release/repro --quick --jobs 2 \
     --resume --ledger "$ci_ledger" all > "$ci_out/resumed.txt"
-cmp "$ci_out/off.txt" "$ci_out/resumed.txt" || {
+cmp "$ci_out/reference.txt" "$ci_out/resumed.txt" || {
     echo "resumed suite stdout diverged from the clean run" >&2
     exit 1
 }
 rm -f "$ci_ledger"
-rm -rf "$ci_costs" "$ci_out"
+rm -rf "$ci_out"
 
 echo "== scenario catalog smoke ==" >&2
 # The declarative scenario catalog (SCENARIOS.md): every cookbook file
@@ -113,9 +98,9 @@ target/release/repro scenarios examples/scenarios --check
 sc_out="$(mktemp -d)"
 # No --quick here: quick mode floors measurement windows at 800 ms,
 # which would *inflate* the cookbook's deliberately small windows.
-target/release/repro --jobs 1 --costs off \
+target/release/repro --jobs 1 \
     --scenario examples/scenarios/overcommit-grid.toml > "$sc_out/j1.txt"
-target/release/repro --jobs 2 --costs off \
+target/release/repro --jobs 2 \
     --scenario examples/scenarios/overcommit-grid.toml > "$sc_out/j2.txt"
 cmp "$sc_out/j1.txt" "$sc_out/j2.txt" || {
     echo "--jobs changed scenario stdout" >&2
@@ -139,40 +124,68 @@ cargo test --release -p experiments --test wheel_vs_heap -q
 
 echo "== bench smoke (hot paths within 25% of committed baseline) ==" >&2
 # Re-measure the two load-bearing hot-path benchmarks with a short window
-# and compare each against the *last* committed row of the same name in
-# BENCH_hotpaths.json; >25% slower fails the gate. Short windows are
-# noisy-but-cheap: real regressions of the kind this guards against
-# (accidental O(n) in the queue, a lost inline) blow far past 25%.
-# Minima are compared, not means: host preemption only ever adds time,
-# so the mean swings 10-15% run-to-run on an unchanged build (the
-# pr4->pr5 "drift" was exactly this) while min-of-N stays put.
+# and compare each against its committed baseline in BENCH_hotpaths.json;
+# >25% slower fails the gate. Short windows are noisy-but-cheap: real
+# regressions of the kind this guards against (accidental O(n) in the
+# queue, a lost inline) blow far past 25%.
+#
+# Each row's statistic is its minimum: host preemption only ever adds
+# time, so the mean swings 10-15% run-to-run on an unchanged build while
+# min-of-N stays put within one process. Across processes it does not:
+# event_queue_push_pop_1k's minimum is bimodal per process (the same
+# build reads either of two levels about 40% apart, by where the process
+# lands), so one process's minimum gates the process, not the code. The
+# gate therefore runs the benches in five fresh processes and takes the
+# median of their minima per row, and the baseline is the median over the
+# rows of that name's newest label, recorded by the same five-process
+# procedure (older labels hold one row each, so their median is that
+# row).
 #
 # The comparison is host-speed-normalized: `calibration_spin` is a fixed
 # pure-integer workload whose minimum tracks only the executing core's
 # effective speed, so the gate compares
-#     fresh_min / fresh_calibration  vs  committed_min / committed_calibration
+#     fresh_median / fresh_calibration  vs  committed_median / committed_calibration
 # instead of raw nanoseconds. A CI host running at a different clock (or
 # a laptop on battery) shifts both numerator and denominator together
 # and the ratio stays put; a real code regression moves only the
 # numerator (the pr6->pr7 push_pop "regression" was half host drift).
 smoke_json="$(mktemp)"
-BENCH_JSON="$smoke_json" BENCH_LABEL=smoke BENCH_MEASURE_SECS=1 \
-    scripts/bench.sh calibration_spin event_queue_push_pop_1k simulate_one_second_baseline >/dev/null
-last_min() {
+for _ in 1 2 3 4 5; do
+    BENCH_JSON="$smoke_json" BENCH_LABEL=smoke BENCH_MEASURE_SECS=1 \
+        scripts/bench.sh calibration_spin event_queue_push_pop_1k simulate_one_second_baseline >/dev/null
+done
+# median_min FILE NAME: the median min_ns over the rows named NAME that
+# carry the label of that name's last row.
+median_min() {
     awk -v name="$2" '
         index($0, "\"name\":\"" name "\"") {
             split($0, parts, "\"min_ns\":")
             split(parts[2], num, ",")
-            min = num[1]
+            split($0, parts, "\"label\":\"")
+            split(parts[2], lab, "\"")
+            n++
+            mins[n] = num[1] + 0
+            labels[n] = lab[1]
         }
-        END { print min }
+        END {
+            if (n == 0) exit
+            k = 0
+            for (i = 1; i <= n; i++) if (labels[i] == labels[n]) sel[++k] = mins[i]
+            for (i = 2; i <= k; i++) {
+                x = sel[i]
+                for (j = i - 1; j >= 1 && sel[j] > x; j--) sel[j + 1] = sel[j]
+                sel[j + 1] = x
+            }
+            m = (k % 2) ? sel[(k + 1) / 2] : (sel[k / 2] + sel[k / 2 + 1]) / 2
+            printf "%.1f\n", m
+        }
     ' "$1"
 }
-committed_cal="$(last_min BENCH_hotpaths.json calibration_spin)"
-fresh_cal="$(last_min "$smoke_json" calibration_spin)"
+committed_cal="$(median_min BENCH_hotpaths.json calibration_spin)"
+fresh_cal="$(median_min "$smoke_json" calibration_spin)"
 for name in event_queue_push_pop_1k simulate_one_second_baseline; do
-    committed="$(last_min BENCH_hotpaths.json "$name")"
-    fresh="$(last_min "$smoke_json" "$name")"
+    committed="$(median_min BENCH_hotpaths.json "$name")"
+    fresh="$(median_min "$smoke_json" "$name")"
     awk -v committed="$committed" -v fresh="$fresh" \
         -v ccal="$committed_cal" -v fcal="$fresh_cal" -v name="$name" 'BEGIN {
         if (committed == "" || fresh == "" || ccal == "" || fcal == "") {
@@ -183,11 +196,11 @@ for name in event_queue_push_pop_1k simulate_one_second_baseline; do
         committed_ratio = (committed + 0) / (ccal + 0)
         fresh_ratio = (fresh + 0) / (fcal + 0)
         if (fresh_ratio > committed_ratio * 1.25) {
-            printf "bench smoke: %s regressed >25%% normalized: min %.0f ns (ratio %.3f) vs committed min %.0f ns (ratio %.3f)\n", \
+            printf "bench smoke: %s regressed >25%% normalized: median min %.0f ns (ratio %.4f) vs committed %.0f ns (ratio %.4f)\n", \
                 name, fresh, fresh_ratio, committed, committed_ratio > "/dev/stderr"
             exit 1
         }
-        printf "bench smoke: %s ok (min %.0f ns, ratio %.3f vs committed %.3f)\n", \
+        printf "bench smoke: %s ok (median min %.0f ns, ratio %.4f vs committed %.4f)\n", \
             name, fresh, fresh_ratio, committed_ratio > "/dev/stderr"
     }'
 done
@@ -211,7 +224,7 @@ while [ "$(date +%s)" -lt "$soak_deadline" ]; do
     soak_i=$((soak_i + 1))
     seed=$((RANDOM * 32768 + RANDOM))
     if [ $((soak_i % 2)) -eq 0 ]; then kinds=all; else kinds=sabotage; fi
-    target/release/repro --quick --costs off --keep-going --seed "$seed" \
+    target/release/repro --quick --keep-going --seed "$seed" \
         --faults "seed=$seed,count=24,window_ms=300,kinds=$kinds" \
         --artifacts "$soak_dir/crash$soak_i" table2 >/dev/null 2>&1 || true
 done
@@ -227,7 +240,7 @@ for artifact in "$soak_dir"/crash*/*.txt; do
         continue
     fi
     rerun_dir="$(mktemp -d)"
-    eval "target/release/repro --costs off --artifacts '$rerun_dir' $replay" \
+    eval "target/release/repro --artifacts '$rerun_dir' $replay" \
         >/dev/null 2>&1 || true
     fresh="$(cat "$rerun_dir"/*.txt 2>/dev/null | sed -n 's/^failure: //p' | head -1)"
     if [ "$recorded" != "$fresh" ]; then

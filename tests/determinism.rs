@@ -2,7 +2,6 @@
 //! different seeds must actually differ, and the parallel fan-out must
 //! render exactly the bytes the serial path renders.
 
-use experiments::runner::cost::{CostModel, CostRecorder};
 use experiments::runner::pool;
 use experiments::runner::{build, PolicyKind, RunOptions};
 use simcore::ids::VmId;
@@ -213,102 +212,6 @@ fn forked_suite_byte_identical_to_scratch() {
             );
         }
     }
-}
-
-/// Renders one experiment under a cost context (budget + model +
-/// recorder), i.e. the code path `repro --costs` takes.
-fn render_with_costs(
-    id: &str,
-    jobs: usize,
-    budget: &std::sync::Arc<pool::Budget>,
-    model: &std::sync::Arc<CostModel>,
-    recorder: &std::sync::Arc<CostRecorder>,
-) -> String {
-    pool::with_budget(budget, || {
-        pool::with_costs(id, model, recorder, || render(id, jobs))
-    })
-}
-
-/// Cost-ordered admission must steer only *when* cells run, never what
-/// they render: FIFO (no model), a cold model (heuristic estimates), and
-/// a warm model (records from a previous run) must all produce the same
-/// bytes. Cheap always-on guard on the fastest experiment; the full
-/// suite is covered by the release-gated test below.
-#[test]
-fn cost_scheduling_byte_identical_fig9() {
-    use std::sync::Arc;
-    let fifo = render("fig9", 4);
-
-    // Cold: empty model, every cell on the grid-size heuristic.
-    let budget = Arc::new(pool::Budget::new(4));
-    let cold_model = Arc::new(CostModel::default());
-    let recorder = Arc::new(CostRecorder::default());
-    let cold = render_with_costs("fig9", 4, &budget, &cold_model, &recorder);
-    assert_eq!(fifo, cold, "cold cost model changed the rendered bytes");
-
-    // Warm: fold the cold run's observations into the model and re-run.
-    let observations = recorder.take();
-    assert!(
-        !observations.is_empty(),
-        "the cold run must record cell costs"
-    );
-    let mut warm = CostModel::default();
-    warm.absorb(&observations);
-    let warm_model = Arc::new(warm);
-    let rerun_recorder = Arc::new(CostRecorder::default());
-    // A fresh budget, so the warm run simulates every cell again instead
-    // of taking the cold run's results from the budget's cell memo.
-    let warm_budget = Arc::new(pool::Budget::new(4));
-    let warm = render_with_costs("fig9", 4, &warm_budget, &warm_model, &rerun_recorder);
-    assert_eq!(fifo, warm, "warm cost model changed the rendered bytes");
-    assert_eq!(
-        rerun_recorder.len(),
-        observations.len(),
-        "the warm run must simulate, and so record, every cell again"
-    );
-}
-
-/// The acceptance contract for adaptive admission: the full suite at
-/// `--jobs 8` — every experiment on its own driver thread under one
-/// global budget, exactly as `repro all` runs it — renders identical
-/// bytes with no cost model, a cold model, and a warm model.
-/// Release-gated like the other whole-suite tests.
-#[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "slow under debug; run with cargo test --release"
-)]
-fn cost_scheduling_byte_identical_full_suite_jobs8() {
-    use std::sync::Arc;
-    let suite = |model: Option<&Arc<CostModel>>, recorder: &Arc<CostRecorder>| -> String {
-        let budget = Arc::new(pool::Budget::new(8));
-        let mut rendered = vec![String::new(); experiments::ALL_EXPERIMENTS.len()];
-        pool::run_streamed(
-            experiments::ALL_EXPERIMENTS.len(),
-            |i| {
-                let id = experiments::ALL_EXPERIMENTS[i];
-                pool::with_budget(&budget, || match model {
-                    Some(m) => pool::with_costs(id, m, recorder, || render(id, 8)),
-                    None => render(id, 8),
-                })
-            },
-            |i, out| rendered[i] = out,
-        );
-        rendered.concat()
-    };
-    let scratch = Arc::new(CostRecorder::default());
-    let fifo = suite(None, &scratch);
-
-    let cold_model = Arc::new(CostModel::default());
-    let recorder = Arc::new(CostRecorder::default());
-    let cold = suite(Some(&cold_model), &recorder);
-    assert_eq!(fifo, cold, "cold cost model diverged at --jobs 8");
-
-    let mut warm = CostModel::default();
-    warm.absorb(&recorder.take());
-    let warm_model = Arc::new(warm);
-    let warm = suite(Some(&warm_model), &Arc::new(CostRecorder::default()));
-    assert_eq!(fifo, warm, "warm cost model diverged at --jobs 8");
 }
 
 /// The full contract: every experiment, quick mode, must be
