@@ -52,13 +52,13 @@
 //!
 //! ## Crash resilience
 //!
-//! Every cell runs inside a crash session: a flight recorder in the
-//! machine keeps the last few hundred events, and a cell that dies — sim
-//! error, invariant violation, or panic — dumps a crash artifact under
-//! `--artifacts DIR` (default `crash/`) containing the event ring, the
-//! fault plan (shrunk to a minimal reproducing prefix when possible),
-//! the RNG stream position, and a self-contained `repro cell ...` replay
-//! command.
+//! Every cell runs inside a crash session: the machine's trace ring keeps
+//! its last few hundred handled events and scheduler decisions, and a
+//! cell that dies — sim error, invariant violation, or panic — dumps a
+//! crash artifact under `--artifacts DIR` (default `crash/`) containing
+//! that ring, the fault plan (shrunk to a minimal reproducing prefix
+//! when possible), the RNG stream position, and a self-contained
+//! `repro cell ...` replay command.
 //!
 //! `--watchdog SECS` (default 60, `off` to disable) arms a wall-clock
 //! watchdog of SECS per cell: a blown deadline cancels just that cell —

@@ -5,7 +5,7 @@
 //! scheme's profiling changes their execution time by only a few percent.
 
 use crate::runner::{
-    fail_row, finish_time, pool, run_cells, CellError, CellResult, Grid, PolicyKind, RunOptions,
+    fail_row, finish_time, run_cells, CellError, CellResult, Grid, PolicyKind, RunOptions,
 };
 use hypervisor::{MachineConfig, VmSpec};
 use metrics::render::Table;
@@ -66,18 +66,14 @@ pub fn measure(opts: &RunOptions) -> Vec<Result<Row, CellError>> {
                 opts.seed
             )
         },
-        // `compare` re-runs this grid, so each cell is simulated once
-        // per invocation budget.
         |i| {
-            pool::memo("fig8::measure", i, opts, || {
-                let w = set[i / 2];
-                let policy = if i % 2 == 0 {
-                    PolicyKind::Baseline
-                } else {
-                    PolicyKind::Adaptive
-                };
-                exec_one(opts, &plan, w, policy)
-            })
+            let w = set[i / 2];
+            let policy = if i % 2 == 0 {
+                PolicyKind::Baseline
+            } else {
+                PolicyKind::Adaptive
+            };
+            exec_one(opts, &plan, w, policy)
         },
     );
     set.iter()

@@ -10,7 +10,6 @@ pub use grid::Grid;
 use hypervisor::policy::SchedPolicy;
 use hypervisor::{crash, BaselinePolicy, FaultSpec, Machine, MachineConfig, SimError, VmSpec};
 use microslice::{AdaptiveConfig, MicroslicePolicy};
-use simcore::ids::VmId;
 use simcore::time::{SimDuration, SimTime};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -604,44 +603,10 @@ pub fn run_window(
     Ok(store::owned(m))
 }
 
-/// Runs until every VM finishes and returns the machine. Hitting the
-/// horizon is a [`CellFailure::Horizon`] — experiment budgets are sized
-/// so completion always happens, and silently truncated runs would
-/// corrupt normalized execution times.
-pub fn run_to_completion(
-    opts: &RunOptions,
-    scenario: (MachineConfig, Vec<VmSpec>),
-    policy: PolicyKind,
-) -> CellResult<Machine> {
-    let mut m = build(opts, scenario, policy);
-    let finished = m
-        .run_until_all_finished(opts.horizon())
-        .map_err(CellFailure::Sim)?;
-    if !finished {
-        return Err(CellFailure::Horizon);
-    }
-    Ok(m)
-}
-
-/// Execution time of a VM in seconds (panics if it has not finished —
-/// callers obtain the machine from [`run_to_completion`], which already
-/// turned non-completion into an error).
-pub fn exec_secs(m: &Machine, vm: VmId) -> f64 {
-    m.vm_finished_at(vm).expect("VM finished").as_secs_f64()
-}
-
-/// Throughput of a VM in work units per second over `[0, until]`.
-pub fn throughput(m: &Machine, vm: VmId, until: SimTime) -> f64 {
-    let secs = until.as_secs_f64();
-    if secs <= 0.0 {
-        return 0.0;
-    }
-    m.vm_work_done(vm) as f64 / secs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcore::ids::VmId;
     use std::sync::Arc;
     use workloads::scenarios;
     use workloads::Workload;

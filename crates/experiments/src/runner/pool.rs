@@ -27,7 +27,7 @@
 //!
 //! A budget also carries the invocation's **cell memo** ([`memo`]):
 //! experiments show the same co-run configurations several ways (Figure
-//! 6 re-shows Figure 4/5 cells, `compare` re-checks six artifacts), and
+//! 6 re-shows Figure 4/5 cells, `compare` re-checks Figures 4, 5 and 9), and
 //! the memo simulates each such shared cell once per budget and hands
 //! the result to every other consumer. Only successes are kept, so a
 //! failing cell still fails — with its own crash artifact — wherever it

@@ -30,7 +30,7 @@
 //!   (`crates/hypervisor/tests/prop_machine.rs` checks it).
 //! - **Successes only.** A failing extension is not retained: each
 //!   consumer reruns a failing prefix inside its own crash session, so
-//!   its artifact keeps its own flight recorder, shrink and replay.
+//!   its artifact keeps its own trace ring, shrink and replay.
 //! - **Bypass.** With forking off (`--no-fork`, the oracle) and in a
 //!   crash-shrink probe ([`crash::with_scratch_mode`]) cells simulate
 //!   from scratch and never read or write a store (see `keyed`).

@@ -5,7 +5,7 @@
 //! configurations. The reproduction target is the *shape*: co-run yields
 //! exceed solo yields by orders of magnitude.
 
-use crate::runner::{fail_row, pool, run_cells, run_window, CellError, PolicyKind, RunOptions};
+use crate::runner::{fail_row, run_cells, run_window, CellError, PolicyKind, RunOptions};
 use hypervisor::{MachineConfig, VmSpec};
 use metrics::render::Table;
 use simcore::ids::VmId;
@@ -68,14 +68,12 @@ pub fn measure(opts: &RunOptions) -> Vec<Result<Row, CellError>> {
                 opts.seed
             )
         },
-        // `compare` re-runs this grid, so each cell is simulated once
-        // per invocation budget.
+        // `compare` re-runs this grid; the checkpoint store serves its
+        // baseline windows.
         |i| {
-            pool::memo("table2::measure", i, opts, || {
-                let scenario = scenario(WORKLOADS[i / 2], i % 2 == 1);
-                let m = run_window(opts, scenario, PolicyKind::Baseline, window)?;
-                Ok(m.stats.vm(VmId(0)).yields.total())
-            })
+            let scenario = scenario(WORKLOADS[i / 2], i % 2 == 1);
+            let m = run_window(opts, scenario, PolicyKind::Baseline, window)?;
+            Ok(m.stats.vm(VmId(0)).yields.total())
         },
     );
     WORKLOADS

@@ -6,7 +6,7 @@
 //!   (SystemTap on `native_flush_tlb_others`).
 //! - **4c** — iPerf jitter and throughput, solo vs mixed co-run.
 
-use crate::runner::{fail_row, pool, run_cells, run_window, CellError, PolicyKind, RunOptions};
+use crate::runner::{fail_row, run_cells, run_window, CellError, PolicyKind, RunOptions};
 use guest::kernel::LockKind;
 use metrics::render::{fmt_f64, Table};
 use simcore::ids::VmId;
@@ -37,27 +37,25 @@ pub fn measure_4a(opts: &RunOptions) -> Result<Vec<(LockKind, f64, f64)>, CellEr
                 opts.seed
             )
         },
-        // `compare` re-runs this grid, so each cell is simulated once
-        // per invocation budget.
+        // `compare` re-runs this grid; the checkpoint store serves its
+        // baseline windows.
         |i| {
-            pool::memo("table4::measure_4a", i, opts, || {
-                let scenario = if i == 1 {
-                    scenarios::corun(Workload::Gmake)
-                } else {
-                    scenarios::solo(Workload::Gmake)
-                };
-                // Endless gmake: measure waits while it runs.
-                let (cfg, mut specs) = scenario;
-                specs[0] = scenarios::vm_with_iters(Workload::Gmake, cfg.num_pcpus, None);
-                let m = run_window(opts, (cfg, specs), PolicyKind::Baseline, window)?;
-                Ok(TABLE4A_KINDS.map(|kind| {
-                    m.vm(VmId(0))
-                        .kernel
-                        .lock_wait_of(kind)
-                        .mean()
-                        .as_micros_f64()
-                }))
-            })
+            let scenario = if i == 1 {
+                scenarios::corun(Workload::Gmake)
+            } else {
+                scenarios::solo(Workload::Gmake)
+            };
+            // Endless gmake: measure waits while it runs.
+            let (cfg, mut specs) = scenario;
+            specs[0] = scenarios::vm_with_iters(Workload::Gmake, cfg.num_pcpus, None);
+            let m = run_window(opts, (cfg, specs), PolicyKind::Baseline, window)?;
+            Ok(TABLE4A_KINDS.map(|kind| {
+                m.vm(VmId(0))
+                    .kernel
+                    .lock_wait_of(kind)
+                    .mean()
+                    .as_micros_f64()
+            }))
         },
     );
     let solo = waits[0].clone()?;
@@ -118,24 +116,22 @@ pub fn measure_4b(opts: &RunOptions) -> Vec<Result<Tlb4bRow, CellError>> {
             )
         },
         |i| {
-            pool::memo("table4::measure_4b", i, opts, || {
-                let w = TABLE4B_GRID[i / 2];
-                let (cfg, _) = scenarios::solo(w);
-                let n = cfg.num_pcpus;
-                let mut specs = vec![scenarios::vm_with_iters(w, n, None)];
-                if i % 2 == 1 {
-                    specs.push(scenarios::vm_with_iters(Workload::Swaptions, n, None));
-                }
-                let m = run_window(opts, (cfg, specs), PolicyKind::Baseline, window)?;
-                let h = &m.vm(VmId(0)).kernel.tlb_latency;
-                Ok((
-                    w,
-                    table4b_config(i),
-                    h.mean().as_micros_f64(),
-                    h.min().as_micros_f64(),
-                    h.max().as_micros_f64(),
-                ))
-            })
+            let w = TABLE4B_GRID[i / 2];
+            let (cfg, _) = scenarios::solo(w);
+            let n = cfg.num_pcpus;
+            let mut specs = vec![scenarios::vm_with_iters(w, n, None)];
+            if i % 2 == 1 {
+                specs.push(scenarios::vm_with_iters(Workload::Swaptions, n, None));
+            }
+            let m = run_window(opts, (cfg, specs), PolicyKind::Baseline, window)?;
+            let h = &m.vm(VmId(0)).kernel.tlb_latency;
+            Ok((
+                w,
+                table4b_config(i),
+                h.mean().as_micros_f64(),
+                h.min().as_micros_f64(),
+                h.max().as_micros_f64(),
+            ))
         },
     )
 }
@@ -188,16 +184,14 @@ pub fn measure_4c(opts: &RunOptions) -> Vec<Result<(&'static str, f64, f64), Cel
             )
         },
         |i| {
-            pool::memo("table4::measure_4c", i, opts, || {
-                let scenario = if i == 0 {
-                    scenarios::iperf_solo(true)
-                } else {
-                    scenarios::mixed_iperf_corun()
-                };
-                let m = run_window(opts, scenario, PolicyKind::Baseline, window)?;
-                let f = &m.vm(VmId(0)).kernel.flows[0];
-                Ok((table4c_config(i), f.jitter_ms(), f.throughput_mbps(m.now())))
-            })
+            let scenario = if i == 0 {
+                scenarios::iperf_solo(true)
+            } else {
+                scenarios::mixed_iperf_corun()
+            };
+            let m = run_window(opts, scenario, PolicyKind::Baseline, window)?;
+            let f = &m.vm(VmId(0)).kernel.flows[0];
+            Ok((table4c_config(i), f.jitter_ms(), f.throughput_mbps(m.now())))
         },
     )
 }

@@ -156,15 +156,6 @@ impl Activity {
         }
     }
 
-    /// True while the vCPU would execute the PAUSE-loop (spin) — the states
-    /// from which PLE exits and voluntary yields originate.
-    pub fn is_spinning(&self) -> bool {
-        matches!(
-            self,
-            Activity::SpinWait { .. } | Activity::TlbWait { .. } | Activity::ReschedWait { .. }
-        )
-    }
-
     /// The kernel function name the instruction pointer falls in.
     ///
     /// Returns `None` for user-mode execution (the IP is outside kernel

@@ -118,9 +118,6 @@ pub struct FlowState {
     pub dropped: u64,
     /// Per-packet latency samples, µs (pIRQ → application consumption).
     pub latency_us: Summary,
-    /// RFC 3550 smoothed jitter estimate, µs.
-    jitter_us: f64,
-    last_latency_us: Option<f64>,
     /// When the flow started (throughput accounting).
     pub started: SimTime,
 }
@@ -137,8 +134,6 @@ impl FlowState {
             delivered: 0,
             dropped: 0,
             latency_us: Summary::new(),
-            jitter_us: 0.0,
-            last_latency_us: None,
             started: start,
         }
     }
@@ -201,7 +196,7 @@ impl FlowState {
         n as u32
     }
 
-    /// The application consumes one packet. Records latency/jitter and
+    /// The application consumes one packet. Records its latency and
     /// returns the next TCP arrival to schedule (window slot freed), if
     /// any.
     ///
@@ -211,11 +206,6 @@ impl FlowState {
         self.delivered += 1;
         let lat_us = now.saturating_since(arrived).as_micros_f64();
         self.latency_us.add(lat_us);
-        if let Some(prev) = self.last_latency_us {
-            let d = (lat_us - prev).abs();
-            self.jitter_us += (d - self.jitter_us) / 16.0;
-        }
-        self.last_latency_us = Some(lat_us);
         let next = match self.cfg.kind {
             FlowKind::Tcp { .. } => {
                 // The freed window slot lets the sender transmit one more
@@ -252,12 +242,6 @@ impl FlowState {
     /// smoothing decays between bursts and under-reports bursty delay.
     pub fn jitter_ms(&self) -> f64 {
         self.latency_us.std_dev() / 1_000.0
-    }
-
-    /// The RFC 3550 smoothed inter-arrival jitter estimate, in
-    /// milliseconds (kept for comparison with `jitter_ms`).
-    pub fn jitter_rfc3550_ms(&self) -> f64 {
-        self.jitter_us / 1_000.0
     }
 
     /// Goodput in Mbit/s over `[started, now]`.

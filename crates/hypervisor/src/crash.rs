@@ -1,18 +1,17 @@
-//! Flight recorder and crash-report capture.
+//! Crash-report capture: the machine's black box.
 //!
 //! A failing grid cell is only as debuggable as the evidence it leaves
-//! behind. This module provides the machine's black box: a fixed-size
-//! ring of the last events the machine handled ([`FlightRecorder`]),
-//! armed per worker thread by the experiment runner, and a thread-local
-//! *crash session* through which the machine publishes a rendered crash
-//! report the moment it poisons itself with a
-//! [`SimError`].
+//! behind. The runner opens a thread-local *crash session* around each
+//! cell. A machine built inside one arms its trace ring with the last
+//! [`DEFAULT_RING`] records — handled events and the scheduler decisions
+//! taken while handling them (see [`TraceEvent`](crate::TraceEvent)) —
+//! and publishes a rendered crash report into the session the moment it
+//! poisons itself with a [`SimError`].
 //!
 //! Cost profile: with no session armed (every unit test, benchmark, and
-//! library embedding) the recorder is a disarmed no-op — one predictable
-//! branch per event, no allocation, no clock access — and machines carry
-//! an empty ring. The runner arms the session only around experiment
-//! cells, where the ring costs one bounded `Vec` write per event.
+//! library embedding) the ring is disabled — one predictable branch per
+//! record, no allocation, no clock access. Inside a session the ring
+//! costs one bounded `Vec` write per record.
 //!
 //! The session also carries two replay knobs consumed during artifact
 //! *shrinking* (bisecting a fault plan down to a minimal reproducer):
@@ -22,84 +21,13 @@
 //! with the untruncated plan.
 
 use crate::error::SimError;
-use crate::machine::{Event, Machine};
-use simcore::time::SimTime;
+use crate::machine::Machine;
 use std::cell::{Cell, RefCell};
 
-/// Default ring capacity when the runner arms a cell. 256 events is a
-/// few scheduler quanta of history — enough to see the decisions leading
-/// into a failure without bloating artifacts.
+/// Trace-ring capacity of a machine built inside a crash session. 256
+/// records is a few scheduler quanta of history — enough to see the
+/// decisions leading into a failure without bloating artifacts.
 pub const DEFAULT_RING: usize = 256;
-
-/// A fixed-size ring of the last N `(time, event)` pairs the machine
-/// handled. Disarmed by default; see [the module docs](self) for the
-/// cost profile.
-#[derive(Clone, Debug)]
-pub struct FlightRecorder {
-    ring: Vec<(SimTime, Event)>,
-    capacity: usize,
-    /// Total records ever written (ring head = total % capacity).
-    total: u64,
-}
-
-impl FlightRecorder {
-    /// A disarmed recorder: [`FlightRecorder::record`] is a no-op.
-    pub fn disarmed() -> Self {
-        FlightRecorder {
-            ring: Vec::new(),
-            capacity: 0,
-            total: 0,
-        }
-    }
-
-    /// An armed recorder retaining the last `capacity` events.
-    pub fn armed(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        FlightRecorder {
-            ring: Vec::with_capacity(capacity),
-            capacity,
-            total: 0,
-        }
-    }
-
-    /// True if this recorder retains events.
-    #[inline]
-    pub fn is_armed(&self) -> bool {
-        self.capacity != 0
-    }
-
-    /// Appends one record, overwriting the oldest once full.
-    #[inline]
-    pub fn record(&mut self, at: SimTime, event: Event) {
-        if self.capacity == 0 {
-            return;
-        }
-        self.record_slow(at, event);
-    }
-
-    #[cold]
-    fn record_slow(&mut self, at: SimTime, event: Event) {
-        let slot = (self.total % self.capacity as u64) as usize;
-        if slot < self.ring.len() {
-            self.ring[slot] = (at, event);
-        } else {
-            self.ring.push((at, event));
-        }
-        self.total += 1;
-    }
-
-    /// Total records ever written (retained + overwritten).
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// The retained records, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &(SimTime, Event)> {
-        let head = (self.total % self.capacity.max(1) as u64) as usize;
-        let (newer, older) = self.ring.split_at(head.min(self.ring.len()));
-        older.iter().chain(newer.iter())
-    }
-}
 
 thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
@@ -110,14 +38,14 @@ thread_local! {
 }
 
 /// True if a crash session is armed on the calling thread. Machines
-/// constructed while armed carry a [`FlightRecorder::armed`] ring and
+/// constructed while armed carry a [`DEFAULT_RING`]-record trace ring and
 /// publish a crash report into the session on their first fatal error.
 pub fn session_armed() -> bool {
     ARMED.with(|a| a.get())
 }
 
-/// Runs `f` inside an armed crash session: machines it constructs record
-/// flight data and publish crash reports retrievable afterwards via
+/// Runs `f` inside an armed crash session: machines it constructs keep a
+/// trace ring and publish crash reports retrievable afterwards via
 /// [`take_report`]. Any stale report from a previous cell on this worker
 /// thread is cleared first. The previous armed state is restored on
 /// exit, including on unwind.
@@ -201,7 +129,7 @@ pub(crate) fn publish_plan_len(len: u32) {
 }
 
 impl Machine {
-    /// Renders the machine's black box for a fatal error `e`: the flight
+    /// Renders the machine's black box for a fatal error `e`: the trace
     /// ring, the active fault plan, RNG stream position, and a state
     /// summary. Called by the machine itself on its first failure when a
     /// crash session is armed; also available to embedders for ad-hoc
@@ -234,12 +162,12 @@ impl Machine {
         }
         let _ = writeln!(
             out,
-            "flight_ring: {} retained of {} total events",
-            self.flight.iter().count(),
-            self.flight.total()
+            "flight_ring: {} retained of {} total records",
+            self.trace.len(),
+            self.trace.total()
         );
-        for (at, event) in self.flight.iter() {
-            let _ = writeln!(out, "  {at} {event:?}");
+        for r in self.trace.iter() {
+            let _ = writeln!(out, "  {} {:?}", r.at, r.event);
         }
         let _ = writeln!(out, "counters:");
         for line in self.stats.counters.to_string().lines() {
@@ -252,25 +180,63 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BaselinePolicy, MachineConfig, VmSpec};
+    use guest::segment::{Program, ScriptedProgram, Segment};
+    use simcore::time::{SimDuration, SimTime};
+
+    fn hog(_v: u16) -> Box<dyn Program> {
+        Box::new(ScriptedProgram::looping(
+            "hog",
+            vec![Segment::User {
+                dur: SimDuration::from_millis(10),
+            }],
+        ))
+    }
+
+    /// Two 2-vCPU VMs of looping hogs on two pCPUs: every slice rotates.
+    fn overcommitted() -> Machine {
+        Machine::new(
+            MachineConfig::small(2).with_seed(21),
+            vec![
+                VmSpec::new("a", 2).task_per_vcpu(hog),
+                VmSpec::new("b", 2).task_per_vcpu(hog),
+            ],
+            Box::new(BaselinePolicy),
+        )
+    }
 
     #[test]
     fn disarmed_recorder_is_a_no_op() {
-        let mut r = FlightRecorder::disarmed();
-        assert!(!r.is_armed());
-        r.record(SimTime::ZERO, Event::Tick);
-        assert_eq!(r.total(), 0);
-        assert_eq!(r.iter().count(), 0);
+        let mut m = overcommitted();
+        m.run_until(SimTime::from_millis(100)).unwrap();
+        assert!(!m.trace().is_enabled(), "no session, no ring");
+        assert_eq!(m.trace().total(), 0);
+        assert_eq!(m.trace().iter().count(), 0);
+        let report = m.render_crash_report(&SimError::Watchdog { at: m.now });
+        assert!(report.contains("flight_ring: 0 retained of 0 total records"));
     }
 
     #[test]
     fn ring_retains_the_newest_records_in_order() {
-        let mut r = FlightRecorder::armed(3);
-        for i in 0..5u64 {
-            r.record(SimTime::from_micros(i), Event::Tick);
-        }
-        assert_eq!(r.total(), 5);
-        let times: Vec<u64> = r.iter().map(|(at, _)| at.as_micros()).collect();
-        assert_eq!(times, vec![2, 3, 4], "oldest-first, newest retained");
+        let horizon = SimTime::from_millis(1000);
+        let mut armed = with_session(overcommitted);
+        armed.run_until(horizon).unwrap();
+        let mut full = overcommitted();
+        full.enable_trace(1 << 16);
+        full.run_until(horizon).unwrap();
+
+        // The reference misses the boot-time decisions the armed ring
+        // saw before `enable_trace`, so compare only the newest records.
+        let reference: Vec<_> = full.trace().iter().collect();
+        assert_eq!(reference.len() as u64, full.trace().total(), "no wrap");
+        assert!(armed.trace().total() > reference.len() as u64);
+        assert!(reference.len() > DEFAULT_RING, "the run wraps the ring");
+        let kept: Vec<_> = armed.trace().iter().collect();
+        assert_eq!(
+            kept,
+            reference[reference.len() - DEFAULT_RING..],
+            "oldest-first, newest retained"
+        );
     }
 
     #[test]

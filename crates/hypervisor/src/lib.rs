@@ -36,7 +36,6 @@ pub mod vcpu;
 pub mod vm;
 
 pub use config::MachineConfig;
-pub use crash::FlightRecorder;
 pub use error::SimError;
 pub use faults::{FaultKind, FaultPlan, FaultSpec, FaultSpecError};
 pub use machine::{Machine, Snapshot, TraceEvent};

@@ -197,15 +197,6 @@ impl Machine {
         self.push_event(self.now + delay, Event::PolicyTimer { id });
     }
 
-    /// Pins a vCPU to a set of pCPUs (normal-pool affinity).
-    ///
-    /// Must be called before the simulation runs (placement happens at
-    /// boot and on every wake).
-    pub fn pin_vcpu(&mut self, vcpu: VcpuId, pcpus: Vec<PcpuId>) {
-        assert!(!pcpus.is_empty(), "empty affinity set");
-        self.vcpu_mut(vcpu).affinity = Some(pcpus);
-    }
-
     /// Total work units completed by a VM.
     pub fn vm_work_done(&self, vm: VmId) -> u64 {
         self.vms[vm.0 as usize].work_done()

@@ -17,7 +17,6 @@ mod step;
 pub use snapshot::Snapshot;
 
 use crate::config::MachineConfig;
-use crate::crash::FlightRecorder;
 use crate::error::SimError;
 use crate::faults::FaultState;
 use crate::pcpu::Pcpu;
@@ -35,13 +34,18 @@ use simcore::time::SimTime;
 use simcore::trace::TraceBuffer;
 use std::sync::Arc;
 
-/// A scheduler trace record — the simulator's `xentrace` analogue.
+/// A trace record — the simulator's `xentrace` analogue: every event the
+/// machine handles, and the scheduler decisions taken while handling it.
 ///
-/// Tracing is off by default (simulations emit millions of events);
-/// enable it with [`Machine::enable_trace`] and inspect or drain via
-/// [`Machine::trace`] / [`Machine::trace_mut`].
+/// Tracing is off by default (simulations emit millions of events). A
+/// machine built inside a [`crate::crash::with_session`] scope records
+/// its last [`crate::crash::DEFAULT_RING`] records for its crash report;
+/// [`Machine::enable_trace`] sets any other capacity. Inspect or drain
+/// via [`Machine::trace`] / [`Machine::trace_mut`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceEvent {
+    /// The event loop handled an event.
+    Handled(Event),
     /// A vCPU was dispatched onto a pCPU.
     Dispatch {
         /// The pCPU.
@@ -84,7 +88,7 @@ pub enum Stop {
 }
 
 /// A simulation event.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Event {
     /// A planned stop for a running vCPU. Stale if `gen` mismatches.
     Transition {
@@ -159,14 +163,13 @@ pub struct Machine {
     /// Statistics (public so experiments can read them directly).
     pub stats: MachineStats,
     pub(crate) map: Arc<Linux44Map>,
+    /// Trace ring (see [`TraceEvent`]): disabled unless constructed inside
+    /// a [`crate::crash::with_session`] scope or enabled explicitly.
     pub(crate) trace: TraceBuffer<TraceEvent>,
     /// First fatal error, if any; poisons every later `run_until_*`.
     pub(crate) fatal: Option<SimError>,
     /// Fault-injection state (empty plan by default).
     pub(crate) faults: FaultState,
-    /// Flight recorder: disarmed unless constructed inside a
-    /// [`crate::crash::with_session`] scope.
-    pub(crate) flight: FlightRecorder,
 }
 
 impl Machine {
@@ -212,14 +215,13 @@ impl Machine {
             policy: Some(policy),
             stats: MachineStats::new(num_vms),
             map,
-            trace: TraceBuffer::disabled(),
+            trace: if crate::crash::session_armed() {
+                TraceBuffer::new(crate::crash::DEFAULT_RING)
+            } else {
+                TraceBuffer::disabled()
+            },
             fatal: None,
             faults: FaultState::default(),
-            flight: if crate::crash::session_armed() {
-                FlightRecorder::armed(crate::crash::DEFAULT_RING)
-            } else {
-                FlightRecorder::disarmed()
-            },
         };
         machine.boot();
         machine
@@ -322,19 +324,7 @@ impl Machine {
     /// failure the error is returned immediately and the machine stays
     /// poisoned: every later `run_until_*` returns the same error.
     pub fn run_until(&mut self, deadline: SimTime) -> Result<(), SimError> {
-        self.poisoned()?;
-        let mut pace: u32 = 0;
-        while let Some((t, event)) = self.queue.pop_at_or_before(deadline) {
-            debug_assert!(t >= self.now, "time went backwards");
-            self.now = t;
-            self.flight.record(t, event);
-            self.handle(event);
-            pace = pace.wrapping_add(1);
-            if pace & 1023 == 0 && simcore::watchdog::expired() {
-                self.fail(SimError::Watchdog { at: self.now });
-            }
-            self.poisoned()?;
-        }
+        self.run_loop(deadline, |_| false)?;
         if self.now < deadline {
             self.now = deadline;
         }
@@ -349,21 +339,7 @@ impl Machine {
         vm: VmId,
         horizon: SimTime,
     ) -> Result<Option<SimTime>, SimError> {
-        self.poisoned()?;
-        let mut pace: u32 = 0;
-        while self.vms[vm.0 as usize].finished_at.is_none() {
-            let Some((t, event)) = self.queue.pop_at_or_before(horizon) else {
-                break;
-            };
-            self.now = t;
-            self.flight.record(t, event);
-            self.handle(event);
-            pace = pace.wrapping_add(1);
-            if pace & 1023 == 0 && simcore::watchdog::expired() {
-                self.fail(SimError::Watchdog { at: self.now });
-            }
-            self.poisoned()?;
-        }
+        self.run_loop(horizon, |m| m.vms[vm.0 as usize].finished_at.is_some())?;
         self.settle();
         Ok(self.vms[vm.0 as usize].finished_at)
     }
@@ -371,20 +347,35 @@ impl Machine {
     /// Runs until every VM with tasks has finished them, or `horizon`
     /// passes. Returns `true` if everything finished.
     pub fn run_until_all_finished(&mut self, horizon: SimTime) -> Result<bool, SimError> {
-        self.poisoned()?;
         let all_done = |m: &Machine| {
             m.vms
                 .iter()
                 .filter(|vm| !vm.tasks.is_empty())
                 .all(|vm| vm.finished_at.is_some())
         };
+        self.run_loop(horizon, all_done)?;
+        self.settle();
+        Ok(all_done(self))
+    }
+
+    /// The event loop behind every `run_until*`: until `done` holds, pops
+    /// the next event at or before `horizon`, records it in the trace ring
+    /// and handles it. Polls the watchdog every 1024 events and returns
+    /// the first fatal error.
+    fn run_loop(
+        &mut self,
+        horizon: SimTime,
+        done: impl Fn(&Machine) -> bool,
+    ) -> Result<(), SimError> {
+        self.poisoned()?;
         let mut pace: u32 = 0;
-        while !all_done(self) {
+        while !done(self) {
             let Some((t, event)) = self.queue.pop_at_or_before(horizon) else {
                 break;
             };
+            debug_assert!(t >= self.now, "time went backwards");
             self.now = t;
-            self.flight.record(t, event);
+            self.trace.record(t, TraceEvent::Handled(event));
             self.handle(event);
             pace = pace.wrapping_add(1);
             if pace & 1023 == 0 && simcore::watchdog::expired() {
@@ -392,8 +383,7 @@ impl Machine {
             }
             self.poisoned()?;
         }
-        self.settle();
-        Ok(all_done(self))
+        Ok(())
     }
 
     /// Accounts progress of all running vCPUs up to `now` (so CPU-time
@@ -449,8 +439,8 @@ impl Machine {
         &self.map
     }
 
-    /// Enables scheduler tracing with a bounded ring of `capacity`
-    /// records (the `xentrace` analogue the paper's analysis uses, §3.1).
+    /// Replaces the trace ring with an empty one of `capacity` records
+    /// (the `xentrace` analogue the paper's analysis uses, §3.1).
     pub fn enable_trace(&mut self, capacity: usize) {
         self.trace = TraceBuffer::new(capacity);
     }
@@ -467,9 +457,6 @@ impl Machine {
 
     #[inline]
     pub(crate) fn trace_record(&mut self, event: TraceEvent) {
-        if self.trace.is_enabled() {
-            let now = self.now;
-            self.trace.record(now, event);
-        }
+        self.trace.record(self.now, event);
     }
 }

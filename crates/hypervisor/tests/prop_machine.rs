@@ -53,6 +53,27 @@ impl Program for FuzzProgram {
     }
 }
 
+/// A [`FuzzProgram`] that ends after `left` segments.
+#[derive(Clone, Debug)]
+struct Finite {
+    inner: FuzzProgram,
+    left: u32,
+}
+
+impl Program for Finite {
+    fn next_segment(&mut self, rng: &mut SimRng) -> Segment {
+        if self.left == 0 {
+            return Segment::End;
+        }
+        self.left -= 1;
+        self.inner.next_segment(rng)
+    }
+
+    fn name(&self) -> &'static str {
+        "finite"
+    }
+}
+
 /// A byte-level fingerprint of a machine's observable state, for the
 /// fork-isolation property below.
 fn fingerprint(m: &Machine) -> (u64, u64, SimDuration, SimDuration, String) {
@@ -191,7 +212,10 @@ proptest! {
 
     /// Split runs, the property the experiment runner's checkpoint store
     /// leans on: stopping at any times before `t2` and running on to `t2`
-    /// gives the machine one `run_until(t2)` gives.
+    /// gives the machine one `run_until(t2)` gives. VM 1 runs a finite
+    /// program, and the split at index `vm_stop` (if any) is a
+    /// `run_until_vm_finished` stop, which may end at VM 1's finish time
+    /// instead: the loop's entry points compose.
     #[test]
     fn split_runs_equal_one_run(
         seed in any::<u64>(),
@@ -200,32 +224,43 @@ proptest! {
         vcpus_b in 1u16..6,
         micro in 0usize..3,
         splits_ms in proptest::collection::vec(0u64..250, 1..4),
+        vm_stop in 0usize..6,
+        segments_b in 20u32..1500,
     ) {
         let build = || {
-            let mk = |n: u16| -> VmSpec {
-                VmSpec::new("fuzz", n).task_per_vcpu(move |_| {
-                    Box::new(FuzzProgram {
-                        kernel_weight: 0.2,
-                        lock_weight: 0.3,
-                        tlb_weight: 0.1,
-                        num_vcpus: n,
-                    })
-                })
+            let fuzz = |n: u16| FuzzProgram {
+                kernel_weight: 0.2,
+                lock_weight: 0.3,
+                tlb_weight: 0.1,
+                num_vcpus: n,
             };
+            let a = VmSpec::new("fuzz", vcpus_a).task_per_vcpu(move |_| Box::new(fuzz(vcpus_a)));
+            let b = VmSpec::new("finite", vcpus_b).task_per_vcpu(move |_| {
+                Box::new(Finite {
+                    inner: fuzz(vcpus_b),
+                    left: segments_b,
+                })
+            });
             let cfg = MachineConfig::small(num_pcpus).with_seed(seed);
             let policy: Box<dyn hypervisor::SchedPolicy> = if micro == 0 {
                 Box::new(BaselinePolicy)
             } else {
                 Box::new(microslice::MicroslicePolicy::fixed(micro))
             };
-            Machine::new(cfg, vec![mk(vcpus_a), mk(vcpus_b)], policy)
+            Machine::new(cfg, vec![a, b], policy)
         };
         let horizon = SimTime::ZERO + SimDuration::from_millis(250);
         let mut splits_ms = splits_ms;
         splits_ms.sort_unstable();
         let mut split = build();
-        for ms in splits_ms {
-            split.run_until(SimTime::ZERO + SimDuration::from_millis(ms)).unwrap();
+        for (i, ms) in splits_ms.into_iter().enumerate() {
+            let t = SimTime::ZERO + SimDuration::from_millis(ms);
+            if i == vm_stop {
+                let finished = split.run_until_vm_finished(VmId(1), t).unwrap();
+                prop_assert!(finished.is_none_or(|at| at <= split.now()));
+            } else {
+                split.run_until(t).unwrap();
+            }
         }
         split.run_until(horizon).unwrap();
         let mut whole = build();

@@ -1,7 +1,7 @@
 //! Tests for the machine's trace buffer and policy-facing API surface.
 
 use guest::segment::{Program, ScriptedProgram, Segment};
-use hypervisor::{BaselinePolicy, Machine, MachineConfig, PoolId, TraceEvent, VmSpec};
+use hypervisor::{crash, BaselinePolicy, Machine, MachineConfig, PoolId, TraceEvent, VmSpec};
 use simcore::ids::{VcpuId, VmId};
 use simcore::time::{SimDuration, SimTime};
 
@@ -30,6 +30,7 @@ fn trace_is_disabled_by_default_and_records_when_enabled() {
     let mut m = overcommitted(2);
     m.run_until(SimTime::from_millis(100)).unwrap();
     assert!(m.trace().is_empty(), "tracing must default off");
+    assert_eq!(m.trace().total(), 0, "outside a crash session");
 
     m.enable_trace(4096);
     m.run_until(SimTime::from_millis(400)).unwrap();
@@ -49,6 +50,24 @@ fn trace_is_disabled_by_default_and_records_when_enabled() {
     let drained = m.trace_mut().drain();
     assert!(!drained.is_empty());
     assert!(m.trace().is_empty());
+}
+
+#[test]
+fn crash_sessions_arm_the_ring_with_events_and_decisions() {
+    let mut m = crash::with_session(|| overcommitted(2));
+    m.run_until(SimTime::from_millis(1000)).unwrap();
+    let ring = m.trace();
+    assert!(
+        ring.total() > crash::DEFAULT_RING as u64,
+        "one second wraps the ring"
+    );
+    assert_eq!(ring.len(), crash::DEFAULT_RING);
+    assert!(ring
+        .iter()
+        .any(|r| matches!(r.event, TraceEvent::Handled(_))));
+    assert!(ring
+        .iter()
+        .any(|r| matches!(r.event, TraceEvent::Dispatch { .. })));
 }
 
 #[test]

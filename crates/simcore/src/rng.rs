@@ -110,12 +110,6 @@ impl SimRng {
         lo + self.below(hi - lo)
     }
 
-    /// A uniform float in `[lo, hi)`.
-    #[inline]
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.next_f64()
-    }
-
     /// Returns `true` with probability `p` (clamped to `[0, 1]`).
     #[inline]
     pub fn chance(&mut self, p: f64) -> bool {

@@ -1,14 +1,14 @@
-//! A bounded trace ring buffer — the simulator's `xentrace` analogue.
+//! A bounded trace ring — the simulator's `xentrace` analogue.
 //!
 //! The paper's analysis (§3.1) relies on `xentrace` and `perf` logs to
 //! attribute yields to kernel functions. [`TraceBuffer`] provides the same
 //! capability for the simulator: components append timestamped records and
-//! analyses inspect (or drain) them afterwards. The buffer is bounded so
-//! long simulations cannot exhaust memory; when full, the oldest records are
-//! overwritten and a drop counter records the loss.
+//! analyses inspect (or drain) them afterwards. The ring is bounded so
+//! long simulations cannot exhaust memory: once it is full, each new
+//! record overwrites the oldest one. A disabled ring has capacity 0 and
+//! costs one inlined branch per record.
 
 use crate::time::SimTime;
-use std::collections::VecDeque;
 
 /// A timestamped trace record.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -19,7 +19,8 @@ pub struct TraceRecord<T> {
     pub event: T,
 }
 
-/// A bounded ring buffer of trace records.
+/// A bounded ring of trace records: a `Vec` of slots written in turn and
+/// a running count of records that locates the oldest one.
 ///
 /// # Examples
 ///
@@ -31,104 +32,105 @@ pub struct TraceRecord<T> {
 /// trace.record(SimTime::from_micros(1), "boot");
 /// trace.record(SimTime::from_micros(2), "yield");
 /// trace.record(SimTime::from_micros(3), "migrate");
-/// assert_eq!(trace.dropped(), 1); // "boot" was overwritten
-/// assert_eq!(trace.iter().count(), 2);
+/// assert_eq!(trace.total(), 3);
+/// let kept: Vec<_> = trace.iter().map(|r| r.event).collect();
+/// assert_eq!(kept, ["yield", "migrate"]); // "boot" was overwritten
 /// ```
 #[derive(Clone, Debug)]
 pub struct TraceBuffer<T> {
-    records: VecDeque<TraceRecord<T>>,
+    slots: Vec<TraceRecord<T>>,
+    /// Slot count; 0 means disabled.
     capacity: usize,
-    dropped: u64,
-    enabled: bool,
+    /// Records written since creation or the last drain. The next write
+    /// goes to slot `total % capacity`.
+    total: u64,
 }
 
 impl<T> TraceBuffer<T> {
-    /// Creates an enabled buffer holding at most `capacity` records.
-    ///
-    /// A zero capacity creates a buffer that drops everything (useful to
-    /// disable tracing without changing call sites).
+    /// A ring retaining the last `capacity` records (at least one).
     pub fn new(capacity: usize) -> Self {
+        let capacity = capacity.max(1);
         TraceBuffer {
-            records: VecDeque::with_capacity(capacity.min(1 << 20)),
+            slots: Vec::with_capacity(capacity.min(1 << 20)),
             capacity,
-            dropped: 0,
-            enabled: true,
+            total: 0,
         }
     }
 
-    /// Creates a disabled buffer: records are discarded without counting.
+    /// A disabled ring: [`TraceBuffer::record`] is a no-op.
     pub fn disabled() -> Self {
         TraceBuffer {
-            records: VecDeque::new(),
+            slots: Vec::new(),
             capacity: 0,
-            dropped: 0,
-            enabled: false,
+            total: 0,
         }
     }
 
-    /// Enables or disables recording at runtime.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
-    /// True if the buffer is currently recording.
-    ///
-    /// Inlined so hot-path callers guarding a record construction compile
-    /// the disabled case down to a single flag test.
+    /// True if the ring retains records.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        self.capacity != 0
     }
 
-    /// Appends a record, evicting the oldest one if the buffer is full.
+    /// Appends a record, overwriting the oldest one once the ring is full.
     ///
-    /// The disabled check is split into an inlined early-out so simulation
-    /// hot paths pay one predictable branch when tracing is off, without
-    /// the cost of a full (outlined) call.
+    /// The disabled check is an inlined early-out, so simulation hot paths
+    /// pay one predictable branch when tracing is off.
     #[inline]
     pub fn record(&mut self, at: SimTime, event: T) {
-        if !self.enabled {
-            return;
+        if self.capacity != 0 {
+            self.record_slow(TraceRecord { at, event });
         }
-        self.record_slow(at, event);
     }
 
     #[cold]
-    fn record_slow(&mut self, at: SimTime, event: T) {
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
+    fn record_slow(&mut self, record: TraceRecord<T>) {
+        let slot = self.head();
+        if slot < self.slots.len() {
+            self.slots[slot] = record;
+        } else {
+            self.slots.push(record);
         }
-        if self.records.len() == self.capacity {
-            self.records.pop_front();
-            self.dropped += 1;
-        }
-        self.records.push_back(TraceRecord { at, event });
+        self.total += 1;
+    }
+
+    /// The slot the next record goes to: the oldest record once the ring
+    /// is full, one past the newest before.
+    fn head(&self) -> usize {
+        (self.total % self.capacity.max(1) as u64) as usize
     }
 
     /// Iterates over the retained records, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &TraceRecord<T>> {
-        self.records.iter()
+        let (newer, older) = self.slots.split_at(self.head());
+        older.iter().chain(newer)
     }
 
-    /// Removes and returns all retained records, oldest first.
+    /// Removes and returns the retained records, oldest first. The ring
+    /// then refills from empty and its [`total`](TraceBuffer::total)
+    /// restarts at zero.
     pub fn drain(&mut self) -> Vec<TraceRecord<T>> {
-        self.records.drain(..).collect()
+        let head = self.head();
+        let mut records = std::mem::take(&mut self.slots);
+        records.rotate_left(head);
+        self.total = 0;
+        records
     }
 
-    /// Number of records lost to capacity eviction (or zero-capacity drops).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
+    /// Records written since creation or the last drain, retained plus
+    /// overwritten.
+    pub fn total(&self) -> u64 {
+        self.total
     }
 
     /// Number of records currently retained.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.slots.len()
     }
 
     /// True if no records are retained.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.slots.is_empty()
     }
 }
 
@@ -136,35 +138,41 @@ impl<T> TraceBuffer<T> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn records_in_order() {
-        let mut t = TraceBuffer::new(10);
-        for i in 0..5u64 {
+    fn filled(capacity: usize, n: u64) -> TraceBuffer<u64> {
+        let mut t = TraceBuffer::new(capacity);
+        for i in 0..n {
             t.record(SimTime::from_micros(i), i);
         }
+        t
+    }
+
+    fn events(t: &TraceBuffer<u64>) -> Vec<u64> {
+        t.iter().map(|r| r.event).collect()
+    }
+
+    #[test]
+    fn records_in_order() {
+        let t = filled(10, 5);
+        assert_eq!(events(&t), [0, 1, 2, 3, 4]);
         let times: Vec<u64> = t.iter().map(|r| r.at.as_micros()).collect();
-        assert_eq!(times, vec![0, 1, 2, 3, 4]);
-        assert_eq!(t.dropped(), 0);
+        assert_eq!(times, [0, 1, 2, 3, 4]);
+        assert_eq!(t.total(), 5);
     }
 
     #[test]
     fn evicts_oldest_when_full() {
-        let mut t = TraceBuffer::new(3);
-        for i in 0..5u64 {
-            t.record(SimTime::from_micros(i), i);
-        }
-        let events: Vec<u64> = t.iter().map(|r| r.event).collect();
-        assert_eq!(events, vec![2, 3, 4]);
-        assert_eq!(t.dropped(), 2);
+        let t = filled(3, 5);
+        assert_eq!(events(&t), [2, 3, 4], "oldest first after the wrap");
         assert_eq!(t.len(), 3);
+        assert_eq!(t.total(), 5);
     }
 
     #[test]
-    fn zero_capacity_counts_drops() {
-        let mut t = TraceBuffer::new(0);
-        t.record(SimTime::ZERO, "x");
-        assert!(t.is_empty());
-        assert_eq!(t.dropped(), 1);
+    fn zero_capacity_clamps_to_one() {
+        let t = filled(0, 3);
+        assert!(t.is_enabled());
+        assert_eq!(events(&t), [2]);
+        assert_eq!(t.total(), 3);
     }
 
     #[test]
@@ -173,19 +181,22 @@ mod tests {
         assert!(!t.is_enabled());
         t.record(SimTime::ZERO, "x");
         assert!(t.is_empty());
-        assert_eq!(t.dropped(), 0);
-        t.set_enabled(true);
-        assert!(t.is_enabled());
+        assert_eq!(t.total(), 0);
+        assert_eq!(t.iter().count(), 0);
     }
 
     #[test]
     fn drain_empties_buffer() {
-        let mut t = TraceBuffer::new(4);
-        t.record(SimTime::from_micros(1), 'a');
-        t.record(SimTime::from_micros(2), 'b');
-        let drained = t.drain();
-        assert_eq!(drained.len(), 2);
-        assert_eq!(drained[0].event, 'a');
+        let mut t = filled(3, 5);
+        let drained: Vec<u64> = t.drain().into_iter().map(|r| r.event).collect();
+        assert_eq!(drained, [2, 3, 4], "oldest first");
         assert!(t.is_empty());
+        assert_eq!(t.total(), 0);
+        // The ring refills from empty and wraps as before.
+        for i in 5..9 {
+            t.record(SimTime::from_micros(i), i);
+        }
+        assert_eq!(events(&t), [6, 7, 8]);
+        assert_eq!(t.total(), 4);
     }
 }

@@ -79,12 +79,6 @@ impl WorkloadProfile {
             iters,
         }
     }
-
-    /// Finishes after `iters` iterations (execution-time benchmarks).
-    pub fn with_iters(mut self, iters: u64) -> Self {
-        self.iters = Some(iters);
-        self
-    }
 }
 
 /// A [`Program`] generated from a [`WorkloadProfile`].

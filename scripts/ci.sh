@@ -29,6 +29,18 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 echo "== tests ==" >&2
 cargo test -q
 
+echo "== tests (release) ==" >&2
+# The debug run above ignores the heavy tests
+# (`#[cfg_attr(debug_assertions, ignore)]`): the byte-identity suites,
+# the paper-shape checks and the calibration checks. Release runs them
+# all, and the seeded harnesses at full size: 100 generated scenarios
+# under --paranoid (scenario_fuzz; debug runs a 16-case slice), the
+# 100-plan fault fuzz with its empty-plan byte-identity check
+# (fault_injection), and the timing wheel against a binary-heap
+# reference over 72 seeded op streams (wheel_vs_heap). Every seed is
+# fixed, so a failure here is a real bug, never flake.
+cargo test --release -q -p experiments -p workloads
+
 echo "== quick suite reference ==" >&2
 # The quick-repro smoke, and the reference stdout the fork, serial and
 # kill -9/--resume steps below compare against.
@@ -90,10 +102,9 @@ rm -rf "$ci_out"
 
 echo "== scenario catalog smoke ==" >&2
 # The declarative scenario catalog (SCENARIOS.md): every cookbook file
-# must pass both validation layers, a representative file must render
-# byte-identical stdout across --jobs, and the seeded fuzzer must hold
-# 100 generated scenarios clean under --paranoid (release: the full
-# case count; `cargo test -q` above ran the 16-case debug slice).
+# must pass both validation layers and a representative file must render
+# byte-identical stdout across --jobs (the release test step above runs
+# the scenario fuzzer).
 target/release/repro scenarios examples/scenarios --check
 sc_out="$(mktemp -d)"
 # No --quick here: quick mode floors measurement windows at 800 ms,
@@ -107,20 +118,6 @@ cmp "$sc_out/j1.txt" "$sc_out/j2.txt" || {
     exit 1
 }
 rm -rf "$sc_out"
-cargo test --release -p experiments --test scenario_fuzz -q
-
-echo "== fault-fuzz smoke (fixed seeds) ==" >&2
-# The 100-plan property harness plus the empty-plan byte-identity check;
-# the vendored proptest stub seeds deterministically, so this is a fixed
-# fault-fuzz corpus, not a flaky random one.
-cargo test --release -p experiments --test fault_injection -q
-
-echo "== wheel-vs-heap differential smoke (fixed seeds) ==" >&2
-# The timing-wheel queue against a binary-heap reference: 72 seeded op
-# streams (push/pop/deadline-pop across all wheel levels), asserting
-# pop/deadline-pop/peek/earliest/len agreement each step.
-# Deterministic seeds, so a failure here is a real wheel bug, never flake.
-cargo test --release -p experiments --test wheel_vs_heap -q
 
 echo "== bench smoke (hot paths within 25% of committed baseline) ==" >&2
 # Re-measure the two load-bearing hot-path benchmarks with a short window

@@ -3,9 +3,9 @@
 //! cell is cancelled by its watchdog while the suite continues, and a
 //! `--resume` run re-emits byte-identical stdout.
 //!
-//! This is the robustness contract behind the flight recorder
-//! (`hypervisor::crash`), the runner's per-cell crash sessions
-//! (`experiments::runner`), and the run ledger
+//! This is the robustness contract behind the machine's trace ring and
+//! crash reports (`hypervisor::crash`), the runner's per-cell crash
+//! sessions (`experiments::runner`), and the run ledger
 //! (`experiments::runner::ledger`). `scripts/ci.sh` adds the process-
 //! level half: a real `kill -9` mid-suite and a randomized replay soak.
 
@@ -108,6 +108,47 @@ fn sabotage_writes_an_artifact_whose_shrunk_spec_reproduces() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The artifact's ring lists scheduler decisions next to the events they
+/// were taken in. Two compute VMs rotate 2:1 on two pCPUs, so a dispatch
+/// lands every few dozen records and the 256-record ring holds some
+/// wherever in the first 100 ms the sabotage fails the cell.
+#[test]
+fn artifact_ring_lists_events_and_scheduler_decisions() {
+    let dir = temp_dir("decisions");
+    let opts = RunOptions {
+        keep_going: true,
+        faults: Some(FaultSpec::parse("count=1,seed=3,window_ms=100,kinds=sabotage").unwrap()),
+        ..RunOptions::quick()
+    };
+    let scenario = || {
+        let swaptions = || scenarios::vm_with_iters(Workload::Swaptions, 2, None);
+        (MachineConfig::small(2), vec![swaptions(), swaptions()])
+    };
+    let scope = Arc::new(Scope::new("demo", &dir));
+    let grid = pool::with_scope(&scope, || {
+        run_cells(
+            &opts,
+            1,
+            |i| format!("demo[{i}]"),
+            |_| {
+                build(&opts, scenario(), PolicyKind::Baseline)
+                    .run_until(SimTime::from_millis(200))
+                    .map_err(CellFailure::Sim)
+            },
+        )
+    });
+    let e = grid[0].as_ref().expect_err("sabotage must fail the cell");
+    let text = std::fs::read_to_string(e.artifact.as_ref().expect("an artifact")).unwrap();
+    let ring: Vec<&str> = text
+        .lines()
+        .skip_while(|l| !l.starts_with("flight_ring:"))
+        .take_while(|l| !l.starts_with("counters:"))
+        .collect();
+    assert!(ring.iter().any(|l| l.contains(" Handled(")), "{text}");
+    assert!(ring.iter().any(|l| l.contains(" Dispatch {")), "{text}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A cell that forks a stored warm-up and fails after it still gets a
 /// shrunk fault plan: the fork reports the plan its checkpoint carries to
 /// the cell's crash session, as building the machine would have.
@@ -165,7 +206,7 @@ fn forked_cells_failing_after_the_warm_point_still_shrink() {
 /// Failing cells stay failing under the invocation's cell memo and
 /// checkpoint store: `compare` re-shows fig9's TCP cells and shares a
 /// budget with fig9, yet every cell of both experiments still fails on
-/// its own run, with its own flight recorder and a shrunk fault plan. A
+/// its own run, with its own trace ring and a shrunk fault plan. A
 /// memo or store that cached failures would hand `compare` fig9's error
 /// without running a machine, leaving nothing to shrink ("shrink: not
 /// attempted").
