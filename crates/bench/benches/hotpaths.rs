@@ -121,8 +121,8 @@ fn bench_parallel_fanout(c: &mut Criterion) {
 }
 
 /// The scheduler's run-queue inner loop: enqueue a small wave of
-/// waiters, refresh their priorities from live values (the dense-key
-/// rewrite + stable reorder), probe the head, and dispatch-pop — the
+/// waiters, refresh their priorities from live values (an in-place
+/// rewrite and a stable reorder), probe the head, and dispatch-pop — the
 /// exact sequence `machine/sched.rs` drives on every slice boundary.
 fn bench_runq_dispatch_scan(c: &mut Criterion) {
     use hypervisor::pcpu::Pcpu;
@@ -153,9 +153,10 @@ fn bench_runq_dispatch_scan(c: &mut Criterion) {
     });
 }
 
-/// The guest step path's segment supply: 1k segments pulled through the
-/// flattened program arena (cursor reads + occasional batched refill),
-/// as `machine/step.rs` consumes them.
+/// The guest step path's segment supply: 1k segments pulled from a
+/// task's boxed program (one virtual call each, plus a profile
+/// iteration's refill of the program's buffer every few segments), as
+/// `machine/step.rs` consumes them.
 fn bench_segment_step(c: &mut Criterion) {
     use guest::Task;
     use simcore::ids::{TaskId, VmId};

@@ -408,9 +408,9 @@ fn run_cell_scoped<T>(
 
 /// Bisects a failing cell's fault plan down to a minimal reproducing
 /// prefix by re-running the cell under
-/// [`crash::with_fault_take`] truncations. Probes run in
-/// [`crash::with_scratch_mode`] so shared-prefix grids
-/// rebuild their warm machines under the truncated plan instead of
+/// [`crash::with_fault_take`] truncations. While the override is armed
+/// the cell memo and the checkpoint store stand aside, so shared-prefix
+/// grids rebuild their warm machines under the truncated plan instead of
 /// forking a snapshot warmed under the full one.
 ///
 /// The bisection assumes the usual prefix monotonicity (if `k` entries
@@ -432,7 +432,7 @@ fn shrink_fault_plan<T>(
     }
     let want = failure.to_string();
     let reproduces = |take: u32| -> bool {
-        let probe = crash::with_fault_take(take, || crash::with_scratch_mode(attempt));
+        let probe = crash::with_fault_take(take, attempt);
         matches!(probe, Err(f) if f.to_string() == want)
     };
     if !reproduces(plan_len) {

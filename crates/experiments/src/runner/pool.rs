@@ -279,11 +279,11 @@ fn with_tls<T: 'static, R>(
 /// Only successes are kept: a failing cell fails again for each
 /// consumer, each with its own crash artifact, shrink, and replay
 /// command. Without a budget (library callers, `simbench`'s serial
-/// pass) and in [`crash::with_scratch_mode`] (shrink probes, whose
+/// pass) and under [`crash::with_fault_take`] (shrink probes, whose
 /// truncated fault plans must govern the whole run) `f` runs directly
 /// and the memo is neither read nor written.
 ///
-/// [`crash::with_scratch_mode`]: hypervisor::crash::with_scratch_mode
+/// [`crash::with_fault_take`]: hypervisor::crash::with_fault_take
 pub fn memo<T, E>(
     cell: &str,
     args: impl std::fmt::Debug,
@@ -293,7 +293,7 @@ pub fn memo<T, E>(
 where
     T: Clone + Send + Sync + 'static,
 {
-    let Some(budget) = current_memo().filter(|_| !hypervisor::crash::scratch_mode()) else {
+    let Some(budget) = current_memo().filter(|_| hypervisor::crash::fault_take().is_none()) else {
         return f();
     };
     // Destructured so a new option cannot be left out of the key.
@@ -767,15 +767,15 @@ mod tests {
 
     #[test]
     fn memo_is_neither_read_nor_written_in_scratch_mode() {
-        use hypervisor::crash::with_scratch_mode;
+        use hypervisor::crash::with_fault_take;
         let runs = AtomicUsize::new(0);
         with_budget(&Arc::new(Budget::new(1)), || {
-            // Not written: a scratch-mode computation leaves no entry.
-            with_scratch_mode(|| counted(&runs, 21)).unwrap();
+            // Not written: a shrink probe's computation leaves no entry.
+            with_fault_take(1, || counted(&runs, 21)).unwrap();
             counted(&runs, 21).unwrap();
             assert_eq!(runs.load(Ordering::SeqCst), 2);
-            // Not read: the entry now cached is ignored in scratch mode.
-            with_scratch_mode(|| counted(&runs, 21)).unwrap();
+            // Not read: the entry now cached is ignored by a shrink probe.
+            with_fault_take(1, || counted(&runs, 21)).unwrap();
             assert_eq!(runs.load(Ordering::SeqCst), 3);
         });
     }

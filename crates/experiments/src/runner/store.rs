@@ -32,7 +32,7 @@
 //!   consumer reruns a failing prefix inside its own crash session, so
 //!   its artifact keeps its own trace ring, shrink and replay.
 //! - **Bypass.** With forking off (`--no-fork`, the oracle) and in a
-//!   crash-shrink probe ([`crash::with_scratch_mode`]) cells simulate
+//!   crash-shrink probe ([`crash::with_fault_take`]) cells simulate
 //!   from scratch and never read or write a store (see `keyed`).
 //! - **Locking.** Each trajectory has its own lock, held while a cell
 //!   extends it. An extension only simulates: it never waits on a memo
@@ -175,7 +175,7 @@ pub(crate) type Keyed<'a> = Option<(&'a CheckpointStore, Arc<str>)>;
 
 /// `scenario`'s place in `store`. None without a store, with forking off
 /// (`--no-fork`, which is the oracle) and in a crash-shrink probe
-/// ([`crash::with_scratch_mode`]), whose truncated fault plan must govern
+/// ([`crash::with_fault_take`]), whose truncated fault plan must govern
 /// the whole run.
 pub(crate) fn keyed<'a>(
     store: Option<&'a Arc<CheckpointStore>>,
@@ -183,7 +183,7 @@ pub(crate) fn keyed<'a>(
     scenario: &(MachineConfig, Vec<VmSpec>),
 ) -> Keyed<'a> {
     store
-        .filter(|_| opts.fork && !crash::scratch_mode())
+        .filter(|_| opts.fork && crash::fault_take().is_none())
         .map(|store| (&**store, scenario_key(opts, scenario)))
 }
 
@@ -295,13 +295,13 @@ mod tests {
         };
         with_budget(&budget, || {
             consume(&no_fork);
-            crash::with_scratch_mode(|| consume(&opts));
+            crash::with_fault_take(1, || consume(&opts));
             assert_eq!(budget.store().stats(), StoreStats::default());
             consume(&opts);
             let filled = budget.store().stats();
             assert_eq!(filled.retained, 3, "{filled:?}");
             // Neither read (no request served) nor written.
-            crash::with_scratch_mode(|| consume(&opts));
+            crash::with_fault_take(1, || consume(&opts));
             consume(&no_fork);
             assert_eq!(budget.store().stats(), filled);
         });

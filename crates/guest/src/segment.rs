@@ -12,8 +12,8 @@ use simcore::time::SimDuration;
 /// One step of guest-task execution.
 ///
 /// `Copy`: segments are plain value records (durations, small ints,
-/// `&'static str` symbol names), which is what lets [`FlatProgram`] hand
-/// them out of a dense arena without cloning machinery.
+/// `&'static str` symbol names), so programs hand them out of their
+/// scripts and buffers by value.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Segment {
     /// Compute in user mode for the given duration.
@@ -138,82 +138,6 @@ pub trait Program: ProgramClone + Send + Sync + core::fmt::Debug {
 
     /// A short human-readable workload name (e.g. `"gmake"`).
     fn name(&self) -> &'static str;
-
-    /// Appends the next *batch* of segments to `out` — at least one.
-    ///
-    /// The emitted stream must be identical to repeated
-    /// [`Program::next_segment`] calls, including the order of RNG draws;
-    /// batching only changes how many segments one virtual call returns.
-    /// The default forwards one segment at a time; programs with a
-    /// cheaply enumerable future (scripts, loops, profile iterations)
-    /// override it so [`FlatProgram`] touches the vtable once per batch.
-    fn fill(&mut self, out: &mut Vec<Segment>, rng: &mut SimRng) {
-        out.push(self.next_segment(rng));
-    }
-}
-
-/// A [`Program`] flattened into a contiguous segment arena.
-///
-/// The vCPU step path consumes segments at simulation frequency — every
-/// few microseconds of guest time under micro-slicing — and paying a
-/// `Box<dyn Program>` virtual call plus whatever allocation the program
-/// does per segment was measurable. `FlatProgram` batches: it asks the
-/// source to [`Program::fill`] a dense `Vec<Segment>` and then serves
-/// `Copy` reads off a cursor until the arena runs dry. The observable
-/// segment/RNG stream is bit-identical to driving the source directly.
-///
-/// Cloning copies the arena and cursor verbatim (plus the source via
-/// [`ProgramClone`]), so a clone resumes the exact segment stream.
-#[derive(Clone)]
-pub struct FlatProgram {
-    source: Box<dyn Program>,
-    arena: Vec<Segment>,
-    cursor: usize,
-}
-
-impl FlatProgram {
-    /// Wraps a program; the arena fills lazily on first use.
-    pub fn new(source: Box<dyn Program>) -> Self {
-        FlatProgram {
-            source,
-            arena: Vec::new(),
-            cursor: 0,
-        }
-    }
-
-    /// The wrapped program's name.
-    pub fn name(&self) -> &'static str {
-        self.source.name()
-    }
-
-    /// Produces the next segment, refilling the arena from the source
-    /// when the cursor catches up.
-    #[inline]
-    pub fn next_segment(&mut self, rng: &mut SimRng) -> Segment {
-        if self.cursor == self.arena.len() {
-            self.arena.clear();
-            self.cursor = 0;
-            self.source.fill(&mut self.arena, rng);
-            assert!(
-                !self.arena.is_empty(),
-                "Program::fill emitted no segments ({})",
-                self.source.name()
-            );
-        }
-        let seg = self.arena[self.cursor];
-        self.cursor += 1;
-        seg
-    }
-}
-
-impl core::fmt::Debug for FlatProgram {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("FlatProgram")
-            .field("name", &self.name())
-            .field("arena_len", &self.arena.len())
-            .field("cursor", &self.cursor)
-            .finish()
-    }
 }
 
 /// A program built from a fixed segment list (ends with [`Segment::End`],
@@ -256,14 +180,6 @@ impl Program for ScriptedProgram {
     fn name(&self) -> &'static str {
         self.name
     }
-
-    fn fill(&mut self, out: &mut Vec<Segment>, _rng: &mut SimRng) {
-        // Everything left, then the terminal End; once exhausted, one End
-        // per call — the same stream next_segment produces.
-        out.extend_from_slice(&self.script[self.pos.min(self.script.len())..]);
-        out.push(Segment::End);
-        self.pos = self.script.len() + 1;
-    }
 }
 
 /// A program that cycles through a fixed segment list forever.
@@ -283,12 +199,6 @@ impl Program for LoopingProgram {
 
     fn name(&self) -> &'static str {
         self.name
-    }
-
-    fn fill(&mut self, out: &mut Vec<Segment>, _rng: &mut SimRng) {
-        // One batch = the rest of the current cycle.
-        out.extend_from_slice(&self.script[self.pos..]);
-        self.pos = 0;
     }
 }
 

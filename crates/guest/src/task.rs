@@ -1,7 +1,7 @@
 //! Guest tasks: the threads/processes running inside a VM.
 
 use crate::activity::Activity;
-use crate::segment::{FlatProgram, Program, Segment};
+use crate::segment::{Program, Segment};
 use simcore::ids::TaskId;
 use simcore::rng::SimRng;
 use simcore::time::SimTime;
@@ -21,7 +21,8 @@ pub enum TaskState {
 
 /// A guest thread or process.
 ///
-/// Cloning snapshots the task mid-flight: program arena and cursor, RNG
+/// Cloning snapshots the task mid-flight: the program (via
+/// [`crate::segment::ProgramClone`], buffered segments included), RNG
 /// stream position, saved mid-segment activity, and injected burst all
 /// copy verbatim, so a clone resumes exactly where the original was.
 #[derive(Clone)]
@@ -34,10 +35,8 @@ pub struct Task {
     pub home_vcpu: u16,
     /// Current state.
     pub state: TaskState,
-    /// The workload program driving this task, flattened into a segment
-    /// arena so the hot step path reads `Copy` values off a cursor
-    /// instead of making one virtual call per segment.
-    pub program: FlatProgram,
+    /// The workload program driving this task.
+    pub program: Box<dyn Program>,
     /// Per-task RNG stream (forked from the machine seed).
     pub rng: SimRng,
     /// Completed work units ([`Segment::WorkUnit`] count).
@@ -63,7 +62,7 @@ impl Task {
             id,
             home_vcpu,
             state: TaskState::Ready,
-            program: FlatProgram::new(program),
+            program,
             rng,
             work_done: 0,
             finished_at: None,

@@ -13,12 +13,12 @@
 //! record, no allocation, no clock access. Inside a session the ring
 //! costs one bounded `Vec` write per record.
 //!
-//! The session also carries two replay knobs consumed during artifact
-//! *shrinking* (bisecting a fault plan down to a minimal reproducer):
-//! a fault-plan truncation override (see [`with_fault_take`]) and a
-//! scratch-mode flag (see [`with_scratch_mode`]) that forces grid cells
-//! to rebuild their warm prefix instead of forking a snapshot cached
-//! with the untruncated plan.
+//! The session also carries the replay knob consumed during artifact
+//! *shrinking* (bisecting a fault plan down to a minimal reproducer): a
+//! fault-plan truncation override (see [`with_fault_take`]). Only shrink
+//! probes arm it, so it also tells grid cells to rebuild their warm
+//! prefix instead of forking a snapshot cached with the untruncated
+//! plan.
 
 use crate::error::SimError;
 use crate::machine::Machine;
@@ -33,7 +33,6 @@ thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
     static REPORT: RefCell<Option<String>> = const { RefCell::new(None) };
     static FAULT_TAKE: Cell<Option<u32>> = const { Cell::new(None) };
-    static SCRATCH: Cell<bool> = const { Cell::new(false) };
     static PLAN_LEN: Cell<u32> = const { Cell::new(0) };
 }
 
@@ -76,7 +75,9 @@ pub(crate) fn publish_report(report: String) {
 /// every [`Machine::install_faults`](crate::Machine::install_faults)
 /// under it keeps only the first `take` planned entries, exactly as a
 /// spec with `take=K` would. Used by the artifact shrink pass to bisect
-/// a failing plan without rebuilding the cell's options.
+/// a failing plan without rebuilding the cell's options; the runner's
+/// cell memo and checkpoint store stand aside while it is armed, so the
+/// truncated plan governs every simulated prefix.
 pub fn with_fault_take<R>(take: u32, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<u32>);
     impl Drop for Restore {
@@ -91,26 +92,6 @@ pub fn with_fault_take<R>(take: u32, f: impl FnOnce() -> R) -> R {
 /// The fault-plan truncation override armed on this thread, if any.
 pub fn fault_take() -> Option<u32> {
     FAULT_TAKE.with(|t| t.get())
-}
-
-/// Runs `f` in scratch mode: shared-prefix grids must rebuild their warm
-/// machines from scratch instead of forking a cached snapshot. Shrink
-/// probes run under this so a truncated fault plan actually governs the
-/// warm prefix — the cached snapshot was warmed under the full plan.
-pub fn with_scratch_mode<R>(f: impl FnOnce() -> R) -> R {
-    struct Restore(bool);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            SCRATCH.with(|s| s.set(self.0));
-        }
-    }
-    let _restore = Restore(SCRATCH.with(|s| s.replace(true)));
-    f()
-}
-
-/// True if scratch mode is armed on this thread.
-pub fn scratch_mode() -> bool {
-    SCRATCH.with(|s| s.get())
 }
 
 /// Number of fault-plan entries installed by the most recent
@@ -254,8 +235,5 @@ mod tests {
         assert_eq!(fault_take(), None);
         with_fault_take(7, || assert_eq!(fault_take(), Some(7)));
         assert_eq!(fault_take(), None);
-        assert!(!scratch_mode());
-        with_scratch_mode(|| assert!(scratch_mode()));
-        assert!(!scratch_mode());
     }
 }

@@ -1,12 +1,13 @@
 //! Event decoding and the periodic scheduler timers.
 //!
 //! Staleness discipline: superseded transition plans are never cancelled
-//! through the queue — `on_transition` drops them by generation-stamp
-//! comparison when they fire. That idiom is what the timing-wheel queue
-//! is shaped around: a dead event sits in its wheel bucket untouched
-//! (no sift, no lookup) and costs one pop and one generation compare
-//! when it fires, so replanning a vCPU's stop is O(1) no matter how many
-//! stale plans it leaves behind.
+//! through the queue — the event loop drops them by generation-stamp
+//! comparison ([`Machine::is_live`]) when they fire, before the trace
+//! ring records them or [`Machine::handle`] sees them. That idiom is
+//! what the timing-wheel queue is shaped around: a dead event sits in
+//! its wheel bucket untouched (no sift, no lookup) and costs one pop and
+//! one generation compare when it fires, so replanning a vCPU's stop is
+//! O(1) no matter how many stale plans it leaves behind.
 
 use super::{Event, Machine, Stop};
 use crate::machine::sched::RequeueMode;
@@ -18,10 +19,23 @@ use metrics::counters::Counter;
 use simcore::ids::VcpuId;
 
 impl Machine {
-    /// Dispatches one event.
+    /// False for a superseded transition plan: its vCPU stopped running,
+    /// or re-planned (bumped its generation) after the plan was queued.
+    /// Every other event is live.
+    pub(crate) fn is_live(&self, event: Event) -> bool {
+        match event {
+            Event::Transition { vcpu, gen, .. } => {
+                let vc = self.vcpu(vcpu);
+                vc.is_running() && vc.gen == gen
+            }
+            _ => true,
+        }
+    }
+
+    /// Dispatches one live event (see [`Machine::is_live`]).
     pub(crate) fn handle(&mut self, event: Event) {
         match event {
-            Event::Transition { vcpu, gen, stop } => self.on_transition(vcpu, gen, stop),
+            Event::Transition { vcpu, stop, .. } => self.on_transition(vcpu, stop),
             Event::Tick => self.on_tick(),
             Event::Account => self.on_account(),
             Event::PacketArrival { vm, flow } => self.on_packet(vm, flow),
@@ -36,18 +50,12 @@ impl Machine {
         }
     }
 
-    /// A planned stop fires for a running vCPU.
-    fn on_transition(&mut self, vcpu: VcpuId, gen: u64, stop: Stop) {
-        {
-            let vc = self.vcpu(vcpu);
-            if !vc.is_running() || vc.gen != gen {
-                return; // Stale.
-            }
-        }
+    /// A live planned stop fires for a running vCPU.
+    fn on_transition(&mut self, vcpu: VcpuId, stop: Stop) {
         self.account_progress(vcpu);
         match stop {
             Stop::SliceEnd => {
-                // PANIC-OK(stale transitions returned above; the vCPU is still running here)
+                // PANIC-OK(only live transitions reach here; the vCPU is still running)
                 let pcpu = self.vcpu(vcpu).pcpu().expect("running");
                 let from_micro = self.vcpu(vcpu).pool == PoolId::Micro;
                 // Micro-pool slices always evict back to the normal pool

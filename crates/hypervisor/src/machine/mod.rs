@@ -44,7 +44,8 @@ use std::sync::Arc;
 /// via [`Machine::trace`] / [`Machine::trace_mut`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceEvent {
-    /// The event loop handled an event.
+    /// The event loop handled an event (stale transition plans are
+    /// dropped unrecorded).
     Handled(Event),
     /// A vCPU was dispatched onto a pCPU.
     Dispatch {
@@ -142,8 +143,8 @@ pub enum Event {
 /// The simulated host.
 ///
 /// `Clone` is a deep checkpoint: every run queue, the event queue,
-/// guest program arena, RNG stream, histogram, and the fault-plan cursor
-/// copy verbatim, so a clone replays bit-identically to the original.
+/// guest program, RNG stream, histogram, and the fault-plan cursor copy
+/// verbatim, so a clone replays bit-identically to the original.
 /// See [`Machine::snapshot`] / [`Snapshot`] for the checkpoint/fork API
 /// built on top of it.
 #[derive(Clone)]
@@ -359,9 +360,10 @@ impl Machine {
     }
 
     /// The event loop behind every `run_until*`: until `done` holds, pops
-    /// the next event at or before `horizon`, records it in the trace ring
-    /// and handles it. Polls the watchdog every 1024 events and returns
-    /// the first fatal error.
+    /// the next event at or before `horizon` and, unless it is a stale
+    /// transition plan, records it in the trace ring and handles it.
+    /// Polls the watchdog every 1024 pops and returns the first fatal
+    /// error.
     fn run_loop(
         &mut self,
         horizon: SimTime,
@@ -375,8 +377,10 @@ impl Machine {
             };
             debug_assert!(t >= self.now, "time went backwards");
             self.now = t;
-            self.trace.record(t, TraceEvent::Handled(event));
-            self.handle(event);
+            if self.is_live(event) {
+                self.trace.record(t, TraceEvent::Handled(event));
+                self.handle(event);
+            }
             pace = pace.wrapping_add(1);
             if pace & 1023 == 0 && simcore::watchdog::expired() {
                 self.fail(SimError::Watchdog { at: self.now });

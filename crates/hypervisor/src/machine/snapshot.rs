@@ -3,11 +3,12 @@
 //! Every grid cell in the experiment suites re-simulates an identical
 //! warmup before diverging at a single parameter. This module makes the
 //! prefix shareable: [`Machine::snapshot`] captures the whole machine by
-//! plain `Clone` over its SoA/arena state — run-queue `prio_keys`/`vcpus`
-//! vectors, `FlatProgram` segment arenas and cursors, the event queue's
-//! timing wheel (bucket vectors with their inline payloads, occupancy
-//! bitmaps, drain buffer and cursor cloned verbatim) and overflow heap,
-//! RNG streams, histograms, and the fault-plan cursor —
+//! plain `Clone` over its state — each pCPU's run-queue `Vec`, every
+//! task's boxed program (cloned through `ProgramClone`, buffered
+//! segments included), the event queue's timing wheel (bucket vectors
+//! with their inline payloads, occupancy bitmaps, drain buffer and
+//! cursor cloned verbatim) and overflow heap, RNG streams, histograms,
+//! and the fault-plan cursor —
 //! and [`Snapshot::fork`] restores a cell-ready machine in O(state) with
 //! no re-simulation.
 //!

@@ -1,63 +1,13 @@
 //! Physical CPUs and their run queues.
 //!
-//! The run queue is stored structure-of-arrays: a dense `Vec<u8>` of
-//! priority ranks parallel to a `Vec<VcpuId>`. Every hot probe — the
-//! dispatch scan, `head_prio`, the `micro_runq_cap` length checks, the
-//! idle-stealing donor sort — walks (or merely measures) the contiguous
-//! key array without touching the vCPU ids at all; the ids are only read
-//! when an entry actually moves. Queues are tiny (a handful of entries at
-//! 2:1 overcommit), so `Vec` insert/remove shifts beat any pointer
-//! structure.
+//! A run queue is one `Vec<RunqEntry>` kept in priority order, FIFO
+//! within a class. Queues are tiny (a handful of entries at 2:1
+//! overcommit), so a linear scan plus `Vec` insert/remove shifts beat any
+//! pointer structure.
 
 use crate::vcpu::Prio;
 use simcore::ids::{PcpuId, VcpuId, VmId};
 use simcore::time::SimTime;
-
-/// First index in `keys` whose value is strictly greater than `rank`, or
-/// `keys.len()` if none — the insert-position scan of every enqueue.
-///
-/// Queues at 2:1 overcommit hold a handful of entries, and there the
-/// early-exit byte scan is unbeatable — a word trick's setup costs more
-/// than the whole scan. Past one word (consolidated guests, the
-/// run-queue-cap ablation at 16) the scan goes SWAR: eight key bytes per
-/// step compared against a broadcast of `rank + 1` with the "is any byte
-/// ≥ n" trick — biasing each byte's high bit and subtracting leaves the
-/// high bit set exactly in the bytes that did not borrow, i.e. the bytes
-/// ≥ `rank + 1`; the first such byte (little-endian, so
-/// `trailing_zeros`) is the answer. The trick needs every operand byte
-/// below `0x80`: [`Prio::rank`] produces only 0–2, and degenerate ranks
-/// ≥ `0x7f` (impossible for [`Prio`]) take the scalar path outright.
-#[inline]
-pub fn first_rank_above(keys: &[u8], rank: u8) -> usize {
-    if keys.len() <= 8 || rank >= 0x7f {
-        return keys.iter().position(|&k| k > rank).unwrap_or(keys.len());
-    }
-    const HI: u64 = 0x8080_8080_8080_8080;
-    let threshold = u64::from(rank + 1) * 0x0101_0101_0101_0101;
-    let mut chunks = keys.chunks_exact(8);
-    let mut base = 0;
-    for chunk in &mut chunks {
-        // PANIC-OK(chunks_exact yields exactly 8 bytes per chunk)
-        let word = u64::from_le_bytes(chunk.try_into().expect("chunks_exact yields 8 bytes"));
-        let ge = (word | HI).wrapping_sub(threshold) & HI;
-        if ge != 0 {
-            let pos = base + (ge.trailing_zeros() / 8) as usize;
-            debug_assert_eq!(
-                pos,
-                keys.iter()
-                    .position(|&k| k > rank)
-                    .expect("hit implies a match"), // PANIC-OK(debug-only SWAR cross-check)
-            );
-            return pos;
-        }
-        base += 8;
-    }
-    base + chunks
-        .remainder()
-        .iter()
-        .position(|&k| k > rank)
-        .unwrap_or(chunks.remainder().len())
-}
 
 /// One entry on a run queue: the vCPU and the priority it was enqueued at.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -77,11 +27,8 @@ pub struct Pcpu {
     pub current: Option<VcpuId>,
     /// When the current slice ends.
     pub slice_end: SimTime,
-    /// Priority ranks of the waiting vCPUs, best (lowest) first; the
-    /// ordering key array every scan walks.
-    prio_keys: Vec<u8>,
-    /// The waiting vCPUs, parallel to `prio_keys`.
-    vcpus: Vec<VcpuId>,
+    /// The waiting vCPUs, best priority first.
+    runq: Vec<RunqEntry>,
     /// VM of the last vCPU that ran here (cache-pollution cost model).
     pub last_vm: Option<VmId>,
     /// The last vCPU that ran here (same-vCPU re-dispatch is cheap).
@@ -95,25 +42,27 @@ impl Pcpu {
             id,
             current: None,
             slice_end: SimTime::ZERO,
-            prio_keys: Vec::new(),
-            vcpus: Vec::new(),
+            runq: Vec::new(),
             last_vm: None,
             last_vcpu: None,
         }
     }
 
-    /// First index whose key is strictly worse than `rank` — i.e. the
-    /// slot a new entry of `rank` takes to land after the last entry of
-    /// priority ≥ its own (priority order, FIFO within a class).
+    /// First index whose priority is strictly worse than `prio` — i.e.
+    /// the slot a new entry of `prio` takes to land after the last entry
+    /// of priority ≥ its own (priority order, FIFO within a class).
     #[inline]
-    fn insert_pos(&self, rank: u8) -> usize {
-        first_rank_above(&self.prio_keys, rank)
+    fn insert_pos(&self, prio: Prio) -> usize {
+        self.runq
+            .iter()
+            .position(|e| e.prio > prio)
+            .unwrap_or(self.runq.len())
     }
 
     #[inline]
     fn debug_check_absent(&self, vcpu: VcpuId) {
         debug_assert!(
-            !self.vcpus.contains(&vcpu),
+            !self.runq.iter().any(|e| e.vcpu == vcpu),
             "{vcpu} double-enqueued on {}",
             self.id
         );
@@ -123,9 +72,8 @@ impl Pcpu {
     /// order, FIFO within a priority class).
     pub fn enqueue(&mut self, vcpu: VcpuId, prio: Prio) {
         self.debug_check_absent(vcpu);
-        let pos = self.insert_pos(prio.rank());
-        self.prio_keys.insert(pos, prio.rank());
-        self.vcpus.insert(pos, vcpu);
+        let pos = self.insert_pos(prio);
+        self.runq.insert(pos, RunqEntry { vcpu, prio });
     }
 
     /// Inserts a yielding vCPU behind one extra entry (Xen credit1
@@ -134,25 +82,21 @@ impl Pcpu {
     pub fn enqueue_yield(&mut self, vcpu: VcpuId, prio: Prio) {
         self.debug_check_absent(vcpu);
         // Skip one entry past the normal insertion point, if any.
-        let pos = (self.insert_pos(prio.rank()) + 1).min(self.prio_keys.len());
-        self.prio_keys.insert(pos, prio.rank());
-        self.vcpus.insert(pos, vcpu);
+        let pos = (self.insert_pos(prio) + 1).min(self.runq.len());
+        self.runq.insert(pos, RunqEntry { vcpu, prio });
     }
 
     /// Removes and returns the highest-priority waiter.
     pub fn pop(&mut self) -> Option<RunqEntry> {
-        if self.prio_keys.is_empty() {
+        if self.runq.is_empty() {
             return None;
         }
-        let prio = Prio::from_rank(self.prio_keys.remove(0));
-        let vcpu = self.vcpus.remove(0);
-        Some(RunqEntry { vcpu, prio })
+        Some(self.runq.remove(0))
     }
 
     /// Refreshes every queued priority from the live value `prio_of`
     /// reports and restores priority order (stable, so FIFO within a
-    /// class is preserved). The refresh writes straight into the dense
-    /// key array — no per-call allocation.
+    /// class is preserved), without allocating.
     ///
     /// Xen compares each queued vCPU's *current* `pri` field during
     /// insertion; snapshotting priorities at enqueue time lets a waiter
@@ -160,56 +104,35 @@ impl Pcpu {
     /// starve — a bug this simulation had until Figure 9's pinned pair
     /// exposed it.
     pub fn refresh_with(&mut self, mut prio_of: impl FnMut(VcpuId) -> Prio) {
-        for (key, &vcpu) in self.prio_keys.iter_mut().zip(&self.vcpus) {
-            *key = prio_of(vcpu).rank();
+        for e in &mut self.runq {
+            e.prio = prio_of(e.vcpu);
         }
-        self.restore_order();
-    }
-
-    /// Refreshes queued priorities from a slice of live values; entries
-    /// not listed keep their snapshot. Convenience wrapper over
-    /// [`Pcpu::refresh_with`] for tests and small callers.
-    pub fn refresh_prios(&mut self, live: &[(VcpuId, Prio)]) {
-        for (key, &vcpu) in self.prio_keys.iter_mut().zip(&self.vcpus) {
-            if let Some((_, prio)) = live.iter().find(|(v, _)| *v == vcpu) {
-                *key = prio.rank();
-            }
-        }
-        self.restore_order();
-    }
-
-    /// Re-sorts the parallel arrays by key, stably. Queues are a handful
-    /// of entries and usually already sorted, so: a linear sortedness
-    /// check, then an insertion sort only when the refresh actually
-    /// reordered something.
-    fn restore_order(&mut self) {
-        if self.prio_keys.is_sorted() {
+        // Queues are a handful of entries and usually still sorted, so: a
+        // linear sortedness check, then a stable insertion sort only when
+        // the refresh actually reordered something.
+        if self.runq.is_sorted_by_key(|e| e.prio) {
             return;
         }
-        for i in 1..self.prio_keys.len() {
-            let key = self.prio_keys[i];
-            let vcpu = self.vcpus[i];
+        for i in 1..self.runq.len() {
+            let entry = self.runq[i];
             let mut j = i;
-            while j > 0 && self.prio_keys[j - 1] > key {
-                self.prio_keys[j] = self.prio_keys[j - 1];
-                self.vcpus[j] = self.vcpus[j - 1];
+            while j > 0 && self.runq[j - 1].prio > entry.prio {
+                self.runq[j] = self.runq[j - 1];
                 j -= 1;
             }
-            self.prio_keys[j] = key;
-            self.vcpus[j] = vcpu;
+            self.runq[j] = entry;
         }
     }
 
     /// Priority of the best waiter, if any.
     pub fn head_prio(&self) -> Option<Prio> {
-        self.prio_keys.first().map(|&k| Prio::from_rank(k))
+        self.runq.first().map(|e| e.prio)
     }
 
     /// Removes a specific vCPU from the queue. Returns `true` if present.
     pub fn remove(&mut self, vcpu: VcpuId) -> bool {
-        if let Some(pos) = self.vcpus.iter().position(|&v| v == vcpu) {
-            self.prio_keys.remove(pos);
-            self.vcpus.remove(pos);
+        if let Some(pos) = self.runq.iter().position(|e| e.vcpu == vcpu) {
+            self.runq.remove(pos);
             true
         } else {
             false
@@ -219,44 +142,33 @@ impl Pcpu {
     /// Steals the lowest-priority (tail) waiter, preferring one that the
     /// filter admits. Used by idle pCPUs pulling work.
     pub fn steal_tail(&mut self, admit: impl Fn(VcpuId) -> bool) -> Option<RunqEntry> {
-        let pos = self.vcpus.iter().rposition(|&v| admit(v))?;
-        let prio = Prio::from_rank(self.prio_keys.remove(pos));
-        let vcpu = self.vcpus.remove(pos);
-        Some(RunqEntry { vcpu, prio })
+        let pos = self.runq.iter().rposition(|e| admit(e.vcpu))?;
+        Some(self.runq.remove(pos))
     }
 
     /// Queue length (excluding the running vCPU).
     pub fn runq_len(&self) -> usize {
-        self.prio_keys.len()
+        self.runq.len()
     }
 
     /// Load metric: queue length plus one if busy.
     pub fn load(&self) -> usize {
-        self.prio_keys.len() + usize::from(self.current.is_some())
+        self.runq.len() + usize::from(self.current.is_some())
     }
 
     /// True if nothing is running and nothing is queued.
     pub fn is_idle(&self) -> bool {
-        self.current.is_none() && self.prio_keys.is_empty()
+        self.current.is_none() && self.runq.is_empty()
     }
 
     /// Iterates over queued entries by value, best priority first.
     pub fn runq_iter(&self) -> impl Iterator<Item = RunqEntry> + '_ {
-        self.vcpus
-            .iter()
-            .zip(&self.prio_keys)
-            .map(|(&vcpu, &k)| RunqEntry {
-                vcpu,
-                prio: Prio::from_rank(k),
-            })
+        self.runq.iter().copied()
     }
 
     /// Drains the whole queue (pool reconfiguration).
     pub fn drain_runq(&mut self) -> Vec<RunqEntry> {
-        let out = self.runq_iter().collect();
-        self.prio_keys.clear();
-        self.vcpus.clear();
-        out
+        std::mem::take(&mut self.runq)
     }
 }
 
@@ -323,14 +235,14 @@ mod tests {
         p.enqueue(v(1), Prio::Over); // Stale: actually UNDER by now.
         p.enqueue(v(2), Prio::Under);
         // Live values: v1 was refilled to UNDER, v2 dropped to OVER.
-        p.refresh_prios(&[(v(1), Prio::Under), (v(2), Prio::Over)]);
+        p.refresh_with(|vc| if vc == v(1) { Prio::Under } else { Prio::Over });
         let order: Vec<u16> = std::iter::from_fn(|| p.pop()).map(|e| e.vcpu.idx).collect();
         assert_eq!(order, vec![1, 2]);
         // Stability: equal priorities keep FIFO order.
         let mut p = Pcpu::new(PcpuId(0));
         p.enqueue(v(3), Prio::Over);
         p.enqueue(v(4), Prio::Over);
-        p.refresh_prios(&[(v(3), Prio::Under), (v(4), Prio::Under)]);
+        p.refresh_with(|_| Prio::Under);
         let order: Vec<u16> = std::iter::from_fn(|| p.pop()).map(|e| e.vcpu.idx).collect();
         assert_eq!(order, vec![3, 4]);
     }

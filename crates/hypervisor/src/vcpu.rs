@@ -44,18 +44,6 @@ impl Prio {
             Prio::Over => 2,
         }
     }
-
-    /// Inverse of [`Prio::rank`]. Panics on ranks > 2 — run-queue keys
-    /// are produced by `rank()` and nothing else.
-    pub fn from_rank(rank: u8) -> Prio {
-        match rank {
-            0 => Prio::Boost,
-            1 => Prio::Under,
-            2 => Prio::Over,
-            // PANIC-OK(run-queue keys are produced by Prio::rank and nothing else)
-            _ => panic!("invalid priority rank {rank}"),
-        }
-    }
 }
 
 /// A virtual CPU as the hypervisor sees it.

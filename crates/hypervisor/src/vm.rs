@@ -83,8 +83,9 @@ impl VmSpec {
 /// Runtime state of one VM (excluding its vCPUs, which the machine owns).
 ///
 /// Cloning snapshots the guest mid-flight — kernel model, every task's
-/// program arena/RNG position, and the shared symbol map (`Arc`-shared,
-/// immutable) — which is what [`crate::Machine`] snapshotting relies on.
+/// program (with any buffered segments) and RNG position, and the shared
+/// symbol map (`Arc`-shared, immutable) — which is what
+/// [`crate::Machine`] snapshotting relies on.
 #[derive(Clone)]
 pub struct Vm {
     /// Identity.

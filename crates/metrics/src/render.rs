@@ -126,11 +126,6 @@ pub fn fmt_f64(x: f64) -> String {
     }
 }
 
-/// Formats a ratio as a `×` multiplier, e.g. `4.56x`.
-pub fn fmt_ratio(x: f64) -> String {
-    format!("{x:.2}x")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,6 +171,5 @@ mod tests {
         assert_eq!(fmt_f64(42.25), "42.2");
         assert_eq!(fmt_f64(1.5), "1.500");
         assert_eq!(fmt_f64(0.0043), "0.0043");
-        assert_eq!(fmt_ratio(4.561), "4.56x");
     }
 }

@@ -1,7 +1,5 @@
 //! Running mean/min/max/variance accumulator.
 
-use simcore::time::SimDuration;
-
 /// An online summary of a stream of samples (Welford's algorithm).
 ///
 /// # Examples
@@ -50,11 +48,6 @@ impl Summary {
         self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-    }
-
-    /// Adds a duration sample, in microseconds.
-    pub fn add_duration_us(&mut self, d: SimDuration) {
-        self.add(d.as_micros_f64());
     }
 
     /// Number of samples.
@@ -221,14 +214,6 @@ mod tests {
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
         assert_eq!(s.sum(), 40.0);
-    }
-
-    #[test]
-    fn duration_samples_in_micros() {
-        let mut s = Summary::new();
-        s.add_duration_us(SimDuration::from_micros(100));
-        s.add_duration_us(SimDuration::from_millis(1));
-        assert_eq!(s.mean(), 550.0);
     }
 
     #[test]

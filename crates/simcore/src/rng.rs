@@ -134,25 +134,6 @@ impl SimRng {
         SimDuration::from_nanos(self.range_u64(lo.as_nanos(), hi.as_nanos()))
     }
 
-    /// Picks an index according to the given non-negative weights.
-    ///
-    /// Panics if `weights` is empty or sums to zero.
-    pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().sum();
-        assert!(
-            !weights.is_empty() && total > 0.0,
-            "weighted_index needs positive total weight"
-        );
-        let mut x = self.next_f64() * total;
-        for (i, w) in weights.iter().enumerate() {
-            if x < *w {
-                return i;
-            }
-            x -= w;
-        }
-        weights.len() - 1
-    }
-
     /// Picks a uniformly random element of a non-empty slice.
     pub fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         assert!(!items.is_empty(), "pick from empty slice");
@@ -242,19 +223,6 @@ mod tests {
             assert!(d >= lo && d < hi);
         }
         assert_eq!(rng.uniform_duration(hi, lo), hi);
-    }
-
-    #[test]
-    fn weighted_index_distribution() {
-        let mut rng = SimRng::new(29);
-        let weights = [1.0, 0.0, 3.0];
-        let mut counts = [0u32; 3];
-        for _ in 0..40_000 {
-            counts[rng.weighted_index(&weights)] += 1;
-        }
-        assert_eq!(counts[1], 0);
-        let ratio = counts[2] as f64 / counts[0] as f64;
-        assert!((ratio - 3.0).abs() < 0.3, "ratio {ratio} should be near 3");
     }
 
     #[test]

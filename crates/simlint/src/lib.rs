@@ -31,7 +31,6 @@
 
 pub mod baseline;
 pub mod consistency;
-pub mod json;
 pub mod lexer;
 pub mod rules;
 pub mod walk;

@@ -1,7 +1,7 @@
 //! The `simlint` CLI. See the library docs for the rules.
 //!
 //! ```text
-//! simlint --workspace [--root DIR] [--baseline FILE] [--format text|json]
+//! simlint --workspace [--root DIR] [--baseline FILE]
 //! simlint --workspace --write-baseline [--baseline FILE]
 //! simlint FILE...        # lint specific files (paths relative to the root)
 //! ```
@@ -9,7 +9,7 @@
 //! Exit codes: 0 clean, 1 findings or stale baseline entries, 2 usage
 //! or I/O error.
 
-use simlint::{json, lint_source, lint_workspace, walk, Baseline, Finding};
+use simlint::{lint_source, lint_workspace, walk, Baseline, Finding};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -17,14 +17,13 @@ struct Opts {
     root: Option<PathBuf>,
     baseline: Option<PathBuf>,
     write_baseline: bool,
-    json: bool,
     files: Vec<String>,
 }
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: simlint [--workspace] [--root DIR] [--baseline FILE] \
-         [--write-baseline] [--format text|json] [FILE...]"
+         [--write-baseline] [FILE...]"
     );
     ExitCode::from(2)
 }
@@ -34,7 +33,6 @@ fn parse_args() -> Result<Opts, String> {
         root: None,
         baseline: None,
         write_baseline: false,
-        json: false,
         files: Vec::new(),
     };
     let mut args = std::env::args().skip(1);
@@ -46,11 +44,6 @@ fn parse_args() -> Result<Opts, String> {
                 opts.baseline = Some(args.next().ok_or("--baseline needs a value")?.into())
             }
             "--write-baseline" => opts.write_baseline = true,
-            "--format" => match args.next().as_deref() {
-                Some("text") => opts.json = false,
-                Some("json") => opts.json = true,
-                other => return Err(format!("--format text|json, got {other:?}")),
-            },
             "--help" | "-h" => return Err(String::new()),
             flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
             file => opts.files.push(file.to_string()),
@@ -126,11 +119,7 @@ fn run() -> Result<ExitCode, String> {
     };
     let (fresh, suppressed, stale) = baseline.apply(findings);
 
-    if opts.json {
-        println!("{}", json::render(&fresh, suppressed.len(), &stale));
-    } else {
-        render_text(&fresh, suppressed.len(), &stale);
-    }
+    render_text(&fresh, suppressed.len(), &stale);
     Ok(if fresh.is_empty() && stale.is_empty() {
         ExitCode::SUCCESS
     } else {

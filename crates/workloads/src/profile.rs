@@ -95,9 +95,8 @@ pub struct ProfileProgram {
     vcpu_idx: u16,
     /// Number of vCPUs/tasks in the VM.
     num_vcpus: u16,
-    /// Segments of the current iteration not yet handed out via
-    /// [`Program::next_segment`]; `cursor` indexes the next one. The
-    /// batch [`Program::fill`] path bypasses this buffer entirely.
+    /// The current iteration's segments; `cursor` indexes the next one
+    /// [`Program::next_segment`] hands out.
     queue: Vec<Segment>,
     cursor: usize,
     /// Completed iterations.
@@ -137,13 +136,16 @@ impl ProfileProgram {
         }
     }
 
-    /// Writes the segment list for one iteration into `out` — always at
-    /// least one segment. The RNG draw order is the load-bearing part:
-    /// it is identical whether the caller batches or single-steps.
-    fn emit_iteration(&mut self, out: &mut Vec<Segment>, rng: &mut SimRng) {
+    /// Refills `queue` with the segment list for one iteration — always
+    /// at least one segment — and rewinds `cursor`. The buffer is reused,
+    /// so stepping a program allocates only while an iteration outgrows
+    /// every earlier one.
+    fn emit_iteration(&mut self, rng: &mut SimRng) {
+        self.queue.clear();
+        self.cursor = 0;
         if let Some(limit) = self.profile.iters {
             if self.done >= limit {
-                out.push(Segment::End);
+                self.queue.push(Segment::End);
                 return;
             }
         }
@@ -153,7 +155,7 @@ impl ProfileProgram {
         for i in 0..self.profile.kernel_ops.len() {
             let (sym, mean, prob) = self.profile.kernel_ops[i];
             if rng.chance(prob) {
-                out.push(Segment::Kernel {
+                self.queue.push(Segment::Kernel {
                     sym,
                     dur: rng.exp_duration(mean),
                 });
@@ -163,7 +165,7 @@ impl ProfileProgram {
             let op = self.profile.lock_ops[i];
             if rng.chance(op.prob) {
                 let (lock, sym) = self.lock_index(op.lock, rng);
-                out.push(Segment::Critical {
+                self.queue.push(Segment::Critical {
                     lock,
                     sym,
                     hold: rng.exp_duration(op.hold),
@@ -171,7 +173,7 @@ impl ProfileProgram {
             }
         }
         if self.profile.tlb_prob > 0.0 && rng.chance(self.profile.tlb_prob) {
-            out.push(Segment::TlbShootdown {
+            self.queue.push(Segment::TlbShootdown {
                 local_cost: self.profile.tlb_local,
             });
         }
@@ -183,18 +185,18 @@ impl ProfileProgram {
             if target == self.vcpu_idx as u32 {
                 target = (target + 1) % self.num_vcpus as u32;
             }
-            out.push(Segment::Wake {
+            self.queue.push(Segment::Wake {
                 target,
                 cost: SimDuration::from_micros(2),
             });
         }
-        out.push(Segment::User {
+        self.queue.push(Segment::User {
             dur: rng.exp_duration(self.profile.user_mean),
         });
-        out.push(Segment::WorkUnit);
+        self.queue.push(Segment::WorkUnit);
         if let Some(every) = self.profile.block_every {
             if self.done.is_multiple_of(every) {
-                out.push(Segment::Sleep {
+                self.queue.push(Segment::Sleep {
                     dur: rng.exp_duration(self.profile.sleep_mean),
                 });
             }
@@ -205,11 +207,7 @@ impl ProfileProgram {
 impl Program for ProfileProgram {
     fn next_segment(&mut self, rng: &mut SimRng) -> Segment {
         if self.cursor == self.queue.len() {
-            let mut buf = std::mem::take(&mut self.queue);
-            buf.clear();
-            self.cursor = 0;
-            self.emit_iteration(&mut buf, rng);
-            self.queue = buf;
+            self.emit_iteration(rng);
         }
         let seg = self.queue[self.cursor];
         self.cursor += 1;
@@ -218,17 +216,6 @@ impl Program for ProfileProgram {
 
     fn name(&self) -> &'static str {
         self.profile.name
-    }
-
-    fn fill(&mut self, out: &mut Vec<Segment>, rng: &mut SimRng) {
-        // Hand out any single-step leftovers first so mixing the two
-        // consumption styles cannot reorder the stream.
-        if self.cursor < self.queue.len() {
-            out.extend_from_slice(&self.queue[self.cursor..]);
-            self.cursor = self.queue.len();
-            return;
-        }
-        self.emit_iteration(out, rng);
     }
 }
 

@@ -120,11 +120,14 @@ cmp "$sc_out/j1.txt" "$sc_out/j2.txt" || {
 rm -rf "$sc_out"
 
 echo "== bench smoke (hot paths within 25% of committed baseline) ==" >&2
-# Re-measure the two load-bearing hot-path benchmarks with a short window
-# and compare each against its committed baseline in BENCH_hotpaths.json;
-# >25% slower fails the gate. Short windows are noisy-but-cheap: real
-# regressions of the kind this guards against (accidental O(n) in the
-# queue, a lost inline) blow far past 25%.
+# Re-measure the two load-bearing hot-path benchmarks and compare each
+# against its committed baseline in BENCH_hotpaths.json; >25% slower
+# fails the gate. Real regressions of the kind this guards against
+# (accidental O(n) in the queue, a lost inline) blow far past 25%.
+#
+# Windows are 3 s, so simulate_one_second_baseline takes 20-26 samples
+# per process instead of the 7-11 a 1-s window allows (the five
+# processes take about 35 s on a 2-vCPU host).
 #
 # Each row's statistic is its minimum: host preemption only ever adds
 # time, so the mean swings 10-15% run-to-run on an unchanged build while
@@ -134,9 +137,9 @@ echo "== bench smoke (hot paths within 25% of committed baseline) ==" >&2
 # lands), so one process's minimum gates the process, not the code. The
 # gate therefore runs the benches in five fresh processes and takes the
 # median of their minima per row, and the baseline is the median over the
-# rows of that name's newest label, recorded by the same five-process
-# procedure (older labels hold one row each, so their median is that
-# row).
+# rows of that name's newest label, recorded by the same five-process,
+# 3-s procedure (older labels hold one row each, or were recorded at
+# 1-s windows).
 #
 # The comparison is host-speed-normalized: `calibration_spin` is a fixed
 # pure-integer workload whose minimum tracks only the executing core's
@@ -148,7 +151,7 @@ echo "== bench smoke (hot paths within 25% of committed baseline) ==" >&2
 # numerator (the pr6->pr7 push_pop "regression" was half host drift).
 smoke_json="$(mktemp)"
 for _ in 1 2 3 4 5; do
-    BENCH_JSON="$smoke_json" BENCH_LABEL=smoke BENCH_MEASURE_SECS=1 \
+    BENCH_JSON="$smoke_json" BENCH_LABEL=smoke BENCH_MEASURE_SECS=3 \
         scripts/bench.sh calibration_spin event_queue_push_pop_1k simulate_one_second_baseline >/dev/null
 done
 # median_min FILE NAME: the median min_ns over the rows named NAME that

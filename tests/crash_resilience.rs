@@ -12,8 +12,10 @@
 use experiments::runner::pool::{self, Scope};
 use experiments::runner::{build, fail_text, run_cells, CellFailure, Grid, PolicyKind, RunOptions};
 use hypervisor::faults::KIND_SABOTAGE;
-use hypervisor::{FaultSpec, MachineConfig, SimError, VmSpec};
+use hypervisor::machine::Event;
+use hypervisor::{FaultSpec, MachineConfig, SimError, TraceEvent, VmSpec};
 use simcore::time::{SimDuration, SimTime};
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -147,6 +149,42 @@ fn artifact_ring_lists_events_and_scheduler_decisions() {
     assert!(ring.iter().any(|l| l.contains(" Handled(")), "{text}");
     assert!(ring.iter().any(|l| l.contains(" Dispatch {")), "{text}");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The ring spends no slot on stale transition plans. A kick or a
+/// deschedule re-plans a vCPU and leaves its old plan queued; the event
+/// loop drops such a plan when it pops, before the ring records it. A
+/// vCPU has at most one live plan, so no two recorded transitions may
+/// share vCPU, time and stop — in the lock-heavy co-runs that replan
+/// most, stale duplicates otherwise fill dense cells' crash rings.
+#[test]
+fn trace_ring_records_no_stale_transitions() {
+    for w in [Workload::Exim, Workload::Gmake, Workload::Dedup] {
+        let mut m = build(
+            &RunOptions::quick(),
+            scenarios::corun(w),
+            PolicyKind::Baseline,
+        );
+        m.enable_trace(1 << 20);
+        m.run_until(SimTime::from_millis(100)).unwrap();
+        assert!(
+            m.trace().total() < 1 << 20,
+            "{}: the ring wrapped",
+            w.name()
+        );
+        let mut seen = BTreeSet::new();
+        for r in m.trace().iter() {
+            if let TraceEvent::Handled(Event::Transition { vcpu, stop, .. }) = r.event {
+                assert!(
+                    seen.insert((vcpu, r.at, stop as u8)),
+                    "{}: {vcpu} recorded a second {stop:?} at {:?}",
+                    w.name(),
+                    r.at
+                );
+            }
+        }
+        assert!(!seen.is_empty(), "{}: no transitions recorded", w.name());
+    }
 }
 
 /// A cell that forks a stored warm-up and fails after it still gets a

@@ -1,16 +1,14 @@
-//! Equivalence suite for the data-oriented hot-path rewrites.
+//! Equivalence suite for the hot-path data structures.
 //!
-//! Three structures were rewritten for the hot path — the SoA run queue
-//! (`hypervisor::pcpu`), the flattened program arena
-//! (`guest::segment::FlatProgram`), and the enum-indexed counter set
-//! (`metrics::counters::CounterSet`). Each claims *observable
-//! equivalence* with the representation it replaced. This suite checks
-//! that claim twice over:
+//! Two hot-path structures must stay *observably equivalent* to a
+//! reference model: the run queue (`hypervisor::pcpu`, one `Vec` kept in
+//! priority order) and the enum-indexed counter set
+//! (`metrics::counters::CounterSet`). This suite checks that claim twice
+//! over:
 //!
-//! - structurally, against reference models written here that reproduce
-//!   the replaced implementations verbatim (the `VecDeque` run queue,
-//!   direct `Box<dyn Program>` pulls, the `BTreeMap` counter set), driven
-//!   through long pseudo-random op sequences; and
+//! - structurally, against reference models written here (the `VecDeque`
+//!   run queue with a sort on refresh, the `BTreeMap` counter set),
+//!   driven through long pseudo-random op sequences; and
 //! - end-to-end, on the fig4 and table2 quick grids: the rendered bytes
 //!   must be identical across seeds and across `--jobs 1` vs `--jobs 8`
 //!   (the fan-out path exercises these structures concurrently).
@@ -18,23 +16,21 @@
 //! It also pins the timing-wheel event queue's cascade boundaries with
 //! directed tests (`tests/wheel_vs_heap.rs` fuzzes the rest).
 
-use guest::segment::{FlatProgram, Program, ScriptedProgram, Segment};
-use hypervisor::pcpu::{first_rank_above, Pcpu, RunqEntry};
+use hypervisor::pcpu::{Pcpu, RunqEntry};
 use hypervisor::Prio;
 use metrics::counters::{Counter, CounterSet};
 use simcore::event::EventQueue;
 use simcore::ids::{PcpuId, VcpuId, VmId};
 use simcore::rng::SimRng;
-use simcore::time::{SimDuration, SimTime};
+use simcore::time::SimTime;
 use std::collections::BTreeMap;
-use workloads::Workload;
 
 // ---------------------------------------------------------------------
-// SoA run queue vs the replaced VecDeque implementation.
+// Run queue vs a VecDeque reference model.
 // ---------------------------------------------------------------------
 
-/// The pre-rewrite run queue, verbatim: a `VecDeque<RunqEntry>` with
-/// linear insert-position scans and a stable sort on refresh.
+/// A reference run queue: a `VecDeque<RunqEntry>` with linear
+/// insert-position scans and a stable sort on refresh.
 #[derive(Default)]
 struct RefRunq {
     runq: std::collections::VecDeque<RunqEntry>,
@@ -98,53 +94,6 @@ impl RefRunq {
     }
 }
 
-/// The scalar insert-position scan `first_rank_above` replaced, verbatim.
-fn scalar_first_rank_above(keys: &[u8], rank: u8) -> usize {
-    keys.iter().position(|&k| k > rank).unwrap_or(keys.len())
-}
-
-/// The SWAR insert-position scan must agree with the scalar scan on
-/// every length (word-aligned and ragged tails), every rank the queue
-/// produces, and the degenerate ranks that force the scalar fallback.
-#[test]
-fn swar_insert_scan_matches_scalar_reference() {
-    // Exhaustive over realistic queues: all sorted rank-triple contents
-    // up to length 12 would be huge, so sweep lengths with pseudo-random
-    // sorted and unsorted fills instead, plus the all-equal edges.
-    let mut rng = SimRng::new(0x54A2);
-    for len in 0..40usize {
-        for _ in 0..64 {
-            let mut keys: Vec<u8> = (0..len).map(|_| rng.range_u64(0, 3) as u8).collect();
-            for rank in 0..4u8 {
-                assert_eq!(
-                    first_rank_above(&keys, rank),
-                    scalar_first_rank_above(&keys, rank),
-                    "unsorted keys {keys:?}, rank {rank}"
-                );
-            }
-            keys.sort_unstable();
-            for rank in 0..4u8 {
-                assert_eq!(
-                    first_rank_above(&keys, rank),
-                    scalar_first_rank_above(&keys, rank),
-                    "sorted keys {keys:?}, rank {rank}"
-                );
-            }
-        }
-        // All-equal fills hit the "no key above" path at every length.
-        for fill in 0..3u8 {
-            let keys = vec![fill; len];
-            for rank in [0, 1, 2, 0x7e, 0x7f, 0xff] {
-                assert_eq!(
-                    first_rank_above(&keys, rank),
-                    scalar_first_rank_above(&keys, rank),
-                    "uniform keys {fill}x{len}, rank {rank}"
-                );
-            }
-        }
-    }
-}
-
 fn prio_of(rank: u64) -> Prio {
     match rank % 3 {
         0 => Prio::Boost,
@@ -153,15 +102,15 @@ fn prio_of(rank: u64) -> Prio {
     }
 }
 
-/// Drives the SoA queue and the reference model through the same long
+/// Drives the run queue and the reference model through the same long
 /// pseudo-random op sequence and checks every observable after every
 /// op: head priority, length, pop results, removal hits, steal results,
 /// and the full entry listing.
 #[test]
-fn soa_runq_matches_vecdeque_reference() {
+fn runq_matches_vecdeque_reference() {
     for seed in 0..32u64 {
         let mut rng = SimRng::new(0x50A_0000 + seed);
-        let mut soa = Pcpu::new(PcpuId(0));
+        let mut runq = Pcpu::new(PcpuId(0));
         let mut reference = RefRunq::default();
         let mut queued: Vec<VcpuId> = Vec::new();
         for _ in 0..400 {
@@ -182,16 +131,16 @@ fn soa_runq_matches_vecdeque_reference() {
                     }
                     let prio = prio_of(rng.range_u64(0, 3));
                     if op == 0 {
-                        soa.enqueue(vcpu, prio);
+                        runq.enqueue(vcpu, prio);
                         reference.enqueue(vcpu, prio);
                     } else {
-                        soa.enqueue_yield(vcpu, prio);
+                        runq.enqueue_yield(vcpu, prio);
                         reference.enqueue_yield(vcpu, prio);
                     }
                     queued.push(vcpu);
                 }
                 2 => {
-                    let a = soa.pop();
+                    let a = runq.pop();
                     let b = reference.pop();
                     assert_eq!(a, b, "pop diverged (seed {seed})");
                     if let Some(e) = a {
@@ -200,7 +149,7 @@ fn soa_runq_matches_vecdeque_reference() {
                 }
                 3 => {
                     let vcpu = VcpuId::new(VmId(0), rng.range_u64(0, 16) as u16);
-                    let a = soa.remove(vcpu);
+                    let a = runq.remove(vcpu);
                     let b = reference.remove(vcpu);
                     assert_eq!(a, b, "remove diverged (seed {seed})");
                     if a {
@@ -215,13 +164,13 @@ fn soa_runq_matches_vecdeque_reference() {
                         .iter()
                         .map(|&v| (v, prio_of(u64::from(v.idx) + salt)))
                         .collect();
-                    soa.refresh_prios(&live);
+                    runq.refresh_with(|v| prio_of(u64::from(v.idx) + salt));
                     reference.refresh_prios(&live);
                 }
                 _ => {
                     let parity = rng.range_u64(0, 2);
                     let admit = |v: VcpuId| u64::from(v.idx) % 2 == parity;
-                    let a = soa.steal_tail(admit);
+                    let a = runq.steal_tail(admit);
                     let b = reference.steal_tail(admit);
                     assert_eq!(a, b, "steal_tail diverged (seed {seed})");
                     if let Some(e) = a {
@@ -229,117 +178,15 @@ fn soa_runq_matches_vecdeque_reference() {
                     }
                 }
             }
-            assert_eq!(soa.head_prio(), reference.head_prio(), "seed {seed}");
-            assert_eq!(soa.runq_len(), reference.runq.len(), "seed {seed}");
+            assert_eq!(runq.head_prio(), reference.head_prio(), "seed {seed}");
+            assert_eq!(runq.runq_len(), reference.runq.len(), "seed {seed}");
             assert_eq!(
-                soa.runq_iter().collect::<Vec<_>>(),
+                runq.runq_iter().collect::<Vec<_>>(),
                 reference.entries(),
                 "entry order diverged (seed {seed})"
             );
         }
     }
-}
-
-/// `refresh_with` (the allocation-free closure form the scheduler uses)
-/// must order exactly like `refresh_prios` with a full live table.
-#[test]
-fn refresh_with_matches_refresh_prios() {
-    for seed in 0..16u64 {
-        let mut rng = SimRng::new(0x5EED + seed);
-        let mut a = Pcpu::new(PcpuId(0));
-        let mut b = Pcpu::new(PcpuId(0));
-        let mut queued = Vec::new();
-        for idx in 0..10u16 {
-            let prio = prio_of(rng.range_u64(0, 3));
-            let vcpu = VcpuId::new(VmId(0), idx);
-            a.enqueue(vcpu, prio);
-            b.enqueue(vcpu, prio);
-            queued.push(vcpu);
-        }
-        let salt = rng.range_u64(0, 1 << 30);
-        let live: Vec<(VcpuId, Prio)> = queued
-            .iter()
-            .map(|&v| (v, prio_of(u64::from(v.idx).wrapping_mul(7) + salt)))
-            .collect();
-        a.refresh_with(|v| prio_of(u64::from(v.idx).wrapping_mul(7) + salt));
-        b.refresh_prios(&live);
-        assert_eq!(
-            a.runq_iter().collect::<Vec<_>>(),
-            b.runq_iter().collect::<Vec<_>>(),
-            "seed {seed}"
-        );
-    }
-}
-
-// ---------------------------------------------------------------------
-// Flattened program arena vs direct `Box<dyn Program>` dispatch.
-// ---------------------------------------------------------------------
-
-/// Pulls `n` segments from `FlatProgram::new(make())` and from a bare
-/// `make()` with identically-seeded RNGs; the streams must match
-/// segment-for-segment (same values *and* same RNG draw order).
-fn assert_program_equivalent(make: &dyn Fn() -> Box<dyn Program>, n: usize, what: &str) {
-    for seed in [0u64, 1, 0xE005_2018] {
-        let mut flat = FlatProgram::new(make());
-        let mut raw = make();
-        let mut flat_rng = SimRng::new(seed);
-        let mut raw_rng = SimRng::new(seed);
-        for i in 0..n {
-            let a = flat.next_segment(&mut flat_rng);
-            let b = raw.next_segment(&mut raw_rng);
-            assert_eq!(a, b, "{what}: segment {i} diverged (seed {seed:#x})");
-        }
-        assert_eq!(
-            flat_rng.range_u64(0, u64::MAX),
-            raw_rng.range_u64(0, u64::MAX),
-            "{what}: RNG streams desynchronized (seed {seed:#x})"
-        );
-    }
-}
-
-#[test]
-fn arena_matches_direct_dispatch_for_workload_programs() {
-    // Every profile-driven workload the figures use, plus the pure-compute
-    // anchors: profiles draw from the RNG, so this checks both the segment
-    // values and that batching did not reorder the draws.
-    for w in [
-        Workload::Exim,
-        Workload::Gmake,
-        Workload::Psearchy,
-        Workload::Memclone,
-        Workload::Dedup,
-        Workload::Vips,
-        Workload::Swaptions,
-        Workload::Blackscholes,
-        Workload::IperfServer,
-        Workload::Lookbusy,
-    ] {
-        assert_program_equivalent(&|| w.program(0, 4), 2_000, w.name());
-    }
-}
-
-#[test]
-fn arena_matches_direct_dispatch_for_scripted_programs() {
-    let us = SimDuration::from_micros;
-    let script = vec![
-        Segment::User { dur: us(3) },
-        Segment::WorkUnit,
-        Segment::User { dur: us(1) },
-    ];
-    // Finite script: the arena must replay it once, then End forever.
-    let finite = script.clone();
-    assert_program_equivalent(
-        &move || Box::new(ScriptedProgram::new("finite", finite.clone())),
-        10,
-        "scripted",
-    );
-    // Looping script: the arena refills one full cycle at a time.
-    let cycle = script;
-    assert_program_equivalent(
-        &move || Box::new(ScriptedProgram::looping("cycle", cycle.clone())),
-        25,
-        "looping",
-    );
 }
 
 // ---------------------------------------------------------------------
@@ -434,7 +281,7 @@ fn zero_delta_pushes_at_the_drain_frontier_pop_first() {
 /// Cancel-then-repush into the same wheel slot, cancelling the way the
 /// machine does: the queue has no cancel, so a superseded event stays
 /// queued and is dropped when it fires because its generation stamp is
-/// stale (as `on_transition` drops an `Event::Transition`). The stale
+/// stale (as `Machine::run_loop` drops an `Event::Transition`). The stale
 /// entry must still pop in its `(time, push order)` place, the repush
 /// lands in the same slot with a fresh seq and pops *after* the surviving
 /// tie, and a repush across the first cascade keeps its order too.
@@ -617,7 +464,7 @@ fn render(id: &str, seed: u64, jobs: usize) -> String {
 
 /// The issue's end-to-end contract: fig4 and table2, quick grids, every
 /// seed, `--jobs 1` vs `--jobs 8` — byte-identical. The parallel run
-/// exercises the SoA queue, the arena, and the sharded queue inside
+/// exercises the run queues, the programs and the event queue inside
 /// every cell simultaneously; a divergence in any of them changes the
 /// rendered bytes. Slow under debug builds, so release-gated like the
 /// other whole-grid suites.

@@ -1,16 +1,32 @@
 //! Scheduler invariants, checked by dense sampling of live simulations.
 
 use experiments::runner::{build, PolicyKind, RunOptions};
-use hypervisor::{Machine, PoolId, VState};
+use hypervisor::{Machine, MachineConfig, PoolId, VState};
+use metrics::counters::CounterSet;
 use simcore::ids::{PcpuId, VcpuId, VmId};
 use simcore::time::SimTime;
 use std::collections::HashMap;
 use workloads::{scenarios, Workload};
 
+/// Sets one scheduler switch in a config.
+type Switch = fn(&mut MachineConfig);
+
+/// The scheduler switches no experiment varies, each set away from its
+/// default, so their other branches run under the invariant checks.
+const SWITCHES: [(&str, Switch); 6] = [
+    ("no-boost", |c| c.boost_enabled = false),
+    ("no-ple", |c| c.ple_enabled = false),
+    ("steal-0.3", |c| c.steal_success_prob = 0.3),
+    ("exact-credit", |c| c.credit_sampled_ticks = false),
+    ("yield-in-place", |c| c.yield_to_tail = false),
+    ("no-jitter", |c| c.slice_jitter_frac = 0.0),
+];
+
 fn machines() -> Vec<(&'static str, Machine)> {
     let opts = RunOptions::quick();
-    let mk = |w: Workload, policy: PolicyKind| {
-        let (cfg, _) = scenarios::corun(w);
+    let mk = |w: Workload, policy: PolicyKind, switch: Switch| {
+        let (mut cfg, _) = scenarios::corun(w);
+        switch(&mut cfg);
         let n = cfg.num_pcpus;
         let specs = vec![
             scenarios::vm_with_iters(w, n, None),
@@ -18,12 +34,38 @@ fn machines() -> Vec<(&'static str, Machine)> {
         ];
         build(&opts, (cfg, specs), policy)
     };
-    vec![
-        ("gmake/baseline", mk(Workload::Gmake, PolicyKind::Baseline)),
-        ("gmake/fixed2", mk(Workload::Gmake, PolicyKind::Fixed(2))),
-        ("dedup/fixed3", mk(Workload::Dedup, PolicyKind::Fixed(3))),
-        ("exim/adaptive", mk(Workload::Exim, PolicyKind::Adaptive)),
-    ]
+    let defaults: Switch = |_| {};
+    let mut machines = vec![
+        (
+            "gmake/baseline",
+            mk(Workload::Gmake, PolicyKind::Baseline, defaults),
+        ),
+        (
+            "gmake/fixed2",
+            mk(Workload::Gmake, PolicyKind::Fixed(2), defaults),
+        ),
+        (
+            "dedup/fixed3",
+            mk(Workload::Dedup, PolicyKind::Fixed(3), defaults),
+        ),
+        (
+            "exim/adaptive",
+            mk(Workload::Exim, PolicyKind::Adaptive, defaults),
+        ),
+    ];
+    // One machine per switch, spread over workloads and policies.
+    let under = [
+        (Workload::Gmake, PolicyKind::Baseline),
+        (Workload::Exim, PolicyKind::Baseline),
+        (Workload::Dedup, PolicyKind::Baseline),
+        (Workload::Gmake, PolicyKind::Fixed(2)),
+        (Workload::Exim, PolicyKind::Adaptive),
+        (Workload::Dedup, PolicyKind::Fixed(3)),
+    ];
+    for ((label, switch), (w, policy)) in SWITCHES.into_iter().zip(under) {
+        machines.push((label, mk(w, policy, switch)));
+    }
+    machines
 }
 
 fn all_vcpus(m: &Machine) -> Vec<VcpuId> {
@@ -116,6 +158,47 @@ fn invariants_hold_under_dense_sampling() {
             check_invariants(label, &m);
         }
     }
+}
+
+/// 500 ms of exim, dedup and swaptions on 4 pCPUs under `--paranoid`
+/// (invariants checked every tick), with `switch` applied to the config.
+fn switched_counters(switch: Switch) -> CounterSet {
+    let opts = RunOptions {
+        seed: 7,
+        paranoid: true,
+        ..RunOptions::quick()
+    };
+    let mut cfg = MachineConfig::small(4);
+    switch(&mut cfg);
+    let specs = [Workload::Exim, Workload::Dedup, Workload::Swaptions]
+        .into_iter()
+        .map(|w| scenarios::vm_with_iters(w, 4, None))
+        .collect();
+    let mut m = build(&opts, (cfg, specs), PolicyKind::Baseline);
+    m.run_until(SimTime::from_millis(500)).unwrap();
+    m.stats.counters.clone()
+}
+
+/// Each switch does what it says: turning BOOST or PLE off leaves its
+/// counter absent, a balancer that never wins its trylock never steals,
+/// and every other setting changes the run.
+#[test]
+fn scheduler_switches_do_what_they_say() {
+    let absent = |c: &CounterSet, name: &str| c.iter().all(|(n, _)| n != name);
+    let default = switched_counters(|_| {});
+    for name in ["boosts", "ple_exits", "steals"] {
+        assert!(default.get(name) > 0, "the default run never counts {name}");
+    }
+    for (label, switch) in SWITCHES {
+        let c = switched_counters(switch);
+        match label {
+            "no-boost" => assert!(absent(&c, "boosts"), "{label}: {c}"),
+            "no-ple" => assert!(absent(&c, "ple_exits"), "{label}: {c}"),
+            _ => assert!(c != default, "{label} changed no counter: {c}"),
+        }
+    }
+    let never = switched_counters(|c| c.steal_success_prob = 0.0);
+    assert_eq!(never.get("steals"), 0, "steal-0: {never}");
 }
 
 #[test]
