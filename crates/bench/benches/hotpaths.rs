@@ -2,7 +2,7 @@
 
 use bench::sim_criterion;
 use criterion::{criterion_group, criterion_main, Criterion};
-use hypervisor::{BaselinePolicy, Machine, MachineConfig};
+use hypervisor::{BaselinePolicy, Machine};
 use ksym::Linux44Map;
 use metrics::Histogram;
 use microslice::MicroslicePolicy;
@@ -84,39 +84,6 @@ fn bench_spinlock_contended(c: &mut Criterion) {
             }
             std::hint::black_box((spinning, lock.contended))
         })
-    });
-}
-
-/// Serial vs parallel experiment fan-out over a grid of short windows —
-/// the speedup `--jobs N` buys on a multi-core host.
-fn bench_parallel_fanout(c: &mut Criterion) {
-    use experiments::runner::{pool, run_window, PolicyKind, RunOptions};
-
-    let run_grid = |jobs: usize| {
-        let opts = RunOptions::quick().with_jobs(jobs);
-        let window = SimDuration::from_millis(100);
-        let totals = pool::run_indexed(opts.jobs, 8, |i| {
-            let w = [Workload::Exim, Workload::Gmake][i % 2];
-            let policy = [PolicyKind::Baseline, PolicyKind::Fixed(1)][(i / 2) % 2];
-            let (cfg, _) = scenarios::corun(w);
-            let n = cfg.num_pcpus;
-            let specs = vec![
-                scenarios::vm_with_iters(w, n, None),
-                scenarios::vm_with_iters(Workload::Swaptions, n, None),
-            ];
-            let m = run_window(&opts, (cfg, specs), policy, window).unwrap();
-            m.stats.counters.total()
-        });
-        totals.iter().sum::<u64>()
-    };
-    c.bench_function("repro_grid_serial_jobs1", |b| {
-        b.iter(|| std::hint::black_box(run_grid(1)))
-    });
-    let jobs = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    c.bench_function("repro_grid_parallel_jobsN", |b| {
-        b.iter(|| std::hint::black_box(run_grid(jobs)))
     });
 }
 
@@ -262,9 +229,6 @@ fn bench_sim_second(c: &mut Criterion) {
             std::hint::black_box(m.stats.counters.total())
         })
     });
-    // Non-criterion context: 12 pCPUs at 2:1 overcommit; the baseline
-    // spends most events on PLE churn, the policy on micro migrations.
-    let _ = MachineConfig::paper_testbed();
 }
 
 /// Checkpoint round trip of the shared-prefix grid: snapshot a warmed
@@ -378,6 +342,6 @@ fn bench_counter_incr_mix(c: &mut Criterion) {
 criterion_group! {
     name = hotpaths;
     config = sim_criterion();
-    targets = bench_calibration, bench_event_queue, bench_spinlock_contended, bench_parallel_fanout, bench_runq_dispatch_scan, bench_segment_step, bench_rng, bench_histogram, bench_symbol_resolution, bench_sim_second, bench_machine_snapshot, bench_policy_ipi_wait_yield, bench_counter_incr_mix
+    targets = bench_calibration, bench_event_queue, bench_spinlock_contended, bench_runq_dispatch_scan, bench_segment_step, bench_rng, bench_histogram, bench_symbol_resolution, bench_sim_second, bench_machine_snapshot, bench_policy_ipi_wait_yield, bench_counter_incr_mix
 }
 criterion_main!(hotpaths);

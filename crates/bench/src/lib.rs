@@ -1,18 +1,10 @@
 //! Benchmark harness for the reproduction.
 //!
-//! The benches under `benches/` regenerate every table and figure of the
-//! paper (printing the rows alongside Criterion's timing of the
-//! simulation itself):
-//!
-//! - `tables` — Tables 2, 3, 4a–c;
-//! - `figures` — Figures 4–9;
-//! - `ablations` — the design-choice ablations of `DESIGN.md` §6;
-//! - `hotpaths` — micro-benchmarks of the simulator's hot paths (event
-//!   queue, RNG, histogram, symbol resolution, one consolidated
-//!   simulated second).
-//!
-//! Run with `cargo bench --workspace`; each bench prints its regenerated
-//! rows once before Criterion starts timing.
+//! `benches/hotpaths.rs` holds micro-benchmarks of the simulator's hot
+//! paths (event queue, run queues, RNG, histogram, symbol resolution,
+//! one consolidated simulated second). Run them with `scripts/bench.sh`,
+//! which appends one JSON row per bench to `BENCH_hotpaths.json`. The
+//! paper's tables and figures come from `repro`, not from a bench.
 
 #![warn(missing_docs)]
 
@@ -28,18 +20,4 @@ pub fn sim_criterion() -> criterion::Criterion {
         .sample_size(30)
         .measurement_time(std::time::Duration::from_secs(10))
         .warm_up_time(std::time::Duration::from_secs(1))
-}
-
-/// Prints an experiment's regenerated tables once (the "rows the paper
-/// reports" half of the harness) and returns the options used.
-pub fn print_experiment(id: &str) -> experiments::RunOptions {
-    let opts = experiments::RunOptions::quick();
-    if std::env::var("BENCH_SILENT").is_err() {
-        if let Some(tables) = experiments::run_experiment(id, &opts) {
-            for table in tables {
-                println!("{}", table.render());
-            }
-        }
-    }
-    opts
 }

@@ -3,8 +3,7 @@
 //! ```text
 //! repro [--quick] [--csv] [--seed N] [--jobs N] [--faults SPEC]
 //!       [--keep-going] [--paranoid] [--fork|--no-fork]
-//!       [--watchdog SECS|off] [--artifacts DIR] [--resume]
-//!       [--ledger PATH] <experiment>...
+//!       [--watchdog SECS|off] [--artifacts DIR] <experiment>...
 //! repro all
 //! repro cell <experiment> --cell B:I [--seed N] [--faults SPEC] ...
 //! repro --scenario FILE [options]
@@ -69,17 +68,7 @@
 //! replay command), skipping every other cell. Exit status: 0 if the
 //! cell passed, 3 if it failed (a fresh artifact is written), 4 if the
 //! grid has no such cell.
-//!
-//! `--resume` records each experiment's rendered stdout in a run ledger
-//! (`--ledger PATH`, default `RUN_LEDGER.txt`) keyed by an options
-//! fingerprint, committing after the bytes print. Re-running the same
-//! command after a crash or SIGKILL replays committed experiments
-//! byte-identically from the ledger and computes only the rest, so the
-//! restarted run's stdout is byte-identical to an uninterrupted one. A
-//! ledger recorded under different options (seed, quick, faults, csv) is
-//! discarded, never replayed.
 
-use experiments::runner::ledger::{fnv64, RunLedger};
 use experiments::runner::pool::{self, Budget, Scope};
 use experiments::{run_experiment, RunOptions, ALL_EXPERIMENTS};
 use hypervisor::FaultSpec;
@@ -92,8 +81,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: repro [--quick] [--csv] [--seed N] [--jobs N] [--faults SPEC] \
          [--keep-going] [--paranoid] [--fork|--no-fork] \
-         [--watchdog SECS|off] [--artifacts DIR] \
-         [--resume] [--ledger PATH] <experiment>... | all | list"
+         [--watchdog SECS|off] [--artifacts DIR] <experiment>... | all | list"
     );
     eprintln!("       repro cell <experiment> --cell B:I [options]");
     eprintln!("       repro --scenario FILE [options]   (run one scenario file; see SCENARIOS.md)");
@@ -115,10 +103,7 @@ fn main() {
     let mut watchdog: Option<Duration> = Some(Duration::from_secs(60));
     let mut cell_mode = false;
     let mut cell_filter: Option<(usize, usize)> = None;
-    let mut resume = false;
     let mut check_only = false;
-    let mut ledger_path = PathBuf::from("RUN_LEDGER.txt");
-    let mut ledger_flag = false;
     let mut ids: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1).peekable();
     while let Some(arg) = args.next() {
@@ -168,12 +153,6 @@ fn main() {
                     b.parse().unwrap_or_else(|_| usage()),
                     i.parse().unwrap_or_else(|_| usage()),
                 ));
-            }
-            "--resume" => resume = true,
-            "--ledger" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                ledger_path = PathBuf::from(v);
-                ledger_flag = true;
             }
             "--scenario" => {
                 let v = args.next().unwrap_or_else(|| usage());
@@ -251,38 +230,12 @@ fn main() {
             eprintln!("repro cell takes exactly one experiment and a --cell B:I selector");
             usage();
         }
-        // A replay must re-execute the cell, not re-print recorded bytes,
-        // and must report the failure rather than abort on it.
+        // A replay must report the failure rather than abort on it.
         opts.keep_going = true;
-        if resume {
-            eprintln!("--resume is ignored under repro cell (replays always re-execute)");
-            resume = false;
-        }
     } else if cell_filter.is_some() {
         eprintln!("--cell requires the cell subcommand");
         usage();
     }
-    if ledger_flag && !resume {
-        eprintln!("--ledger has no effect without --resume");
-    }
-    // The run ledger is keyed by every option that can change stdout
-    // bytes. Scheduling knobs (--jobs, --fork) are deliberately
-    // absent: stdout is byte-identical across them by contract, so a
-    // ledger recorded under one is safe to replay under another.
-    let ledger: Option<RunLedger> = resume.then(|| {
-        let fingerprint = fnv64(
-            format!(
-                "quick={} csv={} seed={:#x} paranoid={} faults={}",
-                opts.quick,
-                csv,
-                opts.seed,
-                opts.paranoid,
-                opts.faults.map(|f| f.to_string()).unwrap_or_default()
-            )
-            .as_bytes(),
-        );
-        RunLedger::open(&ledger_path, fingerprint)
-    });
     // Every experiment run goes through this wrapper so the
     // crash-resilience scope (crash artifacts, watchdogs, the `repro
     // cell` filter) applies uniformly to the streamed fan-out and the
@@ -301,14 +254,6 @@ fn main() {
         });
         (tables, scope)
     };
-    // `None` marks an experiment already committed to the ledger; its
-    // recorded bytes replay at emit time instead of recomputing.
-    let plan_one = |id: &str| -> Option<(Vec<Table>, Arc<Scope>)> {
-        match &ledger {
-            Some(l) if l.completed(id).is_some() => None,
-            _ => Some(run_one(id)),
-        }
-    };
     let mut cell_scope: Option<Arc<Scope>> = None;
     // One budget per invocation: its `--jobs` permits gate cell
     // execution, its cell memo simulates each cell several experiments
@@ -324,20 +269,20 @@ fn main() {
             ids.len(),
             |i| {
                 let started = Instant::now();
-                let out = pool::with_budget(&budget, || plan_one(&ids[i]));
+                let out = pool::with_budget(&budget, || run_one(&ids[i]));
                 (out, started.elapsed())
             },
             |i, (out, elapsed)| {
-                emit(&ids[i], out, elapsed, csv, ledger.as_ref());
+                emit(&ids[i], out, elapsed, csv);
             },
         );
     } else {
         for id in &ids {
             let started = Instant::now();
-            let out = pool::with_budget(&budget, || plan_one(id));
-            let scope = emit(id, out, started.elapsed(), csv, ledger.as_ref());
+            let out = pool::with_budget(&budget, || run_one(id));
+            let scope = emit(id, out, started.elapsed(), csv);
             if cell_mode {
-                cell_scope = scope;
+                cell_scope = Some(scope);
             }
         }
     }
@@ -354,52 +299,23 @@ fn main() {
     }
 }
 
-/// Renders one experiment's tables to the exact bytes stdout receives —
-/// the single formatting path shared by fresh runs and ledger commits,
-/// so replayed bytes cannot drift from recomputed ones.
-fn render_output(tables: &[Table], csv: bool) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    for table in tables {
-        if csv {
-            let _ = write!(out, "{}", table.render_csv());
-        } else {
-            let _ = writeln!(out, "{}", table.render());
-        }
-    }
-    out
-}
-
 /// Prints one experiment's output to stdout and its timing to stderr —
 /// the single emission path both the serial loop and the streamed
-/// fan-out go through, so their bytes cannot drift apart. A fresh run
-/// (`Some`) renders, prints, and then commits to the ledger; a completed
-/// one (`None`) replays the ledger's recorded bytes verbatim. Returns
-/// the fresh run's scope for `repro cell` status reporting.
+/// fan-out go through, so their bytes cannot drift apart. Returns the
+/// run's scope for `repro cell` status reporting.
 fn emit(
     id: &str,
-    out: Option<(Vec<Table>, Arc<Scope>)>,
+    (tables, scope): (Vec<Table>, Arc<Scope>),
     elapsed: Duration,
     csv: bool,
-    ledger: Option<&RunLedger>,
-) -> Option<Arc<Scope>> {
-    match out {
-        Some((tables, scope)) => {
-            let rendered = render_output(&tables, csv);
-            print!("{rendered}");
-            if let Some(ledger) = ledger {
-                ledger.commit(id, &rendered);
-            }
-            eprintln!("[{id} done in {elapsed:.1?}]");
-            Some(scope)
-        }
-        None => {
-            let rendered = ledger
-                .and_then(|l| l.completed(id))
-                .expect("None is only planned for ledger-completed experiments");
-            print!("{rendered}");
-            eprintln!("[{id} replayed from ledger]");
-            None
+) -> Arc<Scope> {
+    for table in &tables {
+        if csv {
+            print!("{}", table.render_csv());
+        } else {
+            println!("{}", table.render());
         }
     }
+    eprintln!("[{id} done in {elapsed:.1?}]");
+    scope
 }

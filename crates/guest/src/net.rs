@@ -3,8 +3,8 @@
 //! The I/O path of §3.2 spans the hypervisor (physical IRQ → virtual IRQ
 //! relay) and the guest (IRQ handler → softIRQ → user wakeup). This module
 //! owns the per-flow state: packet queues, TCP-window / UDP-rate pacing,
-//! delivery statistics, and RFC 3550 jitter — the measurements behind
-//! Table 4c and Figure 9.
+//! delivery statistics, and jitter (the standard deviation of per-packet
+//! latency) — the measurements behind Table 4c and Figure 9.
 //!
 //! Packet processing follows the NAPI shape: physical arrivals accumulate
 //! in a NIC backlog, a single virtual IRQ is outstanding per flow at a

@@ -297,6 +297,13 @@ impl FaultSpec {
                             "window_ms must be positive",
                         ));
                     }
+                    if ms > u64::MAX / 1_000_000 {
+                        return Err(FaultSpecError::at(
+                            value,
+                            value_at,
+                            "window_ms overflows the nanosecond clock",
+                        ));
+                    }
                     spec.window = SimDuration::from_millis(ms);
                 }
                 "kinds" => {
@@ -670,6 +677,7 @@ mod tests {
             ("count=3,bogus=1", "bogus", 8),
             ("window_ms=0", "0", 10),
             ("window_ms=ten", "ten", 10),
+            ("window_ms=18446744073710", "18446744073710", 10),
             ("kinds=warp", "warp", 6),
             ("kinds=ipi|warp", "warp", 10),
             ("count=3, kinds=ipi|, seed=1", "", 19),

@@ -27,10 +27,9 @@ impl Machine {
     /// time to the VM.
     pub(crate) fn account_progress(&mut self, vcpu: VcpuId) {
         let now = self.now;
-        // Exact credit burn: one credit per (tick / credits_per_tick) of
-        // runtime. Xen's sampled tick systematically misses vCPUs running
-        // short bursts (spin/yield churn), which would let a spinning VM
-        // keep UNDER priority forever and mask lock-holder preemption.
+        // Exact credit burn, used only when `credit_sampled_ticks` is off:
+        // one credit per (tick / credits_per_tick) of runtime. The default
+        // sampled mode charges whole ticks in `on_tick` instead.
         let ns_per_credit =
             (self.cfg.tick.as_nanos() / self.cfg.credits_per_tick.max(1) as u64).max(1);
         let floor = -self.cfg.credit_cap;

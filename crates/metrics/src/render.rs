@@ -126,6 +126,17 @@ pub fn fmt_f64(x: f64) -> String {
     }
 }
 
+/// FNV-1a 64-bit hash of rendered output: a small, dependency-free
+/// digest for asserting that a run's stdout bytes did not change.
+pub fn fnv64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -969,7 +969,7 @@ impl Scenario {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(out, "[scenario]");
-        let _ = writeln!(out, "name = {:?}", self.name);
+        let _ = writeln!(out, "name = {}", toml::quote(&self.name));
         let _ = writeln!(out);
         let _ = writeln!(out, "[machine]");
         let _ = writeln!(out, "pcpus = {}", self.machine.pcpus);
@@ -981,7 +981,7 @@ impl Scenario {
             RunMode::Window => "window",
             RunMode::Completion => "completion",
         };
-        let _ = writeln!(out, "mode = {mode:?}");
+        let _ = writeln!(out, "mode = {}", toml::quote(mode));
         let _ = writeln!(out, "window_ms = {}", self.run.window_ms);
         let _ = writeln!(out, "warm_ms = {}", self.run.warm_ms);
         let _ = writeln!(out, "repeats = {}", self.run.repeats);
@@ -989,26 +989,26 @@ impl Scenario {
             .run
             .policies
             .iter()
-            .map(|p| format!("{:?}", p.to_toml()))
+            .map(|p| toml::quote(&p.to_toml()))
             .collect();
         let _ = writeln!(out, "policies = [{}]", policies.join(", "));
         if let Some(spec) = &self.faults {
             let _ = writeln!(out);
             let _ = writeln!(out, "[faults]");
-            let _ = writeln!(out, "spec = {:?}", spec.to_string());
+            let _ = writeln!(out, "spec = {}", toml::quote(&spec.to_string()));
         }
         for vm in &self.vms {
             let _ = writeln!(out);
             let _ = writeln!(out, "[[vm]]");
             if let Some(name) = &vm.name {
-                let _ = writeln!(out, "name = {name:?}");
+                let _ = writeln!(out, "name = {}", toml::quote(name));
             }
             let _ = writeln!(out, "vcpus = {}", vm.vcpus);
             if vm.count != 1 {
                 let _ = writeln!(out, "count = {}", vm.count);
             }
             if let Some(w) = vm.workload {
-                let _ = writeln!(out, "workload = {:?}", w.name());
+                let _ = writeln!(out, "workload = {}", toml::quote(w.name()));
             }
             if let Some(iters) = vm.iters {
                 let _ = writeln!(out, "iters = {iters}");
@@ -1020,7 +1020,7 @@ impl Scenario {
                 let _ = writeln!(out);
                 let _ = writeln!(out, "[[vm.task]]");
                 let _ = writeln!(out, "vcpu = {}", t.vcpu);
-                let _ = writeln!(out, "workload = {:?}", t.workload.name());
+                let _ = writeln!(out, "workload = {}", toml::quote(t.workload.name()));
                 if let Some(iters) = t.iters {
                     let _ = writeln!(out, "iters = {iters}");
                 }
@@ -1031,7 +1031,8 @@ impl Scenario {
             for f in &vm.flows {
                 let _ = writeln!(out);
                 let _ = writeln!(out, "[[vm.flow]]");
-                let _ = writeln!(out, "kind = {:?}", if f.tcp { "tcp" } else { "udp" });
+                let kind = if f.tcp { "tcp" } else { "udp" };
+                let _ = writeln!(out, "kind = {}", toml::quote(kind));
                 let _ = writeln!(out, "virq_vcpu = {}", f.virq_vcpu);
                 let _ = writeln!(out, "target_task = {}", f.target_task);
             }
@@ -1212,10 +1213,22 @@ workload = "swaptions"
 
     #[test]
     fn to_toml_round_trips() {
-        let sc = parse_str("x", FULL).unwrap();
-        let text = sc.to_toml();
-        let back = parse_str(&sc.name, &text).unwrap();
-        assert_eq!(sc, back, "canonical text must decode to an equal scenario");
+        let mut sc = parse_str("x", FULL).unwrap();
+        // Rust's `{:?}` renders the last three names with `\r` and `\u{..}`
+        // escapes, which the parser rejects.
+        for name in [
+            "mixed",
+            "q\"b\\s\nt\t",
+            "a\rb",
+            "a\u{18}b",
+            "zero\u{200b}width",
+        ] {
+            sc.name = name.to_string();
+            sc.vms[0].name = Some(name.to_string());
+            let text = sc.to_toml();
+            let back = parse_str("x", &text).unwrap_or_else(|e| panic!("{name:?}: {e}"));
+            assert_eq!(sc, back, "canonical text must decode to an equal scenario");
+        }
     }
 
     #[test]

@@ -198,6 +198,27 @@ fn parse_header(
     Ok((path, array))
 }
 
+/// Renders `s` as a double-quoted string that [`parse`] reads back as
+/// `s`. It emits exactly the four escapes the parser accepts (`\"`,
+/// `\\`, `\n`, `\t`) and writes every other character raw; Rust's
+/// `{:?}` would also write `\r` and `\u{..}` escapes, which the parser
+/// rejects.
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            _ => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 /// Parses one value starting at `s[pos..]` (within one line). Returns
 /// the value and the position just past it.
 fn parse_value(

@@ -4,6 +4,7 @@
 
 use experiments::runner::pool;
 use experiments::runner::{build, PolicyKind, RunOptions};
+use metrics::render::fnv64;
 use simcore::ids::VmId;
 use simcore::time::SimTime;
 use workloads::{scenarios, Workload};
@@ -253,5 +254,36 @@ fn parallel_jobs_byte_identical_all_experiments() {
                 "{id}: the memoized suite diverged at seed {seed:#x}"
             );
         }
+    }
+}
+
+/// `repro --quick --jobs 2 all` stdout, pinned by digest at the default
+/// seed and at `--seed 11` through the real binary. A change that alters
+/// stdout on purpose updates the constant and says why in CHANGES.md.
+/// The full budget is not pinned while its output still prints `NaN`
+/// columns.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "slow under debug; run with cargo test --release"
+)]
+fn quick_suite_stdout_digests_are_pinned() {
+    let cases: [(&[&str], u64); 2] = [
+        (&[], 0xf71e_bcf3_77bf_b482),
+        (&["--seed", "11"], 0x2200_8fa4_e78e_5c3d),
+    ];
+    for (seed_args, digest) in cases {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["--quick", "--jobs", "2"])
+            .args(seed_args)
+            .arg("all")
+            .output()
+            .expect("repro binary runs");
+        assert!(out.status.success(), "repro {seed_args:?} failed");
+        assert_eq!(
+            fnv64(&out.stdout),
+            digest,
+            "repro --quick --jobs 2 {seed_args:?} all: stdout changed"
+        );
     }
 }
