@@ -4,7 +4,7 @@ use bench::sim_criterion;
 use criterion::{criterion_group, criterion_main, Criterion};
 use hypervisor::{BaselinePolicy, Machine};
 use ksym::Linux44Map;
-use metrics::Histogram;
+use metrics::DurationSummary;
 use microslice::MicroslicePolicy;
 use simcore::event::EventQueue;
 use simcore::rng::SimRng;
@@ -166,15 +166,17 @@ fn bench_rng(c: &mut Criterion) {
     });
 }
 
+/// The latency recorder behind Tables 4a/4b; the row keeps the name it
+/// had when the recorder was a bucketed histogram.
 fn bench_histogram(c: &mut Criterion) {
     c.bench_function("histogram_record_10k", |b| {
         let mut rng = SimRng::new(9);
         b.iter(|| {
-            let mut h = Histogram::new();
+            let mut s = DurationSummary::new();
             for _ in 0..10_000 {
-                h.record(SimDuration::from_nanos(rng.range_u64(100, 100_000_000)));
+                s.record(SimDuration::from_nanos(rng.range_u64(100, 100_000_000)));
             }
-            std::hint::black_box(h.percentile(0.99))
+            std::hint::black_box((s.mean(), s.max()))
         })
     });
 }

@@ -1,7 +1,7 @@
 //! Benchmark harness for the reproduction.
 //!
 //! `benches/hotpaths.rs` holds micro-benchmarks of the simulator's hot
-//! paths (event queue, run queues, RNG, histogram, symbol resolution,
+//! paths (event queue, run queues, RNG, latency recording, symbol resolution,
 //! one consolidated simulated second). Run them with `scripts/bench.sh`,
 //! which appends one JSON row per bench to `BENCH_hotpaths.json`. The
 //! paper's tables and figures come from `repro`, not from a bench.

@@ -339,7 +339,7 @@ mod tests {
                 Box::new(policy),
             );
             m.run_until(SimTime::from_secs(1)).unwrap();
-            m.stats.per_vm[1].micro_migrations + m.stats.per_vm[0].micro_migrations
+            m.stats.counters.get("micro_migrations")
         };
         let with = run(true);
         let without = run(false);

@@ -3,7 +3,7 @@
 use crate::net::FlowState;
 use crate::spinlock::SpinLock;
 use crate::tlb::ShootdownTable;
-use metrics::hist::Histogram;
+use metrics::summary::DurationSummary;
 use simcore::time::SimDuration;
 
 /// The kernel subsystem a lock protects — the four components whose wait
@@ -136,10 +136,10 @@ pub struct VmKernel {
     pub shootdowns: ShootdownTable,
     /// Network flows terminating in this VM.
     pub flows: Vec<FlowState>,
-    /// Spinlock wait-time histograms per kind (Table 4a).
-    pub lock_wait: [Histogram; 5],
+    /// Spinlock wait times per kind (Table 4a).
+    pub lock_wait: [DurationSummary; 5],
     /// TLB synchronization latency (Table 4b).
-    pub tlb_latency: Histogram,
+    pub tlb_latency: DurationSummary,
 }
 
 impl VmKernel {
@@ -152,7 +152,7 @@ impl VmKernel {
             shootdowns: ShootdownTable::new(),
             flows: Vec::new(),
             lock_wait: Default::default(),
-            tlb_latency: Histogram::new(),
+            tlb_latency: DurationSummary::new(),
         }
     }
 
@@ -166,8 +166,8 @@ impl VmKernel {
         self.lock_wait[slot].record(wait);
     }
 
-    /// The wait-time histogram for a lock kind.
-    pub fn lock_wait_of(&self, kind: LockKind) -> &Histogram {
+    /// The wait times of a lock kind.
+    pub fn lock_wait_of(&self, kind: LockKind) -> &DurationSummary {
         let slot = LockKind::ALL
             .iter()
             .position(|&k| k == kind)

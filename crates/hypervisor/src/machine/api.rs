@@ -126,7 +126,6 @@ impl Machine {
             debug_assert!(removed, "preempted vCPU missing from its run queue");
         }
         self.stats.counters.incr(Counter::MicroMigrations);
-        self.stats.per_vm[vcpu.vm.0 as usize].micro_migrations += 1;
         self.trace_record(super::TraceEvent::MicroMigration { vcpu });
         self.vcpu_mut(vcpu).pool = PoolId::Micro;
         let prio = self.vcpu(vcpu).prio();

@@ -143,8 +143,9 @@ pub enum Event {
 /// The simulated host.
 ///
 /// `Clone` is a deep checkpoint: every run queue, the event queue,
-/// guest program, RNG stream, histogram, and the fault-plan cursor copy
-/// verbatim, so a clone replays bit-identically to the original.
+/// guest program, RNG stream, latency summary, and the fault-plan
+/// cursor copy verbatim, so a clone replays bit-identically to the
+/// original.
 /// See [`Machine::snapshot`] / [`Snapshot`] for the checkpoint/fork API
 /// built on top of it.
 #[derive(Clone)]

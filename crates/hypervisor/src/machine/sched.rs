@@ -43,7 +43,6 @@ impl Machine {
             return;
         }
         vc.ctx.activity.advance(elapsed);
-        vc.cpu_time += elapsed;
         vc.last_update = now;
         if !sampled {
             // Exact-burn mode (ablation): one credit per unit of runtime.
@@ -275,7 +274,6 @@ impl Machine {
             self.vcpu_mut(vcpu).micro_requested = false;
             if let Some(slot) = self.micro_slot() {
                 self.stats.counters.incr(Counter::MicroMigrations);
-                self.stats.per_vm[vcpu.vm.0 as usize].micro_migrations += 1;
                 self.vcpu_mut(vcpu).pool = PoolId::Micro;
                 let prio = self.vcpu(vcpu).prio();
                 self.vcpu_mut(vcpu).state = VState::Runnable { pcpu: slot };

@@ -7,8 +7,8 @@
 //! task's boxed program (cloned through `ProgramClone`, buffered
 //! segments included), the event queue's timing wheel (bucket vectors
 //! with their inline payloads, occupancy bitmaps, drain buffer and
-//! cursor cloned verbatim) and overflow heap, RNG streams, histograms,
-//! and the fault-plan cursor —
+//! cursor cloned verbatim) and overflow heap, RNG streams, latency
+//! summaries, and the fault-plan cursor —
 //! and [`Snapshot::fork`] restores a cell-ready machine in O(state) with
 //! no re-simulation.
 //!

@@ -6,7 +6,7 @@
 
 use metrics::counters::{Counter, CounterSet};
 use simcore::ids::VmId;
-use simcore::time::{SimDuration, SimTime};
+use simcore::time::SimDuration;
 use std::collections::BTreeMap;
 
 /// Why a vCPU yielded its pCPU — the Figure 7 categories.
@@ -59,9 +59,6 @@ pub struct VmStats {
     pub yields: YieldBreakdown,
     /// Total CPU time consumed by this VM's vCPUs.
     pub cpu_time: SimDuration,
-    /// Number of times one of this VM's vCPUs was migrated to the micro
-    /// pool.
-    pub micro_migrations: u64,
 }
 
 /// Statistics for the whole machine.
@@ -80,8 +77,6 @@ pub struct MachineStats {
     /// pointer resolved through the symbol table) — the data behind the
     /// paper's Table 3 analysis. User-mode yields record as `"user"`.
     pub yield_sites: BTreeMap<&'static str, u64>,
-    /// Simulated time at the last stats reset (for rate computations).
-    pub since: SimTime,
 }
 
 impl MachineStats {
@@ -91,7 +86,6 @@ impl MachineStats {
             counters: CounterSet::new(),
             per_vm: vec![VmStats::default(); num_vms],
             yield_sites: BTreeMap::new(),
-            since: SimTime::ZERO,
         }
     }
 

@@ -67,8 +67,6 @@ pub struct Vcpu {
     pub last_pcpu: PcpuId,
     /// Hard affinity within the normal pool, if pinned.
     pub affinity: Option<Vec<PcpuId>>,
-    /// Accumulated CPU time (for utilization statistics).
-    pub cpu_time: simcore::time::SimDuration,
     /// Time of the last progress accounting while running.
     pub last_update: SimTime,
     /// Nanoseconds of runtime not yet converted into a credit debit.
@@ -97,7 +95,6 @@ impl Vcpu {
             ctx: VcpuCtx::new(id.idx),
             last_pcpu: PcpuId(0),
             affinity: None,
-            cpu_time: simcore::time::SimDuration::ZERO,
             last_update: SimTime::ZERO,
             burn_acc: 0,
             micro_requested: false,

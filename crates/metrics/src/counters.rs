@@ -6,13 +6,12 @@
 //! monotonic counters plus the ability to take a snapshot and compute the
 //! delta since the previous one — exactly what [`CounterSet`] provides.
 //!
-//! The simulator's own counters are the [`Counter`] enum: each one is a
+//! The simulator's counters are the [`Counter`] enum: each one is a
 //! fixed array slot, so the scheduler and step paths bump them with an
-//! index instead of a map lookup. Any other `&'static str` name still
-//! works and lives in a small side map.
+//! index instead of a map lookup. A counter's name resolves to the same
+//! slot.
 
 use core::fmt;
-use std::collections::BTreeMap;
 
 /// Declares [`Counter`]: one variant per well-known counter, with its
 /// rendered name. Keep the list sorted by name — [`Counter::ALL`] order
@@ -117,23 +116,37 @@ well_known_counters! {
     Virqs => "virqs",
 }
 
-/// A counter key: a well-known [`Counter`], or any other static name.
+/// The counter called `name`.
+///
+/// # Panics
+///
+/// If no [`Counter`] is called `name`.
+#[inline]
+fn named(name: &str) -> Counter {
+    Counter::from_name(name).unwrap_or_else(|| panic!("unknown counter name {name:?}"))
+}
+
+/// A counter key: a well-known [`Counter`], or its name.
 pub trait CounterKey {
-    /// The array slot for a well-known counter, or the name otherwise.
-    fn resolve(self) -> Result<Counter, &'static str>;
+    /// The counter this key names.
+    ///
+    /// # Panics
+    ///
+    /// If the key is a name that no [`Counter`] has.
+    fn counter(self) -> Counter;
 }
 
 impl CounterKey for Counter {
     #[inline]
-    fn resolve(self) -> Result<Counter, &'static str> {
-        Ok(self)
+    fn counter(self) -> Counter {
+        self
     }
 }
 
 impl CounterKey for &'static str {
     #[inline]
-    fn resolve(self) -> Result<Counter, &'static str> {
-        Counter::from_name(self).ok_or(self)
+    fn counter(self) -> Counter {
+        named(self)
     }
 }
 
@@ -149,14 +162,13 @@ fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// A set of named monotonic `u64` counters.
+/// A set of the [`Counter`]s as monotonic `u64`s.
 ///
-/// Well-known [`Counter`]s live in a fixed array plus a presence mask;
-/// other names live in a `BTreeMap<&'static str, u64>`. The two never
-/// share a name, and a counter is *present* (rendered, iterated, compared)
-/// from its first `incr`/`add` — even `add(name, 0)` — until `reset`,
-/// exactly as if every name were a map entry. Iteration merges both
-/// halves in name order for deterministic reports.
+/// Values live in a fixed array plus a presence mask. A counter is
+/// *present* (rendered, iterated, compared) from its first `incr`/`add`
+/// — even `add(name, 0)` — until `reset`, exactly as if every counter
+/// were a map entry. Iteration is in name order for deterministic
+/// reports.
 ///
 /// # Examples
 ///
@@ -165,22 +177,20 @@ fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
 ///
 /// let mut c = CounterSet::new();
 /// c.incr(Counter::PleExits);
-/// c.add("ipis", 3);
+/// c.add("ipis_sent", 3);
 /// let snap = c.snapshot();
-/// c.add("ipis", 2);
-/// assert_eq!(c.delta_since(&snap).get("ipis"), 2);
-/// assert_eq!(c.get("ipis"), 5);
+/// c.add("ipis_sent", 2);
+/// assert_eq!(c.delta_since(&snap).get("ipis_sent"), 2);
+/// assert_eq!(c.get("ipis_sent"), 5);
 /// assert_eq!(c.get("ple_exits"), c.value(Counter::PleExits));
-/// assert_eq!(c.to_string(), "ipis=5 ple_exits=1");
+/// assert_eq!(c.to_string(), "ipis_sent=5 ple_exits=1");
 /// ```
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct CounterSet {
-    /// Well-known values, indexed by `Counter as usize`; zero when absent.
+    /// Values, indexed by `Counter as usize`; zero when absent.
     known: [u64; Counter::COUNT],
     /// Bit `i` set once `Counter::ALL[i]` is present.
     present: u64,
-    /// Every other name.
-    other: BTreeMap<&'static str, u64>,
 }
 
 const _: () = assert!(Counter::COUNT <= 64, "the presence mask is one u64");
@@ -192,29 +202,35 @@ impl CounterSet {
     }
 
     /// Increments `key` by one.
+    ///
+    /// # Panics
+    ///
+    /// If `key` is a name that no [`Counter`] has.
     #[inline]
     pub fn incr(&mut self, key: impl CounterKey) {
         self.add(key, 1);
     }
 
     /// Increments `key` by `n`.
+    ///
+    /// # Panics
+    ///
+    /// If `key` is a name that no [`Counter`] has.
     #[inline]
     pub fn add(&mut self, key: impl CounterKey, n: u64) {
-        match key.resolve() {
-            Ok(c) => {
-                self.known[c as usize] += n;
-                self.present |= 1 << c as u32;
-            }
-            Err(name) => *self.other.entry(name).or_insert(0) += n,
-        }
+        let c = key.counter();
+        self.known[c as usize] += n;
+        self.present |= 1 << c as u32;
     }
 
-    /// Current value of `name` (zero if never incremented).
+    /// Current value of the counter called `name` (zero if never
+    /// incremented).
+    ///
+    /// # Panics
+    ///
+    /// If no [`Counter`] is called `name`.
     pub fn get(&self, name: &str) -> u64 {
-        match Counter::from_name(name) {
-            Some(c) => self.value(c),
-            None => self.other.get(name).copied().unwrap_or(0),
-        }
+        self.value(named(name))
     }
 
     /// Current value of a well-known counter (zero if never incremented).
@@ -239,36 +255,23 @@ impl CounterSet {
                 delta.present |= 1 << i;
             }
         }
-        for (&name, &now) in &self.other {
-            let before = earlier.other.get(name).copied().unwrap_or(0);
-            if now > before {
-                delta.other.insert(name, now - before);
-            }
-        }
         delta
     }
 
-    /// Iterates over `(name, value)` pairs in name order.
+    /// Iterates over the present counters' `(name, value)` pairs in name
+    /// order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        let mut known = set_bits(self.present)
-            .map(|i| (Counter::ALL[i].name(), self.known[i]))
-            .peekable();
-        let mut other = self.other.iter().map(|(&k, &v)| (k, v)).peekable();
-        core::iter::from_fn(move || match (known.peek(), other.peek()) {
-            (Some(a), Some(b)) if b.0 < a.0 => other.next(),
-            (Some(_), _) => known.next(),
-            (None, _) => other.next(),
-        })
+        set_bits(self.present).map(|i| (Counter::ALL[i].name(), self.known[i]))
     }
 
     /// Sum of all counter values.
     pub fn total(&self) -> u64 {
-        self.known.iter().sum::<u64>() + self.other.values().sum::<u64>()
+        self.known.iter().sum()
     }
 
     /// True if no counter was ever incremented.
     pub fn is_empty(&self) -> bool {
-        self.present == 0 && self.other.is_empty()
+        self.present == 0
     }
 
     /// Resets every counter to zero (removing all entries).
@@ -304,57 +307,57 @@ mod tests {
     #[test]
     fn incr_and_get() {
         let mut c = CounterSet::new();
-        assert_eq!(c.get("x"), 0);
-        c.incr("x");
-        c.incr("x");
-        c.add("y", 10);
-        assert_eq!(c.get("x"), 2);
-        assert_eq!(c.get("y"), 10);
+        assert_eq!(c.get("steals"), 0);
+        c.incr("steals");
+        c.incr("steals");
+        c.add("virqs", 10);
+        assert_eq!(c.get("steals"), 2);
+        assert_eq!(c.get("virqs"), 10);
         assert_eq!(c.total(), 12);
     }
 
     #[test]
     fn snapshot_delta() {
         let mut c = CounterSet::new();
-        c.add("ipis", 5);
+        c.add("ipis_sent", 5);
         let snap = c.snapshot();
-        c.add("ipis", 7);
-        c.add("ples", 2);
+        c.add("ipis_sent", 7);
+        c.add("ple_exits", 2);
         let d = c.delta_since(&snap);
-        assert_eq!(d.get("ipis"), 7);
-        assert_eq!(d.get("ples"), 2);
+        assert_eq!(d.get("ipis_sent"), 7);
+        assert_eq!(d.get("ple_exits"), 2);
         assert_eq!(d.get("virqs"), 0);
     }
 
     #[test]
     fn delta_against_newer_snapshot_saturates() {
         let mut c = CounterSet::new();
-        c.add("x", 3);
+        c.add("steals", 3);
         let newer = {
             let mut n = c.clone();
-            n.add("x", 10);
+            n.add("steals", 10);
             n
         };
         let d = c.delta_since(&newer);
-        assert_eq!(d.get("x"), 0);
+        assert_eq!(d.get("steals"), 0);
         assert!(d.is_empty());
     }
 
     #[test]
     fn display_is_sorted_and_stable() {
         let mut c = CounterSet::new();
-        c.add("zeta", 1);
-        c.add("alpha", 2);
-        assert_eq!(c.to_string(), "alpha=2 zeta=1");
+        c.add("virqs", 1);
+        c.add("boosts", 2);
+        assert_eq!(c.to_string(), "boosts=2 virqs=1");
     }
 
     #[test]
     fn reset_clears() {
         let mut c = CounterSet::new();
-        c.incr("x");
+        c.incr("steals");
         c.reset();
         assert!(c.is_empty());
-        assert_eq!(c.get("x"), 0);
+        assert_eq!(c.get("steals"), 0);
     }
 
     #[test]
@@ -375,15 +378,17 @@ mod tests {
         c.incr(Counter::Virqs);
         c.add("virqs", 2);
         c.add("ple_exits", 0);
-        c.add("aardvark", 1);
-        c.add("zebra", 1);
         assert_eq!(c.value(Counter::Virqs), 3);
-        assert_eq!(c.to_string(), "aardvark=1 ple_exits=0 virqs=3 zebra=1");
+        assert_eq!(c.to_string(), "ple_exits=0 virqs=3");
         let mut by_name = CounterSet::new();
-        by_name.add("zebra", 1);
         by_name.add("virqs", 3);
-        by_name.add("aardvark", 1);
         by_name.add(Counter::PleExits, 0);
         assert_eq!(c, by_name);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown counter name \"ipis\"")]
+    fn unknown_names_panic_with_their_name() {
+        CounterSet::new().incr("ipis");
     }
 }

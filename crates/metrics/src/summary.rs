@@ -1,4 +1,7 @@
-//! Running mean/min/max/variance accumulator.
+//! Running mean/min/max/variance accumulators: [`Summary`] over `f64`
+//! samples, and [`DurationSummary`] over simulated durations.
+
+use simcore::time::SimDuration;
 
 /// An online summary of a stream of samples (Welford's algorithm).
 ///
@@ -16,14 +19,19 @@
 /// assert_eq!(s.min(), 1.0);
 /// assert_eq!(s.max(), 3.0);
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct Summary {
     count: u64,
     mean: f64,
     m2: f64,
     min: f64,
     max: f64,
-    sum: f64,
+}
+
+impl Default for Summary {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Summary {
@@ -35,14 +43,12 @@ impl Summary {
             m2: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
-            sum: 0.0,
         }
     }
 
     /// Adds a sample.
     pub fn add(&mut self, x: f64) {
         self.count += 1;
-        self.sum += x;
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
         self.m2 += delta * (x - self.mean);
@@ -53,11 +59,6 @@ impl Summary {
     /// Number of samples.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Sum of all samples (0 if empty).
-    pub fn sum(&self) -> f64 {
-        self.sum
     }
 
     /// Mean of the samples (0 if empty).
@@ -96,14 +97,13 @@ impl Summary {
         }
     }
 
-    /// The summary of only the samples added after `earlier` — the
-    /// inverse of [`Summary::merge`], for delta-measuring a window out
-    /// of a cumulative summary (`earlier` must be a clone of this
-    /// summary's own past state).
+    /// The summary of only the samples added after `earlier`, for
+    /// delta-measuring a window out of a cumulative summary (`earlier`
+    /// must be a clone of this summary's own past state).
     ///
-    /// Count, sum, mean, and variance are exact for the window (Chan's
+    /// Count, mean, and variance are exact for the window (Chan's
     /// parallel-variance identity run backwards). `min`/`max` cannot be
-    /// un-merged, so the result keeps the cumulative extrema — they can
+    /// recovered, so the result keeps the cumulative extrema — they can
     /// only over-report the window's range.
     pub fn since(&self, earlier: &Summary) -> Summary {
         debug_assert!(earlier.count <= self.count, "`earlier` is not a prefix");
@@ -128,29 +128,62 @@ impl Summary {
             m2,
             min: self.min,
             max: self.max,
-            sum: self.sum - earlier.sum,
         }
     }
+}
 
-    /// Merges another summary into this one.
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean = (n1 * self.mean + n2 * other.mean) / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
+/// A [`Summary`] of durations in nanoseconds: the count, mean and
+/// extrema that Lockstat (Table 4a) and SystemTap (Table 4b) report.
+///
+/// The extrema are the summary's own `f64` ones, exact for every
+/// duration below 2^53 ns (104 days).
+///
+/// # Examples
+///
+/// ```
+/// use metrics::summary::DurationSummary;
+/// use simcore::time::SimDuration;
+///
+/// let mut s = DurationSummary::new();
+/// for us in [28, 30, 35, 1900] {
+///     s.record(SimDuration::from_micros(us));
+/// }
+/// assert_eq!(s.count(), 4);
+/// assert_eq!(s.min().as_micros(), 28);
+/// assert_eq!(s.max().as_micros(), 1900);
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct DurationSummary(Summary);
+
+impl DurationSummary {
+    /// Creates an empty summary.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Records one duration.
+    pub fn record(&mut self, d: SimDuration) {
+        self.0.add(d.as_nanos() as f64);
+    }
+
+    /// Number of recorded durations.
+    pub fn count(&self) -> u64 {
+        self.0.count()
+    }
+
+    /// Mean duration, rounded to the nanosecond (zero if empty).
+    pub fn mean(&self) -> SimDuration {
+        SimDuration::from_nanos(self.0.mean().round() as u64)
+    }
+
+    /// Shortest duration (zero if empty).
+    pub fn min(&self) -> SimDuration {
+        SimDuration::from_nanos(self.0.min() as u64)
+    }
+
+    /// Longest duration (zero if empty).
+    pub fn max(&self) -> SimDuration {
+        SimDuration::from_nanos(self.0.max() as u64)
     }
 }
 
@@ -187,7 +220,6 @@ mod tests {
         let window = s.since(&checkpoint);
         assert_eq!(window.count(), reference.count());
         assert!((window.mean() - reference.mean()).abs() < 1e-9);
-        assert!((window.sum() - reference.sum()).abs() < 1e-9);
         assert!((window.std_dev() - reference.std_dev()).abs() < 1e-9);
     }
 
@@ -213,39 +245,26 @@ mod tests {
         assert_eq!(s.std_dev(), 2.0);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
-        assert_eq!(s.sum(), 40.0);
     }
 
     #[test]
-    fn merge_matches_sequential() {
-        let xs = [1.0, 5.0, 2.5, 8.0, 0.5];
-        let ys = [3.0, 3.0, 9.9];
-        let mut all = Summary::new();
-        for &x in xs.iter().chain(&ys) {
-            all.add(x);
-        }
-        let mut a = Summary::new();
-        xs.iter().for_each(|&x| a.add(x));
-        let mut b = Summary::new();
-        ys.iter().for_each(|&y| b.add(y));
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-12);
-        assert!((a.std_dev() - all.std_dev()).abs() < 1e-12);
-        assert_eq!(a.min(), all.min());
-        assert_eq!(a.max(), all.max());
+    fn duration_summary_exact_stats() {
+        let mut s = DurationSummary::default();
+        s.record(SimDuration::from_micros(10));
+        s.record(SimDuration::from_micros(30));
+        assert_eq!(s.count(), 2);
+        assert_eq!(s.mean(), SimDuration::from_micros(20));
+        assert_eq!(s.min(), SimDuration::from_micros(10));
+        assert_eq!(s.max(), SimDuration::from_micros(30));
     }
 
     #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = Summary::new();
-        a.add(4.0);
-        let before = a.mean();
-        a.merge(&Summary::new());
-        assert_eq!(a.mean(), before);
-        let mut empty = Summary::new();
-        empty.merge(&a);
-        assert_eq!(empty.mean(), before);
+    fn empty_duration_summary_is_zeroed() {
+        let s = DurationSummary::new();
+        assert_eq!(s.count(), 0);
+        assert_eq!(s.mean(), SimDuration::ZERO);
+        assert_eq!(s.min(), SimDuration::ZERO);
+        assert_eq!(s.max(), SimDuration::ZERO);
     }
 
     proptest! {
@@ -258,23 +277,6 @@ mod tests {
             prop_assert!(s.mean() >= s.min() - 1e-9);
             prop_assert!(s.mean() <= s.max() + 1e-9);
             prop_assert_eq!(s.count(), xs.len() as u64);
-        }
-
-        #[test]
-        fn prop_merge_order_independent(
-            xs in proptest::collection::vec(0f64..1e3, 1..50),
-            ys in proptest::collection::vec(0f64..1e3, 1..50),
-        ) {
-            let mut a1 = Summary::new();
-            xs.iter().for_each(|&x| a1.add(x));
-            let mut b1 = Summary::new();
-            ys.iter().for_each(|&y| b1.add(y));
-            let mut ab = a1.clone();
-            ab.merge(&b1);
-            let mut ba = b1;
-            ba.merge(&a1);
-            prop_assert!((ab.mean() - ba.mean()).abs() < 1e-9);
-            prop_assert!((ab.std_dev() - ba.std_dev()).abs() < 1e-9);
         }
     }
 }

@@ -322,6 +322,24 @@ fn expect_u64(e: &Entry) -> Result<u64, ScenarioError> {
     Ok(expect_ranged(e, 0, i64::MAX)? as u64)
 }
 
+/// Nanoseconds per millisecond, the unit of the `_ms` keys.
+const NS_PER_MS: u64 = 1_000_000;
+
+/// A duration in units of `ns_per_unit` nanoseconds, rejected when its
+/// nanosecond count overflows the simulated clock.
+fn expect_duration(e: &Entry, ns_per_unit: u64) -> Result<u64, ScenarioError> {
+    let n = expect_u64(e)?;
+    if n.checked_mul(ns_per_unit).is_none() {
+        return Err(err(
+            &e.key,
+            e.value_span,
+            e.line,
+            format!("`{}` = {n} overflows the nanosecond clock", e.key),
+        ));
+    }
+    Ok(n)
+}
+
 fn expect_str(e: &Entry) -> Result<&str, ScenarioError> {
     match &e.value {
         Value::Str(s) => Ok(s),
@@ -461,8 +479,10 @@ pub fn parse_str(default_name: &str, src: &str) -> Result<Scenario, ScenarioErro
                     |e| {
                         match e.key.as_str() {
                             "pcpus" => sc.machine.pcpus = expect_u16(e)?,
-                            "micro_slice_us" => sc.machine.micro_slice_us = expect_u64(e)?,
-                            _ => sc.machine.normal_slice_ms = expect_u64(e)?,
+                            "micro_slice_us" => {
+                                sc.machine.micro_slice_us = expect_duration(e, 1_000)?
+                            }
+                            _ => sc.machine.normal_slice_ms = expect_duration(e, NS_PER_MS)?,
                         }
                         Ok(())
                     },
@@ -489,8 +509,8 @@ pub fn parse_str(default_name: &str, src: &str) -> Result<Scenario, ScenarioErro
                                     }
                                 }
                             }
-                            "window_ms" => sc.run.window_ms = expect_u64(e)?,
-                            "warm_ms" => sc.run.warm_ms = expect_u64(e)?,
+                            "window_ms" => sc.run.window_ms = expect_duration(e, NS_PER_MS)?,
+                            "warm_ms" => sc.run.warm_ms = expect_duration(e, NS_PER_MS)?,
                             "repeats" => {
                                 sc.run.repeats = expect_ranged(e, 0, u32::MAX as i64)? as u32
                             }
@@ -523,6 +543,27 @@ pub fn parse_str(default_name: &str, src: &str) -> Result<Scenario, ScenarioErro
                         Ok(())
                     },
                 )?;
+                // The window ends at `warm_ms + window_ms`. Each fits the
+                // clock alone, so an overflowing end names at least one
+                // of them in this block: blame the later.
+                let end_ms = sc.run.warm_ms + sc.run.window_ms;
+                if end_ms.checked_mul(NS_PER_MS).is_none() {
+                    if let Some(e) = block
+                        .entries
+                        .iter()
+                        .rev()
+                        .find(|e| e.key == "warm_ms" || e.key == "window_ms")
+                    {
+                        return Err(err(
+                            &e.key,
+                            e.value_span,
+                            e.line,
+                            format!(
+                                "`warm_ms` + `window_ms` = {end_ms} overflows the nanosecond clock"
+                            ),
+                        ));
+                    }
+                }
             }
             "faults" => {
                 single("faults")?;
@@ -1160,6 +1201,77 @@ workload = "swaptions"
         let e = parse_str("x", src).unwrap_err();
         assert_eq!(e.token, "nope");
         assert_eq!(&src[e.span.0..e.span.1], "nope");
+    }
+
+    /// Parses `src`, which must fail at the bytes of `value` because a
+    /// duration overflows the nanosecond clock.
+    fn clock_overflow_at(src: &str, value: &str) {
+        let e = parse_str("x", src).unwrap_err();
+        assert!(e.reason.contains("overflows the nanosecond clock"), "{e}");
+        let at = src.rfind(value).unwrap();
+        assert_eq!(e.span, (at, at + value.len()), "{e}");
+    }
+
+    #[test]
+    fn window_ms_past_the_clock_is_rejected() {
+        clock_overflow_at(
+            "[run]\nwindow_ms = 9223372036854775807\n",
+            "9223372036854775807",
+        );
+        clock_overflow_at("[run]\nwindow_ms = 18446744073710\n", "18446744073710");
+        // The longest window that fits still parses.
+        parse_str("x", "[run]\nwindow_ms = 18446744073709\n").unwrap();
+    }
+
+    #[test]
+    fn warm_ms_past_the_clock_is_rejected() {
+        clock_overflow_at(
+            "[run]\nwarm_ms = 9223372036854775807\n",
+            "9223372036854775807",
+        );
+    }
+
+    #[test]
+    fn normal_slice_ms_past_the_clock_is_rejected() {
+        clock_overflow_at(
+            "[machine]\nnormal_slice_ms = 9223372036854775807\n",
+            "9223372036854775807",
+        );
+        clock_overflow_at(
+            "[machine]\nnormal_slice_ms = 18446744073710\n",
+            "18446744073710",
+        );
+    }
+
+    #[test]
+    fn micro_slice_us_past_the_clock_is_rejected() {
+        clock_overflow_at(
+            "[machine]\nmicro_slice_us = 9223372036854775807\n",
+            "9223372036854775807",
+        );
+        clock_overflow_at(
+            "[machine]\nmicro_slice_us = 18446744073709552\n",
+            "18446744073709552",
+        );
+        parse_str("x", "[machine]\nmicro_slice_us = 18446744073709551\n").unwrap();
+    }
+
+    #[test]
+    fn warm_plus_window_past_the_clock_is_rejected() {
+        // Each fits the clock alone; the window's end does not, and the
+        // later key is blamed.
+        let (warm, window) = ("9000000000000", "9500000000000");
+        clock_overflow_at(
+            &format!("[run]\nwarm_ms = {warm}\nwindow_ms = {window}\n"),
+            window,
+        );
+        clock_overflow_at(
+            &format!("[run]\nwindow_ms = {window}\nwarm_ms = {warm}\n"),
+            warm,
+        );
+        // The default 2000 ms window counts too.
+        clock_overflow_at("[run]\nwarm_ms = 18446744073709\n", "18446744073709");
+        parse_str("x", "[run]\nwarm_ms = 18446744071709\n").unwrap();
     }
 
     #[test]

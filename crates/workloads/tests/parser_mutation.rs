@@ -12,6 +12,9 @@
 //! - an `Err` names a byte span inside the input;
 //! - a parsed scenario's `validate()` does not panic, and its canonical
 //!   rendering parses back to an equal scenario;
+//! - a scenario that also validates builds its machine parts and run
+//!   window the way the runner does without panicking (debug builds
+//!   trap integer overflow) or saturating the clock;
 //! - a parsed fault spec's rendering parses back to an equal spec.
 //!
 //! A failure reports the case index and the input, so the fixed seed
@@ -19,18 +22,20 @@
 
 use hypervisor::FaultSpec;
 use simcore::rng::SimRng;
+use simcore::time::SimDuration;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use workloads::scenario_file::parse_str;
 
 const SEED: u64 = 0x5EED_F022_0021;
 
 /// Integers at the edges of the parsers' integer types: zero, a
-/// negative, one past `u32::MAX`, `u64::MAX`, and one beyond every
-/// 64-bit type.
-const BOUNDARY: [&str; 5] = [
+/// negative, one past `u32::MAX`, `i64::MAX`, `u64::MAX`, and one
+/// beyond every 64-bit type.
+const BOUNDARY: [&str; 6] = [
     "0",
     "-1",
     "4294967296",
+    "9223372036854775807",
     "18446744073709551615",
     "99999999999999999999",
 ];
@@ -175,7 +180,14 @@ fn check_scenario(input: &str) -> Result<bool, String> {
         Ok(sc) => sc,
         Err(e) => return clean_error(e.span, input, e),
     };
-    let _ = sc.validate();
+    if sc.validate().is_ok() {
+        let _ = sc.to_parts();
+        let warm = SimDuration::from_millis(sc.run.warm_ms);
+        let window = SimDuration::from_millis(sc.run.window_ms);
+        if warm.as_nanos().checked_add(window.as_nanos()).is_none() {
+            return Err(format!("the window ends past the clock: {:?}", sc.run));
+        }
+    }
     match parse_str(&sc.name, &sc.to_toml()) {
         Ok(back) if back == sc => Ok(true),
         Ok(back) => Err(format!("round trip drifted: {sc:?} -> {back:?}")),

@@ -41,6 +41,14 @@ echo "== tests (release) ==" >&2
 # fixed, so a failure here is a real bug, never flake.
 cargo test --release -q -p experiments -p workloads
 
+echo "== simbench tests ==" >&2
+# simbench is a workspace of its own that builds the simulator's crates
+# from their paths, so no step above compiles it: without this step, a
+# change to an API simbench calls would first break in the benchmark
+# run. None of its tests runs the untraced pass that resets the peak-RSS
+# counter.
+cargo test --offline --manifest-path simbench/Cargo.toml
+
 echo "== quick suite reference ==" >&2
 # The quick-repro smoke, and the reference stdout the fork and serial
 # steps below compare against.
