@@ -133,7 +133,7 @@ fn bench_segment_step(c: &mut Criterion) {
             let mut task = Task::new(
                 TaskId::new(VmId(0), 0),
                 0,
-                Workload::Exim.program(0, 4),
+                Workload::Exim.program(0, 4, None),
                 SimRng::new(0xBEEF),
             );
             let mut acc = 0u64;
@@ -205,12 +205,7 @@ fn bench_symbol_resolution(c: &mut Criterion) {
 /// One consolidated simulated second — the simulator's end-to-end rate.
 fn bench_sim_second(c: &mut Criterion) {
     let build = |policy: bool| {
-        let (cfg, _) = scenarios::corun(Workload::Exim);
-        let n = cfg.num_pcpus;
-        let specs = vec![
-            scenarios::vm_with_iters(Workload::Exim, n, None),
-            scenarios::vm_with_iters(Workload::Swaptions, n, None),
-        ];
+        let (cfg, specs) = scenarios::corun(Workload::Exim);
         if policy {
             Machine::new(cfg, specs, Box::new(MicroslicePolicy::fixed(1)))
         } else {
@@ -239,12 +234,7 @@ fn bench_sim_second(c: &mut Criterion) {
 /// copies of the full machine state per iteration; the warm prefix it
 /// replaces costs `simulate_one_second_baseline`-scale time per 800 ms.
 fn bench_machine_snapshot(c: &mut Criterion) {
-    let (cfg, _) = scenarios::corun(Workload::Exim);
-    let n = cfg.num_pcpus;
-    let specs = vec![
-        scenarios::vm_with_iters(Workload::Exim, n, None),
-        scenarios::vm_with_iters(Workload::Swaptions, n, None),
-    ];
+    let (cfg, specs) = scenarios::corun(Workload::Exim);
     let mut warm = Machine::new(cfg, specs, Box::new(BaselinePolicy));
     warm.run_until(SimTime::from_millis(800)).unwrap();
     c.bench_function("machine_snapshot_restore", |b| {
@@ -272,7 +262,7 @@ fn bench_policy_ipi_wait_yield(c: &mut Criterion) {
     use simcore::ids::{VcpuId, VmId};
 
     let (cfg, mut specs) = scenarios::mixed_iperf_corun();
-    specs[1] = scenarios::vm_with_iters(Workload::Dedup, cfg.num_pcpus, Some(1_000_000_000));
+    specs[1] = scenarios::vm(Workload::Dedup, cfg.num_pcpus, None);
     let mut m = Machine::new(cfg, specs, Box::new(MicroslicePolicy::fixed(2)));
     let mut detect = DetectionEngine::new();
     let mut yielder: Option<VcpuId> = None;

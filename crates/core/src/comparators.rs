@@ -195,12 +195,7 @@ mod tests {
     use workloads::{scenarios, Workload};
 
     fn corun(w: Workload, policy: Box<dyn SchedPolicy>) -> Machine {
-        let (cfg, _) = scenarios::corun(w);
-        let n = cfg.num_pcpus;
-        let specs = vec![
-            scenarios::vm_with_iters(w, n, None),
-            scenarios::vm_with_iters(Workload::Swaptions, n, None),
-        ];
+        let (cfg, specs) = scenarios::corun(w);
         Machine::new(MachineConfig { seed: 77, ..cfg }, specs, policy)
     }
 

@@ -33,13 +33,8 @@ pub const WARM: SimDuration = SimDuration::from_secs(4);
 /// The exim co-run on the stock testbed, with `mutate` applied to its
 /// configuration.
 fn exim_corun(mutate: impl FnOnce(&mut MachineConfig)) -> (MachineConfig, Vec<VmSpec>) {
-    let mut cfg = MachineConfig::paper_testbed();
+    let (mut cfg, specs) = scenarios::corun(Workload::Exim);
     mutate(&mut cfg);
-    let n = cfg.num_pcpus;
-    let specs = vec![
-        scenarios::vm_with_iters(Workload::Exim, n, None),
-        scenarios::vm_with_iters(Workload::Swaptions, n, None),
-    ];
     (cfg, specs)
 }
 
@@ -102,14 +97,8 @@ pub fn run_runq_cap(opts: &RunOptions) -> Vec<Table> {
         CAPS.len(),
         |i| format!("ablation-runqcap[cap {}, seed {:#x}]", CAPS[i], opts.seed),
         |i| {
-            let mut cfg = MachineConfig::paper_testbed();
+            let (mut cfg, specs) = crate::fig4::scenario(opts, Workload::Dedup);
             cfg.micro_runq_cap = CAPS[i];
-            let n = cfg.num_pcpus;
-            let iters = opts.iters(Workload::Dedup.default_iters().unwrap());
-            let specs = vec![
-                scenarios::vm_with_iters(Workload::Dedup, n, Some(iters)),
-                scenarios::vm_with_iters(Workload::Swaptions, n, None),
-            ];
             let mut m = build(opts, (cfg, specs), PolicyKind::Fixed(3));
             let end = finish_time(m.run_until_vm_finished(VmId(0), opts.horizon()))?;
             Ok(end.as_secs_f64())

@@ -44,26 +44,23 @@ pub struct Cell {
     pub policy: PolicyKind,
     /// Target VM execution time, seconds.
     pub target_secs: f64,
-    /// Co-runner (swaptions) work rate over the target's run, units/s.
-    /// The co-runner loops its benchmark continuously so the target stays
-    /// consolidated for its whole execution; its normalized execution
-    /// time is the baseline rate divided by this rate.
+    /// Co-runner (swaptions) work rate over the target's run, units/s;
+    /// its normalized execution time is the baseline rate divided by this
+    /// rate. The co-runner runs its default budget, not endlessly: if it
+    /// finishes before the target, the target runs alone for the rest
+    /// and this rate is that budget over the target's time (ROADMAP
+    /// item 1).
     pub corunner_rate: f64,
 }
 
-/// The execution-time co-run scenario for a Figure 4 workload: a finite
-/// target VM plus a continuously looping swaptions VM.
+/// The execution-time co-run of `w`: [`scenarios::corun`] with the
+/// target's default budget scaled by [`RunOptions::iters`]. Figure 8,
+/// Table 1's dedup cells and the run-queue ablation time this pair too.
 pub fn scenario(opts: &RunOptions, w: Workload) -> (MachineConfig, Vec<VmSpec>) {
-    let cfg = MachineConfig::paper_testbed();
-    let n = cfg.num_pcpus;
-    let target_iters = opts.iters(w.default_iters().expect("exec-time workload"));
-    (
-        cfg,
-        vec![
-            scenarios::vm_with_iters(w, n, Some(target_iters)),
-            scenarios::vm_with_iters(Workload::Swaptions, n, None),
-        ],
-    )
+    let (cfg, mut specs) = scenarios::corun(w);
+    let iters = opts.iters(w.default_iters().expect("exec-time workload"));
+    specs[0] = scenarios::vm(w, cfg.num_pcpus, Some(iters));
+    (cfg, specs)
 }
 
 /// Runs one configuration of one workload, forking the workload's warm

@@ -5,7 +5,7 @@
 use crate::runner::{
     fail_row, pool, run_cells, CellFailure, CellResult, Grid, PolicyKind, RunOptions,
 };
-use hypervisor::{Machine, MachineConfig, VmSpec};
+use hypervisor::Machine;
 use metrics::render::Table;
 use simcore::ids::VmId;
 use simcore::time::SimDuration;
@@ -28,26 +28,15 @@ pub struct Cell {
     /// Target VM throughput, work units per second.
     pub throughput: f64,
     /// Swaptions work rate, units/s (normalized execution time is the
-    /// baseline rate over this rate).
+    /// baseline rate over this rate). The co-runner runs its default
+    /// budget, not endlessly: at the full budget it finishes before the
+    /// window opens, so this rate is 0 (ROADMAP item 1).
     pub corunner_rate: f64,
 }
 
-/// The throughput co-run scenario: both VMs run continuously; metrics are
-/// rates over a fixed measurement window.
-pub fn scenario(_opts: &RunOptions, w: Workload) -> (MachineConfig, Vec<VmSpec>) {
-    let cfg = MachineConfig::paper_testbed();
-    let n = cfg.num_pcpus;
-    (
-        cfg,
-        vec![
-            scenarios::vm_with_iters(w, n, None),
-            scenarios::vm_with_iters(Workload::Swaptions, n, None),
-        ],
-    )
-}
-
-/// Runs one configuration over the measurement window, forking the
-/// workload's warm checkpoint from `grid`. Rates count only work done
+/// Runs one configuration of `w`'s [`scenarios::corun`] over the
+/// measurement window, forking the workload's warm checkpoint from
+/// `grid`. Rates count only work done
 /// inside the post-warm window: the shared prefix runs under the baseline
 /// policy and is excluded from every cell's measurement alike. Figure 6
 /// and `compare` show these cells too, so each is simulated once per
@@ -61,7 +50,7 @@ pub fn run_one(
     let args = (w, policy, grid.warm_until().as_nanos());
     pool::memo("fig5::run_one", args, opts, || {
         let window = opts.window(SimDuration::from_secs(4));
-        let mut m: Machine = grid.cell(opts, scenario(opts, w), policy.build())?;
+        let mut m: Machine = grid.cell(opts, scenarios::corun(w), policy.build())?;
         let warm_target = m.vm_work_done(VmId(0));
         let warm_corun = m.vm_work_done(VmId(1));
         m.run_until(grid.warm_until() + window)

@@ -31,16 +31,11 @@ fn delta(end: YieldBreakdown, start: YieldBreakdown) -> YieldBreakdown {
     }
 }
 
-/// The co-run of `w` with swaptions, both endless, so B/S/D windows
-/// align.
+/// The co-run of `w` with swaptions, measured over the same fixed
+/// window under B, S and D. Both VMs run their default budgets, not
+/// endlessly (ROADMAP item 1).
 pub fn scenario(w: Workload) -> (MachineConfig, Vec<VmSpec>) {
-    let (cfg, _) = scenarios::corun(w);
-    let n = cfg.num_pcpus;
-    let specs = vec![
-        scenarios::vm_with_iters(w, n, None),
-        scenarios::vm_with_iters(Workload::Swaptions, n, None),
-    ];
-    (cfg, specs)
+    scenarios::corun(w)
 }
 
 /// Measures the target VM's yield breakdown under one policy, over a

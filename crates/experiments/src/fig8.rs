@@ -7,11 +7,10 @@
 use crate::runner::{
     fail_row, finish_time, run_cells, CellError, CellResult, Grid, PolicyKind, RunOptions,
 };
-use hypervisor::{MachineConfig, VmSpec};
 use metrics::render::Table;
 use simcore::ids::VmId;
 use simcore::time::SimDuration;
-use workloads::{scenarios, Workload};
+use workloads::Workload;
 
 /// Shared warm-up prefix (full budget) per pair; both cells of a pair
 /// fork the same snapshot. Kept below the fastest completion at the
@@ -30,21 +29,8 @@ pub struct Row {
     pub dynamic_secs: f64,
 }
 
-fn scenario(opts: &RunOptions, w: Workload) -> (MachineConfig, Vec<VmSpec>) {
-    let cfg = MachineConfig::paper_testbed();
-    let n = cfg.num_pcpus;
-    let target_iters = opts.iters(w.default_iters().expect("finite"));
-    (
-        cfg,
-        vec![
-            scenarios::vm_with_iters(w, n, Some(target_iters)),
-            scenarios::vm_with_iters(Workload::Swaptions, n, None),
-        ],
-    )
-}
-
 fn exec_one(opts: &RunOptions, grid: &Grid, w: Workload, policy: PolicyKind) -> CellResult<f64> {
-    let mut m = grid.cell(opts, scenario(opts, w), policy.build())?;
+    let mut m = grid.cell(opts, crate::fig4::scenario(opts, w), policy.build())?;
     let end = finish_time(m.run_until_vm_finished(VmId(0), opts.horizon()))?;
     Ok(end.as_secs_f64())
 }

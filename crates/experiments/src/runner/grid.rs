@@ -138,8 +138,8 @@ mod tests {
         (
             cfg,
             vec![
-                scenarios::vm_with_iters(Workload::Exim, n, None),
-                scenarios::vm_with_iters(Workload::Swaptions, n, None),
+                scenarios::vm(Workload::Exim, n, None),
+                scenarios::vm(Workload::Swaptions, n, None),
             ],
         )
     }

@@ -267,8 +267,8 @@ mod tests {
         let cfg = MachineConfig::small(4);
         let n = cfg.num_pcpus;
         let specs = vec![
-            scenarios::vm_with_iters(Workload::Exim, n, None),
-            scenarios::vm_with_iters(Workload::Swaptions, n, None),
+            scenarios::vm(Workload::Exim, n, None),
+            scenarios::vm(Workload::Swaptions, n, None),
         ];
         (cfg, specs)
     }

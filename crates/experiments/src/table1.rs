@@ -106,13 +106,8 @@ pub struct Row {
 
 /// The exim co-run under `scheme`'s machine configuration.
 pub(crate) fn exim_scenario(scheme: Scheme) -> (MachineConfig, Vec<VmSpec>) {
-    let (mut cfg, _) = scenarios::corun(Workload::Exim);
+    let (mut cfg, specs) = scenarios::corun(Workload::Exim);
     scheme.mutate_config(&mut cfg);
-    let n = cfg.num_pcpus;
-    let specs = vec![
-        scenarios::vm_with_iters(Workload::Exim, n, None),
-        scenarios::vm_with_iters(Workload::Swaptions, n, None),
-    ];
     (cfg, specs)
 }
 
@@ -125,14 +120,8 @@ fn exim_run(opts: &RunOptions, grid: &Grid, scheme: Scheme) -> CellResult<f64> {
 }
 
 fn dedup_run(opts: &RunOptions, grid: &Grid, scheme: Scheme) -> CellResult<f64> {
-    let (mut cfg, _) = scenarios::corun(Workload::Dedup);
+    let (mut cfg, specs) = crate::fig4::scenario(opts, Workload::Dedup);
     scheme.mutate_config(&mut cfg);
-    let n = cfg.num_pcpus;
-    let iters = opts.iters(Workload::Dedup.default_iters().expect("finite"));
-    let specs = vec![
-        scenarios::vm_with_iters(Workload::Dedup, n, Some(iters)),
-        scenarios::vm_with_iters(Workload::Swaptions, n, None),
-    ];
     let mut m = grid.cell(opts, (cfg, specs), scheme.policy(3).build())?;
     let end = finish_time(m.run_until_vm_finished(VmId(0), opts.horizon()))?;
     Ok(end.as_secs_f64())

@@ -31,23 +31,15 @@ pub struct Row {
     pub corun: u64,
 }
 
-/// The solo run of `w`, or its co-run with swaptions, both endless:
-/// Table 2 counts yields while the workload runs, not completion times.
+/// The solo run of `w`, or its co-run with swaptions. Table 2 counts
+/// yields over a fixed window, not completion times, but every VM runs
+/// its default budget: at the full budget, solo gmake, dedup and vips
+/// finish inside the 4 s window, and co-run gmake too (ROADMAP item 1).
 pub fn scenario(w: Workload, corun: bool) -> (MachineConfig, Vec<VmSpec>) {
     if corun {
-        let (cfg, _) = scenarios::corun(w);
-        let n = cfg.num_pcpus;
-        (
-            cfg,
-            vec![
-                scenarios::vm_with_iters(w, n, None),
-                scenarios::vm_with_iters(Workload::Swaptions, n, None),
-            ],
-        )
+        scenarios::corun(w)
     } else {
-        let (cfg, _) = scenarios::solo(w);
-        let spec = scenarios::vm_with_iters(w, cfg.num_pcpus, None);
-        (cfg, vec![spec])
+        scenarios::solo(w)
     }
 }
 

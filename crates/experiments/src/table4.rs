@@ -40,15 +40,11 @@ pub fn measure_4a(opts: &RunOptions) -> Result<Vec<(LockKind, f64, f64)>, CellEr
         // `compare` re-runs this grid; the checkpoint store serves its
         // baseline windows.
         |i| {
-            let scenario = if i == 1 {
-                scenarios::corun(Workload::Gmake)
-            } else {
-                scenarios::solo(Workload::Gmake)
-            };
-            // Endless gmake: measure waits while it runs.
-            let (cfg, mut specs) = scenario;
-            specs[0] = scenarios::vm_with_iters(Workload::Gmake, cfg.num_pcpus, None);
-            let m = run_window(opts, (cfg, specs), PolicyKind::Baseline, window)?;
+            // Table 2's gmake windows. Gmake runs its default budget, so
+            // at the full budget its waits stop accruing when it finishes
+            // inside the window (ROADMAP item 1).
+            let scenario = crate::table2::scenario(Workload::Gmake, i == 1);
+            let m = run_window(opts, scenario, PolicyKind::Baseline, window)?;
             Ok(TABLE4A_KINDS.map(|kind| {
                 m.vm(VmId(0))
                     .kernel
@@ -117,13 +113,8 @@ pub fn measure_4b(opts: &RunOptions) -> Vec<Result<Tlb4bRow, CellError>> {
         },
         |i| {
             let w = TABLE4B_GRID[i / 2];
-            let (cfg, _) = scenarios::solo(w);
-            let n = cfg.num_pcpus;
-            let mut specs = vec![scenarios::vm_with_iters(w, n, None)];
-            if i % 2 == 1 {
-                specs.push(scenarios::vm_with_iters(Workload::Swaptions, n, None));
-            }
-            let m = run_window(opts, (cfg, specs), PolicyKind::Baseline, window)?;
+            let scenario = crate::table2::scenario(w, i % 2 == 1);
+            let m = run_window(opts, scenario, PolicyKind::Baseline, window)?;
             let h = &m.vm(VmId(0)).kernel.tlb_latency;
             Ok((
                 w,

@@ -113,14 +113,14 @@ impl Workload {
         )
     }
 
-    /// The calibrated profile. `iters` overrides the default iteration
-    /// budget (pass `None` for the workload default).
+    /// The calibrated profile with a budget of `iters` iterations per
+    /// thread (`None`: endless). Pass [`Workload::default_iters`] for the
+    /// workload's own budget.
     pub fn profile(self, iters: Option<u64>) -> WorkloadProfile {
-        let mut p = self.base_profile();
-        if iters.is_some() {
-            p.iters = iters;
+        WorkloadProfile {
+            iters,
+            ..self.base_profile()
         }
-        p
     }
 
     /// Default iteration budget for execution-time benchmarks (`None` for
@@ -340,13 +340,9 @@ impl Workload {
     }
 
     /// Builds the program for the thread on `vcpu_idx` of a VM with
-    /// `num_vcpus` vCPUs, with the default iteration budget.
-    pub fn program(self, vcpu_idx: u16, num_vcpus: u16) -> Box<dyn guest::segment::Program> {
-        self.program_with_iters(vcpu_idx, num_vcpus, self.default_iters())
-    }
-
-    /// Like [`Workload::program`] with an explicit iteration budget.
-    pub fn program_with_iters(
+    /// `num_vcpus` vCPUs, with a budget of `iters` iterations (`None`:
+    /// endless; see [`Workload::profile`]).
+    pub fn program(
         self,
         vcpu_idx: u16,
         num_vcpus: u16,
@@ -412,7 +408,7 @@ mod tests {
         ];
         let mut rng = SimRng::new(1);
         for w in all {
-            let mut prog = w.program(0, 12);
+            let mut prog = w.program(0, 12, w.default_iters());
             assert_eq!(prog.name(), w.name());
             // Programs produce segments without panicking.
             for _ in 0..50 {
@@ -450,16 +446,14 @@ mod tests {
     #[test]
     fn iters_override() {
         assert_eq!(Workload::Gmake.profile(Some(5)).iters, Some(5));
-        assert_eq!(
-            Workload::Gmake.profile(None).iters,
-            Workload::Gmake.default_iters()
-        );
+        // `None` is endless, never the workload's default budget.
+        assert_eq!(Workload::Gmake.profile(None).iters, None);
     }
 
     #[test]
     fn iperf_program_is_packet_driven() {
         let mut rng = SimRng::new(2);
-        let mut p = Workload::IperfServer.program(0, 1);
+        let mut p = Workload::IperfServer.program(0, 1, None);
         assert_eq!(p.next_segment(&mut rng), Segment::NetRecv);
     }
 }

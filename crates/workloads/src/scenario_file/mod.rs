@@ -977,14 +977,10 @@ impl Scenario {
                 let mut spec = VmSpec::new(vm.display_name(), n);
                 if let Some(w) = vm.workload {
                     let iters = effective_iters(w, vm.iters, vm.endless);
-                    spec = spec.task_per_vcpu(move |v| w.program_with_iters(v, n, iters));
+                    spec = spec.task_per_vcpu(move |v| w.program(v, n, iters));
                 }
                 for t in &vm.tasks {
-                    spec = spec.task(
-                        t.vcpu,
-                        t.workload
-                            .program_with_iters(t.vcpu, n, t.effective_iters()),
-                    );
+                    spec = spec.task(t.vcpu, t.workload.program(t.vcpu, n, t.effective_iters()));
                 }
                 for f in &vm.flows {
                     spec = spec.flow(if f.tcp {

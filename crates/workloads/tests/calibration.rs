@@ -6,17 +6,15 @@
 //! shares, protocol mix — so a future retune cannot silently break the
 //! characterization the experiments depend on.
 
-use hypervisor::{BaselinePolicy, Machine, MachineConfig};
+use hypervisor::{BaselinePolicy, Machine};
 use simcore::ids::VmId;
 use simcore::time::{SimDuration, SimTime};
 use workloads::{scenarios, Workload};
 
 /// Runs a workload solo on the paper testbed for one simulated second.
 fn solo_run(w: Workload) -> Machine {
-    let cfg = MachineConfig::paper_testbed().with_seed(1234);
-    let n = cfg.num_pcpus;
-    let specs = vec![scenarios::vm_with_iters(w, n, None)];
-    let mut m = Machine::new(cfg, specs, Box::new(BaselinePolicy));
+    let (cfg, specs) = scenarios::solo(w);
+    let mut m = Machine::new(cfg.with_seed(1234), specs, Box::new(BaselinePolicy));
     m.run_until(SimTime::from_secs(1)).unwrap();
     m
 }
@@ -130,10 +128,8 @@ fn solo_executions_fit_the_experiment_horizon() {
         Workload::Dedup,
         Workload::Vips,
     ] {
-        let cfg = MachineConfig::paper_testbed().with_seed(99);
-        let n = cfg.num_pcpus;
-        let specs = vec![scenarios::vm_with_iters(w, n, w.default_iters())];
-        let mut m = Machine::new(cfg, specs, Box::new(BaselinePolicy));
+        let (cfg, specs) = scenarios::solo(w);
+        let mut m = Machine::new(cfg.with_seed(99), specs, Box::new(BaselinePolicy));
         let fin = m
             .run_until_vm_finished(VmId(0), SimTime::from_secs(30))
             .unwrap()

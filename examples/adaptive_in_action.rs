@@ -17,12 +17,8 @@ use simcore::time::SimTime;
 use workloads::{scenarios, Workload};
 
 fn main() {
-    let (cfg, _) = scenarios::corun(Workload::Dedup);
-    let n = cfg.num_pcpus;
-    let specs = vec![
-        scenarios::vm_with_iters(Workload::Dedup, n, Some(2_000)),
-        scenarios::vm_with_iters(Workload::Swaptions, n, None),
-    ];
+    let (cfg, mut specs) = scenarios::corun(Workload::Dedup);
+    specs[0] = scenarios::vm(Workload::Dedup, cfg.num_pcpus, Some(2_000));
     let mut machine = Machine::new(
         cfg,
         specs,

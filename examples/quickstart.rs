@@ -11,7 +11,7 @@
 //! micro-sliced core accelerating preempted critical OS services.
 
 use hypervisor::policy::SchedPolicy;
-use hypervisor::{BaselinePolicy, Machine, MachineConfig, VmSpec};
+use hypervisor::{BaselinePolicy, Machine};
 use microslice::MicroslicePolicy;
 use simcore::ids::VmId;
 use simcore::time::SimTime;
@@ -20,12 +20,8 @@ use workloads::{scenarios, Workload};
 fn run(policy: Box<dyn SchedPolicy>, label: &str) -> f64 {
     // A 12-vCPU gmake VM plus a 12-vCPU swaptions VM on 12 pCPUs — the
     // paper's co-run configuration (§6.1).
-    let cfg = MachineConfig::paper_testbed();
-    let n = cfg.num_pcpus;
-    let specs: Vec<VmSpec> = vec![
-        scenarios::vm_with_iters(Workload::Gmake, n, Some(6_000)),
-        scenarios::vm_with_iters(Workload::Swaptions, n, None),
-    ];
+    let (cfg, mut specs) = scenarios::corun(Workload::Gmake);
+    specs[0] = scenarios::vm(Workload::Gmake, cfg.num_pcpus, Some(6_000));
     let mut machine = Machine::new(cfg, specs, policy);
     let finished = machine
         .run_until_vm_finished(VmId(0), SimTime::from_secs(120))

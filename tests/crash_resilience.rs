@@ -24,8 +24,8 @@ use workloads::{scenarios, Workload};
 fn small_scenario() -> (MachineConfig, Vec<VmSpec>) {
     let cfg = MachineConfig::small(4);
     let specs = vec![
-        scenarios::vm_with_iters(Workload::Exim, 2, None),
-        scenarios::vm_with_iters(Workload::Swaptions, 2, None),
+        scenarios::vm(Workload::Exim, 2, None),
+        scenarios::vm(Workload::Swaptions, 2, None),
     ];
     (cfg, specs)
 }
@@ -121,7 +121,7 @@ fn artifact_ring_lists_events_and_scheduler_decisions() {
         ..RunOptions::quick()
     };
     let scenario = || {
-        let swaptions = || scenarios::vm_with_iters(Workload::Swaptions, 2, None);
+        let swaptions = || scenarios::vm(Workload::Swaptions, 2, None);
         (MachineConfig::small(2), vec![swaptions(), swaptions()])
     };
     let scope = Arc::new(Scope::new("demo", &dir));

@@ -15,13 +15,7 @@ fn fingerprint(seed: u64, policy: PolicyKind) -> (u64, u64, u64, u64, String) {
         seed,
         ..Default::default()
     };
-    let (cfg, _) = scenarios::corun(Workload::Exim);
-    let n = cfg.num_pcpus;
-    let specs = vec![
-        scenarios::vm_with_iters(Workload::Exim, n, None),
-        scenarios::vm_with_iters(Workload::Swaptions, n, None),
-    ];
-    let mut m = build(&opts, (cfg, specs), policy);
+    let mut m = build(&opts, scenarios::corun(Workload::Exim), policy);
     m.run_until(SimTime::from_millis(700)).unwrap();
     (
         m.vm_work_done(VmId(0)),

@@ -31,14 +31,8 @@ fn every_workload_pair_completes_or_progresses() {
             PolicyKind::Fixed(2),
             PolicyKind::Adaptive,
         ] {
-            let (cfg, _) = scenarios::corun(w);
-            let n = cfg.num_pcpus;
-            let specs = vec![
-                scenarios::vm_with_iters(w, n, None),
-                scenarios::vm_with_iters(Workload::Swaptions, n, None),
-            ];
-            let m =
-                run_window(&opts(), (cfg, specs), policy, SimDuration::from_millis(400)).unwrap();
+            let window = SimDuration::from_millis(400);
+            let m = run_window(&opts(), scenarios::corun(w), policy, window).unwrap();
             assert!(
                 m.vm_work_done(VmId(0)) > 0,
                 "{} made no progress under {policy:?}",
@@ -55,14 +49,8 @@ fn work_conservation_across_policies() {
     // matter the policy (modulo switch overheads and the micro pool's
     // intentional idling).
     for policy in [PolicyKind::Baseline, PolicyKind::Fixed(1)] {
-        let (cfg, _) = scenarios::corun(Workload::Gmake);
-        let n = cfg.num_pcpus;
-        let specs = vec![
-            scenarios::vm_with_iters(Workload::Gmake, n, None),
-            scenarios::vm_with_iters(Workload::Swaptions, n, None),
-        ];
         let window = SimDuration::from_secs(1);
-        let m = run_window(&opts(), (cfg, specs), policy, window).unwrap();
+        let m = run_window(&opts(), scenarios::corun(Workload::Gmake), policy, window).unwrap();
         let used = m.stats.vm(VmId(0)).cpu_time + m.stats.vm(VmId(1)).cpu_time;
         let capacity = window * 12;
         let utilization = used.as_secs_f64() / capacity.as_secs_f64();
@@ -80,12 +68,10 @@ fn work_conservation_across_policies() {
 #[test]
 fn micro_pool_never_retains_vcpus_after_calm() {
     // Accelerated vCPUs must always drain back to the normal pool.
-    let (cfg, _) = scenarios::corun(Workload::Memclone);
+    let (cfg, mut specs) = scenarios::corun(Workload::Memclone);
     let n = cfg.num_pcpus;
-    let specs = vec![
-        scenarios::vm_with_iters(Workload::Memclone, n, Some(1_000)),
-        scenarios::vm_with_iters(Workload::Swaptions, n, Some(300)),
-    ];
+    specs[0] = scenarios::vm(Workload::Memclone, n, Some(1_000));
+    specs[1] = scenarios::vm(Workload::Swaptions, n, Some(300));
     let mut m = build(&opts(), (cfg, specs), PolicyKind::Fixed(2));
     assert!(m.run_until_all_finished(SimTime::from_secs(60)).unwrap());
     assert!(
@@ -105,12 +91,8 @@ fn micro_pool_never_retains_vcpus_after_calm() {
 
 #[test]
 fn lock_statistics_are_consistent() {
-    let (cfg, _) = scenarios::corun(Workload::Exim);
+    let (cfg, specs) = scenarios::corun(Workload::Exim);
     let n = cfg.num_pcpus;
-    let specs = vec![
-        scenarios::vm_with_iters(Workload::Exim, n, None),
-        scenarios::vm_with_iters(Workload::Swaptions, n, None),
-    ];
     let m = run_window(
         &opts(),
         (cfg, specs),
@@ -140,12 +122,10 @@ fn lock_statistics_are_consistent() {
 
 #[test]
 fn tlb_protocol_leaves_no_dangling_shootdowns() {
-    let (cfg, _) = scenarios::corun(Workload::Dedup);
+    let (cfg, mut specs) = scenarios::corun(Workload::Dedup);
     let n = cfg.num_pcpus;
-    let specs = vec![
-        scenarios::vm_with_iters(Workload::Dedup, n, Some(800)),
-        scenarios::vm_with_iters(Workload::Swaptions, n, Some(300)),
-    ];
+    specs[0] = scenarios::vm(Workload::Dedup, n, Some(800));
+    specs[1] = scenarios::vm(Workload::Swaptions, n, Some(300));
     let mut m = build(&opts(), (cfg, specs), PolicyKind::Fixed(3));
     assert!(m.run_until_all_finished(SimTime::from_secs(120)).unwrap());
     let kernel = &m.vm(VmId(0)).kernel;
@@ -164,12 +144,10 @@ fn policies_do_not_change_total_guest_work() {
     // regardless of the scheduling policy — scheduling can change *when*,
     // never *what*.
     let total = |policy: PolicyKind| {
-        let (cfg, _) = scenarios::corun(Workload::Gmake);
+        let (cfg, mut specs) = scenarios::corun(Workload::Gmake);
         let n = cfg.num_pcpus;
-        let specs = vec![
-            scenarios::vm_with_iters(Workload::Gmake, n, Some(1_000)),
-            scenarios::vm_with_iters(Workload::Swaptions, n, Some(200)),
-        ];
+        specs[0] = scenarios::vm(Workload::Gmake, n, Some(1_000));
+        specs[1] = scenarios::vm(Workload::Swaptions, n, Some(200));
         let mut m = build(&opts(), (cfg, specs), policy);
         assert!(m.run_until_all_finished(SimTime::from_secs(60)).unwrap());
         (m.vm_work_done(VmId(0)), m.vm_work_done(VmId(1)))

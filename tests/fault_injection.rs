@@ -21,8 +21,8 @@ use workloads::{scenarios, Workload};
 fn small_scenario() -> (MachineConfig, Vec<VmSpec>) {
     let cfg = MachineConfig::small(4);
     let specs = vec![
-        scenarios::vm_with_iters(Workload::Exim, 2, None),
-        scenarios::vm_with_iters(Workload::Swaptions, 2, None),
+        scenarios::vm(Workload::Exim, 2, None),
+        scenarios::vm(Workload::Swaptions, 2, None),
     ];
     (cfg, specs)
 }

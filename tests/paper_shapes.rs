@@ -80,13 +80,8 @@ fn spinlock_waits_collapse_under_acceleration() {
     use workloads::scenarios;
 
     let run = |policy: PolicyKind| {
-        let (cfg, _) = scenarios::corun(Workload::Exim);
-        let n = cfg.num_pcpus;
-        let specs = vec![
-            scenarios::vm_with_iters(Workload::Exim, n, None),
-            scenarios::vm_with_iters(Workload::Swaptions, n, None),
-        ];
-        let m = run_window(&opts(), (cfg, specs), policy, SimDuration::from_secs(1)).unwrap();
+        let scenario = scenarios::corun(Workload::Exim);
+        let m = run_window(&opts(), scenario, policy, SimDuration::from_secs(1)).unwrap();
         m.vm(VmId(0))
             .kernel
             .lock_wait_of(LockKind::PageAlloc)

@@ -25,13 +25,8 @@ const SWITCHES: [(&str, Switch); 6] = [
 fn machines() -> Vec<(&'static str, Machine)> {
     let opts = RunOptions::quick();
     let mk = |w: Workload, policy: PolicyKind, switch: Switch| {
-        let (mut cfg, _) = scenarios::corun(w);
+        let (mut cfg, specs) = scenarios::corun(w);
         switch(&mut cfg);
-        let n = cfg.num_pcpus;
-        let specs = vec![
-            scenarios::vm_with_iters(w, n, None),
-            scenarios::vm_with_iters(Workload::Swaptions, n, None),
-        ];
         build(&opts, (cfg, specs), policy)
     };
     let defaults: Switch = |_| {};
@@ -172,7 +167,7 @@ fn switched_counters(switch: Switch) -> CounterSet {
     switch(&mut cfg);
     let specs = [Workload::Exim, Workload::Dedup, Workload::Swaptions]
         .into_iter()
-        .map(|w| scenarios::vm_with_iters(w, 4, None))
+        .map(|w| scenarios::vm(w, 4, w.default_iters()))
         .collect();
     let mut m = build(&opts, (cfg, specs), PolicyKind::Baseline);
     m.run_until(SimTime::from_millis(500)).unwrap();
@@ -223,13 +218,11 @@ fn pinned_vcpus_never_leave_their_pcpu_in_the_normal_pool() {
 #[test]
 fn micro_pool_empties_when_policy_is_baseline() {
     let opts = RunOptions::quick();
-    let (cfg, _) = scenarios::corun(Workload::Exim);
-    let n = cfg.num_pcpus;
-    let specs = vec![
-        scenarios::vm_with_iters(Workload::Exim, n, None),
-        scenarios::vm_with_iters(Workload::Swaptions, n, None),
-    ];
-    let mut m = build(&opts, (cfg, specs), PolicyKind::Baseline);
+    let mut m = build(
+        &opts,
+        scenarios::corun(Workload::Exim),
+        PolicyKind::Baseline,
+    );
     m.run_until(SimTime::from_millis(300)).unwrap();
     assert_eq!(m.micro_cores(), 0);
     assert_eq!(m.stats.counters.get("micro_migrations"), 0);
