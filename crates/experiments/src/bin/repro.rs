@@ -28,15 +28,17 @@
 //! simulations execute at once across the whole suite, admitted in
 //! arrival order. Output is byte-identical for every N — results collect
 //! in index order and experiments print in command-line order; `--jobs
-//! 1` also reproduces the serial execution order exactly. A cell that
-//! several experiments show (Figure 6's baseline and static-best cells
-//! are Figure 4/5 cells; `compare` re-checks six artifacts) is simulated
-//! once per invocation and shared, at every N.
+//! 1` also reproduces the serial execution order exactly.
 //!
 //! `--fork` (the default) enables shared-prefix execution: grid cells
 //! that share a scenario fork a once-simulated warm snapshot instead of
-//! each re-simulating the warm-up. `--no-fork` re-simulates every cell
-//! from scratch. Like `--jobs`, forking steers only how results are
+//! each re-simulating the warm-up, and a cell that several experiments
+//! show (Figure 6's baseline and static-best cells are Figure 4/5 cells;
+//! `compare` re-checks six artifacts; Table 1 reruns Figure 4's dedup
+//! and Figure 9's iPerf pairs) is simulated once per invocation and
+//! served to the others from the checkpoint store, at every N.
+//! `--no-fork` re-simulates every cell from scratch, shared ones
+//! included. Like `--jobs`, forking steers only how results are
 //! computed, never what they are: stdout is byte-identical either
 //! way (the warm prefix runs under the baseline policy in both modes and
 //! policies diverge only after the snapshot point).
@@ -256,9 +258,9 @@ fn main() {
     };
     let mut cell_scope: Option<Arc<Scope>> = None;
     // One budget per invocation: its `--jobs` permits gate cell
-    // execution, its cell memo simulates each cell several experiments
-    // show once, and its checkpoint store each warm-up and window several
-    // cells share. Both driver paths below run under it.
+    // execution, and its checkpoint store simulates once each warm-up,
+    // window and completion that several cells or experiments share.
+    // Both driver paths below run under it.
     let budget = Arc::new(Budget::new(opts.jobs));
     if opts.jobs > 1 && ids.len() > 1 {
         // Cross-experiment fan-out: every experiment gets a driver

@@ -7,10 +7,8 @@
 //! (dedup, vips) *lose* with one core and win with 2–3; beyond that the
 //! shrinking normal pool erodes the gains.
 
-use crate::runner::{
-    fail_row, finish_time, pool, run_cells, CellResult, Grid, PolicyKind, RunOptions,
-};
-use hypervisor::{Machine, MachineConfig, VmSpec};
+use crate::runner::{fail_row, run_cells, CellResult, Grid, PolicyKind, RunOptions};
+use hypervisor::{MachineConfig, VmSpec};
 use metrics::render::Table;
 use simcore::ids::VmId;
 use simcore::time::SimDuration;
@@ -63,25 +61,22 @@ pub fn scenario(opts: &RunOptions, w: Workload) -> (MachineConfig, Vec<VmSpec>) 
     (cfg, specs)
 }
 
-/// Runs one configuration of one workload, forking the workload's warm
-/// checkpoint from `grid`. Figure 6 and `compare`
-/// show these cells too, so each is simulated once per invocation
-/// budget (see [`pool::memo`]).
+/// Runs one configuration of one workload to the target's finish,
+/// forking the workload's warm checkpoint from `grid`. Figure 6,
+/// `compare`, Figure 8 and Table 1 run these completions too, so each is
+/// simulated once per invocation (see [`Grid::finish`]).
 pub fn run_one(
     opts: &RunOptions,
     grid: &Grid,
     w: Workload,
     policy: PolicyKind,
 ) -> CellResult<Cell> {
-    let args = (w, policy, grid.warm_until().as_nanos());
-    pool::memo("fig4::run_one", args, opts, || {
-        let mut m: Machine = grid.cell(opts, scenario(opts, w), policy.build())?;
-        let end = finish_time(m.run_until_vm_finished(VmId(0), opts.horizon()))?;
-        Ok(Cell {
-            policy,
-            target_secs: end.as_secs_f64(),
-            corunner_rate: m.vm_work_done(VmId(1)) as f64 / end.as_secs_f64(),
-        })
+    let finish = grid.finish(opts, scenario(opts, w), policy, VmId(0))?;
+    let secs = finish.at.as_secs_f64();
+    Ok(Cell {
+        policy,
+        target_secs: secs,
+        corunner_rate: finish.work[1] as f64 / secs,
     })
 }
 

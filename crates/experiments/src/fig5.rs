@@ -2,10 +2,7 @@
 //! exim and psearchy (throughput benchmarks), with the swaptions
 //! co-runner's execution time on the second axis.
 
-use crate::runner::{
-    fail_row, pool, run_cells, CellFailure, CellResult, Grid, PolicyKind, RunOptions,
-};
-use hypervisor::Machine;
+use crate::runner::{fail_row, run_cells, CellResult, Grid, PolicyKind, RunOptions};
 use metrics::render::Table;
 use simcore::ids::VmId;
 use simcore::time::SimDuration;
@@ -39,28 +36,22 @@ pub struct Cell {
 /// `grid`. Rates count only work done
 /// inside the post-warm window: the shared prefix runs under the baseline
 /// policy and is excluded from every cell's measurement alike. Figure 6
-/// and `compare` show these cells too, so each is simulated once per
-/// invocation budget (see [`pool::memo`]).
+/// and `compare` show these cells too, so each window is simulated once
+/// per invocation (see [`Grid::window`]).
 pub fn run_one(
     opts: &RunOptions,
     grid: &Grid,
     w: Workload,
     policy: PolicyKind,
 ) -> CellResult<Cell> {
-    let args = (w, policy, grid.warm_until().as_nanos());
-    pool::memo("fig5::run_one", args, opts, || {
-        let window = opts.window(SimDuration::from_secs(4));
-        let mut m: Machine = grid.cell(opts, scenarios::corun(w), policy.build())?;
-        let warm_target = m.vm_work_done(VmId(0));
-        let warm_corun = m.vm_work_done(VmId(1));
-        m.run_until(grid.warm_until() + window)
-            .map_err(CellFailure::Sim)?;
-        let secs = window.as_secs_f64();
-        Ok(Cell {
-            policy,
-            throughput: (m.vm_work_done(VmId(0)) - warm_target) as f64 / secs,
-            corunner_rate: (m.vm_work_done(VmId(1)) - warm_corun) as f64 / secs,
-        })
+    let window = opts.window(SimDuration::from_secs(4));
+    let (warm, end) = grid.window(opts, scenarios::corun(w), policy, window)?;
+    let secs = window.as_secs_f64();
+    let rate = |vm| (end.vm_work_done(vm) - warm.vm_work_done(vm)) as f64 / secs;
+    Ok(Cell {
+        policy,
+        throughput: rate(VmId(0)),
+        corunner_rate: rate(VmId(1)),
     })
 }
 

@@ -4,9 +4,7 @@
 //! baseline and the dynamic policy. The reproduction target: the dynamic
 //! scheme's profiling changes their execution time by only a few percent.
 
-use crate::runner::{
-    fail_row, finish_time, run_cells, CellError, CellResult, Grid, PolicyKind, RunOptions,
-};
+use crate::runner::{fail_row, run_cells, CellError, CellResult, Grid, PolicyKind, RunOptions};
 use metrics::render::Table;
 use simcore::ids::VmId;
 use simcore::time::SimDuration;
@@ -30,9 +28,8 @@ pub struct Row {
 }
 
 fn exec_one(opts: &RunOptions, grid: &Grid, w: Workload, policy: PolicyKind) -> CellResult<f64> {
-    let mut m = grid.cell(opts, crate::fig4::scenario(opts, w), policy.build())?;
-    let end = finish_time(m.run_until_vm_finished(VmId(0), opts.horizon()))?;
-    Ok(end.as_secs_f64())
+    let finish = grid.finish(opts, crate::fig4::scenario(opts, w), policy, VmId(0))?;
+    Ok(finish.at.as_secs_f64())
 }
 
 /// Runs the measurement, fanning the workload × policy grid across

@@ -6,9 +6,7 @@
 //! and its bandwidth roughly halves; the micro-sliced scheme restores
 //! bandwidth and drives jitter toward zero.
 
-use crate::runner::{
-    fail_row, pool, run_cells, CellError, CellFailure, CellResult, Grid, PolicyKind, RunOptions,
-};
+use crate::runner::{fail_row, run_cells, CellError, CellResult, Grid, PolicyKind, RunOptions};
 use metrics::render::{fmt_f64, Table};
 use simcore::ids::VmId;
 use simcore::time::SimDuration;
@@ -37,29 +35,24 @@ pub struct Row {
 }
 
 /// Runs one transport × policy cell, forking the transport's warm
-/// checkpoint from `grid`. `compare` shows the TCP cells too, so each is
-/// simulated once per invocation budget (see [`pool::memo`]).
+/// checkpoint from `grid`. `compare` shows the TCP cells too, so each
+/// window is simulated once per invocation (see [`Grid::window`]).
 pub fn measure_one(
     opts: &RunOptions,
     grid: &Grid,
     tcp: bool,
     policy: PolicyKind,
 ) -> CellResult<Row> {
-    let args = (tcp, policy, grid.warm_until().as_nanos());
-    pool::memo("fig9::measure_one", args, opts, || {
-        let window = opts.window(SimDuration::from_secs(4));
-        let mut m = grid.cell(opts, scenarios::fig9_mixed_pinned(tcp), policy.build())?;
-        let warm_flow = m.vm(VmId(0)).kernel.flows[0].clone();
-        m.run_until(grid.warm_until() + window)
-            .map_err(CellFailure::Sim)?;
-        let flow = &m.vm(VmId(0)).kernel.flows[0];
-        Ok(Row {
-            transport: transport(tcp),
-            policy,
-            bandwidth_mbps: flow.throughput_mbps_since(&warm_flow, window),
-            jitter_ms: flow.jitter_ms_since(&warm_flow),
-            dropped: flow.dropped - warm_flow.dropped,
-        })
+    let window = opts.window(SimDuration::from_secs(4));
+    let (warm, end) = grid.window(opts, scenarios::fig9_mixed_pinned(tcp), policy, window)?;
+    let warm_flow = &warm.vm(VmId(0)).kernel.flows[0];
+    let flow = &end.vm(VmId(0)).kernel.flows[0];
+    Ok(Row {
+        transport: transport(tcp),
+        policy,
+        bandwidth_mbps: flow.throughput_mbps_since(warm_flow, window),
+        jitter_ms: flow.jitter_ms_since(warm_flow),
+        dropped: flow.dropped - warm_flow.dropped,
     })
 }
 

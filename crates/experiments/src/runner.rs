@@ -47,24 +47,14 @@ impl PolicyKind {
 }
 
 /// The policy a grid cell installs at its divergence point (see
-/// [`Grid::window`]).
+/// [`Grid::window`] and [`Grid::finish`]).
 pub enum CellPolicy {
-    /// A stock policy: cells share its post-warm windows through the
-    /// checkpoint store.
+    /// A stock policy: cells share its post-warm windows and completions
+    /// through the checkpoint store.
     Kind(PolicyKind),
     /// A policy object built for one cell (a comparator or an ablation):
-    /// the cell simulates its own window.
+    /// the cell simulates its own window or completion.
     Custom(Box<dyn SchedPolicy>),
-}
-
-impl CellPolicy {
-    /// Instantiates the policy.
-    pub fn build(self) -> Box<dyn SchedPolicy> {
-        match self {
-            CellPolicy::Kind(kind) => kind.build(),
-            CellPolicy::Custom(policy) => policy,
-        }
-    }
 }
 
 impl From<PolicyKind> for CellPolicy {
@@ -97,11 +87,12 @@ pub struct RunOptions {
     /// Fault plan installed into every machine the runner builds. `None`
     /// (the default) injects nothing and leaves output byte-identical.
     pub faults: Option<FaultSpec>,
-    /// Checkpoint sharing: cells fork the warm-ups and windows other
-    /// cells already simulated from the checkpoint store instead of
-    /// re-simulating them (`repro --no-fork` disables it). Both settings
-    /// produce byte-identical output — see [`store`]; this flag only
-    /// chooses between forking shared state and recomputing it.
+    /// Checkpoint sharing: cells fork the warm-ups and windows, and read
+    /// the completions, other cells already simulated from the
+    /// checkpoint store instead of re-simulating them (`repro --no-fork`
+    /// disables it). Both settings produce byte-identical output — see
+    /// [`store`]; this flag only chooses between forking shared state
+    /// and recomputing it.
     pub fork: bool,
 }
 
@@ -409,9 +400,10 @@ fn run_cell_scoped<T>(
 /// Bisects a failing cell's fault plan down to a minimal reproducing
 /// prefix by re-running the cell under
 /// [`crash::with_fault_take`] truncations. While the override is armed
-/// the cell memo and the checkpoint store stand aside, so shared-prefix
-/// grids rebuild their warm machines under the truncated plan instead of
-/// forking a snapshot warmed under the full one.
+/// the checkpoint store stands aside, so shared-prefix grids rebuild
+/// their warm machines and rerun their completions under the truncated
+/// plan instead of forking a snapshot or reading a record made under the
+/// full one.
 ///
 /// The bisection assumes the usual prefix monotonicity (if `k` entries
 /// reproduce, so do `k + 1`); plans violating it still yield *a*

@@ -11,9 +11,10 @@
 //! forks the checkpoint in O(state) and installs its own policy via
 //! [`Machine::set_policy`] at the divergence point. Checkpoints are keyed
 //! by the scenario as built, so cells of different grids and different
-//! experiments share them too. [`Grid::window`] goes one step further
-//! for fixed measurement windows under a stock [`PolicyKind`]: the
-//! window's end is a checkpoint as well.
+//! experiments share them too. Under a stock [`PolicyKind`],
+//! [`Grid::window`] and [`Grid::finish`] go one step further: a fixed
+//! window's end is a checkpoint as well, and a completion is a finish
+//! record.
 //!
 //! With forking disabled (`repro --no-fork`) each cell builds and warms
 //! from scratch — but still warms under the base policy and diverges at
@@ -26,10 +27,11 @@
 //! inside its own crash session, and fails the same way — the
 //! from-scratch behaviour.
 
-use super::store::{self, CheckpointStore, Keyed};
+use super::store::{self, CheckpointStore, Finish, Keyed, Schedule};
 use super::{build_with, pool, CellPolicy, CellResult, PolicyKind, RunOptions};
 use hypervisor::policy::SchedPolicy;
 use hypervisor::{BaselinePolicy, Machine, MachineConfig, VmSpec};
+use simcore::ids::VmId;
 use simcore::time::{SimDuration, SimTime};
 use std::sync::Arc;
 
@@ -76,6 +78,33 @@ impl Grid {
         Ok((keyed, warm))
     }
 
+    /// `scenario` at the warm point, and where a cell under `policy`
+    /// continues from there.
+    fn diverge(
+        &self,
+        opts: &RunOptions,
+        scenario: (MachineConfig, Vec<VmSpec>),
+        policy: CellPolicy,
+    ) -> CellResult<Continuation<'_>> {
+        let (keyed, warm) = self.warm(opts, scenario)?;
+        // Installing the stateless base policy changes nothing, so a
+        // baseline cell stays on the baseline trajectory.
+        let (keyed, schedule, policy) = match policy {
+            CellPolicy::Kind(kind) => (
+                keyed,
+                (kind != PolicyKind::Baseline).then_some((self.warm_until, kind)),
+                kind.build(),
+            ),
+            CellPolicy::Custom(policy) => (None, None, policy),
+        };
+        Ok(Continuation {
+            warm,
+            keyed,
+            schedule,
+            policy,
+        })
+    }
+
     /// Produces the runnable machine for one cell: warmed to
     /// [`Grid::warm_until`] under the base policy, with `policy` installed
     /// at the divergence point (its `on_init` has run). The caller drives
@@ -105,31 +134,57 @@ impl Grid {
         policy: impl Into<CellPolicy>,
         window: SimDuration,
     ) -> CellResult<(Arc<Machine>, Arc<Machine>)> {
-        let (keyed, warm) = self.warm(opts, scenario)?;
-        // Installing the stateless base policy changes nothing, so a
-        // baseline window stays on the baseline trajectory.
-        let (keyed, diverge, policy) = match policy.into() {
-            CellPolicy::Kind(kind) => (
-                keyed,
-                (kind != PolicyKind::Baseline).then_some((self.warm_until, kind)),
-                kind.build(),
-            ),
-            CellPolicy::Custom(policy) => (None, None, policy),
-        };
-        let end = store::trajectory_at(&keyed, diverge, self.warm_until + window, || {
-            let mut m = warm.fork();
-            m.set_policy(policy);
-            m
+        let c = self.diverge(opts, scenario, policy.into())?;
+        let end = store::trajectory_at(&c.keyed, c.schedule, self.warm_until + window, || {
+            start(&c.warm, c.policy)
         })?;
-        Ok((warm, end))
+        Ok((c.warm, end))
     }
+
+    /// Runs one cell from the warm point until `vm` finishes, within
+    /// [`RunOptions::horizon`], and returns the finish time with every
+    /// VM's work done at it. Under a stock policy the finish is a record
+    /// in the store, shared with every other cell that runs the same
+    /// scenario under the same policy to the same finish; a custom policy
+    /// runs its own completion.
+    pub fn finish(
+        &self,
+        opts: &RunOptions,
+        scenario: (MachineConfig, Vec<VmSpec>),
+        policy: impl Into<CellPolicy>,
+        vm: VmId,
+    ) -> CellResult<Finish> {
+        let c = self.diverge(opts, scenario, policy.into())?;
+        store::finish_of(&c.keyed, c.schedule, vm, opts.horizon(), || {
+            start(&c.warm, c.policy)
+        })
+    }
+}
+
+/// A cell's continuation from the warm point: the warm machine, the
+/// store place and schedule of the trajectory it continues on (no place
+/// for a custom policy, which simulates its own continuation), and the
+/// policy object it installs.
+struct Continuation<'a> {
+    warm: Arc<Machine>,
+    keyed: Keyed<'a>,
+    schedule: Schedule,
+    policy: Box<dyn SchedPolicy>,
+}
+
+/// A fork of `warm` with `policy` installed: where a cell's continuation
+/// starts.
+fn start(warm: &Machine, policy: Box<dyn SchedPolicy>) -> Machine {
+    let mut m = warm.fork();
+    m.set_policy(policy);
+    m
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::runner::PolicyKind;
-    use simcore::ids::VmId;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use workloads::{scenarios, Workload};
 
     fn scenario() -> (MachineConfig, Vec<VmSpec>) {
@@ -138,10 +193,26 @@ mod tests {
         (
             cfg,
             vec![
-                scenarios::vm(Workload::Exim, n, None),
+                // Finishes at about 0.45 s under each stock policy.
+                scenarios::vm(Workload::Exim, n, Some(3_000)),
                 scenarios::vm(Workload::Swaptions, n, None),
             ],
         )
+    }
+
+    /// A custom policy that behaves as the baseline and counts the
+    /// continuations it is installed into.
+    #[derive(Clone)]
+    struct Counting(Arc<AtomicUsize>);
+
+    impl SchedPolicy for Counting {
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+
+        fn on_init(&mut self, _: &mut Machine) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
     }
 
     fn fingerprint(m: &Machine) -> (u64, u64, u64) {
@@ -168,7 +239,13 @@ mod tests {
             let (warm, end) = grid
                 .window(&opts, scenario(), policy, SimDuration::from_millis(200))
                 .unwrap();
-            (fingerprint(&m), fingerprint(&warm), fingerprint(&end))
+            let finish = grid.finish(&opts, scenario(), policy, VmId(0)).unwrap();
+            (
+                fingerprint(&m),
+                fingerprint(&warm),
+                fingerprint(&end),
+                finish,
+            )
         };
         for policy in [
             PolicyKind::Baseline,
@@ -221,7 +298,8 @@ mod tests {
     }
 
     /// With forking on, each scenario's warm-up and each stock-policy
-    /// window is simulated once; a custom policy simulates its own window.
+    /// window and finish is simulated once; a custom policy simulates its
+    /// own window and finish every time.
     #[test]
     fn fork_simulates_each_warm_up_and_window_once() {
         let opts = RunOptions {
@@ -230,6 +308,9 @@ mod tests {
         };
         let grid = Grid::new(&opts, SimDuration::from_millis(100));
         let window = SimDuration::from_millis(100);
+        let custom_runs = Arc::new(AtomicUsize::new(0));
+        let custom = || CellPolicy::Custom(Box::new(Counting(custom_runs.clone())));
+        let finish = |policy| grid.finish(&opts, scenario(), policy, VmId(0)).unwrap();
         for _ in 0..3 {
             assert!(grid
                 .cell(&opts, scenario(), PolicyKind::Baseline.build())
@@ -237,11 +318,15 @@ mod tests {
             assert!(grid
                 .window(&opts, scenario(), PolicyKind::Fixed(1), window)
                 .is_ok());
-            let custom = CellPolicy::Custom(PolicyKind::Fixed(1).build());
-            assert!(grid.window(&opts, scenario(), custom, window).is_ok());
+            assert!(grid.window(&opts, scenario(), custom(), window).is_ok());
+            let baseline = finish(PolicyKind::Baseline.into());
+            assert_ne!(baseline, finish(PolicyKind::Fixed(1).into()));
+            assert_eq!(baseline, finish(custom()));
         }
+        assert_eq!(custom_runs.load(Ordering::SeqCst), 6);
         let stats = grid.store.stats();
-        assert_eq!(stats.extensions, 2, "{stats:?}");
+        // The warm-up, the window and the two stock finishes.
+        assert_eq!(stats.extensions, 4, "{stats:?}");
         assert_eq!(stats.retained, 2, "{stats:?}");
         assert_eq!(stats.reextended, 0, "{stats:?}");
     }

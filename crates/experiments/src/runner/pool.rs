@@ -13,11 +13,11 @@
 //! Determinism is untouched by construction. The budget only decides
 //! *when* a cell runs, never *what* it computes: each cell is a pure
 //! function of its grid index (its RNG seeds come from
-//! [`RunOptions::seed_for`] and the experiment's options, never from
-//! worker identity or wall-clock), each batch collects results in index
-//! order, and [`run_streamed`] commits whole experiments in submission
-//! order. `repro all --jobs N` is byte-identical on stdout for every `N`
-//! (`tests/determinism.rs`).
+//! [`RunOptions::seed_for`](super::RunOptions::seed_for) and the
+//! experiment's options, never from worker identity or wall-clock), each
+//! batch collects results in index order, and [`run_streamed`] commits
+//! whole experiments in submission order. `repro all --jobs N` is
+//! byte-identical on stdout for every `N` (`tests/determinism.rs`).
 //!
 //! The machinery is permit-based rather than a single type-erased job
 //! queue: experiment closures borrow their grids and options from the
@@ -25,24 +25,20 @@
 //! without `'static` bounds. `Machine`s live and die inside one cell, so
 //! they need no `Send` bound.
 //!
-//! A budget also carries the invocation's **cell memo** ([`memo`]):
-//! experiments show the same co-run configurations several ways (Figure
-//! 6 re-shows Figure 4/5 cells, `compare` re-checks Figures 4, 5 and 9), and
-//! the memo simulates each such shared cell once per budget and hands
-//! the result to every other consumer. Only successes are kept, so a
-//! failing cell still fails — with its own crash artifact — wherever it
-//! is shown. Beside it sits the invocation's **checkpoint store**
-//! ([`store`](super::store)): machine checkpoints along simulated
-//! trajectories, so cells that need the same machine at the same time
-//! (a shared warm-up, a shared baseline window) fork it instead of
-//! simulating it again. Memo and store live and die with their `Budget`;
-//! nothing is process-global.
+//! A budget also carries the invocation's **checkpoint store**
+//! ([`store`](super::store)): machine checkpoints and finish records
+//! along simulated trajectories, so cells that need the same machine at
+//! the same time (a shared warm-up, a shared window) or the same
+//! completion fork or read it instead of simulating it again. Experiments
+//! show the same co-run cells several ways (Figure 6 re-shows Figure 4/5
+//! cells, `compare` re-checks Figures 4, 5 and 9), and the store is what
+//! simulates each such cell once per budget. Only successes are kept, so
+//! a failing cell still fails — with its own crash artifact — wherever
+//! it is shown. The store lives and dies with its `Budget`; nothing is
+//! process-global.
 
 use super::store::CheckpointStore;
-use super::RunOptions;
-use std::any::Any;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -59,14 +55,13 @@ struct Tickets {
 
 /// A counting semaphore bounding how many experiment cells run at once
 /// across every in-flight experiment, admitting waiters in arrival
-/// order, plus the cell memo (see [`memo`]) and checkpoint store (see
-/// [`store`](super::store)) those cells share.
+/// order, plus the checkpoint store (see [`store`](super::store)) those
+/// cells share.
 #[derive(Debug)]
 pub struct Budget {
     permits: u64,
     tickets: Mutex<Tickets>,
     freed: Condvar,
-    memo: CellMemo,
     store: Arc<CheckpointStore>,
 }
 
@@ -81,7 +76,6 @@ impl Budget {
                 released: 0,
             }),
             freed: Condvar::new(),
-            memo: CellMemo::default(),
             store: Arc::default(),
         }
     }
@@ -143,103 +137,8 @@ impl Drop for BudgetGuard<'_> {
     }
 }
 
-/// One memo entry. An absent entry is an empty slot.
-enum Slot {
-    /// The first caller is computing the value; later callers wait.
-    Computing,
-    /// A computed success. Each key names one cell function, so it maps
-    /// to exactly one value type.
-    Ready(Arc<dyn Any + Send + Sync>),
-}
-
-/// A budget's cell memo: successes of shared cells by key (see [`memo`]).
-///
-/// The first caller of a key computes, concurrent callers block while
-/// holding their permit, and a computation that fails or panics leaves
-/// the slot empty, so the next caller recomputes. A memoized computation
-/// never consults the memo itself (see [`memo`]), so no wait here can
-/// form a cycle.
-#[derive(Default)]
-struct CellMemo {
-    slots: Mutex<BTreeMap<String, Slot>>,
-    settled: Condvar,
-}
-
-impl std::fmt::Debug for CellMemo {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CellMemo").finish_non_exhaustive()
-    }
-}
-
-impl CellMemo {
-    fn lock(&self) -> MutexGuard<'_, BTreeMap<String, Slot>> {
-        // Computations run outside the lock, so poison is spurious.
-        self.slots
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    fn get_or_compute<T, E>(&self, key: String, f: impl FnOnce() -> Result<T, E>) -> Result<T, E>
-    where
-        T: Clone + Send + Sync + 'static,
-    {
-        let mut slots = self.lock();
-        loop {
-            match slots.get(&key) {
-                Some(Slot::Ready(value)) => {
-                    return Ok(value
-                        .downcast_ref::<T>()
-                        .expect("each memo key maps to one value type")
-                        .clone());
-                }
-                Some(Slot::Computing) => {
-                    slots = self
-                        .settled
-                        .wait(slots)
-                        .unwrap_or_else(|poisoned| poisoned.into_inner());
-                }
-                None => break,
-            }
-        }
-        slots.insert(key.clone(), Slot::Computing);
-        drop(slots);
-        let mut settle = Settle {
-            memo: self,
-            key,
-            value: None,
-        };
-        let out = f();
-        if let Ok(value) = &out {
-            settle.value = Some(Arc::new(value.clone()));
-        }
-        out
-    }
-}
-
-/// Settles a `Computing` slot however its computation ends: a success
-/// is stored; a failure or an unwind empties the slot. Either way the
-/// waiters wake.
-struct Settle<'a> {
-    memo: &'a CellMemo,
-    key: String,
-    value: Option<Arc<dyn Any + Send + Sync>>,
-}
-
-impl Drop for Settle<'_> {
-    fn drop(&mut self) {
-        let mut slots = self.memo.lock();
-        match self.value.take() {
-            Some(value) => slots.insert(std::mem::take(&mut self.key), Slot::Ready(value)),
-            None => slots.remove(&self.key),
-        };
-        drop(slots);
-        self.memo.settled.notify_all();
-    }
-}
-
 thread_local! {
     static ACTIVE: RefCell<Option<Arc<Budget>>> = const { RefCell::new(None) };
-    static MEMO: RefCell<Option<Arc<Budget>>> = const { RefCell::new(None) };
     static SCOPE: RefCell<Option<Arc<Scope>>> = const { RefCell::new(None) };
     static STORE: RefCell<Option<Arc<CheckpointStore>>> = const { RefCell::new(None) };
 }
@@ -266,57 +165,6 @@ fn with_tls<T: 'static, R>(
     f()
 }
 
-/// Runs the shared cell `cell(args)` through the cell memo of the
-/// budget this thread runs under: the first call per budget computes
-/// `f`, and every later call with the same key gets a clone of that
-/// success instead of simulating again.
-///
-/// The key is `cell`, `args` (by `Debug`), and every [`RunOptions`]
-/// field except `jobs`, faults by their canonical `Display`. `cell`
-/// names the cell function, so each key maps to one value type, and
-/// `args` must pin everything else the value depends on.
-///
-/// Only successes are kept: a failing cell fails again for each
-/// consumer, each with its own crash artifact, shrink, and replay
-/// command. Without a budget (library callers, `simbench`'s serial
-/// pass) and under [`crash::with_fault_take`] (shrink probes, whose
-/// truncated fault plans must govern the whole run) `f` runs directly
-/// and the memo is neither read nor written.
-///
-/// [`crash::with_fault_take`]: hypervisor::crash::with_fault_take
-pub fn memo<T, E>(
-    cell: &str,
-    args: impl std::fmt::Debug,
-    opts: &RunOptions,
-    f: impl FnOnce() -> Result<T, E>,
-) -> Result<T, E>
-where
-    T: Clone + Send + Sync + 'static,
-{
-    let Some(budget) = current_memo().filter(|_| hypervisor::crash::fault_take().is_none()) else {
-        return f();
-    };
-    // Destructured so a new option cannot be left out of the key.
-    let RunOptions {
-        quick,
-        seed,
-        jobs: _,
-        paranoid,
-        keep_going,
-        faults,
-        fork,
-    } = *opts;
-    let faults = faults.map_or_else(String::new, |spec| spec.to_string());
-    let key = format!(
-        "{cell}{args:?} quick={quick} seed={seed} paranoid={paranoid} \
-         keep_going={keep_going} fork={fork} faults={faults}"
-    );
-    // The computation runs with the memo hidden, so it never waits on
-    // another slot while its own is `Computing`. The checkpoint store
-    // stays visible: an extension never waits on a memo slot.
-    budget.memo.get_or_compute(key, || with_tls(&MEMO, None, f))
-}
-
 /// Runs `f(0), f(1), …, f(n - 1)` across up to `jobs` worker threads and
 /// returns the results in index order.
 ///
@@ -324,11 +172,11 @@ where
 /// balance themselves. With `jobs <= 1` (or fewer than two items) this is
 /// exactly the serial loop `(0..n).map(f).collect()` on the calling
 /// thread. Each cell takes one permit from the calling thread's
-/// [`Budget`], if it has one, and sees that budget's cell memo and
-/// checkpoint store but no permit budget: the cell already holds its
-/// permit, so a fan-out nested inside it must not queue for a second one
-/// (under a one-permit budget that wait would never end). Panics in `f`
-/// propagate to the caller.
+/// [`Budget`], if it has one, and sees that budget's checkpoint store but
+/// no permit budget: the cell already holds its permit, so a fan-out
+/// nested inside it must not queue for a second one (under a one-permit
+/// budget that wait would never end). Panics in `f` propagate to the
+/// caller.
 ///
 /// # Examples
 ///
@@ -343,15 +191,11 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let (budget, memo, store) = (current_budget(), current_memo(), current_store());
+    let (budget, store) = (current_budget(), current_store());
     let cell = |i: usize| {
         let _permit = budget.as_ref().map(|b| b.acquire());
         // Worker threads start with no pool state.
-        with_tls(&ACTIVE, None, || {
-            with_tls(&MEMO, memo.clone(), || {
-                with_tls(&STORE, store.clone(), || f(i))
-            })
-        })
+        with_tls(&ACTIVE, None, || with_tls(&STORE, store.clone(), || f(i)))
     };
     if jobs <= 1 || n <= 1 {
         return (0..n).map(cell).collect();
@@ -381,13 +225,8 @@ where
     tagged.into_iter().map(|(_, v)| v).collect()
 }
 
-/// The budget whose cell memo is visible on the calling thread, if any.
-fn current_memo() -> Option<Arc<Budget>> {
-    MEMO.with(|slot| slot.borrow().clone())
-}
-
 /// The checkpoint store visible on the calling thread, if any: the
-/// budget's, in every cell and memo computation run under one.
+/// budget's, in every cell run under one.
 pub(super) fn current_store() -> Option<Arc<CheckpointStore>> {
     STORE.with(|slot| slot.borrow().clone())
 }
@@ -504,15 +343,13 @@ pub fn current_scope() -> Option<Arc<Scope>> {
 
 /// Runs `f` with `budget` installed as this thread's active budget:
 /// every [`run_indexed`] batch started under it acquires a permit per
-/// cell instead of running unthrottled, and every [`memo`] point and
-/// checkpoint reached under it shares the budget's cell memo and
-/// checkpoint store. The previous budget (normally none) is restored
-/// afterwards, even if `f` unwinds.
+/// cell instead of running unthrottled, and every checkpoint and finish
+/// record reached under it is shared through the budget's checkpoint
+/// store. The previous budget (normally none) is restored afterwards,
+/// even if `f` unwinds.
 pub fn with_budget<R>(budget: &Arc<Budget>, f: impl FnOnce() -> R) -> R {
     with_tls(&ACTIVE, Some(budget.clone()), || {
-        with_tls(&MEMO, Some(budget.clone()), || {
-            with_tls(&STORE, Some(budget.store.clone()), f)
-        })
+        with_tls(&STORE, Some(budget.store.clone()), f)
     })
 }
 
@@ -674,163 +511,19 @@ mod tests {
         assert!(current_budget().is_none(), "TLS budget leaked past unwind");
     }
 
-    /// A memo point that counts how often its computation runs.
-    fn counted(runs: &AtomicUsize, value: u64) -> Result<u64, String> {
-        memo("counted", value, &RunOptions::quick(), || {
-            runs.fetch_add(1, Ordering::SeqCst);
-            Ok(value * 2)
-        })
-    }
-
     #[test]
-    fn memo_computes_once_per_budget_and_never_across_budgets() {
-        let runs = AtomicUsize::new(0);
-        let (first, second) = (Arc::new(Budget::new(2)), Arc::new(Budget::new(2)));
-        for budget in [&first, &second] {
-            with_budget(budget, || {
-                assert_eq!(counted(&runs, 21), Ok(42));
-                assert_eq!(counted(&runs, 21), Ok(42));
-            });
-        }
-        assert_eq!(runs.load(Ordering::SeqCst), 2, "one computation per budget");
-        // Other arguments and other options are other keys.
-        with_budget(&first, || {
-            assert_eq!(counted(&runs, 5), Ok(10));
-            let other_seed = RunOptions {
-                seed: 1,
-                ..RunOptions::quick()
-            };
-            let out: Result<u64, String> = memo("counted", 21u64, &other_seed, || {
-                runs.fetch_add(1, Ordering::SeqCst);
-                Ok(0)
-            });
-            assert_eq!(out, Ok(0));
-        });
-        assert_eq!(runs.load(Ordering::SeqCst), 4);
-    }
-
-    #[test]
-    fn memo_key_ignores_jobs() {
-        let runs = AtomicUsize::new(0);
-        with_budget(&Arc::new(Budget::new(1)), || {
-            for jobs in [1, 2, 8] {
-                let out: Result<u64, String> =
-                    memo("jobs", (), &RunOptions::quick().with_jobs(jobs), || {
-                        runs.fetch_add(1, Ordering::SeqCst);
-                        Ok(7)
-                    });
-                assert_eq!(out, Ok(7));
-            }
-        });
-        assert_eq!(runs.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn memo_without_a_budget_computes_every_call() {
-        let runs = AtomicUsize::new(0);
-        for _ in 0..3 {
-            assert_eq!(counted(&runs, 21), Ok(42));
-        }
-        assert_eq!(runs.load(Ordering::SeqCst), 3);
-    }
-
-    #[test]
-    fn memo_does_not_cache_failures() {
-        let runs = AtomicUsize::new(0);
-        let failing = || -> Result<u64, String> {
-            memo("failing", (), &RunOptions::quick(), || {
-                runs.fetch_add(1, Ordering::SeqCst);
-                Err("cell failed".to_string())
-            })
-        };
-        with_budget(&Arc::new(Budget::new(1)), || {
-            assert!(failing().is_err());
-            assert!(failing().is_err());
-        });
-        assert_eq!(runs.load(Ordering::SeqCst), 2, "each consumer recomputes");
-    }
-
-    #[test]
-    fn memo_slot_is_emptied_by_a_panicking_computation() {
-        let runs = AtomicUsize::new(0);
-        with_budget(&Arc::new(Budget::new(1)), || {
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _: Result<u64, String> = memo("counted", 21u64, &RunOptions::quick(), || {
-                    panic!("cell panicked")
-                });
-            }));
-            assert!(result.is_err());
-            assert_eq!(counted(&runs, 21), Ok(42), "the slot must be empty again");
-        });
-        assert_eq!(runs.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn memo_is_neither_read_nor_written_in_scratch_mode() {
-        use hypervisor::crash::with_fault_take;
-        let runs = AtomicUsize::new(0);
-        with_budget(&Arc::new(Budget::new(1)), || {
-            // Not written: a shrink probe's computation leaves no entry.
-            with_fault_take(1, || counted(&runs, 21)).unwrap();
-            counted(&runs, 21).unwrap();
-            assert_eq!(runs.load(Ordering::SeqCst), 2);
-            // Not read: the entry now cached is ignored by a shrink probe.
-            with_fault_take(1, || counted(&runs, 21)).unwrap();
-            assert_eq!(runs.load(Ordering::SeqCst), 3);
-        });
-    }
-
-    #[test]
-    fn callers_during_a_computation_share_its_value() {
-        use std::sync::mpsc::{channel, Receiver, Sender};
-        let runs = AtomicUsize::new(0);
-        let budget = Arc::new(Budget::new(4));
-        let (started_tx, started) = channel();
-        let (release, release_rx) = channel();
-        let (runs, budget) = (&runs, &budget);
-        let cell = move |gate: Option<(Sender<()>, Receiver<()>)>| {
-            with_budget(budget, || {
-                memo("slow", (), &RunOptions::quick(), || {
-                    runs.fetch_add(1, Ordering::SeqCst);
-                    if let Some((started, release)) = gate {
-                        started.send(()).unwrap();
-                        release.recv().unwrap();
-                    }
-                    Ok::<u64, String>(9)
-                })
-            })
-        };
-        let values = std::thread::scope(|scope| {
-            let first = scope.spawn(move || cell(Some((started_tx, release_rx))));
-            // The slot is `Computing` until the release: the callers
-            // spawned now either wait on it or find the stored value.
-            started.recv().unwrap();
-            let rest: Vec<_> = (0..3).map(|_| scope.spawn(move || cell(None))).collect();
-            release.send(()).unwrap();
-            std::iter::once(first)
-                .chain(rest)
-                .map(|h| h.join().unwrap())
-                .collect::<Vec<_>>()
-        });
-        assert_eq!(values, vec![Ok(9); 4]);
-        assert_eq!(runs.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn cells_see_the_memo_but_not_the_permits() {
+    fn cells_see_the_store_but_not_the_permits() {
         let budget = Arc::new(Budget::new(1));
         with_budget(&budget, || {
             for jobs in [1, 3] {
                 let seen = run_indexed(jobs, 3, |_| {
-                    let memo = current_memo().expect("the memo is visible in a cell");
                     let store = current_store().expect("the store is visible in a cell");
                     (
-                        Arc::ptr_eq(&memo, &budget),
                         std::ptr::eq(&*store, budget.store()),
                         current_budget().is_none(),
                     )
                 });
-                assert_eq!(seen, vec![(true, true, true); 3], "jobs {jobs}");
+                assert_eq!(seen, vec![(true, true); 3], "jobs {jobs}");
                 // A fan-out nested in a cell of a one-permit budget must
                 // not wait for a second permit.
                 let nested = run_indexed(jobs, 2, |i| run_indexed(2, 2, |j| i * 2 + j));
@@ -839,20 +532,61 @@ mod tests {
         });
     }
 
+    /// Callers that ask the budget's store for a finish while another
+    /// caller is running it wait for its record and share its value.
     #[test]
-    fn memo_computations_hide_the_memo_but_not_the_store() {
-        let budget = Arc::new(Budget::new(1));
-        with_budget(&budget, || {
-            let seen: Result<(bool, bool), String> =
-                memo("visibility", (), &RunOptions::quick(), || {
-                    let store = current_store().expect("the store is visible");
-                    Ok((
-                        current_memo().is_none(),
-                        std::ptr::eq(&*store, budget.store()),
-                    ))
-                });
-            assert_eq!(seen, Ok((true, true)));
+    fn callers_during_a_computation_share_its_value() {
+        use super::super::store::{finish_of, keyed};
+        use super::super::{build_with, RunOptions};
+        use hypervisor::{BaselinePolicy, MachineConfig};
+        use simcore::ids::VmId;
+        use simcore::time::SimTime;
+        use std::sync::mpsc::{channel, Receiver, Sender};
+        use workloads::{scenarios, Workload};
+        let small = || {
+            let cfg = MachineConfig::small(4);
+            let n = cfg.num_pcpus;
+            // Exim finishes at about 0.45 s under the baseline policy.
+            let specs = vec![
+                scenarios::vm(Workload::Exim, n, Some(3_000)),
+                scenarios::vm(Workload::Swaptions, n, None),
+            ];
+            (cfg, specs)
+        };
+        let opts = RunOptions::quick();
+        let runs = AtomicUsize::new(0);
+        let budget = Arc::new(Budget::new(4));
+        let (started_tx, started) = channel();
+        let (release, release_rx) = channel();
+        let (runs, budget, opts) = (&runs, &budget, &opts);
+        let cell = move |gate: Option<(Sender<()>, Receiver<()>)>| {
+            with_budget(budget, || {
+                let store = current_store();
+                let keyed = keyed(store.as_ref(), opts, &small());
+                finish_of(&keyed, None, VmId(0), SimTime::from_secs(5), || {
+                    runs.fetch_add(1, Ordering::SeqCst);
+                    if let Some((started, release)) = gate {
+                        started.send(()).unwrap();
+                        release.recv().unwrap();
+                    }
+                    build_with(opts, small(), Box::new(BaselinePolicy))
+                })
+            })
+        };
+        let values = std::thread::scope(|scope| {
+            let first = scope.spawn(move || cell(Some((started_tx, release_rx))));
+            // The record is locked until the release: the callers
+            // spawned now either wait on it or find the recorded finish.
+            started.recv().unwrap();
+            let rest: Vec<_> = (0..3).map(|_| scope.spawn(move || cell(None))).collect();
+            release.send(()).unwrap();
+            std::iter::once(first)
+                .chain(rest)
+                .map(|h| h.join().unwrap().expect("exim finishes"))
+                .collect::<Vec<_>>()
         });
+        assert!(values.iter().all(|v| *v == values[0]), "{values:?}");
+        assert_eq!(runs.load(Ordering::SeqCst), 1);
     }
 
     #[test]

@@ -1,14 +1,16 @@
-//! The invocation's checkpoint store: machine checkpoints along simulated
-//! trajectories, shared by every cell that needs the same machine at the
-//! same simulated time.
+//! The invocation's checkpoint store: machine checkpoints and finish
+//! records along simulated trajectories, shared by every cell that needs
+//! the same machine at the same simulated time, or the same completion.
 //!
 //! Experiments show the same co-runs many ways: Figure 7, Table 1 and
 //! the ablations all warm the exim + swaptions co-run for one quick
-//! second and measure the same baseline window after it, and Table 2
-//! and Table 4 simulate the same baseline windows. A store keeps every
-//! successful checkpoint a cell asks for, keyed by what the built
-//! scenario *is*, so the next cell that needs that machine forks it
-//! instead of simulating it again.
+//! second and measure the same baseline window after it; Table 2 and
+//! Table 4 simulate the same baseline windows; Figure 6 and `compare`
+//! re-show Figure 4, 5 and 9 cells; and Table 1's baseline dedup cell
+//! is Figure 4's. A store keeps every successful checkpoint and finish a
+//! cell asks for, keyed by what the built scenario *is*, so the next
+//! cell that needs it forks the checkpoint or reads the record instead
+//! of simulating it again.
 //!
 //! - **Key.** `scenario_key` renders the scenario as
 //!   [`build_with`](super::build_with) builds it — the configuration
@@ -17,44 +19,77 @@
 //!   the whole string is the key. Two
 //!   constructors that build the same machine share checkpoints; a
 //!   different seed, fault plan, iteration budget or configuration never
-//!   does.
+//!   does. The store holds each key once, above all of its scenario's
+//!   trajectories.
 //! - **Trajectories.** A trajectory is a key plus a policy schedule: the
 //!   baseline policy from t = 0, optionally with one stock
 //!   [`PolicyKind`] installed at a warm point (installing the stateless
-//!   baseline policy changes nothing, so baseline windows stay on the
+//!   baseline policy changes nothing, so baseline cells stay on the
 //!   baseline trajectory). A request for time T forks the latest
 //!   checkpoint retained at or before T, runs it forward to T and
 //!   retains T; a diverged trajectory starts from the baseline
 //!   checkpoint at its warm point. This rests on `run_until(t1);
 //!   run_until(t2)` equalling `run_until(t2)`
 //!   (`crates/hypervisor/tests/prop_machine.rs` checks it).
-//! - **Successes only.** A failing extension is not retained: each
-//!   consumer reruns a failing prefix inside its own crash session, so
+//! - **Finish records.** A completion runs a trajectory from a warm
+//!   point until one VM finishes or a horizon passes. It stops inside a
+//!   timestamp, so nothing continues from it and no machine is kept: its
+//!   record ([`Finish`]) is the finish time and every VM's work done at
+//!   it, keyed by trajectory, VM and horizon.
+//! - **Successes only.** A failing extension or completion is not
+//!   recorded: each consumer reruns it inside its own crash session, so
 //!   its artifact keeps its own trace ring, shrink and replay.
 //! - **Bypass.** With forking off (`--no-fork`, the oracle) and in a
 //!   crash-shrink probe ([`crash::with_fault_take`]) cells simulate
 //!   from scratch and never read or write a store (see `keyed`).
-//! - **Locking.** Each trajectory has its own lock, held while a cell
-//!   extends it. An extension only simulates: it never waits on a memo
-//!   slot or on another trajectory (a diverged trajectory's warm
-//!   checkpoint is fetched before its lock is taken), so waits cannot
-//!   form a cycle.
+//! - **Locking.** Each trajectory's checkpoints have one lock, held
+//!   while a cell extends them, and each finish record has its own, held
+//!   while a cell runs to it: a completion holds up only requests for
+//!   its own record, which then read it. A request fetches the warm
+//!   checkpoint it starts from before it takes either lock, so no cell
+//!   holds one lock while waiting on another and waits cannot form a
+//!   cycle.
 //! - **Lifetime.** One store per [`pool::Budget`](super::pool::Budget),
 //!   so one per `repro` run and per simbench `paper-suite` repetition; a
 //!   [`Grid`](super::Grid) with no budget visible keeps a private one.
-//!   Nothing is process-global, and checkpoints live until their store
-//!   drops.
+//!   Nothing is process-global, and checkpoints and records live until
+//!   their store drops.
 
-use super::{CellFailure, CellResult, PolicyKind, RunOptions};
+use super::{finish_time, CellFailure, CellResult, PolicyKind, RunOptions};
 use hypervisor::{crash, Machine, MachineConfig, VmSpec};
+use simcore::ids::VmId;
 use simcore::time::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// A trajectory: the scenario key plus the stock policy installed at a
-/// warm point (`None`: the baseline policy throughout).
-type TrajectoryId = (Arc<str>, Option<(SimTime, PolicyKind)>);
+/// A trajectory's policy schedule: the stock policy installed at a warm
+/// point (`None`: the baseline policy throughout).
+pub(crate) type Schedule = Option<(SimTime, PolicyKind)>;
+
+/// A completion: when a VM finished its budget, and every VM's work done
+/// at that time (indexed by `VmId`).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Finish {
+    /// The finish time.
+    pub at: SimTime,
+    /// Each VM's work done at `at`.
+    pub work: Vec<u64>,
+}
+
+/// One trajectory's retained checkpoints and finish records.
+#[derive(Default)]
+struct Trajectory {
+    points: Mutex<Points>,
+    /// Finish records by VM and horizon, each behind its own lock.
+    finishes: Mutex<BTreeMap<(VmId, SimTime), Record>>,
+}
+
+/// A finish record: empty until a run to the finish succeeds.
+type Record = Arc<Mutex<Option<Finish>>>;
+
+/// One scenario's trajectories, by schedule.
+type Trajectories = BTreeMap<Schedule, Arc<Trajectory>>;
 
 /// One trajectory's retained checkpoints.
 #[derive(Default)]
@@ -64,11 +99,12 @@ struct Points {
     extended: BTreeSet<SimTime>,
 }
 
-/// Machine checkpoints along simulated trajectories (see the [module
-/// docs](self)).
+/// Machine checkpoints and finish records along simulated trajectories
+/// (see the [module docs](self)).
 #[derive(Default)]
 pub struct CheckpointStore {
-    trajectories: Mutex<BTreeMap<TrajectoryId, Arc<Mutex<Points>>>>,
+    /// Trajectories by scenario key, then by schedule.
+    scenarios: Mutex<BTreeMap<Arc<str>, Trajectories>>,
     served: AtomicU64,
     extensions: AtomicU64,
     reextended: AtomicU64,
@@ -85,9 +121,11 @@ impl std::fmt::Debug for CheckpointStore {
 pub struct StoreStats {
     /// Checkpoints retained.
     pub retained: usize,
-    /// Requests handed a retained checkpoint without simulating.
+    /// Requests handed a retained checkpoint or a finish record without
+    /// simulating.
     pub served: u64,
-    /// Requests that simulated a trajectory forward to a new checkpoint.
+    /// Requests that simulated a trajectory forward: to a new checkpoint,
+    /// or to a finish.
     pub extensions: u64,
     /// Extensions that started from a retained checkpoint an earlier
     /// extension had already started from: a request for a time between
@@ -98,11 +136,14 @@ pub struct StoreStats {
 impl CheckpointStore {
     /// The store's counters.
     pub fn stats(&self) -> StoreStats {
-        let trajectories: Vec<_> = self.lock().values().cloned().collect();
+        let trajectories: Vec<_> = lock(&self.scenarios)
+            .values()
+            .flat_map(|schedules| schedules.values().cloned())
+            .collect();
         StoreStats {
             retained: trajectories
                 .iter()
-                .map(|points| lock(points).at.len())
+                .map(|trajectory| lock(&trajectory.points).at.len())
                 .sum(),
             served: self.served.load(Ordering::Relaxed),
             extensions: self.extensions.load(Ordering::Relaxed),
@@ -110,22 +151,27 @@ impl CheckpointStore {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<TrajectoryId, Arc<Mutex<Points>>>> {
-        lock(&self.trajectories)
+    /// The trajectory of scenario `key` under `schedule`.
+    fn trajectory(&self, key: &Arc<str>, schedule: Schedule) -> Arc<Trajectory> {
+        lock(&self.scenarios)
+            .entry(key.clone())
+            .or_default()
+            .entry(schedule)
+            .or_default()
+            .clone()
     }
 
-    /// Trajectory `id` at `at`. A retained checkpoint at `at` is handed
-    /// out as is; otherwise the latest retained one before `at`, or
+    /// `trajectory` at `at`. A retained checkpoint at `at` is handed out
+    /// as is; otherwise the latest retained one before `at`, or
     /// `origin()` when there is none, runs forward to `at` under the
-    /// trajectory's lock and is retained if it succeeds.
+    /// trajectory's points lock and is retained if it succeeds.
     fn checkpoint(
         &self,
-        id: TrajectoryId,
+        trajectory: &Trajectory,
         at: SimTime,
         origin: impl FnOnce() -> Machine,
     ) -> CellResult<Arc<Machine>> {
-        let points = self.lock().entry(id).or_default().clone();
-        let mut points = lock(&points);
+        let mut points = lock(&trajectory.points);
         if let Some(m) = points.at.get(&at) {
             self.served.fetch_add(1, Ordering::Relaxed);
             return Ok(m.clone());
@@ -148,12 +194,46 @@ impl CheckpointStore {
         points.at.insert(at, Arc::new(m.clone()));
         Ok(Arc::new(m))
     }
+
+    /// `trajectory`'s finish of `vm` within `horizon`. A recorded finish
+    /// is handed out as is; otherwise `origin()` runs to it under the
+    /// record's own lock, and the finish is recorded if it succeeds.
+    fn finish(
+        &self,
+        trajectory: &Trajectory,
+        vm: VmId,
+        horizon: SimTime,
+        origin: impl FnOnce() -> Machine,
+    ) -> CellResult<Finish> {
+        let record = lock(&trajectory.finishes)
+            .entry((vm, horizon))
+            .or_default()
+            .clone();
+        let mut record = lock(&record);
+        if let Some(finish) = &*record {
+            self.served.fetch_add(1, Ordering::Relaxed);
+            return Ok(finish.clone());
+        }
+        self.extensions.fetch_add(1, Ordering::Relaxed);
+        let finish = run_to_finish(origin(), vm, horizon)?;
+        *record = Some(finish.clone());
+        Ok(finish)
+    }
 }
 
-/// Locks `mutex`, recovering from poison: every update leaves the
-/// points valid (a checkpoint is inserted only after a successful run).
+/// Locks `mutex`, recovering from poison: every update leaves the store
+/// valid (a checkpoint or record is written only after a successful run).
 fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Runs `m` until `vm` finishes or `horizon` passes.
+fn run_to_finish(mut m: Machine, vm: VmId, horizon: SimTime) -> CellResult<Finish> {
+    let at = finish_time(m.run_until_vm_finished(vm, horizon))?;
+    let work = (0..m.num_vms())
+        .map(|v| m.vm_work_done(VmId(v as u16)))
+        .collect();
+    Ok(Finish { at, work })
 }
 
 /// The scenario as [`build_with`](super::build_with) builds it, rendered
@@ -194,17 +274,16 @@ pub(crate) fn owned(m: Arc<Machine>) -> Machine {
     Arc::try_unwrap(m).unwrap_or_else(|shared| shared.fork())
 }
 
-/// The keyed scenario's trajectory with schedule `diverge` at `at`.
-/// Without a store, `origin()` (the trajectory's start machine) simply
-/// runs to `at`.
+/// The keyed scenario's trajectory under `schedule` at `at`. Without a
+/// store, `origin()` (the trajectory's start machine) simply runs to `at`.
 pub(crate) fn trajectory_at(
     keyed: &Keyed<'_>,
-    diverge: Option<(SimTime, PolicyKind)>,
+    schedule: Schedule,
     at: SimTime,
     origin: impl FnOnce() -> Machine,
 ) -> CellResult<Arc<Machine>> {
     match keyed {
-        Some((store, key)) => store.checkpoint((key.clone(), diverge), at, origin),
+        Some((store, key)) => store.checkpoint(&store.trajectory(key, schedule), at, origin),
         None => {
             let mut m = origin();
             m.run_until(at).map_err(CellFailure::Sim)?;
@@ -213,14 +292,32 @@ pub(crate) fn trajectory_at(
     }
 }
 
+/// The keyed scenario's finish of `vm` within `horizon` on the trajectory
+/// under `schedule`, run from `origin()`. Without a store, `origin()`
+/// simply runs to it.
+pub(crate) fn finish_of(
+    keyed: &Keyed<'_>,
+    schedule: Schedule,
+    vm: VmId,
+    horizon: SimTime,
+    origin: impl FnOnce() -> Machine,
+) -> CellResult<Finish> {
+    match keyed {
+        Some((store, key)) => store.finish(&store.trajectory(key, schedule), vm, horizon, origin),
+        None => run_to_finish(origin(), vm, horizon),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::runner::pool::{with_budget, Budget};
-    use crate::runner::{run_window, Grid};
+    use crate::runner::{build_with, run_window, Grid};
     use crate::{fig4, fig7, table1, table2};
-    use hypervisor::FaultSpec;
+    use hypervisor::{BaselinePolicy, FaultSpec};
     use simcore::time::SimDuration;
+    use std::sync::mpsc::channel;
+    use std::time::Duration;
     use workloads::{scenarios, Workload};
 
     #[test]
@@ -267,20 +364,23 @@ mod tests {
         let cfg = MachineConfig::small(4);
         let n = cfg.num_pcpus;
         let specs = vec![
-            scenarios::vm(Workload::Exim, n, None),
+            // Finishes at about 0.45 s under the baseline policy.
+            scenarios::vm(Workload::Exim, n, Some(3_000)),
             scenarios::vm(Workload::Swaptions, n, None),
         ];
         (cfg, specs)
     }
 
     /// Every consumer of the store once: a warm point, a diverged
-    /// window and a baseline window.
+    /// window, a diverged finish and a baseline window.
     fn consume(opts: &RunOptions) {
         let ms = SimDuration::from_millis;
         let grid = Grid::new(opts, ms(400));
         grid.cell(opts, small(), PolicyKind::Baseline.build())
             .unwrap();
         grid.window(opts, small(), PolicyKind::Fixed(1), ms(100))
+            .unwrap();
+        grid.finish(opts, small(), PolicyKind::Fixed(1), VmId(0))
             .unwrap();
         run_window(opts, small(), PolicyKind::Baseline, ms(150)).unwrap();
     }
@@ -305,6 +405,90 @@ mod tests {
             consume(&no_fork);
             assert_eq!(budget.store().stats(), filled);
         });
+    }
+
+    /// The machine `small()` builds under the baseline policy.
+    fn small_machine() -> Machine {
+        build_with(&RunOptions::quick(), small(), Box::new(BaselinePolicy))
+    }
+
+    /// A finish that panics or hits the horizon is a failure, and
+    /// failures are not recorded: the next request runs again (past the
+    /// lock a panic poisoned) and fails the same way.
+    #[test]
+    fn a_finish_that_hits_the_horizon_records_nothing() {
+        let store = CheckpointStore::default();
+        let trajectory = store.trajectory(&scenario_key(&RunOptions::quick(), &small()), None);
+        let horizon = SimTime::from_millis(50);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            store.finish(&trajectory, VmId(0), horizon, || panic!("origin failed"))
+        }));
+        assert!(panicked.is_err());
+        for _ in 0..2 {
+            let out = store.finish(&trajectory, VmId(0), horizon, small_machine);
+            assert!(matches!(out, Err(CellFailure::Horizon)), "{out:?}");
+        }
+        let stats = store.stats();
+        assert_eq!((stats.extensions, stats.served), (3, 0), "{stats:?}");
+    }
+
+    /// A running finish holds its own record's lock, not its trajectory's
+    /// points: a checkpoint request on the same trajectory completes
+    /// meanwhile, and a second request for the same finish waits for the
+    /// record and is served the first run's finish.
+    #[test]
+    fn a_running_finish_holds_up_only_requests_for_its_record() {
+        let store = CheckpointStore::default();
+        let key = scenario_key(&RunOptions::quick(), &small());
+        let horizon = SimTime::from_secs(5);
+        let (store, key) = (&store, &key);
+        let finish = move |origin: Box<dyn FnOnce() -> Machine + Send>| {
+            store.finish(&store.trajectory(key, None), VmId(0), horizon, origin)
+        };
+        let (first, second) = std::thread::scope(|scope| {
+            let (started_tx, started) = channel();
+            let (release, release_rx) = channel::<()>();
+            let first = scope.spawn(move || {
+                finish(Box::new(move || {
+                    started_tx.send(()).unwrap();
+                    // An error means the test failed and dropped `release`:
+                    // run on, so the scope can join.
+                    let _ = release_rx.recv();
+                    small_machine()
+                }))
+            });
+            started.recv().unwrap();
+            let (done_tx, done) = channel();
+            scope.spawn(move || {
+                let at = SimTime::from_millis(50);
+                let warm = store.checkpoint(&store.trajectory(key, None), at, small_machine);
+                // An error means the test already failed and dropped `done`.
+                let _ = done_tx.send(warm.is_ok());
+            });
+            assert_eq!(
+                done.recv_timeout(Duration::from_secs(60)),
+                Ok(true),
+                "a checkpoint request waited for a running finish"
+            );
+            let second = scope
+                .spawn(move || finish(Box::new(|| panic!("a recorded finish must be served"))));
+            release.send(()).unwrap();
+            (first.join().unwrap(), second.join().unwrap())
+        });
+        let first = first.unwrap();
+        assert_eq!(first, second.unwrap());
+        assert_eq!(
+            first,
+            run_to_finish(small_machine(), VmId(0), horizon).unwrap()
+        );
+        let stats = store.stats();
+        let want = StoreStats {
+            retained: 1,
+            served: 1,
+            extensions: 2,
+            reextended: 0,
+        };
+        assert_eq!(stats, want);
     }
 
     /// Rendering the experiments that share co-runs under one budget

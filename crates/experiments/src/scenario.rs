@@ -19,11 +19,12 @@
 //! in-repo constructor — identical parts must yield identical bytes.
 
 use crate::runner::{fail_text, run_cells, CellFailure, Grid, PolicyKind, RunOptions};
-use hypervisor::{MachineConfig, VmSpec};
+use hypervisor::{Machine, MachineConfig, VmSpec};
 use metrics::render::{fmt_f64, Table};
 use simcore::ids::VmId;
 use simcore::time::SimDuration;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use workloads::scenario_file::{self, PolicySpec, RunMode, Scenario};
 
 /// Maps a file-schema policy to the runner's policy enum.
@@ -138,30 +139,35 @@ where
         |i| {
             let (rep, p) = (i / policies.len(), i % policies.len());
             let opts = cell_opts(rep as u32);
-            let mut m = grid.cell(&opts, parts(), policies[p].build())?;
-            let warm_work: Vec<u64> = (0..m.num_vms())
-                .map(|v| m.vm_work_done(VmId(v as u16)))
-                .collect();
-            match sc.run.mode {
+            let work = |m: &Machine| -> Vec<u64> {
+                (0..m.num_vms())
+                    .map(|v| m.vm_work_done(VmId(v as u16)))
+                    .collect()
+            };
+            let (warm_work, end) = match sc.run.mode {
                 RunMode::Window => {
-                    m.run_until(grid.warm_until() + window)
-                        .map_err(CellFailure::Sim)?;
+                    let (warm, end) = grid.window(&opts, parts(), policies[p], window)?;
+                    (work(&warm), end)
                 }
+                // Waits for every VM, so no one finish record serves it.
                 RunMode::Completion => {
+                    let mut m = grid.cell(&opts, parts(), policies[p].build())?;
+                    let warm_work = work(&m);
                     let finished = m
                         .run_until_all_finished(opts.horizon())
                         .map_err(CellFailure::Sim)?;
                     if !finished {
                         return Err(CellFailure::Horizon);
                     }
+                    (warm_work, Arc::new(m))
                 }
-            }
-            let rows: Vec<(u64, Option<f64>)> = (0..m.num_vms())
+            };
+            let rows: Vec<(u64, Option<f64>)> = (0..end.num_vms())
                 .map(|v| {
                     let id = VmId(v as u16);
                     (
-                        m.vm_work_done(id) - warm_work[v],
-                        m.vm_finished_at(id).map(|t| t.as_secs_f64()),
+                        end.vm_work_done(id) - warm_work[v],
+                        end.vm_finished_at(id).map(|t| t.as_secs_f64()),
                     )
                 })
                 .collect();

@@ -11,8 +11,7 @@
 //! and the paper's flexible micro-sliced cores (static best + dynamic).
 
 use crate::runner::{
-    fail_row, finish_time, run_cells, CellError, CellFailure, CellPolicy, CellResult, Grid,
-    PolicyKind, RunOptions,
+    fail_row, run_cells, CellError, CellPolicy, CellResult, Grid, PolicyKind, RunOptions,
 };
 use hypervisor::{MachineConfig, VmSpec};
 use metrics::render::{fmt_f64, Table};
@@ -119,23 +118,22 @@ fn exim_run(opts: &RunOptions, grid: &Grid, scheme: Scheme) -> CellResult<f64> {
     Ok((end.vm_work_done(VmId(0)) - warm.vm_work_done(VmId(0))) as f64 / window.as_secs_f64())
 }
 
+/// The baseline cell is Figure 4's dedup baseline, so the two share one
+/// completion per invocation (see [`Grid::finish`]).
 fn dedup_run(opts: &RunOptions, grid: &Grid, scheme: Scheme) -> CellResult<f64> {
     let (mut cfg, specs) = crate::fig4::scenario(opts, Workload::Dedup);
     scheme.mutate_config(&mut cfg);
-    let mut m = grid.cell(opts, (cfg, specs), scheme.policy(3).build())?;
-    let end = finish_time(m.run_until_vm_finished(VmId(0), opts.horizon()))?;
-    Ok(end.as_secs_f64())
+    let finish = grid.finish(opts, (cfg, specs), scheme.policy(3), VmId(0))?;
+    Ok(finish.at.as_secs_f64())
 }
 
 fn iperf_run(opts: &RunOptions, grid: &Grid, scheme: Scheme) -> CellResult<f64> {
     let window = opts.window(SimDuration::from_secs(3));
     let (mut cfg, specs) = scenarios::fig9_mixed_pinned(true);
     scheme.mutate_config(&mut cfg);
-    let mut m = grid.cell(opts, (cfg, specs), scheme.policy(1).build())?;
-    let warm_flow = m.vm(VmId(0)).kernel.flows[0].clone();
-    m.run_until(grid.warm_until() + window)
-        .map_err(CellFailure::Sim)?;
-    Ok(m.vm(VmId(0)).kernel.flows[0].jitter_ms_since(&warm_flow))
+    let (warm, end) = grid.window(opts, (cfg, specs), scheme.policy(1), window)?;
+    let warm_flow = &warm.vm(VmId(0)).kernel.flows[0];
+    Ok(end.vm(VmId(0)).kernel.flows[0].jitter_ms_since(warm_flow))
 }
 
 const SYMPTOMS: [&str; 3] = ["exim", "dedup", "iperf"];

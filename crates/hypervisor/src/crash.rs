@@ -76,8 +76,8 @@ pub(crate) fn publish_report(report: String) {
 /// under it keeps only the first `take` planned entries, exactly as a
 /// spec with `take=K` would. Used by the artifact shrink pass to bisect
 /// a failing plan without rebuilding the cell's options; the runner's
-/// cell memo and checkpoint store stand aside while it is armed, so the
-/// truncated plan governs every simulated prefix.
+/// checkpoint store stands aside while it is armed, so the truncated plan
+/// governs every simulated prefix and completion.
 pub fn with_fault_take<R>(take: u32, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<u32>);
     impl Drop for Restore {

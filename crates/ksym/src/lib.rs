@@ -8,8 +8,8 @@
 //!
 //! This crate models exactly that pipeline:
 //!
-//! - [`table::SymbolTable`] — a sorted address→symbol map, built either from
-//!   `System.map`-format text or programmatically.
+//! - [`table::SymbolTable`] — a sorted address→symbol map, built from
+//!   `(address, name)` pairs.
 //! - [`linux44`] — a synthetic "Linux 4.4" kernel layout containing every
 //!   function of Table 3 (plus filler symbols), standing in for a real
 //!   guest image per the substitution rules in `DESIGN.md`.

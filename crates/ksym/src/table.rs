@@ -1,7 +1,5 @@
 //! Sorted address→symbol map in the style of `System.map`.
 
-use core::fmt;
-
 /// One kernel symbol: a start address and a name.
 ///
 /// As in `System.map`, a symbol's extent runs from its own address to the
@@ -15,48 +13,18 @@ pub struct Symbol {
     pub name: String,
 }
 
-/// Errors from parsing `System.map`-format text.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ParseError {
-    /// A line did not have the `ADDR TYPE NAME` shape.
-    MalformedLine {
-        /// 1-based line number.
-        line: usize,
-    },
-    /// The address field was not valid hexadecimal.
-    BadAddress {
-        /// 1-based line number.
-        line: usize,
-    },
-}
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ParseError::MalformedLine { line } => {
-                write!(f, "malformed System.map line {line}")
-            }
-            ParseError::BadAddress { line } => {
-                write!(f, "bad hexadecimal address on System.map line {line}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ParseError {}
-
 /// A kernel symbol table with `O(log n)` address resolution.
 ///
 /// # Examples
 ///
 /// ```
-/// use ksym::table::SymbolTable;
+/// use ksym::table::{Symbol, SymbolTable};
 ///
-/// let text = "\
-/// ffffffff81000000 T startup_64
-/// ffffffff81000100 T do_flush_tlb_all
-/// ffffffff81000200 t helper";
-/// let table = SymbolTable::parse_system_map(text).unwrap();
+/// let table = SymbolTable::from_symbols(vec![
+///     Symbol { addr: 0xffffffff8100_0000, name: "startup_64".into() },
+///     Symbol { addr: 0xffffffff8100_0100, name: "do_flush_tlb_all".into() },
+///     Symbol { addr: 0xffffffff8100_0200, name: "helper".into() },
+/// ]);
 /// assert_eq!(table.resolve(0xffffffff8100_0150).unwrap().name, "do_flush_tlb_all");
 /// assert_eq!(table.addr_of("helper"), Some(0xffffffff8100_0200));
 /// ```
@@ -79,43 +47,6 @@ impl SymbolTable {
             .map(|s| s.addr.saturating_add(0x1000))
             .unwrap_or(0);
         SymbolTable { symbols, end }
-    }
-
-    /// Parses `System.map` text: one `ADDRESS TYPE NAME` triple per line.
-    ///
-    /// Empty lines are ignored. Only text symbols (`T`/`t`) are retained,
-    /// like the paper's prototype which resolves instruction pointers.
-    pub fn parse_system_map(text: &str) -> Result<Self, ParseError> {
-        let mut symbols = Vec::new();
-        for (i, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let mut parts = line.split_whitespace();
-            let (addr, ty, name) = match (parts.next(), parts.next(), parts.next()) {
-                (Some(a), Some(t), Some(n)) => (a, t, n),
-                _ => return Err(ParseError::MalformedLine { line: i + 1 }),
-            };
-            let addr = u64::from_str_radix(addr, 16)
-                .map_err(|_| ParseError::BadAddress { line: i + 1 })?;
-            if ty.eq_ignore_ascii_case("t") {
-                symbols.push(Symbol {
-                    addr,
-                    name: name.to_string(),
-                });
-            }
-        }
-        Ok(SymbolTable::from_symbols(symbols))
-    }
-
-    /// Renders the table back to `System.map` format.
-    pub fn to_system_map(&self) -> String {
-        let mut out = String::new();
-        for s in &self.symbols {
-            out.push_str(&format!("{:016x} T {}\n", s.addr, s.name));
-        }
-        out
     }
 
     /// Resolves an instruction pointer to the covering symbol, or `None` if
@@ -197,37 +128,6 @@ mod tests {
         assert!(t.resolve(0x0fff).is_none());
         assert!(t.resolve(0x3000 + 0x1000).is_none());
         assert!(SymbolTable::default().resolve(0x1000).is_none());
-    }
-
-    #[test]
-    fn parse_and_roundtrip() {
-        let text = "\
-0000000000001000 T alpha
-0000000000002000 t beta
-0000000000003000 D data_symbol
-";
-        let t = SymbolTable::parse_system_map(text).unwrap();
-        assert_eq!(t.len(), 2, "data symbols are skipped");
-        assert_eq!(t.addr_of("alpha"), Some(0x1000));
-        assert_eq!(t.addr_of("beta"), Some(0x2000));
-        assert_eq!(t.addr_of("data_symbol"), None);
-        let reparsed = SymbolTable::parse_system_map(&t.to_system_map()).unwrap();
-        assert_eq!(reparsed.len(), t.len());
-        assert_eq!(reparsed.addr_of("beta"), Some(0x2000));
-    }
-
-    #[test]
-    fn parse_rejects_malformed_lines() {
-        assert_eq!(
-            SymbolTable::parse_system_map("1000 T").unwrap_err(),
-            ParseError::MalformedLine { line: 1 }
-        );
-        assert_eq!(
-            SymbolTable::parse_system_map("zzzz T name").unwrap_err(),
-            ParseError::BadAddress { line: 1 }
-        );
-        let err = ParseError::BadAddress { line: 3 };
-        assert!(err.to_string().contains("line 3"));
     }
 
     #[test]

@@ -25,9 +25,12 @@ export BENCH_MEASURE_SECS="${BENCH_MEASURE_SECS:-3}"
 cargo bench -p bench --bench hotpaths -- "$@"
 
 # With no filter args (a full run), also time the real quick suite end to
-# end: the default path users run (forking, with the cell memo and the
-# checkpoint store) and the same suite with --no-fork, whose rows go back
-# to pr5. Their delta is the shared-prefix payoff.
+# end: the default path users run (forking, with the checkpoint store
+# serving shared warm-ups, windows and completions) and the same suite
+# with --no-fork, whose rows go back to pr5. Their delta is the
+# shared-prefix payoff. --no-fork also re-simulates every cell several
+# experiments show, so the repro_suite_quick_fifo row times the suite
+# with nothing shared.
 if [ "$#" -eq 0 ]; then
     cargo build --release -p experiments --bin repro >/dev/null 2>&1
     repro=target/release/repro

@@ -59,8 +59,10 @@ cargo run --release -p experiments --bin repro -- \
 echo "== shared-prefix fork byte-identity (--fork vs --no-fork) ==" >&2
 # Forking warm snapshots is an execution strategy, never an observable:
 # the quick suite's stdout must not change when cells re-simulate their
-# warm prefix from scratch. The reference run forked (the default), so
-# one --no-fork pass closes the comparison.
+# warm prefix from scratch and every cell several experiments show is
+# simulated again for each of them (--no-fork bypasses the checkpoint
+# store). The reference run forked (the default), so one --no-fork pass
+# closes the comparison.
 cargo run --release -p experiments --bin repro -- \
     --quick --jobs 2 --no-fork all > "$ci_out/scratch.txt"
 cmp "$ci_out/reference.txt" "$ci_out/scratch.txt" || {
@@ -70,8 +72,9 @@ cmp "$ci_out/reference.txt" "$ci_out/scratch.txt" || {
 
 echo "== serial driver byte-identity (--jobs 1 vs --jobs 2) ==" >&2
 # The serial loop and the streamed fan-out are two driver paths over the
-# same invocation budget and cell memo: at --jobs 1 every experiment runs
-# in order on one thread, and the bytes must match the 2-job runs above.
+# same invocation budget and checkpoint store: at --jobs 1 every
+# experiment runs in order on one thread, and the bytes must match the
+# 2-job runs above.
 cargo run --release -p experiments --bin repro -- \
     --quick --jobs 1 all > "$ci_out/serial.txt"
 cmp "$ci_out/reference.txt" "$ci_out/serial.txt" || {

@@ -239,23 +239,24 @@ fn forked_cells_failing_after_the_warm_point_still_shrink() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Failing cells stay failing under the invocation's cell memo and
-/// checkpoint store: `compare` re-shows fig9's TCP cells and shares a
-/// budget with fig9, yet every cell of both experiments still fails on
-/// its own run, with its own trace ring and a shrunk fault plan. A
-/// memo or store that cached failures would hand `compare` fig9's error
-/// without running a machine, leaving nothing to shrink ("shrink: not
-/// attempted").
+/// Failing cells stay failing wherever they are shown: `compare`
+/// re-shows fig9's TCP cells and shares a budget with fig9, yet every
+/// cell of both experiments still fails on its own run, with its own
+/// trace ring and a shrunk fault plan. With forking off every cell
+/// simulates from scratch and the checkpoint store is never touched.
 #[test]
-fn memoized_suite_still_shrinks_and_replays_every_failure() {
-    suite_shrinks_and_replays_every_failure(false, "memo");
+fn scratch_suite_still_shrinks_and_replays_every_failure() {
+    suite_shrinks_and_replays_every_failure(false, "scratch");
 }
 
 /// The same with forking on: cells fork the store's checkpoints, and a
-/// failing warm-up is rerun by each cell that needs it.
+/// failing warm-up or window is rerun by each cell that needs it. A
+/// store that recorded failures would hand `compare` fig9's error
+/// without running a machine, leaving nothing to shrink ("shrink: not
+/// attempted").
 #[test]
 fn forked_suite_still_shrinks_and_replays_every_failure() {
-    suite_shrinks_and_replays_every_failure(true, "memo_fork");
+    suite_shrinks_and_replays_every_failure(true, "fork");
 }
 
 fn suite_shrinks_and_replays_every_failure(fork: bool, tag: &str) {
@@ -306,8 +307,8 @@ fn suite_shrinks_and_replays_every_failure(fork: bool, tag: &str) {
         assert!(!t.contains("not attempted"), "{}", p.display());
     }
 
-    // Replay compare's fig9 TCP baseline cell, a memo point shared with
-    // fig9, through the real binary: it must fail the same way.
+    // Replay compare's fig9 TCP baseline cell, which fig9 shows too,
+    // through the real binary: it must fail the same way.
     let shared = artifacts
         .iter()
         .find(|p| {

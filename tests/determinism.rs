@@ -210,13 +210,15 @@ fn forked_suite_byte_identical_to_scratch() {
 }
 
 /// The full contract: every experiment, quick mode, must be
-/// byte-identical between `--jobs 1` and `--jobs N`, and the cell memo
-/// must be an execution strategy, never an observable: the whole suite
-/// under one budget at `--jobs 2` (every experiment on its own driver
-/// thread, each shared cell simulated once and handed to the other
-/// experiments, as `repro all` runs it) renders what each experiment
-/// renders alone with no budget, so no memo. Checked at two seeds. Slow
-/// under debug builds, so release-gated like the other whole-suite tests.
+/// byte-identical between `--jobs 1` and `--jobs N`, and sharing cells
+/// across experiments must be an execution strategy, never an
+/// observable: the whole suite under one budget at `--jobs 2` (every
+/// experiment on its own driver thread, each window and completion
+/// several experiments show simulated once and served to the others from
+/// the budget's checkpoint store, as `repro all` runs it) renders what
+/// each experiment renders alone with no budget, where each grid keeps a
+/// private store. Checked at two seeds. Slow under debug builds, so
+/// release-gated like the other whole-suite tests.
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -230,13 +232,13 @@ fn parallel_jobs_byte_identical_all_experiments() {
             ..RunOptions::quick()
         };
         let budget = std::sync::Arc::new(pool::Budget::new(2));
-        let mut memoized = vec![String::new(); ids.len()];
+        let mut shared = vec![String::new(); ids.len()];
         pool::run_streamed(
             ids.len(),
             |i| pool::with_budget(&budget, || render_with(&opts.with_jobs(2), ids[i])),
-            |i, out| memoized[i] = out,
+            |i, out| shared[i] = out,
         );
-        for (id, memoized) in ids.iter().zip(&memoized) {
+        for (id, shared) in ids.iter().zip(&shared) {
             let serial = render_with(&opts.with_jobs(1), id);
             let parallel = render_with(&opts.with_jobs(4), id);
             assert_eq!(
@@ -244,40 +246,53 @@ fn parallel_jobs_byte_identical_all_experiments() {
                 "{id}: --jobs 4 diverged from --jobs 1 at seed {seed:#x}"
             );
             assert_eq!(
-                serial, *memoized,
-                "{id}: the memoized suite diverged at seed {seed:#x}"
+                serial, *shared,
+                "{id}: the suite under one budget diverged at seed {seed:#x}"
             );
         }
     }
 }
 
-/// `repro --quick --jobs 2 all` stdout, pinned by digest at the default
-/// seed and at `--seed 11` through the real binary. A change that alters
-/// stdout on purpose updates the constant and says why in CHANGES.md.
-/// The full budget is not pinned while its output still prints `NaN`
-/// columns.
+/// `repro --jobs 2` stdout, pinned by digest through the real binary:
+/// the quick suite at the default seed, at `--seed 11` and with a
+/// faulted, paranoid plan, and the scenario cookbook at both budgets. A
+/// change that alters stdout on purpose updates the constant and says
+/// why in CHANGES.md. The full-budget suite is not pinned while its
+/// output still prints `NaN` columns.
 #[test]
 #[cfg_attr(
     debug_assertions,
     ignore = "slow under debug; run with cargo test --release"
 )]
 fn quick_suite_stdout_digests_are_pinned() {
-    let cases: [(&[&str], u64); 2] = [
-        (&[], 0xf71e_bcf3_77bf_b482),
-        (&["--seed", "11"], 0x2200_8fa4_e78e_5c3d),
+    let cookbook = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/scenarios");
+    let faults = "count=6,seed=5,kinds=ipi|steal|kick";
+    let faulted = [
+        "--quick",
+        "--keep-going",
+        "--paranoid",
+        "--faults",
+        faults,
+        "all",
     ];
-    for (seed_args, digest) in cases {
+    let cases: [(&[&str], u64); 5] = [
+        (&["--quick", "all"], 0xf71e_bcf3_77bf_b482),
+        (&["--quick", "--seed", "11", "all"], 0x2200_8fa4_e78e_5c3d),
+        (&faulted, 0x331b_23ba_7fee_14e9),
+        (&["scenarios", cookbook], 0xd4c7_6aef_a2ba_d5c1),
+        (&["--quick", "scenarios", cookbook], 0x9aec_d2c2_18aa_e88a),
+    ];
+    for (args, digest) in cases {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
-            .args(["--quick", "--jobs", "2"])
-            .args(seed_args)
-            .arg("all")
+            .args(["--jobs", "2"])
+            .args(args)
             .output()
             .expect("repro binary runs");
-        assert!(out.status.success(), "repro {seed_args:?} failed");
+        assert!(out.status.success(), "repro {args:?} failed");
         assert_eq!(
             fnv64(&out.stdout),
             digest,
-            "repro --quick --jobs 2 {seed_args:?} all: stdout changed"
+            "repro --jobs 2 {args:?}: stdout changed"
         );
     }
 }
