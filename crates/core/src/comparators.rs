@@ -24,7 +24,6 @@
 
 use hypervisor::policy::{SchedPolicy, YieldCause};
 use hypervisor::Machine;
-use metrics::counters::CounterSet;
 use simcore::ids::{VcpuId, VmId};
 use simcore::time::SimDuration;
 use std::collections::HashMap;
@@ -103,7 +102,6 @@ pub struct VtrsPolicy {
     events: HashMap<VcpuId, u64>,
     /// vCPUs currently classified short-slice.
     short_class: Vec<VcpuId>,
-    last_counters: CounterSet,
 }
 
 /// Timer id for the reclassification period.
@@ -116,7 +114,6 @@ impl VtrsPolicy {
             cfg,
             events: HashMap::new(),
             short_class: Vec::new(),
-            last_counters: CounterSet::new(),
         }
     }
 
@@ -140,7 +137,6 @@ impl SchedPolicy for VtrsPolicy {
     fn on_init(&mut self, machine: &mut Machine) {
         machine.set_micro_cores(self.cfg.short_pool_cores);
         machine.set_policy_timer(self.cfg.period, VTRS_TIMER);
-        self.last_counters = machine.stats.counters.snapshot();
     }
 
     fn on_yield(&mut self, _machine: &mut Machine, vcpu: VcpuId, cause: YieldCause) {

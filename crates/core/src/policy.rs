@@ -17,7 +17,13 @@ pub enum PolicyMode {
     /// §4.3).
     Static(usize),
     /// Algorithm 1 (§4.3): profile/run phases sizing the pool at runtime.
-    Adaptive(AdaptiveConfig),
+    Adaptive {
+        /// The Algorithm 1 state machine.
+        controller: AdaptiveController,
+        /// Counter snapshot at boot or the last timer callback, which the
+        /// next callback's urgent-event deltas are taken against.
+        last_snapshot: Box<CounterSet>,
+    },
 }
 
 /// The flexible micro-sliced cores policy (§4, §5).
@@ -25,9 +31,6 @@ pub enum PolicyMode {
 pub struct MicroslicePolicy {
     mode: PolicyMode,
     detect: DetectionEngine,
-    controller: Option<AdaptiveController>,
-    /// Counter snapshot at the last adaptive timer callback.
-    last_snapshot: CounterSet,
 }
 
 /// Timer id used for the adaptive controller.
@@ -39,18 +42,17 @@ impl MicroslicePolicy {
         MicroslicePolicy {
             mode: PolicyMode::Static(micro_cores),
             detect: DetectionEngine::new(),
-            controller: None,
-            last_snapshot: CounterSet::new(),
         }
     }
 
     /// A policy sized by Algorithm 1.
     pub fn adaptive(cfg: AdaptiveConfig) -> Self {
         MicroslicePolicy {
-            mode: PolicyMode::Adaptive(cfg),
-            controller: Some(AdaptiveController::new(cfg)),
+            mode: PolicyMode::Adaptive {
+                controller: AdaptiveController::new(cfg),
+                last_snapshot: Box::default(),
+            },
             detect: DetectionEngine::new(),
-            last_snapshot: CounterSet::new(),
         }
     }
 
@@ -80,16 +82,19 @@ impl SchedPolicy for MicroslicePolicy {
     fn name(&self) -> &'static str {
         match self.mode {
             PolicyMode::Static(_) => "microslice-static",
-            PolicyMode::Adaptive(_) => "microslice-adaptive",
+            PolicyMode::Adaptive { .. } => "microslice-adaptive",
         }
     }
 
     fn on_init(&mut self, machine: &mut Machine) {
-        match &self.mode {
+        match &mut self.mode {
             PolicyMode::Static(n) => machine.set_micro_cores(*n),
-            PolicyMode::Adaptive(cfg) => {
-                self.last_snapshot = machine.stats.counters.snapshot();
-                machine.set_policy_timer(cfg.profile_interval, ADAPTIVE_TIMER);
+            PolicyMode::Adaptive {
+                controller,
+                last_snapshot,
+            } => {
+                **last_snapshot = machine.stats.counters.snapshot();
+                machine.set_policy_timer(controller.config().profile_interval, ADAPTIVE_TIMER);
             }
         }
     }
@@ -158,15 +163,19 @@ impl SchedPolicy for MicroslicePolicy {
         if id != ADAPTIVE_TIMER {
             return;
         }
-        let Some(controller) = self.controller.as_mut() else {
+        let PolicyMode::Adaptive {
+            controller,
+            last_snapshot,
+        } = &mut self.mode
+        else {
             return;
         };
         // Urgent-event deltas since the last callback (the counters the
         // paper's prototype extends Xen with; §5 "Tracking critical
         // events").
         let now = machine.stats.counters.snapshot();
-        let delta = now.delta_since(&self.last_snapshot);
-        self.last_snapshot = now;
+        let delta = now.delta_since(last_snapshot);
+        **last_snapshot = now;
         let events = UrgentEvents {
             ipis: delta.value(Counter::IpiYields),
             ples: delta.value(Counter::PleExits),

@@ -9,8 +9,10 @@
 //! Every stop planned here is a short-horizon timer (slice remainders,
 //! segment ends, IPI acks — the 0.1–30 ms classes the paper micro-slices
 //! around), which is precisely the range the event queue's timing wheel
-//! serves with O(1) bucket pushes; only far-future wakeups (long sleeps)
-//! spill to its overflow heap.
+//! serves with O(1) bucket pushes. Of what this file pushes, only the
+//! wakeup of a `Sleep` segment longer than the wheel's ~67 ms horizon
+//! spills to its overflow heap, next to the long timers pushed elsewhere
+//! (policy timers such as Algorithm 1's 1-s epoch, fault-plan entries).
 
 use super::{Event, Machine, Stop};
 use crate::error::SimError;

@@ -63,8 +63,13 @@ impl SymbolTable {
         Some(&self.symbols[idx])
     }
 
-    /// Looks up a symbol's start address by exact name (`O(n)`; used at
-    /// configuration time only).
+    /// Looks up a symbol's start address by exact name: a linear scan of
+    /// string compares, on the simulation path.
+    /// [`Linux44Map::ip_in`](crate::linux44::Linux44Map::ip_in) calls it on
+    /// every `VcpuCtx::ip`, so every `DetectionEngine::classify` pays a scan
+    /// of the map's 64 names before its class memo is consulted. Interning
+    /// names as symbol indices when a segment is built would make it an
+    /// array lookup (ROADMAP item 7).
     pub fn addr_of(&self, name: &str) -> Option<u64> {
         self.symbols.iter().find(|s| s.name == name).map(|s| s.addr)
     }

@@ -8,15 +8,17 @@
 //! kicks at 0.1–30 ms) — so it is built the way production timer
 //! subsystems are:
 //!
-//! - a **hierarchical timing wheel** buckets entries by firing time:
-//!   pushing a near-future timer is a bucket append plus a bitmap bit,
-//!   and popping drains one pre-sorted slot buffer at a time
-//!   (DESIGN.md §4.10);
-//! - a **binary min-heap** catches what the wheel cannot hold: events at
-//!   or beyond the ~4.3 s wheel horizon and events behind the drain
-//!   frontier (the full priority-queue contract allows pushing "into the
-//!   past"). Event-loop traffic — pop at `t`, push at `t` or later —
-//!   never lands there.
+//! - a **two-level timing wheel** buckets entries by firing time up to
+//!   2^26 ns (~67 ms) ahead: pushing a near-future timer is a bucket
+//!   append plus a bitmap bit, and popping drains one pre-sorted slot
+//!   buffer at a time (DESIGN.md §4.10);
+//! - a **binary min-heap** catches what the wheel does not hold: events
+//!   past its horizon (fault-plan entries, and policy timers of 100 ms
+//!   and up such as Algorithm 1's 1-s epoch: 181 of the quick suite's
+//!   48.1M pushes) and events behind the drain frontier (the full
+//!   priority-queue contract allows pushing "into the past", though
+//!   event-loop traffic — pop at `t`, push at `t` or later — never
+//!   does).
 //!
 //! Each entry carries its payload inline next to its `(time, seq)`
 //! ordering key, so a pop hands the payload straight out of the buffer it
@@ -88,8 +90,8 @@ fn sort_descending<E>(v: &mut [Entry<E>]) {
 }
 
 /// A priority queue of timestamped events with stable FIFO tie-breaking,
-/// backed by a hierarchical timing wheel with a heap overflow level (see
-/// the [module docs](self)).
+/// backed by a two-level timing wheel with a heap overflow level (see the
+/// [module docs](self)).
 ///
 /// # Examples
 ///
@@ -152,7 +154,7 @@ impl<E> EventQueue<E> {
         if t < cursor {
             // Behind the drain frontier: full queue semantics still hold,
             // the heap serves as the underflow level too.
-            self.overflow.push(Reverse(entry));
+            self.push_overflow(entry);
         } else if (t >> SHIFT0) == (cursor >> SHIFT0) {
             // The cursor's own slot: insert sorted into the drain buffer
             // (descending, so the scan starts at the tail — a fresh push
@@ -165,7 +167,7 @@ impl<E> EventQueue<E> {
                 i -= 1;
             }
         } else if let Err(entry) = self.wheel.insert(entry) {
-            self.overflow.push(Reverse(entry));
+            self.push_overflow(entry);
         }
     }
 
@@ -186,11 +188,14 @@ impl<E> EventQueue<E> {
     /// The firing time of the queue's minimum entry and whether it sits
     /// on the overflow heap (as opposed to the drain buffer). Wheel slots
     /// that start after `limit` stay undrained and are ignored, so the
-    /// answer is exact only when it is at or before `limit`.
+    /// answer is exact only when it is at or before `limit`. Nor does a
+    /// slot that starts after the heap's head drain: popping that head
+    /// then leaves the cursor at or before its time, so the event loop's
+    /// next pushes (at that time or later) stay off the heap.
     #[inline]
     fn head(&mut self, limit: u64) -> Option<(SimTime, bool)> {
-        let wheel = self.wheel_head(limit);
         let heap = self.overflow.peek().map(|Reverse(e)| e.key());
+        let wheel = self.wheel_head(heap.map_or(limit, |(at, _)| limit.min(at.as_nanos())));
         match (wheel, heap) {
             (Some(w), Some(h)) if h < w => Some((h.0, true)),
             (Some(w), _) => Some((w.0, false)),
@@ -202,12 +207,30 @@ impl<E> EventQueue<E> {
     #[inline]
     fn take_head(&mut self, from_overflow: bool) -> (SimTime, E) {
         let entry = if from_overflow {
-            self.overflow.pop().map(|Reverse(e)| e)
+            self.pop_overflow()
         } else {
-            self.cur.pop()
-        }
-        .expect("head() found an entry on this side");
+            self.cur.pop().expect("head() found an entry")
+        };
         (entry.at, entry.payload)
+    }
+
+    /// The heap's pop, kept out of line like [`push_overflow`]: a few
+    /// hundred of a run's millions of pops take it, and inlined into
+    /// `pop_at_or_before` it slowed every other pop (DESIGN.md §4.10).
+    ///
+    /// [`push_overflow`]: Self::push_overflow
+    #[cold]
+    #[inline(never)]
+    fn pop_overflow(&mut self) -> Entry<E> {
+        let Reverse(entry) = self.overflow.pop().expect("head() found an entry");
+        entry
+    }
+
+    /// The heap's push, kept out of `push` for the same reason.
+    #[cold]
+    #[inline(never)]
+    fn push_overflow(&mut self, entry: Entry<E>) {
+        self.overflow.push(Reverse(entry));
     }
 
     /// Removes and returns the earliest pending event.
@@ -230,19 +253,10 @@ impl<E> EventQueue<E> {
 
     /// The timestamp of the earliest pending event, if any.
     ///
-    /// Takes `&mut self` because an empty drain buffer is refilled from
-    /// the next wheel slot on the way; see [`earliest`](Self::earliest)
-    /// for the non-mutating variant.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.head(u64::MAX).map(|(at, _)| at)
-    }
-
-    /// The timestamp of the earliest pending event, without `&mut self`.
-    ///
-    /// Exact: when the drain buffer is empty it scans the first occupied
-    /// wheel bucket of each level instead of draining one. Validation
-    /// passes and diagnostics should use this; the event loop sticks with
-    /// the mutating fast path.
+    /// Exact, and takes `&self`: when the drain buffer is empty it scans
+    /// the first occupied wheel bucket of each level instead of draining
+    /// one. The event loop never peeks; it pops with
+    /// [`pop_at_or_before`](Self::pop_at_or_before).
     pub fn earliest(&self) -> Option<SimTime> {
         let wheel = match self.cur.last() {
             Some(entry) => Some(entry.at),
@@ -250,19 +264,6 @@ impl<E> EventQueue<E> {
         };
         let heap = self.overflow.peek().map(|Reverse(e)| e.at);
         wheel.into_iter().chain(heap).min()
-    }
-
-    /// Iterates over all pending events in unspecified order.
-    ///
-    /// Intended for validation passes (e.g. "no pending event fires in the
-    /// past"), not for dispatch — the order is storage order, not firing
-    /// order.
-    pub fn iter(&self) -> impl Iterator<Item = (SimTime, &E)> {
-        self.cur
-            .iter()
-            .chain(self.wheel.iter())
-            .chain(self.overflow.iter().map(|Reverse(e)| e))
-            .map(|e| (e.at, &e.payload))
     }
 
     /// Number of pending events.
@@ -306,31 +307,32 @@ mod tests {
     }
 
     #[test]
-    fn earliest_matches_peek_time_without_mut() {
+    fn earliest_scans_the_buckets_without_draining() {
         let mut q = EventQueue::new();
         assert_eq!(q.earliest(), None);
         q.push(SimTime::from_micros(1), 'a');
         q.push(SimTime::from_micros(5), 'b');
         q.push(SimTime::from_millis(3), 'c'); // level 1
-        q.push(SimTime::from_millis(200), 'd'); // level 2
-        q.push(SimTime::from_secs(30), 'e'); // overflow heap
+        q.push(SimTime::from_millis(60), 'd'); // level 1, near the horizon
+        q.push(SimTime::from_millis(200), 'e'); // overflow heap
 
-        // Nothing drained yet: the answer comes from the bucket scans.
+        // 'a' went straight to the drain buffer (the cursor's slot), the
+        // rest to the buckets and the heap.
         assert_eq!(q.earliest(), Some(SimTime::from_micros(1)));
-        assert_eq!(q.earliest(), q.peek_time());
+        assert_eq!(q.len(), 5, "peeking must not consume");
         for (at, next) in [
             (SimTime::from_micros(1), SimTime::from_micros(5)),
             (SimTime::from_micros(5), SimTime::from_millis(3)),
-            (SimTime::from_millis(3), SimTime::from_millis(200)),
-            (SimTime::from_millis(200), SimTime::from_secs(30)),
+            (SimTime::from_millis(3), SimTime::from_millis(60)),
+            (SimTime::from_millis(60), SimTime::from_millis(200)),
         ] {
             assert_eq!(q.pop().map(|(t, _)| t), Some(at));
             // The drain buffer is empty after each pop, so `earliest`
-            // must find the next event without refilling it.
+            // must find the next event in the buckets or the heap.
+            assert!(q.cur.is_empty());
             assert_eq!(q.earliest(), Some(next));
-            assert_eq!(q.earliest(), q.peek_time());
         }
-        assert_eq!(q.pop(), Some((SimTime::from_secs(30), 'e')));
+        assert_eq!(q.pop(), Some((SimTime::from_millis(200), 'e')));
         assert_eq!(q.earliest(), None);
     }
 
@@ -351,53 +353,13 @@ mod tests {
         );
         assert_eq!(q.pop_at_or_before(SimTime::from_micros(20)), None);
         assert_eq!(q.len(), 1);
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(30)));
+        assert_eq!(q.earliest(), Some(SimTime::from_micros(30)));
         assert_eq!(q.pop(), Some((SimTime::from_micros(30), 'c')));
     }
 
     #[test]
-    fn iter_sees_live_events_only() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_micros(1), 'a');
-        q.push(SimTime::from_micros(2), 'b');
-        q.push(SimTime::from_micros(3), 'c');
-        q.push(SimTime::from_millis(3), 'd'); // level 1
-        q.push(SimTime::from_secs(30), 'e'); // overflow heap
-
-        // Popped events leave the iteration; the rest is seen wherever it
-        // is stored (drain buffer, wheel bucket, heap).
-        assert_eq!(q.pop(), Some((SimTime::from_micros(1), 'a')));
-        assert_eq!(q.pop(), Some((SimTime::from_micros(2), 'b')));
-        let mut seen: Vec<(SimTime, char)> = q.iter().map(|(t, &e)| (t, e)).collect();
-        seen.sort();
-        assert_eq!(
-            seen,
-            vec![
-                (SimTime::from_micros(3), 'c'),
-                (SimTime::from_millis(3), 'd'),
-                (SimTime::from_secs(30), 'e'),
-            ]
-        );
-        assert_eq!(q.iter().count(), q.len());
-    }
-
-    #[test]
-    fn peek_returns_head_without_removing() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_micros(3), 'a');
-        q.push(SimTime::from_micros(5), 'b');
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(3)));
-        assert_eq!(q.earliest(), Some(SimTime::from_micros(3)));
-        assert_eq!(q.len(), 2, "peeking must not consume");
-        assert_eq!(q.pop(), Some((SimTime::from_micros(3), 'a')));
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(5)));
-        assert_eq!(q.pop(), Some((SimTime::from_micros(5), 'b')));
-        assert_eq!(q.peek_time(), None);
-    }
-
-    #[test]
     fn far_future_events_overflow_and_pop_in_order() {
-        // Beyond the ~4.29 s wheel horizon events live on the heap; they
+        // Beyond the ~67 ms wheel horizon events live on the heap; they
         // still interleave correctly with wheel-resident events.
         let mut q = EventQueue::new();
         q.push(SimTime::from_secs(10), 'd');
@@ -409,6 +371,20 @@ mod tests {
         assert_eq!(q.pop(), Some((SimTime::from_secs(5), 'c')));
         assert_eq!(q.pop(), Some((SimTime::from_secs(10), 'd')));
         assert!(q.is_empty());
+    }
+
+    /// Alone in an unadvanced queue, the last nanosecond of the last
+    /// level-1 tick stays on the wheel and the horizon itself (2^26 ns)
+    /// goes to the heap; both still pop.
+    #[test]
+    fn the_horizon_splits_level_1_from_the_heap() {
+        for (at, on_heap) in [((1 << 26) - 1, 0), (1 << 26, 1)] {
+            let mut q = EventQueue::new();
+            q.push(SimTime::from_nanos(at), ());
+            assert_eq!(q.overflow.len(), on_heap, "push at {at} ns");
+            assert_eq!(q.earliest(), Some(SimTime::from_nanos(at)));
+            assert_eq!(q.pop(), Some((SimTime::from_nanos(at), ())));
+        }
     }
 
     #[test]
@@ -428,9 +404,9 @@ mod tests {
     /// The machine's event kinds once sat in separate shards, and the
     /// merge front had to restore global push order on ties. In the one
     /// queue, where an equal-time entry is stored depends on how far
-    /// ahead of the cursor it was pushed — the overflow heap, a wheel
-    /// bucket that later cascades, or the drain buffer — and ties must
-    /// still pop in global push order.
+    /// ahead of the cursor it was pushed — the overflow heap, a level-1
+    /// bucket that later cascades, a level-0 bucket, or the drain buffer
+    /// — and ties must still pop in global push order.
     #[test]
     fn sharded_fifo_holds_across_shards() {
         const MARKER: u32 = u32::MAX;
@@ -444,18 +420,25 @@ mod tests {
         }
         assert_eq!(q.overflow.len(), 4);
         // Walk the cursor ever closer to `t` (3 s, 10 ms, 100 µs, 1 ns
-        // ahead), pushing more ties at each stop.
+        // ahead), pushing more ties at each stop. Markers step at most
+        // 50 ms, inside the wheel: a pop off the heap leaves the cursor
+        // where it was.
+        let mut now = 0;
         for lead_ns in [3_000_000_000, 10_000_000, 100_000, 1] {
-            let at = SimTime::from_nanos(t.as_nanos() - lead_ns);
-            q.push(at, MARKER);
-            assert_eq!(q.pop(), Some((at, MARKER)));
+            let stop = t.as_nanos() - lead_ns;
+            while now < stop {
+                now = stop.min(now + 50_000_000);
+                let at = SimTime::from_nanos(now);
+                q.push(at, MARKER);
+                assert_eq!(q.pop(), Some((at, MARKER)));
+            }
             for _ in 0..4 {
                 q.push(t, next);
                 next += 1;
             }
         }
-        assert_eq!(q.overflow.len(), 4, "only the first ties overflowed");
-        assert_eq!(q.cur.len(), 16, "the cursor's slot holds the wheel ties");
+        assert_eq!(q.overflow.len(), 8, "the ties from 5 s and 3 s ahead");
+        assert_eq!(q.cur.len(), 12, "the cursor's slot holds the wheel ties");
         for i in 0..next {
             assert_eq!(q.pop(), Some((t, i)));
         }
@@ -485,7 +468,7 @@ mod tests {
             Some((SimTime::from_micros(1_001), 'b'))
         );
         assert_eq!(q.pop_at_or_before(deadline), None);
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(3)));
+        assert_eq!(q.earliest(), Some(SimTime::from_millis(3)));
         assert_eq!(
             q.pop_at_or_before(SimTime::from_millis(3)),
             Some((SimTime::from_millis(3), 'c'))
@@ -526,6 +509,29 @@ mod tests {
             assert!(q.overflow.is_empty(), "push after pop at {t} overflowed");
         }
         assert_eq!(popped, 20_000);
+    }
+
+    /// A long timer on the heap (Algorithm 1's 1-s epoch, say) pops while
+    /// the wheel's next level-0 slot starts after it. Draining that slot
+    /// first would move the cursor past the popped time, and the event
+    /// loop's next pushes, just after it, would land behind the cursor on
+    /// the heap.
+    #[test]
+    fn heap_pops_leave_the_cursor_at_or_before_their_time() {
+        let mut q = EventQueue::new();
+        let epoch = SimTime::from_millis(100);
+        q.push(epoch, 'e'); // past the horizon: the heap
+        q.push(SimTime::from_millis(50), 'a'); // level 1
+        assert_eq!(q.pop(), Some((SimTime::from_millis(50), 'a')));
+        let late = SimTime::from_micros(100_500);
+        q.push(late, 'w'); // level 1, in the tick that holds `epoch`
+        assert_eq!(q.pop(), Some((epoch, 'e')));
+        assert!(q.wheel.cursor <= epoch.as_nanos());
+        let next = SimTime::from_micros(100_001);
+        q.push(next, 'n');
+        assert!(q.overflow.is_empty(), "the next push went behind");
+        assert_eq!(q.pop(), Some((next, 'n')));
+        assert_eq!(q.pop(), Some((late, 'w')));
     }
 
     /// A deadline pop that finds nothing due leaves the cursor at or
@@ -658,13 +664,11 @@ mod tests {
         }
 
         /// The reference-model property again, over horizons that land
-        /// events in every wheel level *and* the overflow heap (times up
-        /// to ~8.6 s against a ~4.29 s horizon).
+        /// events in both wheel levels *and* the overflow heap (times up
+        /// to ~134 ms against a ~67 ms horizon).
         #[test]
         fn prop_matches_reference_model_all_levels(
-            ops in proptest::collection::vec(
-                (0u16..4, 0u64..8_589_934_592u64), 1..200,
-            ),
+            ops in proptest::collection::vec((0u16..4, 0u64..1 << 27), 1..200),
         ) {
             check_against_model(&ops);
         }
@@ -711,7 +715,6 @@ mod tests {
                 }
                 prop_assert_eq!(q.len(), fork.len());
                 prop_assert_eq!(q.earliest(), fork.earliest());
-                prop_assert_eq!(q.peek_time(), fork.peek_time());
             }
             loop {
                 let (a, b) = (q.pop(), fork.pop());
@@ -738,7 +741,7 @@ mod tests {
             let deadline = SimTime::from_micros(deadline);
             loop {
                 let fused = a.pop_at_or_before(deadline);
-                let split = match b.peek_time() {
+                let split = match b.earliest() {
                     Some(t) if t <= deadline => b.pop(),
                     _ => None,
                 };

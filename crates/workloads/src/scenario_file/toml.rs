@@ -1,8 +1,8 @@
 //! A hand-rolled TOML-subset parser for scenario files.
 //!
 //! The workspace vendors no crates.io dependencies (the same policy that
-//! produced the simlint lexer and its JSON reader), so the scenario
-//! loader parses its own input. The subset is deliberately small —
+//! produced the simlint lexer), so the scenario loader parses its own
+//! input. The subset is deliberately small —
 //! exactly what a scenario needs, nothing a scenario could abuse:
 //!
 //! - `[table]` headers and `[[array.of.tables]]` headers with dotted

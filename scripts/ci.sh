@@ -113,6 +113,27 @@ cmp "$sc_out/j1.txt" "$sc_out/j2.txt" || {
 }
 rm -rf "$sc_out"
 
+echo "== root examples print their recorded bytes ==" >&2
+# The five examples under examples/ are user-facing surfaces that no test
+# runs. Each runs with no arguments (about a second for all five), and
+# the `cksum` of its stdout must equal the value recorded here. A change
+# that alters an example's output on purpose updates its line and says
+# why.
+cargo build --release --quiet -p microslice --examples
+while read -r example sum bytes; do
+    got="$(target/release/examples/"$example" </dev/null | cksum)"
+    if [ "$got" != "$sum $bytes" ]; then
+        echo "example $example printed cksum '$got', recorded '$sum $bytes'" >&2
+        exit 1
+    fi
+done <<'EXAMPLES'
+quickstart 2959084517 516
+io_latency 3826160000 626
+adaptive_in_action 2522867142 1567
+consolidation_study 171064692 414
+symbol_detective 1840999595 5707
+EXAMPLES
+
 echo "== bench smoke (hot paths within 25% of committed baseline) ==" >&2
 # Re-measure the two load-bearing hot-path benchmarks and compare each
 # against its committed baseline in BENCH_hotpaths.json; >25% slower

@@ -194,31 +194,34 @@ fn runq_matches_vecdeque_reference() {
 // ---------------------------------------------------------------------
 //
 // The wheel's level geometry (see `simcore::event::wheel` and DESIGN.md
-// §4.10): level 0 slots are 2^12 ns, level 1 slots 2^20 ns, level 2
-// slots 2^26 ns, horizon 2^32 ns. Events landing *exactly on* a slot or
-// level boundary are the cases where an off-by-one in the cascade logic
-// strands or reorders entries (the level-2-boundary cascade bug this
-// suite's differential cousin caught during development lived exactly
-// here), so they get directed tests rather than relying on random fuzz
-// to land on a power of two.
+// §4.10): level 0 slots are 2^12 ns, level 1 slots 2^20 ns, horizon
+// 2^26 ns. Events landing *exactly on* a slot or level boundary are the
+// cases where an off-by-one in the cascade logic strands or reorders
+// entries (a cascade bug this suite's differential cousin caught during
+// development lived exactly here), so they get directed tests rather
+// than relying on random fuzz to land on a power of two.
 
 /// One level-1 slot in nanoseconds (2^20).
 const L1_SLOT: u64 = 1 << 20;
-/// One level-2 slot in nanoseconds (2^26).
-const L2_SLOT: u64 = 1 << 26;
-/// The wheel horizon in nanoseconds (2^32); at or beyond this delta the
-/// queue spills to the overflow heap.
-const HORIZON: u64 = 1 << 32;
+/// The wheel horizon in nanoseconds (2^26, 64 level-1 slots); from an
+/// unadvanced cursor, a push this far ahead or further goes to the
+/// overflow heap.
+const HORIZON: u64 = 1 << 26;
+/// 2^32 ns (~4.3 s): far past the horizon, deep in the heap.
+const FAR: u64 = 1 << 32;
 
-/// Pushes events exactly on (and one nanosecond around) every level
-/// boundary, plus one at the horizon itself, and checks the drain order
-/// against the reference order: the same events sorted by
-/// `(time, push order)`.
+/// Pushes events exactly on (and one nanosecond around) multiples of
+/// each boundary, all from an unadvanced cursor, and checks the drain
+/// order against the reference order: the same events sorted by
+/// `(time, push order)`. `L1_SLOT - 1` lands in level 0, the other times
+/// below `HORIZON` in level 1, and `HORIZON` and everything past it (from
+/// `64 * L1_SLOT` on, every `FAR` multiple) in the heap; the push at 0
+/// goes to the drain buffer.
 #[test]
 fn wheel_level_rollover_boundaries_pop_in_order() {
     let mut wheel: EventQueue<u64> = EventQueue::new();
     let mut times = Vec::new();
-    for base in [L1_SLOT, L2_SLOT, HORIZON] {
+    for base in [L1_SLOT, HORIZON, FAR] {
         for k in [1u64, 2, 3, 63, 64, 65] {
             let center = base.saturating_mul(k);
             for t in [center - 1, center, center + 1] {
@@ -238,31 +241,33 @@ fn wheel_level_rollover_boundaries_pop_in_order() {
     reference.sort_unstable();
     for &expected in &reference {
         assert_eq!(wheel.earliest(), Some(expected.0), "earliest at boundary");
-        assert_eq!(wheel.peek_time(), Some(expected.0), "peek at boundary");
         assert_eq!(wheel.pop(), Some(expected), "boundary drain diverged");
     }
     assert_eq!(wheel.pop(), None);
 }
 
-/// Zero-delta pushes: after the cursor has advanced mid-stream, a push
-/// at exactly the frontier time (and one behind it) must still pop
-/// before every later event, in push order within the tie.
+/// Zero-delta pushes: after the cursor has advanced mid-stream, a tie
+/// with the next queued event and a push behind the drain frontier must
+/// still pop before every later event, in push order within the tie.
 #[test]
 fn zero_delta_pushes_at_the_drain_frontier_pop_first() {
     let mut q: EventQueue<u64> = EventQueue::new();
     for i in 0..64u64 {
         q.push(SimTime::from_nanos(i * L1_SLOT), i);
     }
-    // Advance the frontier deep into the wheel.
+    // Advance the frontier deep into the wheel: the cursor rests at the
+    // last popped event's slot.
+    let mut last = SimTime::ZERO;
     for _ in 0..32 {
-        q.pop();
+        last = q.pop().expect("events remain").0;
     }
-    let frontier = q.peek_time().expect("events remain");
-    // Push at exactly the frontier, one behind it (underflow), and one
-    // zero-delta pair that must preserve FIFO order within the tie.
+    let frontier = q.earliest().expect("events remain");
+    // A zero-delta pair at the next event's time, which must preserve
+    // FIFO order within the tie, and a push one nanosecond behind the
+    // cursor (underflow).
     q.push(frontier, 1_000);
     q.push(frontier, 1_001);
-    let behind = SimTime::from_nanos(frontier.as_nanos() - 1);
+    let behind = SimTime::from_nanos(last.as_nanos() - 1);
     q.push(behind, 2_000);
     let mut drained = Vec::new();
     while let Some((t, v)) = q.pop() {
@@ -283,17 +288,20 @@ fn zero_delta_pushes_at_the_drain_frontier_pop_first() {
 /// queued and is dropped when it fires because its generation stamp is
 /// stale (as `Machine::run_loop` drops an `Event::Transition`). The stale
 /// entry must still pop in its `(time, push order)` place, the repush
-/// lands in the same slot with a fresh seq and pops *after* the surviving
-/// tie, and a repush across the first cascade keeps its order too.
+/// lands in the same place with a fresh seq and pops *after* the
+/// surviving tie, and a repush after the cursor first moved keeps its
+/// order too. `t0`, `t1` and `t2` (~201–206 ms) lie past the ~67 ms
+/// horizon, so they and their repushes wait on the overflow heap; `near`
+/// (~0.5 ms) is in level 0.
 #[test]
 fn cancel_then_repush_same_slot_keeps_order() {
     // Payload `(id, generation)`; `live[id]` is the id's current generation.
     let mut q: EventQueue<(usize, u64)> = EventQueue::new();
     let mut live = [0u64; 4];
-    // Three events in the same level-2 slot, one level-1 neighbor.
-    let t0 = SimTime::from_nanos(3 * L2_SLOT + 17);
-    let t1 = SimTime::from_nanos(3 * L2_SLOT + 17); // same slot, tie
-    let t2 = SimTime::from_nanos(3 * L2_SLOT + 5 * L1_SLOT);
+    // Three events three horizons out, one near neighbor.
+    let t0 = SimTime::from_nanos(3 * HORIZON + 17);
+    let t1 = SimTime::from_nanos(3 * HORIZON + 17); // same time, tie
+    let t2 = SimTime::from_nanos(3 * HORIZON + 5 * L1_SLOT);
     let near = SimTime::from_nanos(L1_SLOT / 2);
     q.push(t0, (0, 0));
     q.push(t1, (1, 0));
@@ -302,8 +310,8 @@ fn cancel_then_repush_same_slot_keeps_order() {
     // Cancel the first of the tied pair, then repush at the same time.
     live[0] += 1;
     q.push(t0, (0, live[0]));
-    // Cancel-then-repush of the far entry too, across a pop that forces
-    // the first cascade.
+    // Cancel-then-repush of the far entry too, across a pop that moves
+    // the cursor.
     assert_eq!(q.pop(), Some((near, (3, 0))));
     live[2] += 1;
     q.push(t2, (2, live[2]));
