@@ -11,23 +11,19 @@
 //!   0.1 ms slice (no precise selection), which the paper's Table 1
 //!   criticizes for hurting cache-sensitive user work.
 
-use crate::runner::{
-    build, fail_row, finish_time, run_cells, CellFailure, CellPolicy, CellResult, Grid, PolicyKind,
-    RunOptions,
-};
+use crate::runner::{fail_row, run_cells, CellPolicy, Grid, PolicyKind, RunOptions};
 use hypervisor::{MachineConfig, VmSpec};
 use metrics::render::Table;
 use microslice::{DetectionEngine, MicroslicePolicy};
 use simcore::ids::VmId;
 use simcore::time::SimDuration;
-use simcore::time::SimTime;
 use workloads::{scenarios, Workload};
 
 /// Shared warm-up prefix (full budget) for the ablations whose cells
 /// share a machine config (detection on/off, fixed-µsliced). Both
 /// measure post-warm work deltas, so the prefix shifts no rate. The
-/// slice and run-queue sweeps mutate the config per cell, so they keep
-/// their from-scratch runs.
+/// slice and run-queue sweeps mutate the config per cell, so their
+/// grids have no warm-up: each cell runs its policy from t = 0.
 pub const WARM: SimDuration = SimDuration::from_secs(4);
 
 /// The exim co-run on the stock testbed, with `mutate` applied to its
@@ -38,32 +34,20 @@ fn exim_corun(mutate: impl FnOnce(&mut MachineConfig)) -> (MachineConfig, Vec<Vm
     (cfg, specs)
 }
 
-/// Throughput of the exim pair over a window under a custom config.
-fn exim_rate(
-    opts: &RunOptions,
-    mutate: impl FnOnce(&mut MachineConfig),
-    policy: PolicyKind,
-) -> CellResult<f64> {
-    let window = opts.window(SimDuration::from_secs(3));
-    let mut m = build(opts, exim_corun(mutate), policy);
-    m.run_until(SimTime::ZERO + window)
-        .map_err(CellFailure::Sim)?;
-    Ok(m.vm_work_done(VmId(0)) as f64 / window.as_secs_f64())
-}
-
 /// Micro-slice length sweep (50 µs – 1 ms) on the exim pair.
 pub fn run_slice_sweep(opts: &RunOptions) -> Vec<Table> {
     const SLICES_US: [u64; 5] = [50, 100, 200, 500, 1_000];
+    let window = opts.window(SimDuration::from_secs(3));
+    let grid = Grid::new(opts, SimDuration::ZERO);
     let rates = run_cells(
         opts,
         SLICES_US.len(),
         |i| format!("ablation-slice[{}us, seed {:#x}]", SLICES_US[i], opts.seed),
         |i| {
-            exim_rate(
-                opts,
-                |cfg| cfg.micro_slice = SimDuration::from_micros(SLICES_US[i]),
-                PolicyKind::Fixed(1),
-            )
+            let scenario =
+                exim_corun(|cfg| cfg.micro_slice = SimDuration::from_micros(SLICES_US[i]));
+            let m = grid.window(opts, scenario, PolicyKind::Fixed(1), window)?;
+            Ok(m.rate(VmId(0)))
         },
     );
     let hundred = rates[1].as_ref().ok().copied();
@@ -92,6 +76,7 @@ pub fn run_runq_cap(opts: &RunOptions) -> Vec<Table> {
     let mut t = Table::new(vec!["micro runq cap", "dedup exec (s)"])
         .with_title("Ablation: micro-pool run-queue cap (dedup + swaptions, 3 micro cores)");
     const CAPS: [usize; 4] = [1, 2, 4, 16];
+    let grid = Grid::new(opts, SimDuration::ZERO);
     let times = run_cells(
         opts,
         CAPS.len(),
@@ -99,9 +84,8 @@ pub fn run_runq_cap(opts: &RunOptions) -> Vec<Table> {
         |i| {
             let (mut cfg, specs) = crate::fig4::scenario(opts, Workload::Dedup);
             cfg.micro_runq_cap = CAPS[i];
-            let mut m = build(opts, (cfg, specs), PolicyKind::Fixed(3));
-            let end = finish_time(m.run_until_vm_finished(VmId(0), opts.horizon()))?;
-            Ok(end.as_secs_f64())
+            let m = grid.finish(opts, (cfg, specs), PolicyKind::Fixed(3), VmId(0))?;
+            Ok(m.finished_secs(VmId(0)))
         },
     );
     for (cap, secs) in CAPS.iter().zip(&times) {
@@ -146,11 +130,9 @@ pub fn run_detection_off(opts: &RunOptions) -> Vec<Table> {
                         .with_detection(DetectionEngine::with_whitelist(ksym::Whitelist::empty())),
                 )),
             };
-            let (warm, end) = plan.window(opts, exim_corun(|_| {}), policy, window)?;
-            Ok(
-                (end.vm_work_done(VmId(0)) - warm.vm_work_done(VmId(0))) as f64
-                    / window.as_secs_f64(),
-            )
+            Ok(plan
+                .window(opts, exim_corun(|_| {}), policy, window)?
+                .rate(VmId(0)))
         },
     );
     for (label, rate) in DETECTION_LABELS.iter().zip(&rates) {
@@ -197,10 +179,8 @@ pub fn run_fixed_usliced(opts: &RunOptions) -> Vec<Table> {
             } else {
                 PolicyKind::Baseline
             };
-            let (warm, end) = plan.window(opts, scenario, policy, window)?;
-            let secs = window.as_secs_f64();
-            let rate = |vm| (end.vm_work_done(vm) - warm.vm_work_done(vm)) as f64 / secs;
-            Ok((rate(VmId(0)), rate(VmId(1))))
+            let m = plan.window(opts, scenario, policy, window)?;
+            Ok((m.rate(VmId(0)), m.rate(VmId(1))))
         },
     );
     for (label, cell) in USLICED_LABELS.iter().zip(&cells) {

@@ -42,12 +42,12 @@ pub struct Cell {
     pub policy: PolicyKind,
     /// Target VM execution time, seconds.
     pub target_secs: f64,
-    /// Co-runner (swaptions) work rate over the target's run, units/s;
-    /// its normalized execution time is the baseline rate divided by this
-    /// rate. The co-runner runs its default budget, not endlessly: if it
-    /// finishes before the target, the target runs alone for the rest
-    /// and this rate is that budget over the target's time (ROADMAP
-    /// item 1).
+    /// Co-runner (swaptions) work rate over the target's run since
+    /// t = 0, units/s; its normalized execution time is the baseline
+    /// rate divided by this rate. The co-runner runs its default budget,
+    /// not endlessly: if it finishes before the target, the target runs
+    /// alone for the rest and this rate is that budget over the target's
+    /// time (ROADMAP item 1).
     pub corunner_rate: f64,
 }
 
@@ -71,12 +71,12 @@ pub fn run_one(
     w: Workload,
     policy: PolicyKind,
 ) -> CellResult<Cell> {
-    let finish = grid.finish(opts, scenario(opts, w), policy, VmId(0))?;
-    let secs = finish.at.as_secs_f64();
+    let m = grid.finish(opts, scenario(opts, w), policy, VmId(0))?;
+    let secs = m.finished_secs(VmId(0));
     Ok(Cell {
         policy,
         target_secs: secs,
-        corunner_rate: finish.work[1] as f64 / secs,
+        corunner_rate: m.end.vm(VmId(1)).work as f64 / secs,
     })
 }
 
@@ -204,6 +204,49 @@ mod tests {
             "swaptions hurt too much: {} vs {}",
             one.corunner_rate,
             base.corunner_rate
+        );
+    }
+
+    /// ROADMAP item 1's census at the quick budget: the completions in
+    /// which the co-runner (VM 1, swaptions) finished its budget before
+    /// the target did, so the target ran alone for the rest of its run
+    /// and the cell is not the co-run it claims to be. Item 1's fix gives
+    /// the co-runner an endless budget, which empties this list; its
+    /// guard is then one check of the same record fields.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "slow under debug; run with cargo test --release"
+    )]
+    fn corunner_finishes_first_in_four_quick_cells() {
+        let opts = RunOptions::quick();
+        let grid = Grid::new(&opts, WARM);
+        let mut early = Vec::new();
+        for w in WORKLOADS {
+            for policy in configs() {
+                let m = grid
+                    .finish(&opts, scenario(&opts, w), policy, VmId(0))
+                    .unwrap();
+                let (target, corunner) = (m.end.vm(VmId(0)).finished, m.end.vm(VmId(1)).finished);
+                if corunner.is_some_and(|at| Some(at) < target) {
+                    early.push((
+                        format!("{} x {}", w.name(), policy.label()),
+                        corunner,
+                        target,
+                    ));
+                }
+            }
+        }
+        let cells: Vec<&str> = early.iter().map(|(cell, ..)| cell.as_str()).collect();
+        assert_eq!(
+            cells,
+            [
+                "memclone x 6",
+                "dedup x baseline",
+                "vips x baseline",
+                "vips x 6"
+            ],
+            "(cell, co-runner finish, target finish): {early:?}"
         );
     }
 }

@@ -45,13 +45,11 @@ pub fn run_one(
     policy: PolicyKind,
 ) -> CellResult<Cell> {
     let window = opts.window(SimDuration::from_secs(4));
-    let (warm, end) = grid.window(opts, scenarios::corun(w), policy, window)?;
-    let secs = window.as_secs_f64();
-    let rate = |vm| (end.vm_work_done(vm) - warm.vm_work_done(vm)) as f64 / secs;
+    let m = grid.window(opts, scenarios::corun(w), policy, window)?;
     Ok(Cell {
         policy,
-        throughput: rate(VmId(0)),
-        corunner_rate: rate(VmId(1)),
+        throughput: m.rate(VmId(0)),
+        corunner_rate: m.rate(VmId(1)),
     })
 }
 

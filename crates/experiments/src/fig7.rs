@@ -21,16 +21,6 @@ pub const WORKLOADS: [Workload; 6] = crate::fig6::WORKLOADS;
 /// post-warm window, so the prefix shifts no breakdown.
 pub const WARM: SimDuration = SimDuration::from_secs(4);
 
-/// Per-class difference of two cumulative breakdowns (`end - start`).
-fn delta(end: YieldBreakdown, start: YieldBreakdown) -> YieldBreakdown {
-    YieldBreakdown {
-        ipi: end.ipi - start.ipi,
-        spinlock: end.spinlock - start.spinlock,
-        halt: end.halt - start.halt,
-        other: end.other - start.other,
-    }
-}
-
 /// The co-run of `w` with swaptions, measured over the same fixed
 /// window under B, S and D. Both VMs run their default budgets, not
 /// endlessly (ROADMAP item 1).
@@ -50,11 +40,9 @@ pub fn measure_one(
     policy: PolicyKind,
 ) -> CellResult<YieldBreakdown> {
     let window = opts.window(SimDuration::from_secs(3));
-    let (warm, end) = grid.window(opts, scenario(w), policy, window)?;
-    Ok(delta(
-        end.stats.vm(VmId(0)).yields,
-        warm.stats.vm(VmId(0)).yields,
-    ))
+    Ok(grid
+        .window(opts, scenario(w), policy, window)?
+        .yields(VmId(0)))
 }
 
 fn grid_policy(w: Workload, slot: usize) -> PolicyKind {

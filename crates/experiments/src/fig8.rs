@@ -28,8 +28,8 @@ pub struct Row {
 }
 
 fn exec_one(opts: &RunOptions, grid: &Grid, w: Workload, policy: PolicyKind) -> CellResult<f64> {
-    let finish = grid.finish(opts, crate::fig4::scenario(opts, w), policy, VmId(0))?;
-    Ok(finish.at.as_secs_f64())
+    let m = grid.finish(opts, crate::fig4::scenario(opts, w), policy, VmId(0))?;
+    Ok(m.finished_secs(VmId(0)))
 }
 
 /// Runs the measurement, fanning the workload × policy grid across

@@ -13,10 +13,11 @@ use simcore::time::SimDuration;
 use workloads::scenarios;
 
 /// Shared warm-up prefix (full budget). Flow statistics are
-/// delta-measured over the post-warm window (the warm share of the
-/// packet counters and latency summary is subtracted out), so the
-/// prefix length never dilutes the contrast between cells; 800 ms is
-/// enough to reach the steady queue depths the paper measures.
+/// delta-measured over the post-warm window (the record's
+/// [`flow`](crate::runner::Measured::flow) subtracts the warm share of
+/// the packet counters and latency summary), so the prefix length never
+/// dilutes the contrast between cells; 800 ms is enough to reach the
+/// steady queue depths the paper measures.
 pub const WARM: SimDuration = SimDuration::from_millis(800);
 
 /// One measured configuration.
@@ -44,15 +45,14 @@ pub fn measure_one(
     policy: PolicyKind,
 ) -> CellResult<Row> {
     let window = opts.window(SimDuration::from_secs(4));
-    let (warm, end) = grid.window(opts, scenarios::fig9_mixed_pinned(tcp), policy, window)?;
-    let warm_flow = &warm.vm(VmId(0)).kernel.flows[0];
-    let flow = &end.vm(VmId(0)).kernel.flows[0];
+    let m = grid.window(opts, scenarios::fig9_mixed_pinned(tcp), policy, window)?;
+    let flow = m.flow(VmId(0));
     Ok(Row {
         transport: transport(tcp),
         policy,
-        bandwidth_mbps: flow.throughput_mbps_since(warm_flow, window),
-        jitter_ms: flow.jitter_ms_since(warm_flow),
-        dropped: flow.dropped - warm_flow.dropped,
+        bandwidth_mbps: flow.throughput_mbps(m.span()),
+        jitter_ms: flow.jitter_ms(),
+        dropped: flow.dropped,
     })
 }
 

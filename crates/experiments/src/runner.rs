@@ -1,11 +1,15 @@
-//! Shared experiment machinery: policies, run options, and drivers.
+//! Shared experiment machinery: policies, run options, the cell fan-out
+//! ([`run_cells`]) and the one measuring path. An experiment cell runs
+//! a machine only through [`Grid::window`] or [`Grid::finish`], and reads
+//! only the [`Measured`] record either returns: no experiment module
+//! builds, runs or reads a machine itself.
 
 pub mod grid;
 pub mod ledger;
 pub mod pool;
 pub mod store;
 
-pub use grid::Grid;
+pub use grid::{Grid, Measured, Target};
 
 use hypervisor::policy::SchedPolicy;
 use hypervisor::{crash, BaselinePolicy, FaultSpec, Machine, MachineConfig, SimError, VmSpec};
@@ -532,16 +536,6 @@ fn write_artifact(
     }
 }
 
-/// Converts a `run_until_vm_finished` outcome into a cell result,
-/// reporting horizon exhaustion instead of silently truncating.
-pub fn finish_time(r: Result<Option<SimTime>, SimError>) -> CellResult<SimTime> {
-    match r {
-        Ok(Some(t)) => Ok(t),
-        Ok(None) => Err(CellFailure::Horizon),
-        Err(e) => Err(CellFailure::Sim(e)),
-    }
-}
-
 /// `cfg` with the options' seed and paranoid mode, as [`build_with`]
 /// builds it.
 fn configured(opts: &RunOptions, mut cfg: MachineConfig) -> MachineConfig {
@@ -573,26 +567,6 @@ pub fn build(
     policy: PolicyKind,
 ) -> Machine {
     build_with(opts, scenario, policy.build())
-}
-
-/// Runs for a fixed measurement window and returns the machine.
-///
-/// A baseline window is a checkpoint of the scenario's baseline
-/// trajectory: inside a budget it comes from the invocation's checkpoint
-/// store (see [`store`]), so every cell that measures the same scenario
-/// over the same baseline window shares one simulation.
-pub fn run_window(
-    opts: &RunOptions,
-    scenario: (MachineConfig, Vec<VmSpec>),
-    policy: PolicyKind,
-    window: SimDuration,
-) -> CellResult<Machine> {
-    let shared = pool::current_store().filter(|_| policy == PolicyKind::Baseline);
-    let keyed = store::keyed(shared.as_ref(), opts, &scenario);
-    let m = store::trajectory_at(&keyed, None, SimTime::ZERO + window, || {
-        build(opts, scenario, policy)
-    })?;
-    Ok(store::owned(m))
 }
 
 #[cfg(test)]
@@ -652,17 +626,19 @@ mod tests {
     }
 
     #[test]
-    fn run_window_produces_stats() {
+    fn zero_warm_window_produces_stats() {
         let opts = RunOptions::quick();
-        let m = run_window(
-            &opts,
-            scenarios::solo(Workload::Swaptions),
-            PolicyKind::Baseline,
-            SimDuration::from_millis(500),
-        )
-        .unwrap();
-        assert!(m.vm_work_done(VmId(0)) > 0);
-        assert_eq!(m.now(), SimTime::from_millis(500));
+        let m = Grid::new(&opts, SimDuration::ZERO)
+            .window(
+                &opts,
+                scenarios::solo(Workload::Swaptions),
+                PolicyKind::Baseline,
+                SimDuration::from_millis(500),
+            )
+            .unwrap();
+        assert!(m.work(VmId(0)) > 0);
+        assert_eq!(m.end.at, SimTime::from_millis(500));
+        assert_eq!(m.from_boot(), &m.end);
     }
 
     #[test]

@@ -536,6 +536,7 @@ mod tests {
     /// caller is running it wait for its record and share its value.
     #[test]
     fn callers_during_a_computation_share_its_value() {
+        use super::super::grid::Target;
         use super::super::store::{finish_of, keyed};
         use super::super::{build_with, RunOptions};
         use hypervisor::{BaselinePolicy, MachineConfig};
@@ -561,16 +562,22 @@ mod tests {
         let (runs, budget, opts) = (&runs, &budget, &opts);
         let cell = move |gate: Option<(Sender<()>, Receiver<()>)>| {
             with_budget(budget, || {
-                let store = current_store();
-                let keyed = keyed(store.as_ref(), opts, &small());
-                finish_of(&keyed, None, VmId(0), SimTime::from_secs(5), || {
-                    runs.fetch_add(1, Ordering::SeqCst);
-                    if let Some((started, release)) = gate {
-                        started.send(()).unwrap();
-                        release.recv().unwrap();
-                    }
-                    build_with(opts, small(), Box::new(BaselinePolicy))
-                })
+                let store = current_store().expect("the budget's store");
+                let keyed = keyed(&store, opts, &small());
+                finish_of(
+                    &keyed,
+                    None,
+                    Target::Vm(VmId(0)),
+                    SimTime::from_secs(5),
+                    || {
+                        runs.fetch_add(1, Ordering::SeqCst);
+                        if let Some((started, release)) = gate {
+                            started.send(()).unwrap();
+                            release.recv().unwrap();
+                        }
+                        build_with(opts, small(), Box::new(BaselinePolicy))
+                    },
+                )
             })
         };
         let values = std::thread::scope(|scope| {

@@ -30,12 +30,16 @@
 //!   retains T; a diverged trajectory starts from the baseline
 //!   checkpoint at its warm point. This rests on `run_until(t1);
 //!   run_until(t2)` equalling `run_until(t2)`
-//!   (`crates/hypervisor/tests/prop_machine.rs` checks it).
+//!   (`crates/hypervisor/tests/prop_machine.rs` checks it). Nothing is
+//!   kept at t = 0: each zero-warm cell builds its own warm point.
 //! - **Finish records.** A completion runs a trajectory from a warm
-//!   point until one VM finishes or a horizon passes. It stops inside a
-//!   timestamp, so nothing continues from it and no machine is kept: its
-//!   record ([`Finish`]) is the finish time and every VM's work done at
-//!   it, keyed by trajectory, VM and horizon.
+//!   point until a [`Target`] finishes or a horizon passes. It stops
+//!   inside a timestamp, so nothing continues from it and no machine is
+//!   kept: its record is the cumulative [`Reading`] at the finish, keyed
+//!   by trajectory, target and horizon. A baseline finish does not depend
+//!   on the warm point it ran from, so cells that warm for different
+//!   spans share it, and each requester's grid pairs it with the reading
+//!   at its own warm point.
 //! - **Successes only.** A failing extension or completion is not
 //!   recorded: each consumer reruns it inside its own crash session, so
 //!   its artifact keeps its own trace ring, shrink and replay.
@@ -55,9 +59,9 @@
 //!   Nothing is process-global, and checkpoints and records live until
 //!   their store drops.
 
-use super::{finish_time, CellFailure, CellResult, PolicyKind, RunOptions};
+use super::grid::{Reading, Target};
+use super::{CellFailure, CellResult, PolicyKind, RunOptions};
 use hypervisor::{crash, Machine, MachineConfig, VmSpec};
-use simcore::ids::VmId;
 use simcore::time::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -67,26 +71,16 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// point (`None`: the baseline policy throughout).
 pub(crate) type Schedule = Option<(SimTime, PolicyKind)>;
 
-/// A completion: when a VM finished its budget, and every VM's work done
-/// at that time (indexed by `VmId`).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Finish {
-    /// The finish time.
-    pub at: SimTime,
-    /// Each VM's work done at `at`.
-    pub work: Vec<u64>,
-}
-
 /// One trajectory's retained checkpoints and finish records.
 #[derive(Default)]
 struct Trajectory {
     points: Mutex<Points>,
-    /// Finish records by VM and horizon, each behind its own lock.
-    finishes: Mutex<BTreeMap<(VmId, SimTime), Record>>,
+    /// Finish records by target and horizon, each behind its own lock.
+    finishes: Mutex<BTreeMap<(Target, SimTime), Record>>,
 }
 
 /// A finish record: empty until a run to the finish succeeds.
-type Record = Arc<Mutex<Option<Finish>>>;
+type Record = Arc<Mutex<Option<Reading>>>;
 
 /// One scenario's trajectories, by schedule.
 type Trajectories = BTreeMap<Schedule, Arc<Trajectory>>;
@@ -195,18 +189,18 @@ impl CheckpointStore {
         Ok(Arc::new(m))
     }
 
-    /// `trajectory`'s finish of `vm` within `horizon`. A recorded finish
-    /// is handed out as is; otherwise `origin()` runs to it under the
-    /// record's own lock, and the finish is recorded if it succeeds.
+    /// `trajectory`'s finish of `target` within `horizon`. A recorded
+    /// finish is handed out as is; otherwise `origin()` runs to it under
+    /// the record's own lock, and the finish is recorded if it succeeds.
     fn finish(
         &self,
         trajectory: &Trajectory,
-        vm: VmId,
+        target: Target,
         horizon: SimTime,
         origin: impl FnOnce() -> Machine,
-    ) -> CellResult<Finish> {
+    ) -> CellResult<Reading> {
         let record = lock(&trajectory.finishes)
-            .entry((vm, horizon))
+            .entry((target, horizon))
             .or_default()
             .clone();
         let mut record = lock(&record);
@@ -215,7 +209,7 @@ impl CheckpointStore {
             return Ok(finish.clone());
         }
         self.extensions.fetch_add(1, Ordering::Relaxed);
-        let finish = run_to_finish(origin(), vm, horizon)?;
+        let finish = run_to_finish(origin(), target, horizon)?;
         *record = Some(finish.clone());
         Ok(finish)
     }
@@ -227,13 +221,18 @@ fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Runs `m` until `vm` finishes or `horizon` passes.
-fn run_to_finish(mut m: Machine, vm: VmId, horizon: SimTime) -> CellResult<Finish> {
-    let at = finish_time(m.run_until_vm_finished(vm, horizon))?;
-    let work = (0..m.num_vms())
-        .map(|v| m.vm_work_done(VmId(v as u16)))
-        .collect();
-    Ok(Finish { at, work })
+/// Runs `m` until `target` finishes and reads it there. Hitting
+/// `horizon` first is a failure: a silently truncated run would corrupt
+/// every execution time read from it.
+fn run_to_finish(mut m: Machine, target: Target, horizon: SimTime) -> CellResult<Reading> {
+    let finished = match target {
+        Target::Vm(vm) => m.run_until_vm_finished(vm, horizon).map(|at| at.is_some()),
+        Target::All => m.run_until_all_finished(horizon),
+    };
+    match finished.map_err(CellFailure::Sim)? {
+        true => Ok(Reading::of(&m)),
+        false => Err(CellFailure::Horizon),
+    }
 }
 
 /// The scenario as [`build_with`](super::build_with) builds it, rendered
@@ -253,29 +252,22 @@ pub(crate) fn scenario_key(opts: &RunOptions, scenario: &(MachineConfig, Vec<VmS
 /// the scenario's key.
 pub(crate) type Keyed<'a> = Option<(&'a CheckpointStore, Arc<str>)>;
 
-/// `scenario`'s place in `store`. None without a store, with forking off
-/// (`--no-fork`, which is the oracle) and in a crash-shrink probe
+/// `scenario`'s place in `store`. None with forking off (`--no-fork`,
+/// which is the oracle) and in a crash-shrink probe
 /// ([`crash::with_fault_take`]), whose truncated fault plan must govern
 /// the whole run.
 pub(crate) fn keyed<'a>(
-    store: Option<&'a Arc<CheckpointStore>>,
+    store: &'a CheckpointStore,
     opts: &RunOptions,
     scenario: &(MachineConfig, Vec<VmSpec>),
 ) -> Keyed<'a> {
-    store
-        .filter(|_| opts.fork && crash::fault_take().is_none())
-        .map(|store| (&**store, scenario_key(opts, scenario)))
-}
-
-/// A machine to run on: `m` itself when nothing else holds it, else a
-/// fork (which reports its fault plan to the crash session, see
-/// [`Machine::fork`]).
-pub(crate) fn owned(m: Arc<Machine>) -> Machine {
-    Arc::try_unwrap(m).unwrap_or_else(|shared| shared.fork())
+    let shared = opts.fork && crash::fault_take().is_none();
+    shared.then(|| (store, scenario_key(opts, scenario)))
 }
 
 /// The keyed scenario's trajectory under `schedule` at `at`. Without a
-/// store, `origin()` (the trajectory's start machine) simply runs to `at`.
+/// store, and at t = 0, where a machine as built costs less to build again
+/// than to keep, `origin()` (the trajectory's start machine) runs to `at`.
 pub(crate) fn trajectory_at(
     keyed: &Keyed<'_>,
     schedule: Schedule,
@@ -283,8 +275,10 @@ pub(crate) fn trajectory_at(
     origin: impl FnOnce() -> Machine,
 ) -> CellResult<Arc<Machine>> {
     match keyed {
-        Some((store, key)) => store.checkpoint(&store.trajectory(key, schedule), at, origin),
-        None => {
+        Some((store, key)) if at > SimTime::ZERO => {
+            store.checkpoint(&store.trajectory(key, schedule), at, origin)
+        }
+        _ => {
             let mut m = origin();
             m.run_until(at).map_err(CellFailure::Sim)?;
             Ok(Arc::new(m))
@@ -292,19 +286,21 @@ pub(crate) fn trajectory_at(
     }
 }
 
-/// The keyed scenario's finish of `vm` within `horizon` on the trajectory
-/// under `schedule`, run from `origin()`. Without a store, `origin()`
-/// simply runs to it.
+/// The keyed scenario's finish of `target` within `horizon` on the
+/// trajectory under `schedule`, run from `origin()`. Without a store,
+/// `origin()` simply runs to it.
 pub(crate) fn finish_of(
     keyed: &Keyed<'_>,
     schedule: Schedule,
-    vm: VmId,
+    target: Target,
     horizon: SimTime,
     origin: impl FnOnce() -> Machine,
-) -> CellResult<Finish> {
+) -> CellResult<Reading> {
     match keyed {
-        Some((store, key)) => store.finish(&store.trajectory(key, schedule), vm, horizon, origin),
-        None => run_to_finish(origin(), vm, horizon),
+        Some((store, key)) => {
+            store.finish(&store.trajectory(key, schedule), target, horizon, origin)
+        }
+        None => run_to_finish(origin(), target, horizon),
     }
 }
 
@@ -312,9 +308,10 @@ pub(crate) fn finish_of(
 mod tests {
     use super::*;
     use crate::runner::pool::{with_budget, Budget};
-    use crate::runner::{build_with, run_window, Grid};
+    use crate::runner::{build_with, Grid};
     use crate::{fig4, fig7, table1, table2};
     use hypervisor::{BaselinePolicy, FaultSpec};
+    use simcore::ids::VmId;
     use simcore::time::SimDuration;
     use std::sync::mpsc::channel;
     use std::time::Duration;
@@ -371,18 +368,19 @@ mod tests {
         (cfg, specs)
     }
 
-    /// Every consumer of the store once: a warm point, a diverged
-    /// window, a diverged finish and a baseline window.
+    /// Every consumer of the store once: a diverged window and a
+    /// diverged finish after a warm point, and a baseline window from
+    /// t = 0.
     fn consume(opts: &RunOptions) {
         let ms = SimDuration::from_millis;
         let grid = Grid::new(opts, ms(400));
-        grid.cell(opts, small(), PolicyKind::Baseline.build())
-            .unwrap();
         grid.window(opts, small(), PolicyKind::Fixed(1), ms(100))
             .unwrap();
         grid.finish(opts, small(), PolicyKind::Fixed(1), VmId(0))
             .unwrap();
-        run_window(opts, small(), PolicyKind::Baseline, ms(150)).unwrap();
+        Grid::new(opts, SimDuration::ZERO)
+            .window(opts, small(), PolicyKind::Baseline, ms(150))
+            .unwrap();
     }
 
     #[test]
@@ -399,6 +397,8 @@ mod tests {
             assert_eq!(budget.store().stats(), StoreStats::default());
             consume(&opts);
             let filled = budget.store().stats();
+            // The warm point, the diverged window's end and the baseline
+            // window's end (t = 0 is never kept).
             assert_eq!(filled.retained, 3, "{filled:?}");
             // Neither read (no request served) nor written.
             crash::with_fault_take(1, || consume(&opts));
@@ -421,11 +421,13 @@ mod tests {
         let trajectory = store.trajectory(&scenario_key(&RunOptions::quick(), &small()), None);
         let horizon = SimTime::from_millis(50);
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            store.finish(&trajectory, VmId(0), horizon, || panic!("origin failed"))
+            store.finish(&trajectory, Target::Vm(VmId(0)), horizon, || {
+                panic!("origin failed")
+            })
         }));
         assert!(panicked.is_err());
         for _ in 0..2 {
-            let out = store.finish(&trajectory, VmId(0), horizon, small_machine);
+            let out = store.finish(&trajectory, Target::Vm(VmId(0)), horizon, small_machine);
             assert!(matches!(out, Err(CellFailure::Horizon)), "{out:?}");
         }
         let stats = store.stats();
@@ -443,7 +445,12 @@ mod tests {
         let horizon = SimTime::from_secs(5);
         let (store, key) = (&store, &key);
         let finish = move |origin: Box<dyn FnOnce() -> Machine + Send>| {
-            store.finish(&store.trajectory(key, None), VmId(0), horizon, origin)
+            store.finish(
+                &store.trajectory(key, None),
+                Target::Vm(VmId(0)),
+                horizon,
+                origin,
+            )
         };
         let (first, second) = std::thread::scope(|scope| {
             let (started_tx, started) = channel();
@@ -479,7 +486,7 @@ mod tests {
         assert_eq!(first, second.unwrap());
         assert_eq!(
             first,
-            run_to_finish(small_machine(), VmId(0), horizon).unwrap()
+            run_to_finish(small_machine(), Target::Vm(VmId(0)), horizon).unwrap()
         );
         let stats = store.stats();
         let want = StoreStats {

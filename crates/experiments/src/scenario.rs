@@ -6,11 +6,11 @@
 //! loading a file (parse → validate, with errors that name the file and
 //! byte position), expanding a directory into a sorted id list, and
 //! driving a validated [`Scenario`] through the exact machinery every
-//! built-in experiment uses — [`Grid`] shared-prefix forking,
-//! [`run_cells`] fan-out/isolation, and the crash scope `repro` installs
-//! around each experiment. Because it is the same machinery, the suite
-//! contract carries over verbatim: stdout is byte-identical for any
-//! `--jobs` and `--fork`/`--no-fork`.
+//! built-in experiment uses — [`Grid`] shared-prefix forking and its
+//! records, [`run_cells`] fan-out/isolation, and the crash scope `repro`
+//! installs around each experiment. Because it is the same machinery,
+//! the suite contract carries over verbatim: stdout is byte-identical for
+//! any `--jobs` and `--fork`/`--no-fork`.
 //!
 //! The equivalence proof that file-driven runs match constructor-driven
 //! runs (`tests/scenario_catalog.rs`) hinges on [`run_with_parts`]: the
@@ -18,13 +18,12 @@
 //! parts come either from [`Scenario::to_parts`] ([`run`]) or from an
 //! in-repo constructor — identical parts must yield identical bytes.
 
-use crate::runner::{fail_text, run_cells, CellFailure, Grid, PolicyKind, RunOptions};
-use hypervisor::{Machine, MachineConfig, VmSpec};
+use crate::runner::{fail_text, run_cells, Grid, PolicyKind, RunOptions, Target};
+use hypervisor::{MachineConfig, VmSpec};
 use metrics::render::{fmt_f64, Table};
 use simcore::ids::VmId;
 use simcore::time::SimDuration;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use workloads::scenario_file::{self, PolicySpec, RunMode, Scenario};
 
 /// Maps a file-schema policy to the runner's policy enum.
@@ -139,36 +138,15 @@ where
         |i| {
             let (rep, p) = (i / policies.len(), i % policies.len());
             let opts = cell_opts(rep as u32);
-            let work = |m: &Machine| -> Vec<u64> {
-                (0..m.num_vms())
-                    .map(|v| m.vm_work_done(VmId(v as u16)))
-                    .collect()
+            let m = match sc.run.mode {
+                RunMode::Window => grid.window(&opts, parts(), policies[p], window)?,
+                RunMode::Completion => grid.finish(&opts, parts(), policies[p], Target::All)?,
             };
-            let (warm_work, end) = match sc.run.mode {
-                RunMode::Window => {
-                    let (warm, end) = grid.window(&opts, parts(), policies[p], window)?;
-                    (work(&warm), end)
-                }
-                // Waits for every VM, so no one finish record serves it.
-                RunMode::Completion => {
-                    let mut m = grid.cell(&opts, parts(), policies[p].build())?;
-                    let warm_work = work(&m);
-                    let finished = m
-                        .run_until_all_finished(opts.horizon())
-                        .map_err(CellFailure::Sim)?;
-                    if !finished {
-                        return Err(CellFailure::Horizon);
-                    }
-                    (warm_work, Arc::new(m))
-                }
-            };
-            let rows: Vec<(u64, Option<f64>)> = (0..end.num_vms())
+            let rows: Vec<(u64, Option<f64>)> = (0..m.end.vms.len())
                 .map(|v| {
                     let id = VmId(v as u16);
-                    (
-                        end.vm_work_done(id) - warm_work[v],
-                        end.vm_finished_at(id).map(|t| t.as_secs_f64()),
-                    )
+                    let finished = m.end.vm(id).finished;
+                    (m.work(id), finished.map(|t| t.as_secs_f64()))
                 })
                 .collect();
             Ok(rows)

@@ -114,8 +114,8 @@ pub(crate) fn exim_scenario(scheme: Scheme) -> (MachineConfig, Vec<VmSpec>) {
 /// simulated once per invocation (see [`Grid::window`]).
 fn exim_run(opts: &RunOptions, grid: &Grid, scheme: Scheme) -> CellResult<f64> {
     let window = opts.window(SimDuration::from_secs(3));
-    let (warm, end) = grid.window(opts, exim_scenario(scheme), scheme.policy(1), window)?;
-    Ok((end.vm_work_done(VmId(0)) - warm.vm_work_done(VmId(0))) as f64 / window.as_secs_f64())
+    let m = grid.window(opts, exim_scenario(scheme), scheme.policy(1), window)?;
+    Ok(m.rate(VmId(0)))
 }
 
 /// The baseline cell is Figure 4's dedup baseline, so the two share one
@@ -123,17 +123,16 @@ fn exim_run(opts: &RunOptions, grid: &Grid, scheme: Scheme) -> CellResult<f64> {
 fn dedup_run(opts: &RunOptions, grid: &Grid, scheme: Scheme) -> CellResult<f64> {
     let (mut cfg, specs) = crate::fig4::scenario(opts, Workload::Dedup);
     scheme.mutate_config(&mut cfg);
-    let finish = grid.finish(opts, (cfg, specs), scheme.policy(3), VmId(0))?;
-    Ok(finish.at.as_secs_f64())
+    let m = grid.finish(opts, (cfg, specs), scheme.policy(3), VmId(0))?;
+    Ok(m.finished_secs(VmId(0)))
 }
 
 fn iperf_run(opts: &RunOptions, grid: &Grid, scheme: Scheme) -> CellResult<f64> {
     let window = opts.window(SimDuration::from_secs(3));
     let (mut cfg, specs) = scenarios::fig9_mixed_pinned(true);
     scheme.mutate_config(&mut cfg);
-    let (warm, end) = grid.window(opts, (cfg, specs), scheme.policy(1), window)?;
-    let warm_flow = &warm.vm(VmId(0)).kernel.flows[0];
-    Ok(end.vm(VmId(0)).kernel.flows[0].jitter_ms_since(warm_flow))
+    let m = grid.window(opts, (cfg, specs), scheme.policy(1), window)?;
+    Ok(m.flow(VmId(0)).jitter_ms())
 }
 
 const SYMPTOMS: [&str; 3] = ["exim", "dedup", "iperf"];

@@ -5,7 +5,7 @@
 //! configurations. The reproduction target is the *shape*: co-run yields
 //! exceed solo yields by orders of magnitude.
 
-use crate::runner::{fail_row, run_cells, run_window, CellError, PolicyKind, RunOptions};
+use crate::runner::{fail_row, run_cells, CellError, Grid, PolicyKind, RunOptions};
 use hypervisor::{MachineConfig, VmSpec};
 use metrics::render::Table;
 use simcore::ids::VmId;
@@ -49,6 +49,7 @@ pub fn scenario(w: Workload, corun: bool) -> (MachineConfig, Vec<VmSpec>) {
 /// crosses threads.
 pub fn measure(opts: &RunOptions) -> Vec<Result<Row, CellError>> {
     let window = opts.window(SimDuration::from_secs(4));
+    let grid = Grid::new(opts, SimDuration::ZERO);
     let yields = run_cells(
         opts,
         WORKLOADS.len() * 2,
@@ -64,8 +65,8 @@ pub fn measure(opts: &RunOptions) -> Vec<Result<Row, CellError>> {
         // baseline windows.
         |i| {
             let scenario = scenario(WORKLOADS[i / 2], i % 2 == 1);
-            let m = run_window(opts, scenario, PolicyKind::Baseline, window)?;
-            Ok(m.stats.vm(VmId(0)).yields.total())
+            let m = grid.window(opts, scenario, PolicyKind::Baseline, window)?;
+            Ok(m.yields(VmId(0)).total())
         },
     );
     WORKLOADS

@@ -6,7 +6,7 @@
 //! census (instruction pointers resolved through the symbol table), and
 //! report each observed kernel function with its whitelist class.
 
-use crate::runner::{run_cells, run_window, CellError, PolicyKind, RunOptions};
+use crate::runner::{run_cells, CellError, Grid, PolicyKind, RunOptions};
 use ksym::whitelist::{CriticalClass, Whitelist};
 use metrics::render::Table;
 use simcore::time::SimDuration;
@@ -18,6 +18,7 @@ use workloads::{scenarios, Workload};
 /// covers only the runs that completed).
 pub fn measure(opts: &RunOptions) -> (Vec<(&'static str, CriticalClass, u64)>, Vec<CellError>) {
     let window = opts.window(SimDuration::from_secs(3));
+    let grid = Grid::new(opts, SimDuration::ZERO);
     // The three co-run scenarios fan out; each worker returns only its
     // site counts. The merged census sums counts, so any merge order
     // yields the same BTreeMap — index order is kept anyway.
@@ -33,13 +34,9 @@ pub fn measure(opts: &RunOptions) -> (Vec<(&'static str, CriticalClass, u64)>, V
             )
         },
         |i| {
-            let m = run_window(
-                opts,
-                scenarios::corun(WORKLOADS[i]),
-                PolicyKind::Baseline,
-                window,
-            )?;
-            Ok(m.stats.yield_sites.clone())
+            let scenario = scenarios::corun(WORKLOADS[i]);
+            let m = grid.window(opts, scenario, PolicyKind::Baseline, window)?;
+            Ok(m.from_boot().yield_sites.clone())
         },
     );
     let mut census: BTreeMap<&'static str, u64> = BTreeMap::new();

@@ -6,7 +6,7 @@
 //!   (SystemTap on `native_flush_tlb_others`).
 //! - **4c** — iPerf jitter and throughput, solo vs mixed co-run.
 
-use crate::runner::{fail_row, run_cells, run_window, CellError, PolicyKind, RunOptions};
+use crate::runner::{fail_row, run_cells, CellError, Grid, PolicyKind, RunOptions};
 use guest::kernel::LockKind;
 use metrics::render::{fmt_f64, Table};
 use simcore::ids::VmId;
@@ -25,8 +25,10 @@ pub const TABLE4A_KINDS: [LockKind; 4] = [
 /// either contributing run failed (the rows pair both runs).
 pub fn measure_4a(opts: &RunOptions) -> Result<Vec<(LockKind, f64, f64)>, CellError> {
     let window = opts.window(SimDuration::from_secs(4));
+    // Lock-wait extrema cannot be windowed: the cells measure from t = 0.
+    let grid = Grid::new(opts, SimDuration::ZERO);
     // The solo and co-run simulations fan out; workers return per-kind
-    // mean waits (plain floats), never the machine itself.
+    // mean waits (plain floats), never the record itself.
     let waits = run_cells(
         opts,
         2,
@@ -44,14 +46,9 @@ pub fn measure_4a(opts: &RunOptions) -> Result<Vec<(LockKind, f64, f64)>, CellEr
             // at the full budget its waits stop accruing when it finishes
             // inside the window (ROADMAP item 1).
             let scenario = crate::table2::scenario(Workload::Gmake, i == 1);
-            let m = run_window(opts, scenario, PolicyKind::Baseline, window)?;
-            Ok(TABLE4A_KINDS.map(|kind| {
-                m.vm(VmId(0))
-                    .kernel
-                    .lock_wait_of(kind)
-                    .mean()
-                    .as_micros_f64()
-            }))
+            let m = grid.window(opts, scenario, PolicyKind::Baseline, window)?;
+            let gmake = m.from_boot().vm(VmId(0));
+            Ok(TABLE4A_KINDS.map(|kind| gmake.lock_wait[kind.slot()].mean().as_micros_f64()))
         },
     );
     let solo = waits[0].clone()?;
@@ -100,6 +97,7 @@ pub type Tlb4bRow = (Workload, &'static str, f64, f64, f64);
 /// Failed cells come back as labelled errors.
 pub fn measure_4b(opts: &RunOptions) -> Vec<Result<Tlb4bRow, CellError>> {
     let window = opts.window(SimDuration::from_secs(4));
+    let grid = Grid::new(opts, SimDuration::ZERO);
     run_cells(
         opts,
         TABLE4B_GRID.len() * 2,
@@ -114,8 +112,8 @@ pub fn measure_4b(opts: &RunOptions) -> Vec<Result<Tlb4bRow, CellError>> {
         |i| {
             let w = TABLE4B_GRID[i / 2];
             let scenario = crate::table2::scenario(w, i % 2 == 1);
-            let m = run_window(opts, scenario, PolicyKind::Baseline, window)?;
-            let h = &m.vm(VmId(0)).kernel.tlb_latency;
+            let m = grid.window(opts, scenario, PolicyKind::Baseline, window)?;
+            let h = &m.from_boot().vm(VmId(0)).tlb_latency;
             Ok((
                 w,
                 table4b_config(i),
@@ -164,6 +162,7 @@ fn table4c_config(i: usize) -> &'static str {
 /// Failed cells come back as labelled errors.
 pub fn measure_4c(opts: &RunOptions) -> Vec<Result<(&'static str, f64, f64), CellError>> {
     let window = opts.window(SimDuration::from_secs(4));
+    let grid = Grid::new(opts, SimDuration::ZERO);
     run_cells(
         opts,
         2,
@@ -180,9 +179,9 @@ pub fn measure_4c(opts: &RunOptions) -> Vec<Result<(&'static str, f64, f64), Cel
             } else {
                 scenarios::mixed_iperf_corun()
             };
-            let m = run_window(opts, scenario, PolicyKind::Baseline, window)?;
-            let f = &m.vm(VmId(0)).kernel.flows[0];
-            Ok((table4c_config(i), f.jitter_ms(), f.throughput_mbps(m.now())))
+            let m = grid.window(opts, scenario, PolicyKind::Baseline, window)?;
+            let (f, span) = (m.flow(VmId(0)), m.span());
+            Ok((table4c_config(i), f.jitter_ms(), f.throughput_mbps(span)))
         },
     )
 }

@@ -32,6 +32,15 @@ impl LockKind {
         LockKind::Other,
     ];
 
+    /// This kind's position in [`LockKind::ALL`], which indexes
+    /// [`VmKernel::lock_wait`].
+    pub fn slot(self) -> usize {
+        LockKind::ALL
+            .iter()
+            .position(|&k| k == self)
+            .expect("kind in ALL")
+    }
+
     /// The whitelisted critical-section function executed while holding a
     /// lock of this kind (determines the preempted holder's IP).
     pub fn critical_sym(self) -> &'static str {
@@ -158,21 +167,12 @@ impl VmKernel {
 
     /// Records a completed lock acquisition's wait time.
     pub fn record_lock_wait(&mut self, lock: u16, wait: SimDuration) {
-        let kind = self.layout.kind_of(lock);
-        let slot = LockKind::ALL
-            .iter()
-            .position(|&k| k == kind)
-            .expect("kind in ALL");
-        self.lock_wait[slot].record(wait);
+        self.lock_wait[self.layout.kind_of(lock).slot()].record(wait);
     }
 
     /// The wait times of a lock kind.
     pub fn lock_wait_of(&self, kind: LockKind) -> &DurationSummary {
-        let slot = LockKind::ALL
-            .iter()
-            .position(|&k| k == kind)
-            .expect("kind in ALL");
-        &self.lock_wait[slot]
+        &self.lock_wait[kind.slot()]
     }
 }
 

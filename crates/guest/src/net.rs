@@ -232,6 +232,56 @@ impl FlowState {
         self.app_queue.len()
     }
 
+    /// The flow's delivery counters now.
+    pub fn counters(&self) -> FlowCounters {
+        FlowCounters {
+            delivered: self.delivered,
+            dropped: self.dropped,
+            latency_us: self.latency_us.clone(),
+            bytes_per_pkt: self.cfg.bytes_per_pkt,
+        }
+    }
+
+    /// Jitter in milliseconds since the flow started (see
+    /// [`FlowCounters::jitter_ms`]).
+    pub fn jitter_ms(&self) -> f64 {
+        self.counters().jitter_ms()
+    }
+
+    /// Goodput in Mbit/s over `[started, now]`.
+    pub fn throughput_mbps(&self, now: SimTime) -> f64 {
+        self.counters()
+            .throughput_mbps(now.saturating_since(self.started))
+    }
+}
+
+/// A flow's delivery counters, cumulative since it started: what a
+/// measurement reads of it.
+#[derive(Clone, Debug, PartialEq)]
+pub struct FlowCounters {
+    /// Packets delivered to the application.
+    pub delivered: u64,
+    /// Packets dropped at the receive buffer.
+    pub dropped: u64,
+    /// Per-packet latency samples, µs (pIRQ → application consumption).
+    pub latency_us: Summary,
+    /// Payload bytes per packet.
+    pub bytes_per_pkt: u32,
+}
+
+impl FlowCounters {
+    /// The counters accrued since `earlier`, an earlier reading of the
+    /// same flow: for delta-measuring a window. The latency summary keeps
+    /// the cumulative extrema ([`Summary::since`]).
+    pub fn since(&self, earlier: &FlowCounters) -> FlowCounters {
+        FlowCounters {
+            delivered: self.delivered - earlier.delivered,
+            dropped: self.dropped - earlier.dropped,
+            latency_us: self.latency_us.since(&earlier.latency_us),
+            bytes_per_pkt: self.bytes_per_pkt,
+        }
+    }
+
     /// Jitter in milliseconds, reported as the standard deviation of
     /// per-packet latency.
     ///
@@ -244,34 +294,13 @@ impl FlowState {
         self.latency_us.std_dev() / 1_000.0
     }
 
-    /// Goodput in Mbit/s over `[started, now]`.
-    pub fn throughput_mbps(&self, now: SimTime) -> f64 {
-        let secs = now.saturating_since(self.started).as_secs_f64();
+    /// Goodput in Mbit/s, the delivered packets spread over `span`.
+    pub fn throughput_mbps(&self, span: SimDuration) -> f64 {
+        let secs = span.as_secs_f64();
         if secs <= 0.0 {
             return 0.0;
         }
-        (self.delivered as f64 * self.cfg.bytes_per_pkt as f64 * 8.0) / secs / 1e6
-    }
-
-    /// Goodput in Mbit/s over a measurement window of length `window`,
-    /// given `earlier` — a clone of this flow taken at the window start.
-    /// Delta-measurement for warm-forked experiment cells: the warm-up
-    /// share of the counters is subtracted out.
-    pub fn throughput_mbps_since(&self, earlier: &FlowState, window: SimDuration) -> f64 {
-        let secs = window.as_secs_f64();
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        ((self.delivered - earlier.delivered) as f64 * self.cfg.bytes_per_pkt as f64 * 8.0)
-            / secs
-            / 1e6
-    }
-
-    /// Jitter in milliseconds (latency standard deviation, see
-    /// [`FlowState::jitter_ms`]) over only the packets consumed since
-    /// `earlier` — a clone of this flow taken at the window start.
-    pub fn jitter_ms_since(&self, earlier: &FlowState) -> f64 {
-        self.latency_us.since(&earlier.latency_us).std_dev() / 1_000.0
+        (self.delivered as f64 * self.bytes_per_pkt as f64 * 8.0) / secs / 1e6
     }
 }
 

@@ -41,6 +41,17 @@ impl YieldBreakdown {
         self.spinlock + self.ipi + self.halt + self.other
     }
 
+    /// The yields recorded since `earlier`, an earlier breakdown of the
+    /// same VM.
+    pub fn since(&self, earlier: &YieldBreakdown) -> YieldBreakdown {
+        YieldBreakdown {
+            spinlock: self.spinlock - earlier.spinlock,
+            ipi: self.ipi - earlier.ipi,
+            halt: self.halt - earlier.halt,
+            other: self.other - earlier.other,
+        }
+    }
+
     /// Records one yield.
     pub fn record(&mut self, cause: YieldCause) {
         match cause {

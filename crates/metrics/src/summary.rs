@@ -19,7 +19,7 @@ use simcore::time::SimDuration;
 /// assert_eq!(s.min(), 1.0);
 /// assert_eq!(s.max(), 3.0);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Summary {
     count: u64,
     mean: f64,
@@ -152,7 +152,7 @@ impl Summary {
 /// assert_eq!(s.min().as_micros(), 28);
 /// assert_eq!(s.max().as_micros(), 1900);
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct DurationSummary(Summary);
 
 impl DurationSummary {

@@ -21,6 +21,17 @@ echo "== simlint (determinism & poisoning rules) ==" >&2
 # and record the justification as a `#` comment above the new entry.
 cargo run -p simlint --release --quiet -- --workspace --baseline simlint.allow
 
+echo "== experiments are functions of records ==" >&2
+# An experiment cell runs a machine only through Grid::window or
+# Grid::finish and reads only the Measured record they return (DESIGN.md
+# §4.7). Outside the runner, no file under crates/experiments/src may
+# name `Machine`, run one, or read its stats or guest kernel.
+if grep -rnE '\bMachine\b|run_until|vm_work_done|\.stats\.|\.kernel\.' \
+    --include='*.rs' --exclude=runner.rs --exclude-dir=runner crates/experiments/src; then
+    echo "an experiment reads a machine instead of its Measured record" >&2
+    exit 1
+fi
+
 echo "== doc build (deny warnings) ==" >&2
 # Broken intra-doc links and missing docs (missing_docs warns
 # workspace-wide) fail fast here instead of rotting.
@@ -86,13 +97,22 @@ rm -rf "$ci_out"
 echo "== full-budget reproduction ==" >&2
 # The full budget is what EXPERIMENTS.md reports, and no other step runs
 # it. A failed cell aborts repro with a non-zero exit, which fails the
-# step; the `compare` tally goes to the log. `NaN` cells and
-# `DEVIATION` verdicts are not gated until ROADMAP item 1 lands: the
-# swaptions co-runner still runs out of iterations in long cells.
+# step; the `compare` tally goes to the log. The stdout's `cksum` must
+# equal the value recorded here (fnv64 `cc2499a38ab09b08`), so a change
+# that moves a full-budget byte says so, as the quick digests in
+# tests/determinism.rs do; a change that alters it on purpose updates
+# this line and says why. `NaN` cells and `DEVIATION` verdicts are not
+# gated until ROADMAP item 1 lands: the swaptions co-runner still runs
+# out of iterations in long cells.
 full_out="$(mktemp)"
 target/release/repro --jobs 2 all > "$full_out"
 grep 'Paper-vs-measured shape verification' "$full_out" >&2
+full_sum="$(cksum < "$full_out")"
 rm -f "$full_out"
+if [ "$full_sum" != "1619511864 12983" ]; then
+    echo "full-budget stdout cksum '$full_sum', recorded '1619511864 12983'" >&2
+    exit 1
+fi
 
 echo "== scenario catalog smoke ==" >&2
 # The declarative scenario catalog (SCENARIOS.md): every cookbook file

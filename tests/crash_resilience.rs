@@ -207,16 +207,16 @@ fn forked_cells_failing_after_the_warm_point_still_shrink() {
     let budget = Arc::new(pool::Budget::new(1));
     let cells = pool::with_budget(&budget, || {
         pool::with_scope(&scope, || {
-            // Faults fire from 1 ms on, so the shared warm-up succeeds.
-            let grid = Grid::new(&opts, SimDuration::ZERO);
+            // Faults fire from 1 ms on, so the shared 0.5-ms quick warm-up
+            // succeeds (a warm-up at t = 0 is not stored, so not shared).
+            let grid = Grid::new(&opts, SimDuration::from_millis(2));
             run_cells(
                 &opts,
                 2,
                 |i| format!("demo[{i}]"),
                 |_| {
-                    let mut m = grid.cell(&opts, small_scenario(), PolicyKind::Baseline.build())?;
-                    m.run_until(SimTime::from_millis(500))
-                        .map_err(CellFailure::Sim)
+                    let window = SimDuration::from_millis(500);
+                    grid.window(&opts, small_scenario(), PolicyKind::Baseline, window)
                 },
             )
         })

@@ -1,14 +1,26 @@
 //! End-to-end integration tests spanning every crate: workloads →
 //! guest protocols → hypervisor scheduling → micro-slice policy.
 
-use experiments::runner::{build, run_window, PolicyKind, RunOptions};
+use experiments::runner::{build, PolicyKind, RunOptions};
 use hypervisor::PoolId;
+use hypervisor::{Machine, MachineConfig, VmSpec};
 use simcore::ids::VmId;
 use simcore::time::{SimDuration, SimTime};
 use workloads::{scenarios, Workload};
 
 fn opts() -> RunOptions {
     RunOptions::quick()
+}
+
+/// `scenario` built under `policy` and run for `window` from t = 0.
+fn run_for(
+    scenario: (MachineConfig, Vec<VmSpec>),
+    policy: PolicyKind,
+    window: SimDuration,
+) -> Machine {
+    let mut m = build(&opts(), scenario, policy);
+    m.run_until(SimTime::ZERO + window).unwrap();
+    m
 }
 
 #[test]
@@ -32,7 +44,7 @@ fn every_workload_pair_completes_or_progresses() {
             PolicyKind::Adaptive,
         ] {
             let window = SimDuration::from_millis(400);
-            let m = run_window(&opts(), scenarios::corun(w), policy, window).unwrap();
+            let m = run_for(scenarios::corun(w), policy, window);
             assert!(
                 m.vm_work_done(VmId(0)) > 0,
                 "{} made no progress under {policy:?}",
@@ -50,7 +62,7 @@ fn work_conservation_across_policies() {
     // intentional idling).
     for policy in [PolicyKind::Baseline, PolicyKind::Fixed(1)] {
         let window = SimDuration::from_secs(1);
-        let m = run_window(&opts(), scenarios::corun(Workload::Gmake), policy, window).unwrap();
+        let m = run_for(scenarios::corun(Workload::Gmake), policy, window);
         let used = m.stats.vm(VmId(0)).cpu_time + m.stats.vm(VmId(1)).cpu_time;
         let capacity = window * 12;
         let utilization = used.as_secs_f64() / capacity.as_secs_f64();
@@ -93,13 +105,11 @@ fn micro_pool_never_retains_vcpus_after_calm() {
 fn lock_statistics_are_consistent() {
     let (cfg, specs) = scenarios::corun(Workload::Exim);
     let n = cfg.num_pcpus;
-    let m = run_window(
-        &opts(),
+    let m = run_for(
         (cfg, specs),
         PolicyKind::Baseline,
         SimDuration::from_secs(1),
-    )
-    .unwrap();
+    );
     let kernel = &m.vm(VmId(0)).kernel;
     // Every lock ends the run free or held by a live vCPU; acquisition
     // counters are self-consistent.

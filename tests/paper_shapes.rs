@@ -73,15 +73,15 @@ fn exim_throughput_improves_substantially() {
 fn spinlock_waits_collapse_under_acceleration() {
     // Table 4a's co-run waits are the pathology; the policy must remove
     // orders of magnitude from the hot locks' means.
-    use experiments::runner::run_window;
+    use experiments::runner::build;
     use guest::kernel::LockKind;
     use simcore::ids::VmId;
-    use simcore::time::SimDuration;
+    use simcore::time::SimTime;
     use workloads::scenarios;
 
     let run = |policy: PolicyKind| {
-        let scenario = scenarios::corun(Workload::Exim);
-        let m = run_window(&opts(), scenario, policy, SimDuration::from_secs(1)).unwrap();
+        let mut m = build(&opts(), scenarios::corun(Workload::Exim), policy);
+        m.run_until(SimTime::from_secs(1)).unwrap();
         m.vm(VmId(0))
             .kernel
             .lock_wait_of(LockKind::PageAlloc)
