@@ -43,7 +43,7 @@ pub fn run_slice_sweep(opts: &RunOptions) -> Vec<Table> {
         opts,
         SLICES_US.len(),
         |i| format!("ablation-slice[{}us, seed {:#x}]", SLICES_US[i], opts.seed),
-        |i| {
+        |opts, i| {
             let scenario =
                 exim_corun(|cfg| cfg.micro_slice = SimDuration::from_micros(SLICES_US[i]));
             let m = grid.window(opts, scenario, PolicyKind::Fixed(1), window)?;
@@ -81,7 +81,7 @@ pub fn run_runq_cap(opts: &RunOptions) -> Vec<Table> {
         opts,
         CAPS.len(),
         |i| format!("ablation-runqcap[cap {}, seed {:#x}]", CAPS[i], opts.seed),
-        |i| {
+        |opts, i| {
             let (mut cfg, specs) = crate::fig4::scenario(opts, Workload::Dedup);
             cfg.micro_runq_cap = CAPS[i];
             let m = grid.finish(opts, (cfg, specs), PolicyKind::Fixed(3), VmId(0))?;
@@ -121,7 +121,7 @@ pub fn run_detection_off(opts: &RunOptions) -> Vec<Table> {
                 DETECTION_LABELS[i], opts.seed
             )
         },
-        |i| {
+        |opts, i| {
             let policy = match i {
                 0 => PolicyKind::Baseline.into(),
                 1 => PolicyKind::Fixed(1).into(),
@@ -168,7 +168,7 @@ pub fn run_fixed_usliced(opts: &RunOptions) -> Vec<Table> {
                 USLICED_LABELS[i], opts.seed
             )
         },
-        |i| {
+        |opts, i| {
             let scenario = exim_corun(|cfg| {
                 if i == 2 {
                     cfg.normal_slice = SimDuration::from_micros(100);

@@ -49,12 +49,16 @@ fn err_shape(
 fn pair<T: Send>(
     opts: &RunOptions,
     label: impl Fn(PolicyKind) -> String + Sync,
-    cell: impl Fn(PolicyKind) -> CellResult<T> + Sync,
+    cell: impl Fn(&RunOptions, PolicyKind) -> CellResult<T> + Sync,
 ) -> [CellResult<T>; 2] {
     const POLICIES: [PolicyKind; 2] = [PolicyKind::Baseline, PolicyKind::Fixed(1)];
-    let mut out = run_cells(opts, 2, |i| label(POLICIES[i]), |i| cell(POLICIES[i]))
-        .into_iter()
-        .map(|r| r.map_err(|e| e.failure));
+    let cells = run_cells(
+        opts,
+        2,
+        |i| label(POLICIES[i]),
+        |opts, i| cell(opts, POLICIES[i]),
+    );
+    let mut out = cells.into_iter().map(|r| r.map_err(|e| e.failure));
     let mut next = || out.next().expect("the batch has two cells");
     [next(), next()]
 }
@@ -245,7 +249,7 @@ pub fn measure(opts: &RunOptions) -> Vec<ShapeResult> {
     let [mem_base, mem_one] = pair(
         opts,
         |p| fig4::label(opts, Workload::Memclone, p),
-        |p| fig4::run_one(opts, &f4_grid, Workload::Memclone, p),
+        |opts, p| fig4::run_one(opts, &f4_grid, Workload::Memclone, p),
     );
     let f4m = match (&mem_base, &mem_one) {
         (Ok(base), Ok(one)) => {
@@ -269,7 +273,7 @@ pub fn measure(opts: &RunOptions) -> Vec<ShapeResult> {
     let [f9b, f9u] = pair(
         opts,
         |p| fig9::label(opts, true, p),
-        |p| fig9::measure_one(opts, &f9_grid, true, p),
+        |opts, p| fig9::measure_one(opts, &f9_grid, true, p),
     );
     out.push(match (&f9b, &f9u) {
         (Ok(b), Ok(u)) => ShapeResult {

@@ -99,7 +99,7 @@ pub fn sweep(opts: &RunOptions, w: Workload) -> Vec<CellResult<Cell>> {
         opts,
         configs.len(),
         |i| label(opts, w, configs[i]),
-        |i| run_one(opts, &grid, w, configs[i]),
+        |opts, i| run_one(opts, &grid, w, configs[i]),
     )
     .into_iter()
     .map(|r| r.map_err(|e| e.failure))
@@ -124,7 +124,7 @@ pub fn run(opts: &RunOptions) -> Vec<Table> {
                 configs[i % configs.len()],
             )
         },
-        |i| {
+        |opts, i| {
             run_one(
                 opts,
                 &plan,

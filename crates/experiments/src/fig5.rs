@@ -71,7 +71,7 @@ pub fn sweep(opts: &RunOptions, w: Workload) -> Vec<CellResult<Cell>> {
         opts,
         configs.len(),
         |i| label(opts, w, configs[i]),
-        |i| run_one(opts, &grid, w, configs[i]),
+        |opts, i| run_one(opts, &grid, w, configs[i]),
     )
     .into_iter()
     .map(|r| r.map_err(|e| e.failure))
@@ -93,7 +93,7 @@ pub fn run(opts: &RunOptions) -> Vec<Table> {
                 configs[i % configs.len()],
             )
         },
-        |i| {
+        |opts, i| {
             run_one(
                 opts,
                 &plan,

@@ -102,7 +102,7 @@ pub fn measure(opts: &RunOptions) -> Vec<(Workload, [Result<Cell, CellError>; 3]
                 opts.seed
             )
         },
-        |i| {
+        |opts, i| {
             let w = WORKLOADS[i / 3];
             run_one(opts, &exec, &tput, w, grid_policy(w, i % 3))
         },

@@ -69,7 +69,7 @@ pub fn measure(opts: &RunOptions) -> Vec<(Workload, [Result<YieldBreakdown, Cell
                 opts.seed
             )
         },
-        |i| {
+        |opts, i| {
             let w = WORKLOADS[i / 3];
             measure_one(opts, &plan, w, grid_policy(w, i % 3))
         },

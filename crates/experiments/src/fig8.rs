@@ -49,7 +49,7 @@ pub fn measure(opts: &RunOptions) -> Vec<Result<Row, CellError>> {
                 opts.seed
             )
         },
-        |i| {
+        |opts, i| {
             let w = set[i / 2];
             let policy = if i % 2 == 0 {
                 PolicyKind::Baseline

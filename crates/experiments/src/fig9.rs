@@ -85,7 +85,7 @@ pub fn measure(opts: &RunOptions) -> Vec<Result<Row, CellError>> {
         opts,
         4,
         |i| label(opts, i / 2 == 0, POLICIES[i % 2]),
-        |i| measure_one(opts, &plan, i / 2 == 0, POLICIES[i % 2]),
+        |opts, i| measure_one(opts, &plan, i / 2 == 0, POLICIES[i % 2]),
     )
 }
 

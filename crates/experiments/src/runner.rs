@@ -12,7 +12,9 @@ pub mod store;
 pub use grid::{Grid, Measured, Target};
 
 use hypervisor::policy::SchedPolicy;
-use hypervisor::{crash, BaselinePolicy, FaultSpec, Machine, MachineConfig, SimError, VmSpec};
+use hypervisor::{
+    crash, BaselinePolicy, FaultPlan, FaultSpec, Machine, MachineConfig, SimError, VmSpec,
+};
 use microslice::{AdaptiveConfig, MicroslicePolicy};
 use simcore::time::{SimDuration, SimTime};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -252,12 +254,16 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-/// Fans `f(0..n)` across `opts.jobs` workers with each cell isolated by
-/// `catch_unwind`: a panicking or failing cell becomes an `Err` carrying
-/// `label(i)` instead of taking the whole grid down. Without
-/// `opts.keep_going` the first failure still aborts — but only after the
-/// whole grid ran, and the panic message names the failing cell (and its
-/// crash artifact, when one was written).
+/// Fans `f(opts, 0..n)` across `opts.jobs` workers with each cell
+/// isolated by `catch_unwind`: a panicking or failing cell becomes an
+/// `Err` carrying `label(i)` instead of taking the whole grid down.
+/// Without `opts.keep_going` the first failure still aborts — but only
+/// after the whole grid ran, and the panic message names the failing cell
+/// (and its crash artifact, when one was written).
+///
+/// Each cell reads the options it is handed, not the ones its closure
+/// captured: `opts`, or in a scope's shrink probe (below) `opts` with a
+/// truncated fault plan.
 ///
 /// When the calling thread carries a [`pool::Scope`] (`repro` installs
 /// one per experiment), every cell additionally runs inside an armed
@@ -270,7 +276,7 @@ pub fn run_cells<T, L, F>(opts: &RunOptions, n: usize, label: L, f: F) -> Vec<Re
 where
     T: Send,
     L: Fn(usize) -> String + Sync,
-    F: Fn(usize) -> CellResult<T> + Sync,
+    F: Fn(&RunOptions, usize) -> CellResult<T> + Sync,
 {
     let scope = pool::current_scope();
     // Claimed on the driver thread in program order, so a cell's
@@ -278,15 +284,15 @@ where
     // that is what makes `repro cell --cell B:I` replays well-defined.
     let batch = scope.as_ref().map(|s| s.claim_batch());
     let out: Vec<Result<T, CellError>> = pool::run_indexed(opts.jobs, n, |i| {
-        let guarded = || {
-            catch_unwind(AssertUnwindSafe(|| f(i)))
+        let guarded = |opts: &RunOptions| {
+            catch_unwind(AssertUnwindSafe(|| f(opts, i)))
                 .unwrap_or_else(|p| Err(CellFailure::Panic(panic_text(p))))
         };
         match (&scope, batch) {
             (Some(scope), Some(batch)) => {
                 run_cell_scoped(scope, opts, batch, i, &label(i), &guarded)
             }
-            _ => guarded().map_err(|failure| CellError::bare(label(i), failure)),
+            _ => guarded(opts).map_err(|failure| CellError::bare(label(i), failure)),
         }
     });
     let real_failures = || {
@@ -346,12 +352,13 @@ pub fn fail_row(label: String, cols: usize, failure: &CellFailure) -> Vec<String
 
 /// The outcome of the post-failure fault-plan shrink pass.
 enum Shrink {
-    /// Shrinking does not apply (no fault plan, or a wall-clock failure).
+    /// Shrinking does not apply (see [`shrink_fault_plan`]).
     NotAttempted,
-    /// Re-running under the full plan did not reproduce the failure.
+    /// Re-running under the whole plan did not reproduce the failure.
     NotReproducible,
-    /// The first `take` of `total` planned entries reproduce the failure.
-    Minimal { take: u32, total: u32 },
+    /// The first `take` planned entries reproduce the failure; the search
+    /// covered `1..=bound`.
+    Minimal { take: u32, bound: u32 },
 }
 
 /// Executes one cell under the scope's crash session, watchdog, and cell
@@ -363,7 +370,7 @@ fn run_cell_scoped<T>(
     batch: usize,
     i: usize,
     label: &str,
-    run: &dyn Fn() -> CellResult<T>,
+    run: &dyn Fn(&RunOptions) -> CellResult<T>,
 ) -> Result<T, CellError> {
     if let Some(filter) = scope.filter() {
         if filter != (batch, i) {
@@ -371,14 +378,15 @@ fn run_cell_scoped<T>(
         }
         scope.note_matched();
     }
-    let deadline = scope.watchdog();
-    let attempt = || {
+    let attempt = |opts: &RunOptions| {
+        // A deadline past the clock's range is no deadline.
+        let deadline = scope.watchdog().and_then(|d| Instant::now().checked_add(d));
         crash::with_session(|| match deadline {
-            Some(d) => simcore::watchdog::with_deadline(Instant::now() + d, run),
-            None => run(),
+            Some(deadline) => simcore::watchdog::with_deadline(deadline, || run(opts)),
+            None => run(opts),
         })
     };
-    let failure = match attempt() {
+    let failure = match attempt(opts) {
         Ok(v) => return Ok(v),
         Err(failure) => failure,
     };
@@ -386,8 +394,7 @@ fn run_cell_scoped<T>(
     // Capture the evidence of the *original* failure before any shrink
     // probe overwrites the session's report slot.
     let report = crash::take_report();
-    let plan_len = crash::last_plan_len();
-    let shrink = shrink_fault_plan(opts, &failure, plan_len, &attempt);
+    let shrink = shrink_fault_plan(opts, &failure, report.is_some(), &attempt);
     let (artifact, replay) =
         match write_artifact(scope, opts, batch, i, label, &failure, &shrink, report) {
             Some((path, cmd)) => (Some(path), Some(cmd)),
@@ -402,12 +409,14 @@ fn run_cell_scoped<T>(
 }
 
 /// Bisects a failing cell's fault plan down to a minimal reproducing
-/// prefix by re-running the cell under
-/// [`crash::with_fault_take`] truncations. While the override is armed
-/// the checkpoint store stands aside, so shared-prefix grids rebuild
-/// their warm machines and rerun their completions under the truncated
-/// plan instead of forking a snapshot or reading a record made under the
-/// full one.
+/// prefix by re-running the cell under its options with `take=K`, the
+/// spec the artifact's replay command embeds. Each probe's spec names its
+/// own checkpoint-store key, so the truncated plan governs every
+/// simulated prefix and completion. The search covers `1..=bound`, where
+/// `bound` is [`FaultPlan::max_len`], an upper bound on the plan a
+/// machine installs from the spec, at most its own `take` (a `take` past
+/// the plan's end keeps it whole). Only a failure that left a crash
+/// report (`reported`) and is not a watchdog cancellation is shrunk.
 ///
 /// The bisection assumes the usual prefix monotonicity (if `k` entries
 /// reproduce, so do `k + 1`); plans violating it still yield *a*
@@ -417,24 +426,26 @@ fn run_cell_scoped<T>(
 fn shrink_fault_plan<T>(
     opts: &RunOptions,
     failure: &CellFailure,
-    plan_len: u32,
-    attempt: &dyn Fn() -> CellResult<T>,
+    reported: bool,
+    attempt: &dyn Fn(&RunOptions) -> CellResult<T>,
 ) -> Shrink {
-    if opts.faults.is_none()
-        || plan_len == 0
-        || matches!(failure, CellFailure::Sim(SimError::Watchdog { .. }))
-    {
+    let bound = opts.faults.map_or(0, |spec| FaultPlan::max_len(&spec));
+    let cancelled = matches!(failure, CellFailure::Sim(SimError::Watchdog { .. }));
+    let Some(spec) = opts.faults.filter(|_| bound > 0 && reported && !cancelled) else {
         return Shrink::NotAttempted;
-    }
+    };
     let want = failure.to_string();
     let reproduces = |take: u32| -> bool {
-        let probe = crash::with_fault_take(take, attempt);
-        matches!(probe, Err(f) if f.to_string() == want)
+        let probe = RunOptions {
+            faults: Some(FaultSpec { take, ..spec }),
+            ..*opts
+        };
+        matches!(attempt(&probe), Err(f) if f.to_string() == want)
     };
-    if !reproduces(plan_len) {
+    if !reproduces(bound) {
         return Shrink::NotReproducible;
     }
-    let (mut lo, mut hi) = (1u32, plan_len);
+    let (mut lo, mut hi) = (1u32, bound);
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
         if reproduces(mid) {
@@ -443,10 +454,7 @@ fn shrink_fault_plan<T>(
             lo = mid + 1;
         }
     }
-    Shrink::Minimal {
-        take: hi,
-        total: plan_len,
-    }
+    Shrink::Minimal { take: hi, bound }
 }
 
 /// Writes the crash artifact for a failed cell and returns its path plus
@@ -502,9 +510,9 @@ fn write_artifact(
             text,
             "shrink: failed to reproduce under re-run; full plan retained"
         ),
-        Shrink::Minimal { take, total } => writeln!(
+        Shrink::Minimal { take, bound } => writeln!(
             text,
-            "shrink: {take} of {total} planned entries suffice to reproduce"
+            "shrink: take={take} suffices to reproduce (bisected over 1..={bound})"
         ),
     };
     let _ = writeln!(text, "replay: {cmd}");
@@ -518,14 +526,16 @@ fn write_artifact(
             );
         }
     }
+    // A `scenario:PATH` id holds `:` and `/`: the file name maps every
+    // character outside `[A-Za-z0-9._-]` to `_`, the replay keeps the id.
+    let keep = |c: char| c.is_ascii_alphanumeric() || "._-".contains(c);
+    let stem: String = scope
+        .experiment()
+        .chars()
+        .map(|c| if keep(c) { c } else { '_' })
+        .collect();
     let dir = scope.artifacts_dir();
-    let path = dir.join(format!(
-        "{}-{}-{}-{:#x}.txt",
-        scope.experiment(),
-        batch,
-        i,
-        opts.seed
-    ));
+    let path = dir.join(format!("{stem}-{batch}-{i}-{:#x}.txt", opts.seed));
     let written = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, &text));
     match written {
         Ok(()) => Some((path, cmd)),
@@ -574,6 +584,7 @@ mod tests {
     use super::*;
     use simcore::ids::VmId;
     use std::sync::Arc;
+    use std::time::Duration;
     use workloads::scenarios;
     use workloads::Workload;
 
@@ -651,7 +662,7 @@ mod tests {
             &opts,
             4,
             |i| format!("cell[{i}]"),
-            |i| {
+            |_, i| {
                 if i == 2 {
                     panic!("boom {i}");
                 }
@@ -677,7 +688,7 @@ mod tests {
             &opts,
             3,
             |i| format!("cell[{i}]"),
-            |i| {
+            |_, i| {
                 if i == 1 {
                     Err(CellFailure::Horizon)
                 } else {
@@ -730,7 +741,7 @@ mod tests {
                 &opts,
                 3,
                 |i| format!("demo[cell {i}]"),
-                |i| {
+                |_, i| {
                     if i == 1 {
                         Err(CellFailure::Horizon)
                     } else {
@@ -758,7 +769,7 @@ mod tests {
         // the matched cell on the scope.
         let scope = Arc::new(pool::Scope::new("demo", &dir).with_filter(0, 2));
         let out = pool::with_scope(&scope, || {
-            run_cells(&opts, 3, |i| format!("demo[cell {i}]"), Ok)
+            run_cells(&opts, 3, |i| format!("demo[cell {i}]"), |_, i| Ok(i))
         });
         assert!(matches!(
             out[0].as_ref().unwrap_err().failure,
@@ -768,5 +779,72 @@ mod tests {
         assert!(scope.matched());
         assert!(!scope.failed());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The shrink pass re-runs a failing cell under the options it hands
+    /// the cell. This cell fails only while its plan keeps three or more
+    /// entries, so its minimal prefix is `take=3`; a cell that ran under
+    /// the options its closure captured would fail every probe and shrink
+    /// to `take=1`.
+    #[test]
+    fn shrink_probes_hand_the_cell_its_truncated_plan() {
+        let dir = std::env::temp_dir().join(format!("shrink_test_{}", std::process::id()));
+        let opts = RunOptions {
+            keep_going: true,
+            faults: Some(FaultSpec::parse("count=8,seed=1,kinds=kick").unwrap()),
+            ..RunOptions::quick()
+        };
+        // One sabotage entry, whatever the probe: the same failure, and a
+        // crash report, every time the cell fails.
+        let sabotaged = RunOptions {
+            faults: Some(FaultSpec::parse("count=1,seed=3,window_ms=20,kinds=sabotage").unwrap()),
+            ..opts
+        };
+        let scope = Arc::new(pool::Scope::new("demo", &dir));
+        let out = pool::with_scope(&scope, || {
+            run_cells(
+                &opts,
+                1,
+                |i| format!("demo[cell {i}]"),
+                |opts, _| {
+                    let take = opts.faults.map_or(0, |spec| spec.take);
+                    if take == 0 || take >= 3 {
+                        let swaptions = || scenarios::vm(Workload::Swaptions, 2, None);
+                        let scenario = (MachineConfig::small(2), vec![swaptions(), swaptions()]);
+                        build(&sabotaged, scenario, PolicyKind::Baseline)
+                            .run_until(SimTime::from_millis(50))
+                            .map_err(CellFailure::Sim)?;
+                    }
+                    Ok(())
+                },
+            )
+        });
+        let e = out[0].as_ref().unwrap_err();
+        let replay = e.replay.as_ref().expect("a replay command");
+        assert!(replay.ends_with(",kinds=kick,take=3\""), "{replay}");
+        let text = std::fs::read_to_string(e.artifact.as_ref().unwrap()).unwrap();
+        assert!(
+            text.contains("shrink: take=3 suffices to reproduce (bisected over 1..=8)"),
+            "{text}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A watchdog deadline past the clock's range is no deadline.
+    #[test]
+    fn a_watchdog_past_the_clock_runs_cells_to_completion() {
+        let dir = std::env::temp_dir().join(format!("watchdog_test_{}", std::process::id()));
+        let scope = Arc::new(pool::Scope::new("demo", &dir).with_watchdog(Duration::MAX));
+        let out = pool::with_scope(&scope, || {
+            run_cells(
+                &RunOptions::quick(),
+                2,
+                |i| format!("demo[cell {i}]"),
+                |_, i| Ok(i),
+            )
+        });
+        let out: Vec<usize> = out.into_iter().map(Result::unwrap).collect();
+        assert_eq!(out, [0, 1]);
+        assert!(!scope.failed());
     }
 }

@@ -139,7 +139,7 @@ impl Grid {
             CellPolicy::Custom(policy) => (None, None, policy),
         };
         let diverge = || {
-            let mut m = warm.fork();
+            let mut m = Machine::clone(&warm);
             m.set_policy(policy);
             m
         };

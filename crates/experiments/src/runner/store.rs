@@ -42,10 +42,13 @@
 //!   at its own warm point.
 //! - **Successes only.** A failing extension or completion is not
 //!   recorded: each consumer reruns it inside its own crash session, so
-//!   its artifact keeps its own trace ring, shrink and replay.
-//! - **Bypass.** With forking off (`--no-fork`, the oracle) and in a
-//!   crash-shrink probe ([`crash::with_fault_take`]) cells simulate
-//!   from scratch and never read or write a store (see `keyed`).
+//!   its artifact keeps its own trace ring, shrink and replay. A shrink
+//!   probe runs its cell under a spec with `take=K`, which is another
+//!   key, so its truncated plan governs every prefix it simulates or
+//!   forks.
+//! - **Bypass.** With forking off (`--no-fork`, the oracle) cells
+//!   simulate from scratch and never read or write a store (see
+//!   `keyed`).
 //! - **Locking.** Each trajectory's checkpoints have one lock, held
 //!   while a cell extends them, and each finish record has its own, held
 //!   while a cell runs to it: a completion holds up only requests for
@@ -61,7 +64,7 @@
 
 use super::grid::{Reading, Target};
 use super::{CellFailure, CellResult, PolicyKind, RunOptions};
-use hypervisor::{crash, Machine, MachineConfig, VmSpec};
+use hypervisor::{Machine, MachineConfig, VmSpec};
 use simcore::time::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -173,7 +176,7 @@ impl CheckpointStore {
         self.extensions.fetch_add(1, Ordering::Relaxed);
         let mut m = match points.at.range(..at).next_back() {
             Some((&from, base)) => {
-                let base = base.fork();
+                let base = Machine::clone(base);
                 if !points.extended.insert(from) {
                     self.reextended.fetch_add(1, Ordering::Relaxed);
                 }
@@ -253,16 +256,13 @@ pub(crate) fn scenario_key(opts: &RunOptions, scenario: &(MachineConfig, Vec<VmS
 pub(crate) type Keyed<'a> = Option<(&'a CheckpointStore, Arc<str>)>;
 
 /// `scenario`'s place in `store`. None with forking off (`--no-fork`,
-/// which is the oracle) and in a crash-shrink probe
-/// ([`crash::with_fault_take`]), whose truncated fault plan must govern
-/// the whole run.
+/// which is the oracle).
 pub(crate) fn keyed<'a>(
     store: &'a CheckpointStore,
     opts: &RunOptions,
     scenario: &(MachineConfig, Vec<VmSpec>),
 ) -> Keyed<'a> {
-    let shared = opts.fork && crash::fault_take().is_none();
-    shared.then(|| (store, scenario_key(opts, scenario)))
+    opts.fork.then(|| (store, scenario_key(opts, scenario)))
 }
 
 /// The keyed scenario's trajectory under `schedule` at `at`. Without a
@@ -333,11 +333,21 @@ mod tests {
         let exim = key(&opts, fig7::scenario(Workload::Exim));
         let other_seed = RunOptions { seed: 11, ..opts };
         assert_ne!(key(&other_seed, fig7::scenario(Workload::Exim)), exim);
+        let spec = FaultSpec::parse("count=2,seed=5,kinds=ipi").unwrap();
         let faulted = RunOptions {
-            faults: Some(FaultSpec::parse("count=2,seed=5,kinds=ipi").unwrap()),
+            faults: Some(spec),
             ..opts
         };
-        assert_ne!(key(&faulted, fig7::scenario(Workload::Exim)), exim);
+        let faulted_key = key(&faulted, fig7::scenario(Workload::Exim));
+        assert_ne!(faulted_key, exim);
+        // A shrink probe's truncated plan is another scenario.
+        let probe = RunOptions {
+            faults: Some(FaultSpec { take: 3, ..spec }),
+            ..opts
+        };
+        let probe_key = key(&probe, fig7::scenario(Workload::Exim));
+        assert_ne!(probe_key, faulted_key);
+        assert_ne!(probe_key, exim);
         // `iters` scales the finite target's budget.
         assert_ne!(
             key(&opts, fig4::scenario(&opts, Workload::Dedup)),
@@ -393,7 +403,6 @@ mod tests {
         };
         with_budget(&budget, || {
             consume(&no_fork);
-            crash::with_fault_take(1, || consume(&opts));
             assert_eq!(budget.store().stats(), StoreStats::default());
             consume(&opts);
             let filled = budget.store().stats();
@@ -401,7 +410,6 @@ mod tests {
             // window's end (t = 0 is never kept).
             assert_eq!(filled.retained, 3, "{filled:?}");
             // Neither read (no request served) nor written.
-            crash::with_fault_take(1, || consume(&opts));
             consume(&no_fork);
             assert_eq!(budget.store().stats(), filled);
         });

@@ -111,7 +111,8 @@ where
         .iter()
         .flat_map(|vm| std::iter::repeat_n(vm.display_name(), vm.count as usize))
         .collect();
-    let cell_opts = |rep: u32| -> RunOptions {
+    // A repeat's options derive from the options its cell runs under.
+    let cell_opts = |opts: &RunOptions, rep: u32| -> RunOptions {
         RunOptions {
             seed: if rep == 0 {
                 opts.seed
@@ -132,12 +133,12 @@ where
                 sc.name,
                 policies[p].label(),
                 rep,
-                cell_opts(rep as u32).seed
+                cell_opts(opts, rep as u32).seed
             )
         },
-        |i| {
+        |opts, i| {
             let (rep, p) = (i / policies.len(), i % policies.len());
-            let opts = cell_opts(rep as u32);
+            let opts = cell_opts(opts, rep as u32);
             let m = match sc.run.mode {
                 RunMode::Window => grid.window(&opts, parts(), policies[p], window)?,
                 RunMode::Completion => grid.finish(&opts, parts(), policies[p], Target::All)?,

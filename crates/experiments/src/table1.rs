@@ -154,7 +154,7 @@ pub fn measure(opts: &RunOptions) -> Vec<Result<Row, CellError>> {
                 opts.seed
             )
         },
-        |i| {
+        |opts, i| {
             let scheme = Scheme::ALL[i / 3];
             match i % 3 {
                 0 => exim_run(opts, &exim_plan, scheme),

@@ -63,7 +63,7 @@ pub fn measure(opts: &RunOptions) -> Vec<Result<Row, CellError>> {
         },
         // `compare` re-runs this grid; the checkpoint store serves its
         // baseline windows.
-        |i| {
+        |opts, i| {
             let scenario = scenario(WORKLOADS[i / 2], i % 2 == 1);
             let m = grid.window(opts, scenario, PolicyKind::Baseline, window)?;
             Ok(m.yields(VmId(0)).total())

@@ -6,7 +6,7 @@
 //! census (instruction pointers resolved through the symbol table), and
 //! report each observed kernel function with its whitelist class.
 
-use crate::runner::{run_cells, CellError, Grid, PolicyKind, RunOptions};
+use crate::runner::{fail_row, run_cells, CellError, Grid, PolicyKind, RunOptions};
 use ksym::whitelist::{CriticalClass, Whitelist};
 use metrics::render::Table;
 use simcore::time::SimDuration;
@@ -33,7 +33,7 @@ pub fn measure(opts: &RunOptions) -> (Vec<(&'static str, CriticalClass, u64)>, V
                 opts.seed
             )
         },
-        |i| {
+        |opts, i| {
             let scenario = scenarios::corun(WORKLOADS[i]);
             let m = grid.window(opts, scenario, PolicyKind::Baseline, window)?;
             Ok(m.from_boot().yield_sites.clone())
@@ -61,7 +61,8 @@ pub fn measure(opts: &RunOptions) -> (Vec<(&'static str, CriticalClass, u64)>, V
 }
 
 /// Renders the Table 3 census. Failed contributing runs are reported as
-/// trailing `ERR` rows (the census then covers only the completed runs).
+/// trailing rows of their [`fail_text`](crate::runner::fail_text) (`ERR`,
+/// `HUNG` or `SKIP`; the census then covers only the completed runs).
 pub fn run(opts: &RunOptions) -> Vec<Table> {
     let (rows, errors) = measure(opts);
     let mut t = Table::new(vec!["function at yield", "class", "yields"]).with_title(
@@ -75,7 +76,7 @@ pub fn run(opts: &RunOptions) -> Vec<Table> {
         ]);
     }
     for e in errors {
-        t.row(vec![e.label.clone(), "ERR".to_string(), "ERR".to_string()]);
+        t.row(fail_row(e.label.clone(), 2, &e.failure));
     }
     vec![t]
 }
@@ -83,6 +84,32 @@ pub fn run(opts: &RunOptions) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::pool::{with_scope, Scope};
+    use std::sync::Arc;
+
+    /// Cells a `repro cell` filter skips render as `SKIP`, as in every
+    /// other table, not `ERR`.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "slow under debug; run with cargo test --release"
+    )]
+    fn filtered_cells_render_as_skip() {
+        let dir = std::env::temp_dir().join(format!("table3_skip_{}", std::process::id()));
+        let scope = Arc::new(Scope::new("table3", &dir).with_filter(0, 0));
+        let opts = RunOptions {
+            keep_going: true,
+            ..RunOptions::quick()
+        };
+        let text = with_scope(&scope, || run(&opts))[0].render();
+        let skipped = text
+            .lines()
+            .filter(|l| l.matches("SKIP").count() == 2)
+            .count();
+        assert_eq!(skipped, 2, "{text}");
+        assert!(!text.contains("ERR"), "{text}");
+        assert!(scope.matched() && !scope.failed());
+    }
 
     #[test]
     fn census_finds_the_papers_critical_sites() {

@@ -41,7 +41,7 @@ pub fn measure_4a(opts: &RunOptions) -> Result<Vec<(LockKind, f64, f64)>, CellEr
         },
         // `compare` re-runs this grid; the checkpoint store serves its
         // baseline windows.
-        |i| {
+        |opts, i| {
             // Table 2's gmake windows. Gmake runs its default budget, so
             // at the full budget its waits stop accruing when it finishes
             // inside the window (ROADMAP item 1).
@@ -109,7 +109,7 @@ pub fn measure_4b(opts: &RunOptions) -> Vec<Result<Tlb4bRow, CellError>> {
                 opts.seed
             )
         },
-        |i| {
+        |opts, i| {
             let w = TABLE4B_GRID[i / 2];
             let scenario = crate::table2::scenario(w, i % 2 == 1);
             let m = grid.window(opts, scenario, PolicyKind::Baseline, window)?;
@@ -173,7 +173,7 @@ pub fn measure_4c(opts: &RunOptions) -> Vec<Result<(&'static str, f64, f64), Cel
                 opts.seed
             )
         },
-        |i| {
+        |opts, i| {
             let scenario = if i == 0 {
                 scenarios::iperf_solo(true)
             } else {

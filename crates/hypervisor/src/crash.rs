@@ -13,12 +13,10 @@
 //! record, no allocation, no clock access. Inside a session the ring
 //! costs one bounded `Vec` write per record.
 //!
-//! The session also carries the replay knob consumed during artifact
-//! *shrinking* (bisecting a fault plan down to a minimal reproducer): a
-//! fault-plan truncation override (see [`with_fault_take`]). Only shrink
-//! probes arm it, so it also tells grid cells to rebuild their warm
-//! prefix instead of forking a snapshot cached with the untruncated
-//! plan.
+//! Shrinking a failing cell's fault plan to a minimal reproducer is the
+//! runner's job: it re-runs the cell under options whose
+//! [`FaultSpec::take`](crate::FaultSpec::take) keeps a prefix of the
+//! plan, the spec the artifact's replay command embeds.
 
 use crate::error::SimError;
 use crate::machine::Machine;
@@ -32,8 +30,6 @@ pub const DEFAULT_RING: usize = 256;
 thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
     static REPORT: RefCell<Option<String>> = const { RefCell::new(None) };
-    static FAULT_TAKE: Cell<Option<u32>> = const { Cell::new(None) };
-    static PLAN_LEN: Cell<u32> = const { Cell::new(0) };
 }
 
 /// True if a crash session is armed on the calling thread. Machines
@@ -57,7 +53,6 @@ pub fn with_session<R>(f: impl FnOnce() -> R) -> R {
     }
     let _restore = Restore(ARMED.with(|a| a.replace(true)));
     REPORT.with(|r| r.borrow_mut().take());
-    PLAN_LEN.with(|p| p.set(0));
     f()
 }
 
@@ -69,44 +64,6 @@ pub fn take_report() -> Option<String> {
 
 pub(crate) fn publish_report(report: String) {
     REPORT.with(|r| *r.borrow_mut() = Some(report));
-}
-
-/// Runs `f` with the fault-plan truncation override set to `take`:
-/// every [`Machine::install_faults`](crate::Machine::install_faults)
-/// under it keeps only the first `take` planned entries, exactly as a
-/// spec with `take=K` would. Used by the artifact shrink pass to bisect
-/// a failing plan without rebuilding the cell's options; the runner's
-/// checkpoint store stands aside while it is armed, so the truncated plan
-/// governs every simulated prefix and completion.
-pub fn with_fault_take<R>(take: u32, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<u32>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            FAULT_TAKE.with(|t| t.set(self.0));
-        }
-    }
-    let _restore = Restore(FAULT_TAKE.with(|t| t.replace(Some(take))));
-    f()
-}
-
-/// The fault-plan truncation override armed on this thread, if any.
-pub fn fault_take() -> Option<u32> {
-    FAULT_TAKE.with(|t| t.get())
-}
-
-/// Number of fault-plan entries installed by the most recent
-/// [`Machine::install_faults`](crate::Machine::install_faults), or carried
-/// by the most recent [`Machine::fork`](crate::Machine::fork), in this
-/// thread's session (before any `take` truncation) — the shrink pass's
-/// bisection upper bound.
-pub fn last_plan_len() -> u32 {
-    PLAN_LEN.with(|p| p.get())
-}
-
-pub(crate) fn publish_plan_len(len: u32) {
-    if session_armed() {
-        PLAN_LEN.with(|p| p.set(p.get().max(len)));
-    }
 }
 
 impl Machine {
@@ -228,12 +185,5 @@ mod tests {
         let result = std::panic::catch_unwind(|| with_session(|| panic!("boom")));
         assert!(result.is_err());
         assert!(!session_armed(), "armed flag leaked past unwind");
-    }
-
-    #[test]
-    fn overrides_arm_and_restore() {
-        assert_eq!(fault_take(), None);
-        with_fault_take(7, || assert_eq!(fault_take(), Some(7)));
-        assert_eq!(fault_take(), None);
     }
 }

@@ -387,6 +387,23 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
+    /// The most entries a plan derived from `spec` installs, whatever the
+    /// machine: one per planned anomaly, two for an IPI delay (its set and
+    /// clear), at most `take` when that is set. Zero means the spec
+    /// injects nothing.
+    pub fn max_len(spec: &FaultSpec) -> u32 {
+        let per_anomaly = match spec.kinds {
+            0 => 0,
+            kinds if kinds & KIND_IPI_DELAY != 0 => 2,
+            _ => 1,
+        };
+        let planned = spec.count.saturating_mul(per_anomaly);
+        match spec.take {
+            0 => planned,
+            take => planned.min(take),
+        }
+    }
+
     /// Derives a plan from a spec and the machine topology.
     ///
     /// `machine_seed` is mixed into the planning stream so per-cell seed
@@ -536,9 +553,6 @@ pub(crate) struct FaultState {
     /// One-shot delay applied to the next tick reschedule (timer
     /// coalescing jitter).
     pub(crate) tick_jitter: SimDuration,
-    /// Entries the installed plan had before any `take` truncation: what
-    /// a fork reports to a crash session (see [`Machine::fork`]).
-    pub(crate) planned: u32,
 }
 
 impl Machine {
@@ -546,10 +560,9 @@ impl Machine {
     /// `Event::Fault` per planned entry. Call at most once, right after
     /// construction (before any `run_until_*`).
     ///
-    /// [`FaultSpec::take`] (or, under an armed shrink probe, the
-    /// [`crate::crash::with_fault_take`] override) truncates the
-    /// time-sorted plan to its first K entries — the mechanism crash
-    /// artifacts use to bisect a failing plan to a minimal reproducer.
+    /// [`FaultSpec::take`] truncates the time-sorted plan to its first K
+    /// entries — the mechanism crash artifacts use to bisect a failing
+    /// plan to a minimal reproducer.
     pub fn install_faults(&mut self, spec: &FaultSpec) {
         let vcpus_per_vm: Vec<u16> = self.vcpus.iter().map(|v| v.len() as u16).collect();
         let tasks_per_vm: Vec<u32> = self.vms.iter().map(|vm| vm.tasks.len() as u32).collect();
@@ -560,11 +573,8 @@ impl Machine {
             &vcpus_per_vm,
             &tasks_per_vm,
         );
-        self.faults.planned = plan.entries.len() as u32;
-        crate::crash::publish_plan_len(self.faults.planned);
-        let take = crate::crash::fault_take().unwrap_or(spec.take);
-        if take > 0 && (take as usize) < plan.entries.len() {
-            plan.entries.truncate(take as usize);
+        if spec.take > 0 {
+            plan.entries.truncate(spec.take as usize);
         }
         if plan.entries.is_empty() {
             // An empty plan must leave the machine byte-identical to one
@@ -754,6 +764,7 @@ mod tests {
         };
         let plan = FaultPlan::generate(&spec, 7, 4, &[2, 2], &[2, 2]);
         assert_eq!(plan.entries.len(), 64);
+        assert_eq!(FaultPlan::max_len(&spec), 64);
         for w in plan.entries.windows(2) {
             assert!(w[0].at <= w[1].at, "plan not sorted");
         }
@@ -770,5 +781,33 @@ mod tests {
         };
         let plan = FaultPlan::generate(&spec, 7, 4, &[2], &[2]);
         assert!(plan.entries.is_empty());
+        assert_eq!(FaultPlan::max_len(&spec), 0);
+    }
+
+    /// The bound holds for every kind mix, counts an IPI delay's set and
+    /// clear, and is capped by `take`.
+    #[test]
+    fn max_len_bounds_every_plan() {
+        let len = |spec: &FaultSpec| {
+            FaultPlan::generate(spec, 7, 4, &[2, 2], &[2, 2])
+                .entries
+                .len() as u32
+        };
+        for seed in 0..8 {
+            let all = FaultSpec {
+                seed,
+                count: 40,
+                ..FaultSpec::default()
+            };
+            assert!(len(&all) <= FaultPlan::max_len(&all));
+        }
+        let ipi = FaultSpec {
+            count: 40,
+            kinds: KIND_IPI_DELAY,
+            ..FaultSpec::default()
+        };
+        assert_eq!((len(&ipi), FaultPlan::max_len(&ipi)), (80, 80));
+        assert_eq!(FaultPlan::max_len(&FaultSpec { take: 3, ..ipi }), 3);
+        assert_eq!(FaultPlan::max_len(&FaultSpec { take: 100, ..ipi }), 80);
     }
 }

@@ -54,7 +54,7 @@ impl Snapshot {
     /// and fork each cell from it (`--no-fork` re-simulates instead and
     /// must be byte-identical; `tests/determinism.rs` enforces it).
     pub fn fork(&self) -> Machine {
-        self.base.fork()
+        self.base.clone()
     }
 }
 
@@ -75,19 +75,6 @@ impl Machine {
     /// `Arc`-shared — it is immutable after construction).
     pub fn snapshot(&self) -> Snapshot {
         Snapshot { base: self.clone() }
-    }
-
-    /// Forks an independent machine that continues bit-identically from
-    /// the current state — [`Machine::snapshot`] plus [`Snapshot::fork`]
-    /// without keeping the intermediate checkpoint.
-    ///
-    /// The fork runs the fault plan its original installed, so it reports
-    /// that plan's length to an armed crash session as
-    /// [`Machine::install_faults`] does: a forked cell that fails can then
-    /// still have its plan shrunk.
-    pub fn fork(&self) -> Machine {
-        crate::crash::publish_plan_len(self.faults.planned);
-        self.clone()
     }
 
     /// Replaces the scheduling policy mid-run and invokes the new

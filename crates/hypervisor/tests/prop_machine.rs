@@ -191,7 +191,7 @@ proptest! {
 
         let mut original = build();
         original.run_until(fork_at).unwrap();
-        let mut fork = original.fork();
+        let mut fork = original.clone();
         fork.run_until(horizon).unwrap();
         original.run_until(horizon).unwrap();
 

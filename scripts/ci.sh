@@ -239,12 +239,14 @@ cargo run --release -p experiments --bin repro -- --quick --paranoid \
     --faults count=24,window_ms=300 --keep-going fig9 table2 > /dev/null
 
 echo "== crash-replay soak (randomized seeds, ~30 s) ==" >&2
-# Hammer one cheap experiment with random seeds, alternating survivable
-# fault plans (kinds=all: no artifacts expected) and sabotage plans
-# (every cell crashes and dumps an artifact). Then execute every
-# artifact's embedded replay command and require it to reproduce the
-# recorded failure line — the suite must end with zero unreplayable
-# failures.
+# Hammer one cheap experiment and one scenario file with random seeds,
+# alternating survivable fault plans (kinds=all: no artifacts expected)
+# and sabotage plans (every cell crashes and dumps an artifact). Then
+# execute every artifact's embedded replay command and require it to
+# reproduce the recorded failure line — the suite must end with zero
+# unreplayable failures, and with at least one scenario cell replayed
+# (its `scenario:PATH` id must survive into the artifact's file name
+# and replay command).
 soak_dir="$(mktemp -d)"
 soak_deadline=$(($(date +%s) + 30))
 soak_i=0
@@ -254,10 +256,12 @@ while [ "$(date +%s)" -lt "$soak_deadline" ]; do
     if [ $((soak_i % 2)) -eq 0 ]; then kinds=all; else kinds=sabotage; fi
     target/release/repro --quick --keep-going --seed "$seed" \
         --faults "seed=$seed,count=24,window_ms=300,kinds=$kinds" \
-        --artifacts "$soak_dir/crash$soak_i" table2 >/dev/null 2>&1 || true
+        --artifacts "$soak_dir/crash$soak_i" table2 \
+        --scenario examples/scenarios/solo-gmake.toml >/dev/null 2>&1 || true
 done
 unreplayable=0
 replayed=0
+scenario_replayed=0
 for artifact in "$soak_dir"/crash*/*.txt; do
     [ -e "$artifact" ] || continue
     recorded="$(sed -n 's/^failure: //p' "$artifact" | head -1)"
@@ -278,6 +282,9 @@ for artifact in "$soak_dir"/crash*/*.txt; do
         unreplayable=$((unreplayable + 1))
     else
         replayed=$((replayed + 1))
+        if grep -q '^experiment: scenario:' "$artifact"; then
+            scenario_replayed=$((scenario_replayed + 1))
+        fi
     fi
     rm -rf "$rerun_dir"
 done
@@ -285,7 +292,12 @@ if [ "$unreplayable" -ne 0 ]; then
     echo "soak: $unreplayable unreplayable failures" >&2
     exit 1
 fi
-echo "soak: $soak_i faulted runs, $replayed artifacts replayed identically" >&2
+if [ "$scenario_replayed" -eq 0 ]; then
+    echo "soak: no scenario-cell artifact was written and replayed" >&2
+    exit 1
+fi
+echo "soak: $soak_i faulted runs, $replayed artifacts replayed identically" \
+    "($scenario_replayed of them scenario cells)" >&2
 rm -rf "$soak_dir"
 
 echo "CI OK" >&2

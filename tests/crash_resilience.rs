@@ -14,7 +14,7 @@ use hypervisor::machine::Event;
 use hypervisor::{FaultSpec, MachineConfig, SimError, TraceEvent, VmSpec};
 use simcore::time::{SimDuration, SimTime};
 use std::collections::BTreeSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 use workloads::{scenarios, Workload};
@@ -34,6 +34,45 @@ fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("crashres_{tag}_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     dir
+}
+
+/// The files in `dir`, sorted by name.
+fn files(dir: &Path) -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+        .map(|e| e.unwrap().path())
+        .collect();
+    files.sort();
+    files
+}
+
+fn text(path: &Path) -> String {
+    std::fs::read_to_string(path).unwrap()
+}
+
+/// The rest of an artifact's first line that starts with `prefix`.
+fn line(text: &str, prefix: &str) -> String {
+    text.lines()
+        .find_map(|l| l.strip_prefix(prefix))
+        .unwrap_or_else(|| panic!("no {prefix:?} line in:\n{text}"))
+        .to_string()
+}
+
+/// Runs an artifact's replay command (`replay: repro ARGS`) through the
+/// real binary, which must fail (exit 3) and write one fresh artifact
+/// into `rerun_dir`; returns that artifact's text.
+fn replay(artifact: &str, rerun_dir: &Path) -> String {
+    let replay = line(artifact, "replay: repro ");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("--artifacts")
+        .arg(rerun_dir)
+        .args(replay.split_whitespace().map(|arg| arg.trim_matches('"')))
+        .output()
+        .expect("repro binary runs");
+    assert_eq!(out.status.code(), Some(3), "the replay must fail: {replay}");
+    let fresh = files(rerun_dir);
+    assert_eq!(fresh.len(), 1, "{fresh:?}");
+    text(&fresh[0])
 }
 
 /// End to end over the artifact pipeline: a sabotage fault poisons the
@@ -64,7 +103,7 @@ fn sabotage_writes_an_artifact_whose_shrunk_spec_reproduces() {
     };
     let scope = Arc::new(Scope::new("demo", &dir));
     let grid = pool::with_scope(&scope, || {
-        run_cells(&opts, 1, |i| format!("demo[{i}]"), |_| run(&opts))
+        run_cells(&opts, 1, |i| format!("demo[{i}]"), |opts, _| run(opts))
     });
     let e = grid[0].as_ref().expect_err("sabotage must fail the cell");
 
@@ -130,8 +169,8 @@ fn artifact_ring_lists_events_and_scheduler_decisions() {
             &opts,
             1,
             |i| format!("demo[{i}]"),
-            |_| {
-                build(&opts, scenario(), PolicyKind::Baseline)
+            |opts, _| {
+                build(opts, scenario(), PolicyKind::Baseline)
                     .run_until(SimTime::from_millis(200))
                     .map_err(CellFailure::Sim)
             },
@@ -186,8 +225,8 @@ fn trace_ring_records_no_stale_transitions() {
 }
 
 /// A cell that forks a stored warm-up and fails after it still gets a
-/// shrunk fault plan: the fork reports the plan its checkpoint carries to
-/// the cell's crash session, as building the machine would have.
+/// shrunk fault plan: each shrink probe runs the cell under its own
+/// `take=K` spec, which is its own scenario key in the store.
 #[test]
 fn forked_cells_failing_after_the_warm_point_still_shrink() {
     let dir = temp_dir("forked");
@@ -214,28 +253,29 @@ fn forked_cells_failing_after_the_warm_point_still_shrink() {
                 &opts,
                 2,
                 |i| format!("demo[{i}]"),
-                |_| {
+                |opts, _| {
                     let window = SimDuration::from_millis(500);
-                    grid.window(&opts, small_scenario(), PolicyKind::Baseline, window)
+                    grid.window(opts, small_scenario(), PolicyKind::Baseline, window)
                 },
             )
         })
     });
-    assert_eq!(
-        budget.store().stats().served,
-        1,
-        "one cell forks the other's warm-up"
-    );
     for cell in &cells {
         let e = cell.as_ref().expect_err("sabotage must fail the cell");
         let artifact = e.artifact.as_ref().expect("a crash artifact is written");
-        let text = std::fs::read_to_string(artifact).expect("artifact readable");
-        assert!(
-            text.contains(" of 8 planned entries suffice to reproduce"),
-            "{}:\n{text}",
+        let t = text(artifact);
+        assert_eq!(
+            line(&t, "shrink: "),
+            "take=1 suffices to reproduce (bisected over 1..=8)",
+            "{}",
             artifact.display()
         );
+        assert_eq!(line(&t, "fault_plan: "), "8 entries");
     }
+    // The second cell forks the first one's warm-up, and each of its
+    // probes (take = 8, 4, 2, 1) forks the warm-up the first cell's probe
+    // with the same spec stored.
+    assert_eq!(budget.store().stats().served, 5);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -282,28 +322,19 @@ fn suite_shrinks_and_replays_every_failure(fork: bool, tag: &str) {
         |_, _| {},
     );
 
-    let mut artifacts: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .expect("artifacts written")
-        .map(|e| e.unwrap().path())
-        .collect();
-    artifacts.sort();
-    let text = |p: &PathBuf| std::fs::read_to_string(p).unwrap();
-    let line = |t: &str, prefix: &str| -> String {
-        t.lines()
-            .find_map(|l| l.strip_prefix(prefix))
-            .unwrap_or_else(|| panic!("no {prefix:?} line in:\n{t}"))
-            .to_string()
-    };
+    let artifacts = files(&dir);
     // fig9's four cells plus every cell of compare's ten batches.
     assert!(artifacts.len() > 60, "only {} artifacts", artifacts.len());
     for p in &artifacts {
         let t = text(p);
         let shrink = line(&t, "shrink: ");
         assert!(
-            shrink.ends_with(" of 8 planned entries suffice to reproduce"),
+            shrink.starts_with("take=")
+                && shrink.ends_with(" suffices to reproduce (bisected over 1..=8)"),
             "{}: {shrink}",
             p.display()
         );
+        assert_eq!(line(&t, "fault_plan: "), "8 entries", "{}", p.display());
         assert!(!t.contains("not attempted"), "{}", p.display());
     }
 
@@ -317,21 +348,45 @@ fn suite_shrinks_and_replays_every_failure(fork: bool, tag: &str) {
         })
         .expect("compare runs fig9's TCP cells as a batch");
     let t = text(shared);
-    let replay = line(&t, "replay: repro ");
-    let rerun_dir = dir.join("rerun");
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
-        .arg("--artifacts")
-        .arg(&rerun_dir)
-        .args(replay.split_whitespace().map(|arg| arg.trim_matches('"')))
-        .output()
-        .expect("repro binary runs");
-    assert_eq!(out.status.code(), Some(3), "the replay must fail: {replay}");
-    let fresh: Vec<PathBuf> = std::fs::read_dir(&rerun_dir)
-        .expect("the replay writes an artifact")
-        .map(|e| e.unwrap().path())
-        .collect();
-    assert_eq!(fresh.len(), 1);
-    assert_eq!(line(&text(&fresh[0]), "failure: "), line(&t, "failure: "));
+    let fresh = replay(&t, &dir.join("rerun"));
+    assert_eq!(line(&fresh, "failure: "), line(&t, "failure: "));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A scenario file's failing cells get artifacts too. The file name maps
+/// the `:` and `/` of the `scenario:PATH` id to `_`, and the replay
+/// command keeps the id, so replaying it reproduces the failure.
+#[test]
+fn sabotaged_scenario_cells_write_replayable_artifacts() {
+    let dir = temp_dir("scenario");
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/scenarios/solo-gmake.toml"
+    );
+    let id = format!("scenario:{path}");
+    let opts = RunOptions {
+        keep_going: true,
+        faults: Some(FaultSpec::parse("seed=3,count=8,window_ms=300,kinds=sabotage").unwrap()),
+        ..RunOptions::quick()
+    };
+    let scope = Arc::new(Scope::new(&id, &dir));
+    pool::with_scope(&scope, || experiments::run_experiment(&id, &opts));
+    assert!(scope.failed());
+    // One artifact per cell: two policies, one repeat.
+    let artifacts = files(&dir);
+    assert_eq!(artifacts.len(), 2, "{artifacts:?}");
+    for (i, p) in artifacts.iter().enumerate() {
+        let t = text(p);
+        assert_eq!(line(&t, "experiment: "), id);
+        let replay_cmd = line(&t, "replay: repro ");
+        assert!(
+            replay_cmd.starts_with(&format!("cell {id} --cell 0:{i} ")),
+            "{replay_cmd}"
+        );
+        assert!(replay_cmd.contains(",take="), "{replay_cmd}");
+        let fresh = replay(&t, &dir.join(format!("rerun{i}")));
+        assert_eq!(line(&fresh, "failure: "), line(&t, "failure: "));
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -352,8 +407,8 @@ fn watchdog_cancels_a_hung_cell_and_the_suite_continues() {
             &opts,
             2,
             |i| format!("wd[{i}]"),
-            |i| {
-                let mut m = build(&opts, small_scenario(), PolicyKind::Baseline);
+            |opts, i| {
+                let mut m = build(opts, small_scenario(), PolicyKind::Baseline);
                 // Cell 0 asks for ~28 hours of simulated time: only the
                 // watchdog can end it. Cell 1 finishes on its own.
                 let horizon = if i == 0 {

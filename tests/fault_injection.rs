@@ -172,7 +172,7 @@ fn keep_going_isolates_a_panicking_cell() {
         &opts,
         3,
         |i| format!("demo[cell {i}, seed 0x7]"),
-        |i| {
+        |_, i| {
             if i == 1 {
                 panic!("injected grid-cell panic");
             }
@@ -197,7 +197,7 @@ fn without_keep_going_the_failure_names_the_cell() {
             &opts,
             2,
             |i| format!("demo[cell {i}, seed 0x7]"),
-            |i| {
+            |_, i| {
                 if i == 1 {
                     Err(CellFailure::Horizon)
                 } else {
