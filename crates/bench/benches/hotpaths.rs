@@ -3,7 +3,7 @@
 use bench::sim_criterion;
 use criterion::{criterion_group, criterion_main, Criterion};
 use hypervisor::{BaselinePolicy, Machine};
-use ksym::Linux44Map;
+use ksym::{Sym, LINUX44};
 use metrics::DurationSummary;
 use microslice::MicroslicePolicy;
 use simcore::event::EventQueue;
@@ -182,18 +182,13 @@ fn bench_histogram(c: &mut Criterion) {
 }
 
 fn bench_symbol_resolution(c: &mut Criterion) {
-    let map = Linux44Map::new();
     let wl = ksym::Whitelist::linux44();
-    let ips: Vec<u64> = ksym::linux44::CRITICAL_FUNCTIONS
-        .iter()
-        .chain(ksym::linux44::ORDINARY_FUNCTIONS)
-        .map(|n| map.ip_in(n))
-        .collect();
+    let ips: Vec<u64> = Sym::all().map(Sym::ip).collect();
     c.bench_function("symbol_classify_batch", |b| {
         b.iter(|| {
             let mut critical = 0usize;
             for &ip in &ips {
-                if wl.classify(map.table(), ip).is_critical() {
+                if wl.classify(LINUX44.table(), ip).is_critical() {
                     critical += 1;
                 }
             }
@@ -264,7 +259,7 @@ fn bench_policy_ipi_wait_yield(c: &mut Criterion) {
     let (cfg, mut specs) = scenarios::mixed_iperf_corun();
     specs[1] = scenarios::vm(Workload::Dedup, cfg.num_pcpus, None);
     let mut m = Machine::new(cfg, specs, Box::new(MicroslicePolicy::fixed(2)));
-    let mut detect = DetectionEngine::new();
+    let detect = DetectionEngine::new();
     let mut yielder: Option<VcpuId> = None;
     let mut at = SimTime::from_millis(100);
     while yielder.is_none() {

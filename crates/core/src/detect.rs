@@ -17,21 +17,11 @@ use guest::tlb::VcpuSet;
 use hypervisor::Machine;
 use ksym::whitelist::{CriticalClass, Whitelist};
 use simcore::ids::{VcpuId, VmId};
-/// Per-vCPU `(last ip, class)` cache, indexed `[vm][vcpu]`.
-type ClassMemo = Vec<Vec<Option<(u64, CriticalClass)>>>;
 
 /// Classifies vCPU instruction pointers and finds acceleration targets.
 #[derive(Clone, Debug)]
 pub struct DetectionEngine {
     whitelist: Whitelist,
-    /// Per-vCPU `(last ip, class)` memo, indexed `[vm][vcpu]` and grown on
-    /// demand. Detection scans re-classify every sibling on every policy
-    /// tick, but a vCPU's instruction pointer only changes when it runs —
-    /// preempted vCPUs (the common scan target) keep the same IP across
-    /// many scans, so remembering the last resolution skips the symbol-table
-    /// binary search entirely. Per-engine, so engines with different
-    /// whitelists (ablations) cannot poison each other's results.
-    memo: ClassMemo,
 }
 
 impl Default for DetectionEngine {
@@ -48,41 +38,15 @@ impl DetectionEngine {
 
     /// Creates an engine with a custom whitelist (ablations).
     pub fn with_whitelist(whitelist: Whitelist) -> Self {
-        DetectionEngine {
-            whitelist,
-            memo: Vec::new(),
-        }
+        DetectionEngine { whitelist }
     }
 
     /// Classifies what a vCPU is executing, from its instruction pointer
-    /// alone. Memoized on the vCPU's last instruction pointer: repeated
-    /// scans of an unmoved (e.g. preempted) vCPU resolve without touching
-    /// the symbol table.
-    ///
-    /// The memo assumes one engine serves one machine (same kernel map
-    /// throughout), which is how every caller uses it; reusing an engine
-    /// across machines with *different* symbol tables requires a fresh
-    /// engine per machine.
-    pub fn classify(&mut self, machine: &Machine, vcpu: VcpuId) -> CriticalClass {
+    /// alone: an address computation, a binary search of the guest's
+    /// symbol table and a whitelist read.
+    pub fn classify(&self, machine: &Machine, vcpu: VcpuId) -> CriticalClass {
         let ip = machine.vcpu_ip(vcpu);
-        let memo = &mut self.memo;
-        let vm = vcpu.vm.0 as usize;
-        if memo.len() <= vm {
-            memo.resize_with(vm + 1, Vec::new);
-        }
-        let per_vm = &mut memo[vm];
-        let idx = vcpu.idx as usize;
-        if per_vm.len() <= idx {
-            per_vm.resize(idx + 1, None);
-        }
-        if let Some((cached_ip, class)) = per_vm[idx] {
-            if cached_ip == ip {
-                return class;
-            }
-        }
-        let class = self.whitelist.classify(machine.kernel_map().table(), ip);
-        per_vm[idx] = Some((ip, class));
-        class
+        self.whitelist.classify(machine.kernel_map().table(), ip)
     }
 
     /// Preempted sibling vCPUs that owe TLB-shootdown acknowledgements —
@@ -101,7 +65,7 @@ impl DetectionEngine {
     /// Preempted siblings whose instruction pointer lies inside a
     /// whitelisted spinlock critical section — the suspected preempted
     /// lock holders of §4.2.
-    pub fn preempted_critical_siblings(&mut self, machine: &Machine, vm: VmId) -> VcpuSet {
+    pub fn preempted_critical_siblings(&self, machine: &Machine, vm: VmId) -> VcpuSet {
         machine
             .siblings(vm)
             .filter(|&v| machine.vcpu(v).is_preempted())
@@ -144,7 +108,7 @@ mod tests {
                 vec![
                     Segment::Critical {
                         lock,
-                        sym: "get_page_from_freelist",
+                        sym: ksym::sym!("get_page_from_freelist"),
                         hold: us(200),
                     },
                     Segment::User { dur: us(50) },
@@ -173,7 +137,7 @@ mod tests {
     fn classify_reads_real_ips() {
         let mut m = contended_machine();
         m.run_until(SimTime::from_millis(200)).unwrap();
-        let mut engine = DetectionEngine::new();
+        let engine = DetectionEngine::new();
         // Some locker vCPU must classify as critical-section or spin-wait
         // at some observation point.
         let mut seen_any_kernel = false;
@@ -191,7 +155,7 @@ mod tests {
         // Preempted-holder windows are short (the load balancer rescues
         // UNDER vCPUs quickly), so sample densely.
         let mut m = contended_machine();
-        let mut engine = DetectionEngine::new();
+        let engine = DetectionEngine::new();
         let mut found = false;
         for step in 1..40_000u64 {
             m.run_until(SimTime::from_micros(step * 50)).unwrap();
@@ -204,29 +168,10 @@ mod tests {
     }
 
     #[test]
-    fn memoized_classification_matches_fresh_engine() {
-        let mut m = contended_machine();
-        let mut warm = DetectionEngine::new();
-        // Observe at several points; the warm engine's memo must never
-        // diverge from a throwaway engine classifying from scratch.
-        for step in 1..=20u64 {
-            m.run_until(SimTime::from_millis(step * 5)).unwrap();
-            for vm in [VmId(0), VmId(1)] {
-                for v in m.siblings(vm) {
-                    let mut fresh = DetectionEngine::new();
-                    assert_eq!(warm.classify(&m, v), fresh.classify(&m, v));
-                    // Second lookup hits the memo and must agree too.
-                    assert_eq!(warm.classify(&m, v), fresh.classify(&m, v));
-                }
-            }
-        }
-    }
-
-    #[test]
     fn empty_whitelist_detects_nothing() {
         let mut m = contended_machine();
         m.run_until(SimTime::from_millis(100)).unwrap();
-        let mut engine = DetectionEngine::with_whitelist(Whitelist::empty());
+        let engine = DetectionEngine::with_whitelist(Whitelist::empty());
         for v in m.siblings(VmId(0)) {
             assert_eq!(engine.classify(&m, v), CriticalClass::NotCritical);
         }

@@ -216,7 +216,7 @@ mod tests {
                 vec![
                     Segment::Critical {
                         lock,
-                        sym: "get_page_from_freelist",
+                        sym: ksym::sym!("get_page_from_freelist"),
                         hold: us(4),
                     },
                     Segment::User { dur: us(100) },
@@ -305,57 +305,6 @@ mod tests {
             "adaptive policy never accelerated anything"
         );
         assert!(m.stats.counters.get("pool_resizes") > 0);
-    }
-
-    /// The §4.4 extension end-to-end: a user-level critical region is
-    /// accelerated only when registered on the whitelist.
-    #[test]
-    fn user_level_critical_regions_are_accelerated_when_registered() {
-        use guest::segment::ScriptedProgram;
-        use ksym::linux44::USER_IP;
-        use ksym::whitelist::{CriticalClass, Whitelist};
-
-        let region = (USER_IP, USER_IP + 0x1000);
-        let user_locker = move |_v: u16| -> Box<dyn Program> {
-            Box::new(ScriptedProgram::looping(
-                "user-cs",
-                vec![
-                    guest::segment::Segment::UserCritical {
-                        ip: region.0 + 8,
-                        dur: us(40),
-                    },
-                    guest::segment::Segment::User { dur: us(40) },
-                    guest::segment::Segment::WorkUnit,
-                ],
-            ))
-        };
-        let run = |registered: bool| {
-            let mut wl = Whitelist::linux44();
-            if registered {
-                wl.register_user_region(region.0, region.1, CriticalClass::SpinlockCritical);
-            }
-            let policy = MicroslicePolicy::fixed(1)
-                .with_detection(crate::DetectionEngine::with_whitelist(wl));
-            let specs = vec![
-                VmSpec::new("user-cs", 12).task_per_vcpu(user_locker),
-                // A lock-churning sibling VM generates the PLE yields whose
-                // handler scans for preempted critical siblings.
-                locker_spec(12),
-            ];
-            let mut m = Machine::new(
-                MachineConfig::small(12).with_seed(9),
-                specs,
-                Box::new(policy),
-            );
-            m.run_until(SimTime::from_secs(1)).unwrap();
-            m.stats.counters.get("micro_migrations")
-        };
-        let with = run(true);
-        let without = run(false);
-        assert!(
-            with > without,
-            "registered user regions should add accelerations: {with} vs {without}"
-        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   0.1 ms slice (no precise selection), which the paper's Table 1
 //!   criticizes for hurting cache-sensitive user work.
 
-use crate::runner::{fail_row, run_cells, CellPolicy, Grid, PolicyKind, RunOptions};
+use crate::runner::{fail_row, fail_text, run_cells, CellPolicy, Grid, PolicyKind, RunOptions};
 use hypervisor::{MachineConfig, VmSpec};
 use metrics::render::Table;
 use microslice::{DetectionEngine, MicroslicePolicy};
@@ -50,20 +50,20 @@ pub fn run_slice_sweep(opts: &RunOptions) -> Vec<Table> {
             Ok(m.rate(VmId(0)))
         },
     );
-    let hundred = rates[1].as_ref().ok().copied();
+    let hundred = &rates[1];
     let mut t = Table::new(vec!["micro slice", "exim units/s", "vs 100us"])
         .with_title("Ablation: micro-slice length (exim + swaptions, 1 micro core)");
     for (us, rate) in SLICES_US.iter().zip(&rates) {
         match (rate, hundred) {
-            (Ok(rate), Some(hundred)) => t.row(vec![
+            (Ok(rate), Ok(hundred)) => t.row(vec![
                 format!("{us} us"),
                 format!("{rate:.0}"),
                 format!("{:.2}", rate / hundred),
             ]),
-            (Ok(rate), None) => t.row(vec![
+            (Ok(rate), Err(hundred)) => t.row(vec![
                 format!("{us} us"),
                 format!("{rate:.0}"),
-                "ERR".to_string(),
+                fail_text(&hundred.failure).to_string(),
             ]),
             (Err(e), _) => t.row(fail_row(format!("{us} us"), 2, &e.failure)),
         }

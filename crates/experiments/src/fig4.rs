@@ -7,7 +7,7 @@
 //! (dedup, vips) *lose* with one core and win with 2–3; beyond that the
 //! shrinking normal pool erodes the gains.
 
-use crate::runner::{fail_row, run_cells, CellResult, Grid, PolicyKind, RunOptions};
+use crate::runner::{fail_row, fail_text, run_cells, CellResult, Grid, PolicyKind, RunOptions};
 use hypervisor::{MachineConfig, VmSpec};
 use metrics::render::Table;
 use simcore::ids::VmId;
@@ -109,8 +109,8 @@ pub fn sweep(opts: &RunOptions, w: Workload) -> Vec<CellResult<Cell>> {
 /// Renders Figure 4 (one table per workload pair, times normalized to the
 /// baseline like the paper's y-axis). The full workload × configuration
 /// grid is flattened into one index space so the fan-out load-balances
-/// across both axes. Failed cells render as `ERR` rows (normalized
-/// columns degrade to `ERR` if the baseline itself failed).
+/// across both axes. Failed cells render as rows of their [`fail_text`],
+/// and so do the normalized columns if the baseline itself failed.
 pub fn run(opts: &RunOptions) -> Vec<Table> {
     let configs = configs();
     let plan = Grid::new(opts, WARM);
@@ -138,7 +138,7 @@ pub fn run(opts: &RunOptions) -> Vec<Table> {
         .enumerate()
         .map(|(wi, &w)| {
             let cells = &grid[wi * configs.len()..(wi + 1) * configs.len()];
-            let base = cells[0].as_ref().ok();
+            let base = cells[0].as_ref();
             let mut t = Table::new(vec![
                 "config",
                 &format!("{} (norm)", w.name()),
@@ -152,17 +152,17 @@ pub fn run(opts: &RunOptions) -> Vec<Table> {
             ));
             for (ci, cell) in cells.iter().enumerate() {
                 match (cell, base) {
-                    (Ok(c), Some(b)) => t.row(vec![
+                    (Ok(c), Ok(b)) => t.row(vec![
                         c.policy.label(),
                         format!("{:.3}", c.target_secs / b.target_secs),
                         format!("{:.3}", b.corunner_rate / c.corunner_rate),
                         format!("{:.2}", c.target_secs),
                         format!("{:.0}", c.corunner_rate),
                     ]),
-                    (Ok(c), None) => t.row(vec![
+                    (Ok(c), Err(b)) => t.row(vec![
                         c.policy.label(),
-                        "ERR".to_string(),
-                        "ERR".to_string(),
+                        fail_text(&b.failure).to_string(),
+                        fail_text(&b.failure).to_string(),
                         format!("{:.2}", c.target_secs),
                         format!("{:.0}", c.corunner_rate),
                     ]),
@@ -248,5 +248,29 @@ mod tests {
             ],
             "(cell, co-runner finish, target finish): {early:?}"
         );
+    }
+
+    /// A cell a `repro cell` filter runs renders its normalized columns
+    /// as its skipped baseline's `SKIP`, not `ERR`.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "slow under debug; run with cargo test --release"
+    )]
+    fn a_skipped_baseline_renders_as_skip() {
+        use crate::runner::pool::{with_scope, Scope};
+        use std::sync::Arc;
+        let dir = std::env::temp_dir().join(format!("fig4_skip_{}", std::process::id()));
+        let scope = Arc::new(Scope::new("fig4", &dir).with_filter(0, 3));
+        let opts = RunOptions {
+            keep_going: true,
+            ..RunOptions::quick()
+        };
+        let text: String = with_scope(&scope, || run(&opts))
+            .iter()
+            .map(Table::render)
+            .collect();
+        assert!(!text.contains("ERR"), "{text}");
+        assert!(scope.matched() && !scope.failed());
     }
 }

@@ -2,7 +2,7 @@
 //! exim and psearchy (throughput benchmarks), with the swaptions
 //! co-runner's execution time on the second axis.
 
-use crate::runner::{fail_row, run_cells, CellResult, Grid, PolicyKind, RunOptions};
+use crate::runner::{fail_row, fail_text, run_cells, CellResult, Grid, PolicyKind, RunOptions};
 use metrics::render::Table;
 use simcore::ids::VmId;
 use simcore::time::SimDuration;
@@ -79,7 +79,9 @@ pub fn sweep(opts: &RunOptions, w: Workload) -> Vec<CellResult<Cell>> {
 }
 
 /// Renders Figure 5, flattening the workload × configuration grid into
-/// one fan-out index space. Failed cells render as `ERR` rows.
+/// one fan-out index space. Failed cells render as rows of their
+/// [`fail_text`], and so do the normalized columns if the baseline itself
+/// failed.
 pub fn run(opts: &RunOptions) -> Vec<Table> {
     let configs = crate::fig4::configs();
     let plan = Grid::new(opts, WARM);
@@ -107,7 +109,7 @@ pub fn run(opts: &RunOptions) -> Vec<Table> {
         .enumerate()
         .map(|(wi, &w)| {
             let cells = &grid[wi * configs.len()..(wi + 1) * configs.len()];
-            let base = cells[0].as_ref().ok();
+            let base = cells[0].as_ref();
             let mut t = Table::new(vec![
                 "config",
                 "throughput improvement",
@@ -120,16 +122,16 @@ pub fn run(opts: &RunOptions) -> Vec<Table> {
             ));
             for (ci, cell) in cells.iter().enumerate() {
                 match (cell, base) {
-                    (Ok(c), Some(b)) => t.row(vec![
+                    (Ok(c), Ok(b)) => t.row(vec![
                         c.policy.label(),
                         format!("{:.2}x", c.throughput / b.throughput),
                         format!("{:.3}", b.corunner_rate / c.corunner_rate),
                         format!("{:.0}", c.throughput),
                     ]),
-                    (Ok(c), None) => t.row(vec![
+                    (Ok(c), Err(b)) => t.row(vec![
                         c.policy.label(),
-                        "ERR".to_string(),
-                        "ERR".to_string(),
+                        fail_text(&b.failure).to_string(),
+                        fail_text(&b.failure).to_string(),
                         format!("{:.0}", c.throughput),
                     ]),
                     (Err(e), _) => t.row(fail_row(configs[ci].label(), 3, &e.failure)),

@@ -6,7 +6,9 @@
 //! the TLB-bound ones), and the halt share shrinks as the VMs regain
 //! utilization.
 
-use crate::runner::{fail_row, run_cells, CellError, CellResult, Grid, PolicyKind, RunOptions};
+use crate::runner::{
+    fail_row, fail_text, run_cells, CellError, CellResult, Grid, PolicyKind, RunOptions,
+};
 use hypervisor::stats::YieldBreakdown;
 use hypervisor::{MachineConfig, VmSpec};
 use metrics::render::Table;
@@ -85,15 +87,18 @@ pub fn measure(opts: &RunOptions) -> Vec<(Workload, [Result<YieldBreakdown, Cell
 }
 
 /// Renders Figure 7 (stacked-bar data as rows). Failed configurations
-/// render as `ERR` rows; the `vs B` column degrades to `ERR` when the
-/// baseline itself failed.
+/// render as rows of their [`fail_text`], and so does the `vs B` column
+/// when the baseline itself failed.
 pub fn run(opts: &RunOptions) -> Vec<Table> {
     let mut t = Table::new(vec![
         "pair", "config", "ipi", "spinlock", "halt", "others", "total", "vs B",
     ])
     .with_title("Figure 7: yield events by source (B: baseline, S: static, D: dynamic)");
     for (w, breakdowns) in measure(opts) {
-        let base_total = breakdowns[0].as_ref().ok().map(|b| b.total().max(1));
+        let base_total = breakdowns[0]
+            .as_ref()
+            .map(|b| b.total().max(1))
+            .map_err(|e| fail_text(&e.failure));
         for (label, b) in ["B", "S", "D"].iter().zip(&breakdowns) {
             match b {
                 Ok(b) => t.row(vec![
@@ -105,8 +110,8 @@ pub fn run(opts: &RunOptions) -> Vec<Table> {
                     b.other.to_string(),
                     b.total().to_string(),
                     match base_total {
-                        Some(base) => format!("{:.2}", b.total() as f64 / base as f64),
-                        None => "ERR".to_string(),
+                        Ok(base) => format!("{:.2}", b.total() as f64 / base as f64),
+                        Err(base) => base.to_string(),
                     },
                 ]),
                 Err(e) => {

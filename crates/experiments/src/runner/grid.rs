@@ -30,20 +30,20 @@
 use super::store::{self, CheckpointStore};
 use super::{build_with, pool, CellPolicy, CellResult, PolicyKind, RunOptions};
 use guest::net::{FlowCounters, FlowState};
-use hypervisor::stats::YieldBreakdown;
+use hypervisor::stats::{YieldBreakdown, YieldSites};
 use hypervisor::{BaselinePolicy, Machine, MachineConfig, VmSpec};
 use metrics::summary::DurationSummary;
 use simcore::ids::VmId;
 use simcore::time::{SimDuration, SimTime};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A grid execution plan: the shared warm-up horizon plus the checkpoint
 /// store cells fork from.
 ///
-/// One `Grid` serves one experiment invocation. Its store is the one of
-/// the budget visible when the grid is made (one per `repro` run), else
-/// a private store for the grid's own cells.
+/// One `Grid` serves one experiment invocation. Its store is that of the
+/// budget installed on the thread that makes it (one per `repro` run;
+/// experiments make their grids on their driver thread), else a private
+/// store for the grid's own cells.
 #[derive(Debug)]
 pub struct Grid {
     warm_until: SimTime,
@@ -80,7 +80,7 @@ impl Grid {
     pub fn new(opts: &RunOptions, warm: SimDuration) -> Self {
         Grid {
             warm_until: SimTime::ZERO + opts.warm(warm),
-            store: pool::current_store().unwrap_or_default(),
+            store: pool::current_budget().map_or_else(Arc::default, |b| Arc::clone(b.store())),
         }
     }
 
@@ -220,8 +220,8 @@ pub struct Reading {
     pub at: SimTime,
     /// Per VM, indexed by `VmId`.
     pub vms: Vec<VmReading>,
-    /// Kernel functions observed at yield time, with counts (Table 3).
-    pub yield_sites: BTreeMap<&'static str, u64>,
+    /// Yields by the kernel function they happened in (Table 3).
+    pub yield_sites: YieldSites,
 }
 
 /// One VM's part of a [`Reading`].

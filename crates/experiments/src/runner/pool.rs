@@ -35,7 +35,10 @@
 //! simulates each such cell once per budget. Only successes are kept, so
 //! a failing cell still fails — with its own crash artifact — wherever
 //! it is shown. The store lives and dies with its `Budget`; nothing is
-//! process-global.
+//! process-global. Experiments make their grids on their driver thread,
+//! under [`with_budget`], and each grid keeps the budget's store
+//! ([`Grid::new`](super::Grid::new)); cells reach it only through their
+//! grid.
 
 use super::store::CheckpointStore;
 use std::cell::RefCell;
@@ -81,7 +84,7 @@ impl Budget {
     }
 
     /// The invocation's checkpoint store.
-    pub fn store(&self) -> &CheckpointStore {
+    pub fn store(&self) -> &Arc<CheckpointStore> {
         &self.store
     }
 
@@ -140,7 +143,6 @@ impl Drop for BudgetGuard<'_> {
 thread_local! {
     static ACTIVE: RefCell<Option<Arc<Budget>>> = const { RefCell::new(None) };
     static SCOPE: RefCell<Option<Arc<Scope>>> = const { RefCell::new(None) };
-    static STORE: RefCell<Option<Arc<CheckpointStore>>> = const { RefCell::new(None) };
 }
 
 /// Runs `f` with the thread-local `slot` holding `value`, restoring the
@@ -172,11 +174,10 @@ fn with_tls<T: 'static, R>(
 /// balance themselves. With `jobs <= 1` (or fewer than two items) this is
 /// exactly the serial loop `(0..n).map(f).collect()` on the calling
 /// thread. Each cell takes one permit from the calling thread's
-/// [`Budget`], if it has one, and sees that budget's checkpoint store but
-/// no permit budget: the cell already holds its permit, so a fan-out
-/// nested inside it must not queue for a second one (under a one-permit
-/// budget that wait would never end). Panics in `f` propagate to the
-/// caller.
+/// [`Budget`], if it has one, and runs with no budget installed: the cell
+/// already holds its permit, so a fan-out nested inside it must not queue
+/// for a second one (under a one-permit budget that wait would never
+/// end). Panics in `f` propagate to the caller.
 ///
 /// # Examples
 ///
@@ -191,11 +192,11 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let (budget, store) = (current_budget(), current_store());
+    let budget = current_budget();
     let cell = |i: usize| {
         let _permit = budget.as_ref().map(|b| b.acquire());
-        // Worker threads start with no pool state.
-        with_tls(&ACTIVE, None, || with_tls(&STORE, store.clone(), || f(i)))
+        // The cell holds its permit, so it runs with no budget.
+        with_tls(&ACTIVE, None, || f(i))
     };
     if jobs <= 1 || n <= 1 {
         return (0..n).map(cell).collect();
@@ -223,12 +224,6 @@ where
     });
     tagged.sort_unstable_by_key(|&(i, _)| i);
     tagged.into_iter().map(|(_, v)| v).collect()
-}
-
-/// The checkpoint store visible on the calling thread, if any: the
-/// budget's, in every cell run under one.
-pub(super) fn current_store() -> Option<Arc<CheckpointStore>> {
-    STORE.with(|slot| slot.borrow().clone())
 }
 
 /// One experiment run's crash-resilience context: where crash artifacts
@@ -343,14 +338,11 @@ pub fn current_scope() -> Option<Arc<Scope>> {
 
 /// Runs `f` with `budget` installed as this thread's active budget:
 /// every [`run_indexed`] batch started under it acquires a permit per
-/// cell instead of running unthrottled, and every checkpoint and finish
-/// record reached under it is shared through the budget's checkpoint
-/// store. The previous budget (normally none) is restored afterwards,
-/// even if `f` unwinds.
+/// cell instead of running unthrottled, and every grid made under it
+/// shares the budget's checkpoint store. The previous budget (normally
+/// none) is restored afterwards, even if `f` unwinds.
 pub fn with_budget<R>(budget: &Arc<Budget>, f: impl FnOnce() -> R) -> R {
-    with_tls(&ACTIVE, Some(budget.clone()), || {
-        with_tls(&STORE, Some(budget.store.clone()), f)
-    })
+    with_tls(&ACTIVE, Some(budget.clone()), f)
 }
 
 /// The budget installed on the calling thread, if any.
@@ -512,22 +504,14 @@ mod tests {
     }
 
     #[test]
-    fn cells_see_the_store_but_not_the_permits() {
+    fn nested_fan_outs_do_not_wait_for_a_second_permit() {
         let budget = Arc::new(Budget::new(1));
         with_budget(&budget, || {
             for jobs in [1, 3] {
-                let seen = run_indexed(jobs, 3, |_| {
-                    let store = current_store().expect("the store is visible in a cell");
-                    (
-                        std::ptr::eq(&*store, budget.store()),
-                        current_budget().is_none(),
-                    )
-                });
-                assert_eq!(seen, vec![(true, true); 3], "jobs {jobs}");
                 // A fan-out nested in a cell of a one-permit budget must
                 // not wait for a second permit.
                 let nested = run_indexed(jobs, 2, |i| run_indexed(2, 2, |j| i * 2 + j));
-                assert_eq!(nested, vec![vec![0, 1], vec![2, 3]]);
+                assert_eq!(nested, vec![vec![0, 1], vec![2, 3]], "jobs {jobs}");
             }
         });
     }
@@ -561,24 +545,21 @@ mod tests {
         let (release, release_rx) = channel();
         let (runs, budget, opts) = (&runs, &budget, &opts);
         let cell = move |gate: Option<(Sender<()>, Receiver<()>)>| {
-            with_budget(budget, || {
-                let store = current_store().expect("the budget's store");
-                let keyed = keyed(&store, opts, &small());
-                finish_of(
-                    &keyed,
-                    None,
-                    Target::Vm(VmId(0)),
-                    SimTime::from_secs(5),
-                    || {
-                        runs.fetch_add(1, Ordering::SeqCst);
-                        if let Some((started, release)) = gate {
-                            started.send(()).unwrap();
-                            release.recv().unwrap();
-                        }
-                        build_with(opts, small(), Box::new(BaselinePolicy))
-                    },
-                )
-            })
+            let keyed = keyed(budget.store(), opts, &small());
+            finish_of(
+                &keyed,
+                None,
+                Target::Vm(VmId(0)),
+                SimTime::from_secs(5),
+                || {
+                    runs.fetch_add(1, Ordering::SeqCst);
+                    if let Some((started, release)) = gate {
+                        started.send(()).unwrap();
+                        release.recv().unwrap();
+                    }
+                    build_with(opts, small(), Box::new(BaselinePolicy))
+                },
+            )
         };
         let values = std::thread::scope(|scope| {
             let first = scope.spawn(move || cell(Some((started_tx, release_rx))));

@@ -57,10 +57,11 @@
 //!   holds one lock while waiting on another and waits cannot form a
 //!   cycle.
 //! - **Lifetime.** One store per [`pool::Budget`](super::pool::Budget),
-//!   so one per `repro` run and per simbench `paper-suite` repetition; a
-//!   [`Grid`](super::Grid) with no budget visible keeps a private one.
-//!   Nothing is process-global, and checkpoints and records live until
-//!   their store drops.
+//!   so one per `repro` run and per simbench `paper-suite` repetition. A
+//!   [`Grid`](super::Grid) takes its store from the budget installed on
+//!   the thread that makes it, and one made with no budget installed
+//!   keeps a private one. Nothing is process-global, and checkpoints and
+//!   records live until their store drops.
 
 use super::grid::{Reading, Target};
 use super::{CellFailure, CellResult, PolicyKind, RunOptions};

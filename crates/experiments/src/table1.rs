@@ -11,7 +11,7 @@
 //! and the paper's flexible micro-sliced cores (static best + dynamic).
 
 use crate::runner::{
-    fail_row, run_cells, CellError, CellPolicy, CellResult, Grid, PolicyKind, RunOptions,
+    fail_row, fail_text, run_cells, CellError, CellPolicy, CellResult, Grid, PolicyKind, RunOptions,
 };
 use hypervisor::{MachineConfig, VmSpec};
 use metrics::render::{fmt_f64, Table};
@@ -177,11 +177,12 @@ pub fn measure(opts: &RunOptions) -> Vec<Result<Row, CellError>> {
         .collect()
 }
 
-/// Renders quantitative Table 1. Failed rows render as `ERR`; the
-/// normalized columns degrade to `ERR` when the baseline row failed.
+/// Renders quantitative Table 1. Failed rows render as their
+/// [`fail_text`]; so do the normalized columns when the baseline row
+/// failed.
 pub fn run(opts: &RunOptions) -> Vec<Table> {
     let rows = measure(opts);
-    let base = rows[0].as_ref().ok().copied();
+    let base = rows[0].as_ref().copied().map_err(|e| fail_text(&e.failure));
     let mut t = Table::new(vec![
         "scheme",
         "exim (locks)",
@@ -193,16 +194,16 @@ pub fn run(opts: &RunOptions) -> Vec<Table> {
     );
     for (si, r) in rows.into_iter().enumerate() {
         match (r, base) {
-            (Ok(r), Some(base)) => t.row(vec![
+            (Ok(r), Ok(base)) => t.row(vec![
                 r.scheme.label().to_string(),
                 format!("{:.2}x tput", r.exim_tput / base.exim_tput),
                 format!("{:.2}x time", r.dedup_secs / base.dedup_secs),
                 format!("{} ms jitter", fmt_f64(r.iperf_jitter_ms)),
             ]),
-            (Ok(r), None) => t.row(vec![
+            (Ok(r), Err(base)) => t.row(vec![
                 r.scheme.label().to_string(),
-                "ERR".to_string(),
-                "ERR".to_string(),
+                base.to_string(),
+                base.to_string(),
                 format!("{} ms jitter", fmt_f64(r.iperf_jitter_ms)),
             ]),
             (Err(e), _) => t.row(fail_row(Scheme::ALL[si].label().to_string(), 3, &e.failure)),

@@ -7,21 +7,21 @@
 //! report each observed kernel function with its whitelist class.
 
 use crate::runner::{fail_row, run_cells, CellError, Grid, PolicyKind, RunOptions};
-use ksym::whitelist::{CriticalClass, Whitelist};
+use hypervisor::stats::YieldSites;
+use ksym::whitelist::CriticalClass;
 use metrics::render::Table;
 use simcore::time::SimDuration;
-use std::collections::BTreeMap;
 use workloads::{scenarios, Workload};
 
-/// Runs the census and returns `(site, class, count)` sorted by count,
-/// plus the errors of any contributing runs that failed (the census then
-/// covers only the runs that completed).
+/// Runs the census and returns `(site, class, count)` sorted by count
+/// (ties in name order), plus the errors of any contributing runs that
+/// failed (the census then covers only the runs that completed).
 pub fn measure(opts: &RunOptions) -> (Vec<(&'static str, CriticalClass, u64)>, Vec<CellError>) {
     let window = opts.window(SimDuration::from_secs(3));
     let grid = Grid::new(opts, SimDuration::ZERO);
     // The three co-run scenarios fan out; each worker returns only its
     // site counts. The merged census sums counts, so any merge order
-    // yields the same BTreeMap — index order is kept anyway.
+    // yields the same census — index order is kept anyway.
     const WORKLOADS: [Workload; 3] = [Workload::Gmake, Workload::Dedup, Workload::Psearchy];
     let per_run = run_cells(
         opts,
@@ -39,25 +39,15 @@ pub fn measure(opts: &RunOptions) -> (Vec<(&'static str, CriticalClass, u64)>, V
             Ok(m.from_boot().yield_sites.clone())
         },
     );
-    let mut census: BTreeMap<&'static str, u64> = BTreeMap::new();
+    let mut census = YieldSites::default();
     let mut errors = Vec::new();
     for run in per_run {
         match run {
-            Ok(sites) => {
-                for (site, count) in &sites {
-                    *census.entry(site).or_insert(0) += count;
-                }
-            }
+            Ok(sites) => census.merge(&sites),
             Err(e) => errors.push(e),
         }
     }
-    let wl = Whitelist::linux44();
-    let mut rows: Vec<(&'static str, CriticalClass, u64)> = census
-        .into_iter()
-        .map(|(site, count)| (site, wl.class_of(site), count))
-        .collect();
-    rows.sort_by_key(|&(_, _, count)| core::cmp::Reverse(count));
-    (rows, errors)
+    (census.ranked(), errors)
 }
 
 /// Renders the Table 3 census. Failed contributing runs are reported as

@@ -11,7 +11,8 @@
 //! like a real `System.map` lookup.
 
 use crate::tlb::ShootdownId;
-use ksym::linux44::{Linux44Map, USER_IP};
+use ksym::linux44::USER_IP;
+use ksym::{sym, Sym};
 use simcore::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
@@ -57,22 +58,12 @@ pub enum Activity {
         /// Remaining CPU time.
         rem: SimDuration,
     },
-    /// User-mode computation inside a registered critical region (§4.4):
-    /// like [`Activity::User`], but the instruction pointer reports `ip`.
-    UserCritical {
-        /// Running task index.
-        task: u32,
-        /// Instruction pointer inside the registered region.
-        ip: u64,
-        /// Remaining CPU time.
-        rem: SimDuration,
-    },
     /// Kernel-mode computation outside critical sections.
     Kernel {
         /// Running task index.
         task: u32,
         /// Kernel function being executed.
-        sym: &'static str,
+        sym: Sym,
         /// Remaining CPU time.
         rem: SimDuration,
     },
@@ -83,7 +74,7 @@ pub enum Activity {
         /// Held lock (index into the VM's lock table).
         lock: u16,
         /// Critical-section body function (whitelisted).
-        sym: &'static str,
+        sym: Sym,
         /// Remaining hold time.
         rem: SimDuration,
     },
@@ -94,7 +85,7 @@ pub enum Activity {
         /// Lock being acquired.
         lock: u16,
         /// Critical-section function to execute once acquired.
-        sym: &'static str,
+        sym: Sym,
         /// Hold time once acquired.
         hold: SimDuration,
         /// Spin time accumulated in the current scheduling (for PLE).
@@ -145,7 +136,6 @@ impl Activity {
     pub fn task(&self) -> Option<u32> {
         match self {
             Activity::User { task, .. }
-            | Activity::UserCritical { task, .. }
             | Activity::Kernel { task, .. }
             | Activity::CriticalHold { task, .. }
             | Activity::SpinWait { task, .. }
@@ -156,25 +146,25 @@ impl Activity {
         }
     }
 
-    /// The kernel function name the instruction pointer falls in.
+    /// The kernel function the instruction pointer falls in.
     ///
     /// Returns `None` for user-mode execution (the IP is outside kernel
     /// text and resolves to no symbol).
-    pub fn sym(&self) -> Option<&'static str> {
+    pub fn sym(&self) -> Option<Sym> {
         match self {
-            Activity::Idle => Some("default_idle"),
-            Activity::User { .. } | Activity::UserCritical { .. } => None,
-            Activity::Kernel { sym, .. } => Some(sym),
-            Activity::TlbLocal { .. } => Some("flush_tlb_mm_range"),
-            Activity::CriticalHold { sym, .. } => Some(sym),
+            Activity::Idle => Some(sym!("default_idle")),
+            Activity::User { .. } => None,
+            Activity::Kernel { sym, .. } => Some(*sym),
+            Activity::TlbLocal { .. } => Some(sym!("flush_tlb_mm_range")),
+            Activity::CriticalHold { sym, .. } => Some(*sym),
             // Linux 4.4 uses the queued-spinlock slowpath while contended.
-            Activity::SpinWait { .. } => Some("native_queued_spin_lock_slowpath"),
-            Activity::TlbWait { .. } => Some("smp_call_function_many"),
-            Activity::ReschedWait { .. } => Some("kick_process"),
+            Activity::SpinWait { .. } => Some(sym!("native_queued_spin_lock_slowpath")),
+            Activity::TlbWait { .. } => Some(sym!("smp_call_function_many")),
+            Activity::ReschedWait { .. } => Some(sym!("kick_process")),
             Activity::KWorkRun { work, .. } => Some(match work {
-                KWork::TlbFlush { .. } => "flush_tlb_func",
-                KWork::ReschedIpi { .. } => "scheduler_ipi",
-                KWork::Virq { .. } => "net_rx_action",
+                KWork::TlbFlush { .. } => sym!("flush_tlb_func"),
+                KWork::ReschedIpi { .. } => sym!("scheduler_ipi"),
+                KWork::Virq { .. } => sym!("net_rx_action"),
             }),
         }
     }
@@ -183,7 +173,6 @@ impl Activity {
     pub fn rem(&self) -> Option<SimDuration> {
         match self {
             Activity::User { rem, .. }
-            | Activity::UserCritical { rem, .. }
             | Activity::Kernel { rem, .. }
             | Activity::CriticalHold { rem, .. }
             | Activity::TlbLocal { rem, .. }
@@ -197,7 +186,6 @@ impl Activity {
     pub fn advance(&mut self, elapsed: SimDuration) {
         match self {
             Activity::User { rem, .. }
-            | Activity::UserCritical { rem, .. }
             | Activity::Kernel { rem, .. }
             | Activity::CriticalHold { rem, .. }
             | Activity::TlbLocal { rem, .. }
@@ -216,7 +204,6 @@ impl Activity {
     pub fn inflate(&mut self, extra: SimDuration) {
         match self {
             Activity::User { rem, .. }
-            | Activity::UserCritical { rem, .. }
             | Activity::Kernel { rem, .. }
             | Activity::CriticalHold { rem, .. }
             | Activity::TlbLocal { rem, .. }
@@ -273,14 +260,8 @@ impl VcpuCtx {
     }
 
     /// The instruction pointer the hypervisor would read from this vCPU.
-    pub fn ip(&self, map: &Linux44Map) -> u64 {
-        if let Activity::UserCritical { ip, .. } = self.activity {
-            return ip;
-        }
-        match self.activity.sym() {
-            Some(sym) => map.ip_in(sym),
-            None => USER_IP,
-        }
+    pub fn ip(&self) -> u64 {
+        self.activity.sym().map_or(USER_IP, Sym::ip)
     }
 
     /// True if the guest has nothing to do on this vCPU (would HLT).
@@ -344,7 +325,6 @@ mod tests {
 
     #[test]
     fn activity_sym_classification_matches_whitelist() {
-        let map = Linux44Map::new();
         let wl = Whitelist::linux44();
         let cases: Vec<(Activity, CriticalClass)> = vec![
             (Activity::Idle, CriticalClass::NotCritical),
@@ -358,7 +338,7 @@ mod tests {
             (
                 Activity::Kernel {
                     task: 0,
-                    sym: "sys_read",
+                    sym: sym!("sys_read"),
                     rem: us(1),
                 },
                 CriticalClass::NotCritical,
@@ -367,7 +347,7 @@ mod tests {
                 Activity::CriticalHold {
                     task: 0,
                     lock: 0,
-                    sym: "get_page_from_freelist",
+                    sym: sym!("get_page_from_freelist"),
                     rem: us(1),
                 },
                 CriticalClass::SpinlockCritical,
@@ -376,7 +356,7 @@ mod tests {
                 Activity::SpinWait {
                     task: 0,
                     lock: 0,
-                    sym: "get_page_from_freelist",
+                    sym: sym!("get_page_from_freelist"),
                     hold: us(1),
                     spun: SimDuration::ZERO,
                     wait_start: SimTime::ZERO,
@@ -423,7 +403,7 @@ mod tests {
             let mut ctx = VcpuCtx::new(0);
             ctx.activity = activity.clone();
             assert_eq!(
-                wl.classify(map.table(), ctx.ip(&map)),
+                wl.classify(ksym::LINUX44.table(), ctx.ip()),
                 class,
                 "activity {activity:?}"
             );
@@ -444,7 +424,7 @@ mod tests {
         let mut s = Activity::SpinWait {
             task: 0,
             lock: 0,
-            sym: "free_one_page",
+            sym: sym!("free_one_page"),
             hold: us(1),
             spun: SimDuration::ZERO,
             wait_start: SimTime::ZERO,
@@ -460,7 +440,7 @@ mod tests {
     fn inflate_extends_timed_only() {
         let mut a = Activity::Kernel {
             task: 0,
-            sym: "sys_read",
+            sym: sym!("sys_read"),
             rem: us(10),
         };
         a.inflate(us(5));

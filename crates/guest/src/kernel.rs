@@ -3,6 +3,7 @@
 use crate::net::FlowState;
 use crate::spinlock::SpinLock;
 use crate::tlb::ShootdownTable;
+use ksym::{sym, Sym};
 use metrics::summary::DurationSummary;
 use simcore::time::SimDuration;
 
@@ -43,13 +44,13 @@ impl LockKind {
 
     /// The whitelisted critical-section function executed while holding a
     /// lock of this kind (determines the preempted holder's IP).
-    pub fn critical_sym(self) -> &'static str {
+    pub fn critical_sym(self) -> Sym {
         match self {
-            LockKind::Runqueue => "_raw_spin_unlock_irqrestore",
-            LockKind::PageAlloc => "get_page_from_freelist",
-            LockKind::Dentry => "__raw_spin_unlock",
-            LockKind::PageReclaim => "free_one_page",
-            LockKind::Other => "__raw_spin_unlock_irq",
+            LockKind::Runqueue => sym!("_raw_spin_unlock_irqrestore"),
+            LockKind::PageAlloc => sym!("get_page_from_freelist"),
+            LockKind::Dentry => sym!("__raw_spin_unlock"),
+            LockKind::PageReclaim => sym!("free_one_page"),
+            LockKind::Other => sym!("__raw_spin_unlock_irq"),
         }
     }
 

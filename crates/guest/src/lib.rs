@@ -19,8 +19,8 @@
 //!   acknowledgements.
 //! - [`net`] — TCP-window / UDP-rate flow bookkeeping for the iPerf
 //!   experiments (Table 4c, Figure 9).
-//! - [`kernel`] — the per-VM kernel: lock set, in-flight shootdowns, symbol
-//!   map handle.
+//! - [`kernel`] — the per-VM kernel: lock set, in-flight shootdowns, flows
+//!   and statistics.
 //!
 //! Everything here is deterministic, allocation-light, and unit-testable in
 //! isolation; scheduling decisions live entirely in the `hypervisor` crate.
@@ -32,6 +32,10 @@ pub mod segment;
 pub mod spinlock;
 pub mod task;
 pub mod tlb;
+
+// Segments name kernel functions by `Sym`, so workload models build them
+// through this crate alone.
+pub use ksym::{sym, Sym};
 
 pub use activity::{Activity, KWork, VcpuCtx};
 pub use kernel::{LockKind, VmKernel};

@@ -6,14 +6,15 @@
 //! with its remaining work intact, which is precisely how the virtual time
 //! discontinuity bites the guest kernel.
 
+use ksym::Sym;
 use simcore::rng::SimRng;
 use simcore::time::SimDuration;
 
 /// One step of guest-task execution.
 ///
 /// `Copy`: segments are plain value records (durations, small ints,
-/// `&'static str` symbol names), so programs hand them out of their
-/// scripts and buffers by value.
+/// kernel symbols), so programs hand them out of their scripts and
+/// buffers by value.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Segment {
     /// Compute in user mode for the given duration.
@@ -21,19 +22,10 @@ pub enum Segment {
         /// CPU time required.
         dur: SimDuration,
     },
-    /// Compute inside a *registered user-level critical region* (the §4.4
-    /// extension): the vCPU's instruction pointer reports `ip`, which the
-    /// hypervisor may match against regions registered on its whitelist.
-    UserCritical {
-        /// Instruction-pointer value inside the registered region.
-        ip: u64,
-        /// CPU time required.
-        dur: SimDuration,
-    },
     /// Compute in kernel mode outside any critical section (syscall body).
     Kernel {
         /// The kernel function this models (resolves via the symbol table).
-        sym: &'static str,
+        sym: Sym,
         /// CPU time required.
         dur: SimDuration,
     },
@@ -46,7 +38,7 @@ pub enum Segment {
         /// Which lock kind to acquire (index into the VM's lock table).
         lock: u16,
         /// The critical-section body function.
-        sym: &'static str,
+        sym: Sym,
         /// CPU time spent inside the critical section.
         hold: SimDuration,
     },
@@ -88,9 +80,7 @@ impl Segment {
     /// a timed compute segment.
     pub fn duration(&self) -> Option<SimDuration> {
         match self {
-            Segment::User { dur }
-            | Segment::UserCritical { dur, .. }
-            | Segment::Kernel { dur, .. } => Some(*dur),
+            Segment::User { dur } | Segment::Kernel { dur, .. } => Some(*dur),
             Segment::Critical { hold, .. } => Some(*hold),
             Segment::TlbShootdown { local_cost } => Some(*local_cost),
             Segment::Wake { cost, .. } => Some(*cost),
@@ -212,7 +202,7 @@ mod tests {
         assert_eq!(Segment::User { dur: us(5) }.duration(), Some(us(5)));
         assert_eq!(
             Segment::Kernel {
-                sym: "sys_read",
+                sym: ksym::sym!("sys_read"),
                 dur: us(2)
             }
             .duration(),
@@ -221,7 +211,7 @@ mod tests {
         assert_eq!(
             Segment::Critical {
                 lock: 0,
-                sym: "get_page_from_freelist",
+                sym: ksym::sym!("get_page_from_freelist"),
                 hold: us(3)
             }
             .duration(),

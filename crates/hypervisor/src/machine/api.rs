@@ -16,7 +16,7 @@ impl Machine {
     /// The instruction pointer of a vCPU, exactly as the paper's prototype
     /// reads it from the VMCS on a yield (§4.1).
     pub fn vcpu_ip(&self, vcpu: VcpuId) -> u64 {
-        self.vcpu(vcpu).ctx.ip(&self.map)
+        self.vcpu(vcpu).ctx.ip()
     }
 
     /// All vCPU ids of a VM, in index order.

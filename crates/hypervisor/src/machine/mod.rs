@@ -25,14 +25,13 @@ use crate::pool::{PoolId, PoolSet};
 use crate::stats::MachineStats;
 use crate::vcpu::{VState, Vcpu};
 use crate::vm::{Vm, VmSpec};
-use ksym::linux44::Linux44Map;
+use ksym::linux44::{Linux44Map, LINUX44};
 use metrics::counters::Counter;
 use simcore::event::EventQueue;
 use simcore::ids::{PcpuId, VcpuId, VmId};
 use simcore::rng::SimRng;
 use simcore::time::SimTime;
 use simcore::trace::TraceBuffer;
-use std::sync::Arc;
 
 /// A trace record — the simulator's `xentrace` analogue: every event the
 /// machine handles, and the scheduler decisions taken while handling it.
@@ -164,7 +163,6 @@ pub struct Machine {
     pub(crate) policy: Option<Box<dyn SchedPolicy>>,
     /// Statistics (public so experiments can read them directly).
     pub stats: MachineStats,
-    pub(crate) map: Arc<Linux44Map>,
     /// Trace ring (see [`TraceEvent`]): disabled unless constructed inside
     /// a [`crate::crash::with_session`] scope or enabled explicitly.
     pub(crate) trace: TraceBuffer<TraceEvent>,
@@ -182,7 +180,6 @@ impl Machine {
         // SIMLINT: the machine-stream root — the one sanctioned seeding
         // site; every other generator forks from this stream.
         let mut rng = SimRng::new(cfg.seed);
-        let map = Linux44Map::shared();
         let pools = PoolSet::new(cfg.num_pcpus, cfg.normal_slice, cfg.micro_slice);
         let pcpus = (0..cfg.num_pcpus).map(|i| Pcpu::new(PcpuId(i))).collect();
         let mut vms = Vec::new();
@@ -193,7 +190,7 @@ impl Machine {
             let mut vm_rng = rng.fork(i as u64);
             let n = spec.num_vcpus;
             let pins = core::mem::take(&mut spec.pins);
-            let vm = Vm::from_spec(vm_id, spec, Arc::clone(&map), &mut vm_rng);
+            let vm = Vm::from_spec(vm_id, spec, &mut vm_rng);
             let mut vm_vcpus: Vec<Vcpu> = (0..n)
                 .map(|v| Vcpu::new(VcpuId::new(vm_id, v), initial_credits))
                 .collect();
@@ -216,7 +213,6 @@ impl Machine {
             vcpus,
             policy: Some(policy),
             stats: MachineStats::new(num_vms),
-            map,
             trace: if crate::crash::session_armed() {
                 TraceBuffer::new(crate::crash::DEFAULT_RING)
             } else {
@@ -439,9 +435,9 @@ impl Machine {
         self.vms.len()
     }
 
-    /// The shared kernel symbol map.
-    pub fn kernel_map(&self) -> &Linux44Map {
-        &self.map
+    /// The guest kernel's symbol map; every guest runs the same kernel.
+    pub fn kernel_map(&self) -> &'static Linux44Map {
+        &LINUX44
     }
 
     /// Replaces the trace ring with an empty one of `capacity` records

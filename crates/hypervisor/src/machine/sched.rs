@@ -356,8 +356,8 @@ impl Machine {
     pub(crate) fn do_yield(&mut self, vcpu: VcpuId, cause: YieldCause) {
         self.stats.record_yield(vcpu.vm, cause);
         self.trace_record(super::TraceEvent::Yield { vcpu, cause });
-        let site = self.vcpu(vcpu).ctx.activity.sym().unwrap_or("user");
-        *self.stats.yield_sites.entry(site).or_insert(0) += 1;
+        let site = self.vcpu(vcpu).ctx.activity.sym();
+        self.stats.yield_sites.record(site);
         self.with_policy(|policy, machine| policy.on_yield(machine, vcpu, cause));
         // The policy may have migrated this very vCPU (e.g. accelerated a
         // sibling that preempted us) — re-check we are still running.

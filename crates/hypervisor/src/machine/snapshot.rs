@@ -118,13 +118,13 @@ mod tests {
                 }
             } else if pick < 0.7 {
                 Segment::Kernel {
-                    sym: "sys_read",
+                    sym: ksym::sym!("sys_read"),
                     dur: rng.exp_duration(SimDuration::from_micros(5)),
                 }
             } else if pick < 0.9 {
                 Segment::Critical {
                     lock: layout.page_alloc(),
-                    sym: "get_page_from_freelist",
+                    sym: ksym::sym!("get_page_from_freelist"),
                     hold: rng.exp_duration(SimDuration::from_micros(3)),
                 }
             } else {

@@ -20,6 +20,7 @@ use crate::stats::YieldCause;
 use guest::activity::{Activity, KWork};
 use guest::task::TaskState;
 use guest::tlb::VcpuSet;
+use ksym::sym;
 use metrics::counters::Counter;
 use simcore::ids::VcpuId;
 use simcore::time::SimDuration;
@@ -62,7 +63,6 @@ impl Machine {
                     return;
                 }
                 Activity::User { task, rem }
-                | Activity::UserCritical { task, rem, .. }
                 | Activity::Kernel { task, rem, .. }
                 | Activity::CriticalHold { task, rem, .. }
                 | Activity::TlbLocal { task, rem } => {
@@ -73,10 +73,7 @@ impl Machine {
                     let start = self.vcpus[vmi][vi].last_update.max(self.now);
                     // Guest-level preemption applies to user execution on
                     // multi-task vCPUs only (kernel paths do not preempt).
-                    let is_user = matches!(
-                        self.vcpus[vmi][vi].ctx.activity,
-                        Activity::User { .. } | Activity::UserCritical { .. }
-                    );
+                    let is_user = matches!(self.vcpus[vmi][vi].ctx.activity, Activity::User { .. });
                     if is_user && !self.vcpus[vmi][vi].ctx.runq.is_empty() {
                         let preempt_at =
                             self.vcpus[vmi][vi].ctx.task_started + self.cfg.guest_slice;
@@ -218,9 +215,7 @@ impl Machine {
         let vmi = vcpu.vm.0 as usize;
         let vi = vcpu.idx as usize;
         match self.vcpus[vmi][vi].ctx.activity.clone() {
-            Activity::User { task, .. }
-            | Activity::UserCritical { task, .. }
-            | Activity::Kernel { task, .. } => {
+            Activity::User { task, .. } | Activity::Kernel { task, .. } => {
                 self.advance_task(vcpu, task);
             }
             Activity::CriticalHold { task, lock, .. } => {
@@ -441,11 +436,6 @@ impl Machine {
                     self.vcpus[vmi][vi].ctx.activity = Activity::User { task, rem: dur };
                     return;
                 }
-                guest::segment::Segment::UserCritical { ip, dur } => {
-                    self.vcpus[vmi][vi].ctx.activity =
-                        Activity::UserCritical { task, ip, rem: dur };
-                    return;
-                }
                 guest::segment::Segment::Kernel { sym, dur } => {
                     self.vcpus[vmi][vi].ctx.activity = Activity::Kernel {
                         task,
@@ -557,7 +547,7 @@ impl Machine {
             // Already awake: the wakeup is a no-op but still costs CPU.
             self.vcpus[vmi][vi].ctx.activity = Activity::Kernel {
                 task,
-                sym: "ttwu_do_wakeup",
+                sym: sym!("ttwu_do_wakeup"),
                 rem: cost,
             };
             return;
@@ -568,7 +558,7 @@ impl Machine {
             self.vcpus[vmi][vi].ctx.runq.push_back(target);
             self.vcpus[vmi][vi].ctx.activity = Activity::Kernel {
                 task,
-                sym: "ttwu_do_activate",
+                sym: sym!("ttwu_do_activate"),
                 rem: cost,
             };
             return;

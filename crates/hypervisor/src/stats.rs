@@ -4,10 +4,10 @@
 //! global counters (IPIs, PLEs, vIRQs) feed the adaptive controller of
 //! §4.3; CPU-time accounting supports the utilization analysis of §6.
 
+use ksym::{CriticalClass, Sym};
 use metrics::counters::{Counter, CounterSet};
 use simcore::ids::VmId;
 use simcore::time::SimDuration;
-use std::collections::BTreeMap;
 
 /// Why a vCPU yielded its pCPU — the Figure 7 categories.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -72,6 +72,48 @@ pub struct VmStats {
     pub cpu_time: SimDuration,
 }
 
+/// Yield counts by site: the kernel function the yielding vCPU's activity
+/// was executing (its own symbol, not a resolved instruction pointer),
+/// indexed by [`Sym::index`], plus a last slot for user-mode yields.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct YieldSites([u64; Sym::COUNT + 1]);
+
+impl Default for YieldSites {
+    fn default() -> Self {
+        YieldSites([0; Sym::COUNT + 1])
+    }
+}
+
+impl YieldSites {
+    /// Counts one yield at `site`; `None` is user mode.
+    pub fn record(&mut self, site: Option<Sym>) {
+        self.0[site.map_or(Sym::COUNT, Sym::index)] += 1;
+    }
+
+    /// Adds every count of `other`.
+    pub fn merge(&mut self, other: &YieldSites) {
+        for (mine, theirs) in self.0.iter_mut().zip(&other.0) {
+            *mine += theirs;
+        }
+    }
+
+    /// Every site with a yield as `(name, class, count)`, most yields
+    /// first, ties in name order. User mode is named `user` and is not
+    /// critical.
+    pub fn ranked(&self) -> Vec<(&'static str, CriticalClass, u64)> {
+        let sites = Sym::all()
+            .map(|s| (s.name(), s.class()))
+            .chain([("user", CriticalClass::NotCritical)]);
+        let mut rows: Vec<_> = sites
+            .zip(self.0)
+            .filter(|&(_, count)| count > 0)
+            .map(|((name, class), count)| (name, class, count))
+            .collect();
+        rows.sort_by_key(|&(name, _, count)| (core::cmp::Reverse(count), name));
+        rows
+    }
+}
+
 /// Statistics for the whole machine.
 #[derive(Clone, Debug, Default)]
 pub struct MachineStats {
@@ -84,10 +126,9 @@ pub struct MachineStats {
     pub counters: CounterSet,
     /// Per-VM statistics, indexed by VM id.
     pub per_vm: Vec<VmStats>,
-    /// Census of kernel functions observed at yield time (instruction
-    /// pointer resolved through the symbol table) — the data behind the
-    /// paper's Table 3 analysis. User-mode yields record as `"user"`.
-    pub yield_sites: BTreeMap<&'static str, u64>,
+    /// Census of the kernel functions vCPUs yielded in — the data behind
+    /// the paper's Table 3 analysis.
+    pub yield_sites: YieldSites,
 }
 
 impl MachineStats {
@@ -96,7 +137,7 @@ impl MachineStats {
         MachineStats {
             counters: CounterSet::new(),
             per_vm: vec![VmStats::default(); num_vms],
-            yield_sites: BTreeMap::new(),
+            yield_sites: YieldSites::default(),
         }
     }
 
@@ -131,6 +172,26 @@ mod tests {
         b.record(YieldCause::Other);
         assert_eq!(b.spinlock, 2);
         assert_eq!(b.total(), 5);
+    }
+
+    #[test]
+    fn yield_sites_rank_by_count_then_name() {
+        let mut sites = YieldSites::default();
+        let (lock, idle) = (ksym::sym!("_raw_spin_lock"), ksym::sym!("default_idle"));
+        for site in [Some(idle), None, Some(lock), Some(idle), None] {
+            sites.record(site);
+        }
+        let mut other = YieldSites::default();
+        other.record(Some(lock));
+        sites.merge(&other);
+        assert_eq!(
+            sites.ranked(),
+            [
+                ("_raw_spin_lock", CriticalClass::SpinWait, 2),
+                ("default_idle", CriticalClass::NotCritical, 2),
+                ("user", CriticalClass::NotCritical, 2),
+            ]
+        );
     }
 
     #[test]

@@ -5,11 +5,9 @@ use guest::net::FlowCfg;
 use guest::segment::Program;
 use guest::task::Task;
 use guest::tlb::VcpuSet;
-use ksym::linux44::Linux44Map;
 use simcore::ids::{PcpuId, TaskId, VmId};
 use simcore::rng::SimRng;
 use simcore::time::SimTime;
-use std::sync::Arc;
 
 /// Specification of one guest task.
 #[derive(Debug)]
@@ -83,8 +81,7 @@ impl VmSpec {
 /// Runtime state of one VM (excluding its vCPUs, which the machine owns).
 ///
 /// Cloning snapshots the guest mid-flight — kernel model, every task's
-/// program (with any buffered segments) and RNG position, and the shared
-/// symbol map (`Arc`-shared, immutable) — which is what
+/// program (with any buffered segments) and RNG position — which is what
 /// [`crate::Machine`] snapshotting relies on.
 #[derive(Clone)]
 pub struct Vm {
@@ -98,15 +95,13 @@ pub struct Vm {
     pub kernel: VmKernel,
     /// Guest tasks, indexed by task index.
     pub tasks: Vec<Task>,
-    /// Kernel symbol map the hypervisor resolves IPs against.
-    pub map: Arc<Linux44Map>,
     /// When the last task finished, if all have.
     pub finished_at: Option<SimTime>,
 }
 
 impl Vm {
     /// Builds VM runtime state from a spec.
-    pub fn from_spec(id: VmId, spec: VmSpec, map: Arc<Linux44Map>, rng: &mut SimRng) -> Self {
+    pub fn from_spec(id: VmId, spec: VmSpec, rng: &mut SimRng) -> Self {
         assert!(
             spec.num_vcpus <= VcpuSet::MAX_VCPUS,
             "VM has more than 64 vCPUs"
@@ -145,7 +140,6 @@ impl Vm {
             num_vcpus: spec.num_vcpus,
             kernel,
             tasks,
-            map,
             finished_at: None,
         }
     }
@@ -196,9 +190,8 @@ mod tests {
     #[test]
     fn from_spec_wires_everything() {
         let mut rng = SimRng::new(1);
-        let map = Arc::new(Linux44Map::new());
         let spec = VmSpec::new("test", 2).task(1, prog());
-        let vm = Vm::from_spec(VmId(0), spec, map, &mut rng);
+        let vm = Vm::from_spec(VmId(0), spec, &mut rng);
         assert_eq!(vm.tasks.len(), 1);
         assert_eq!(vm.tasks[0].home_vcpu, 1);
         assert_eq!(vm.kernel.locks.len() as u16, vm.kernel.layout.total());
@@ -210,11 +203,10 @@ mod tests {
     #[test]
     fn flows_map_to_tasks() {
         let mut rng = SimRng::new(1);
-        let map = Arc::new(Linux44Map::new());
         let spec = VmSpec::new("iperf", 1)
             .task(0, prog())
             .flow(guest::net::FlowCfg::tcp_1g(0, 0));
-        let vm = Vm::from_spec(VmId(0), spec, map, &mut rng);
+        let vm = Vm::from_spec(VmId(0), spec, &mut rng);
         assert_eq!(vm.kernel.flows.len(), 1);
         assert_eq!(vm.flow_of_task(0), Some(0));
         assert_eq!(vm.flow_of_task(5), None);
@@ -224,32 +216,28 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn task_vcpu_out_of_range_panics() {
         let mut rng = SimRng::new(1);
-        let map = Arc::new(Linux44Map::new());
         let spec = VmSpec::new("bad", 2).task(2, prog());
-        Vm::from_spec(VmId(0), spec, map, &mut rng);
+        Vm::from_spec(VmId(0), spec, &mut rng);
     }
 
     #[test]
     #[should_panic(expected = "more than 64 vCPUs")]
     fn more_than_64_vcpus_panics() {
         let mut rng = SimRng::new(1);
-        let map = Arc::new(Linux44Map::new());
-        Vm::from_spec(VmId(0), VmSpec::new("wide", 65), map, &mut rng);
+        Vm::from_spec(VmId(0), VmSpec::new("wide", 65), &mut rng);
     }
 
     #[test]
     fn exactly_64_vcpus_is_accepted() {
         let mut rng = SimRng::new(1);
-        let map = Arc::new(Linux44Map::new());
-        let vm = Vm::from_spec(VmId(0), VmSpec::new("wide", 64), map, &mut rng);
+        let vm = Vm::from_spec(VmId(0), VmSpec::new("wide", 64), &mut rng);
         assert_eq!(vm.num_vcpus, 64);
     }
 
     #[test]
     fn vm_without_tasks_is_never_finished() {
         let mut rng = SimRng::new(1);
-        let map = Arc::new(Linux44Map::new());
-        let vm = Vm::from_spec(VmId(0), VmSpec::new("empty", 1), map, &mut rng);
+        let vm = Vm::from_spec(VmId(0), VmSpec::new("empty", 1), &mut rng);
         assert!(!vm.all_finished());
     }
 }

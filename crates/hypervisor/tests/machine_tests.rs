@@ -100,7 +100,7 @@ fn lock_contention_produces_ple_yields_and_waits() {
         for _ in 0..200 {
             script.push(Segment::Critical {
                 lock,
-                sym: "get_page_from_freelist",
+                sym: ksym::sym!("get_page_from_freelist"),
                 hold: us(50),
             });
             script.push(Segment::User { dur: us(10) });
@@ -135,7 +135,7 @@ fn lock_holder_preemption_emerges_under_overcommit() {
             vec![
                 Segment::Critical {
                     lock,
-                    sym: "get_page_from_freelist",
+                    sym: ksym::sym!("get_page_from_freelist"),
                     hold: us(5),
                 },
                 Segment::User { dur: us(20) },
@@ -405,7 +405,7 @@ fn ip_of_running_vcpus_resolves_via_symbol_table() {
             vec![
                 Segment::Critical {
                     lock,
-                    sym: "get_page_from_freelist",
+                    sym: ksym::sym!("get_page_from_freelist"),
                     hold: us(100),
                 },
                 Segment::User { dur: us(10) },

@@ -32,13 +32,13 @@ impl Program for FuzzProgram {
             }
         } else if pick < 1.0 + self.kernel_weight {
             Segment::Kernel {
-                sym: "sys_read",
+                sym: ksym::sym!("sys_read"),
                 dur: rng.exp_duration(SimDuration::from_micros(6)),
             }
         } else if pick < 1.0 + self.kernel_weight + self.lock_weight {
             Segment::Critical {
                 lock: layout.page_alloc(),
-                sym: "get_page_from_freelist",
+                sym: ksym::sym!("get_page_from_freelist"),
                 hold: rng.exp_duration(SimDuration::from_micros(4)),
             }
         } else {

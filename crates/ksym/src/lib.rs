@@ -8,31 +8,33 @@
 //!
 //! This crate models exactly that pipeline:
 //!
-//! - [`table::SymbolTable`] — a sorted address→symbol map, built from
-//!   `(address, name)` pairs.
-//! - [`linux44`] — a synthetic "Linux 4.4" kernel layout containing every
-//!   function of Table 3 (plus filler symbols), standing in for a real
-//!   guest image per the substitution rules in `DESIGN.md`.
-//! - [`whitelist`] — the Table 3 whitelist and the
-//!   [`CriticalClass`] classifier the hypervisor
-//!   consults on every yield and IRQ event.
+//! - [`linux44`] — a synthetic "Linux 4.4" kernel layout: one static table
+//!   of its 64 functions (every function of Table 3 plus ordinary ones) in
+//!   address order, each with its Table 3 class, standing in for a real
+//!   guest image per the substitution rules in `DESIGN.md`. A function is
+//!   a [`Sym`], its index in that table, named at compile time with
+//!   [`sym!`].
+//! - [`table::SymbolTable`] — the sorted address→symbol map that resolves
+//!   an instruction pointer to its [`Sym`].
+//! - [`whitelist`] — the Table 3 whitelist: the [`CriticalClass`] of each
+//!   symbol, which the hypervisor consults on every yield and IRQ event.
 //!
 //! # Examples
 //!
 //! ```
-//! use ksym::linux44::Linux44Map;
+//! use ksym::linux44::LINUX44;
+//! use ksym::sym;
 //! use ksym::whitelist::{CriticalClass, Whitelist};
 //!
-//! let map = Linux44Map::new();
 //! let wl = Whitelist::linux44();
-//! let ip = map.addr_of("smp_call_function_many").unwrap() + 0x42;
-//! assert_eq!(wl.classify(map.table(), ip), CriticalClass::IpiWait);
+//! let ip = sym!("smp_call_function_many").addr() + 0x42;
+//! assert_eq!(wl.classify(LINUX44.table(), ip), CriticalClass::IpiWait);
 //! ```
 
 pub mod linux44;
 pub mod table;
 pub mod whitelist;
 
-pub use linux44::Linux44Map;
-pub use table::{Symbol, SymbolTable};
+pub use linux44::{Linux44Map, Sym, LINUX44};
+pub use table::SymbolTable;
 pub use whitelist::{CriticalClass, Whitelist};

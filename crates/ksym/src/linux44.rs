@@ -2,15 +2,21 @@
 //!
 //! The paper's guests run Ubuntu 14.04 with a Linux 4.4 kernel; the
 //! hypervisor resolves preempted instruction pointers against that kernel's
-//! `System.map`. We do not ship a real kernel image, so this module builds a
-//! synthetic-but-realistic symbol table containing every critical function
-//! of Table 3, the spin/IRQ entry points the prototype hooks (§5), and a
-//! spread of ordinary kernel functions that must classify as *not* critical.
-//! The substitution preserves the mechanism under test: address → symbol →
-//! whitelist classification.
+//! `System.map`. We do not ship a real kernel image, so this module lays
+//! out a synthetic-but-realistic kernel text containing every critical
+//! function of Table 3, the spin/IRQ entry points the prototype hooks (§5),
+//! and a spread of ordinary kernel functions that must classify as *not*
+//! critical. The substitution preserves the mechanism under test:
+//! address → symbol → whitelist classification.
+//!
+//! The layout is one static table of the 64 functions in address order,
+//! each with its Table 3 class. A function is a [`Sym`], its index in that
+//! table; guest models name one with [`sym!`](crate::sym), which looks the
+//! name up at compile time, so an unknown name fails the build.
 
-use crate::table::{Symbol, SymbolTable};
-use std::sync::{Arc, OnceLock};
+use crate::table::SymbolTable;
+use crate::whitelist::CriticalClass::{self, *};
+use core::fmt;
 
 /// Base address of the synthetic kernel text region (the x86-64
 /// direct-mapped kernel text base used by Linux).
@@ -23,210 +29,277 @@ const FUNC_SIZE: u64 = 0x200;
 /// resolves to no symbol and therefore never classifies as critical.
 pub const USER_IP: u64 = 0x0000_5555_dead_0000;
 
-/// Critical functions from Table 3 of the paper, plus the lock slowpath and
-/// I/O entry points discussed in §3.2/§5, in layout order.
-pub const CRITICAL_FUNCTIONS: &[&str] = &[
-    // Module irq (softirq.c, chip.c).
-    "irq_enter",
-    "irq_exit",
-    "handle_percpu_irq",
-    // Module kernel (smp.c).
-    "smp_call_function_single",
-    "smp_call_function_many",
-    // Module mm (tlb.c, page_alloc.c, swap.c).
-    "do_flush_tlb_all",
-    "flush_tlb_all",
-    "native_flush_tlb_others",
-    "flush_tlb_func",
-    "flush_tlb_current_task",
-    "flush_tlb_mm_range",
-    "flush_tlb_page",
-    "leave_mm",
-    "get_page_from_freelist",
-    "free_one_page",
-    "release_pages",
-    // Module sched (core.c).
-    "scheduler_ipi",
-    "resched_curr",
-    "kick_process",
-    "sched_ttwu_pending",
-    "ttwu_do_activate",
-    "ttwu_do_wakeup",
-    // Module spinlock (spinlock_api_smp.h).
-    "__raw_spin_unlock",
-    "__raw_spin_unlock_irq",
-    "_raw_spin_unlock_irqrestore",
-    "_raw_spin_unlock_bh",
-    // Module rwsem.
-    "__rwsem_do_wake",
-    "rwsem_wake",
-    // Lock acquisition slowpaths (the PLE yield sites; §5).
-    "_raw_spin_lock",
-    "native_queued_spin_lock_slowpath",
-    // I/O path entry points (§3.2).
-    "e1000_intr",
-    "net_rx_action",
-    "__do_softirq",
+/// Every function of the kernel text with its Table 3 class, in address
+/// order: function `i` starts at `KERNEL_TEXT_BASE + i * FUNC_SIZE`. The
+/// first 47 alternate one critical function with up to two ordinary ones
+/// (which guard against an over-matching whitelist); the last 17, from
+/// `scheduler_ipi` on, are all critical.
+const FUNCTIONS: [(&str, CriticalClass); 64] = [
+    ("irq_enter", Irq),
+    ("startup_64", NotCritical),
+    ("do_syscall_64", NotCritical),
+    ("irq_exit", Irq),
+    ("sys_read", NotCritical),
+    ("sys_write", NotCritical),
+    ("handle_percpu_irq", Irq),
+    ("sys_mmap", NotCritical),
+    ("sys_munmap", NotCritical),
+    ("smp_call_function_single", IpiWait),
+    ("vfs_read", NotCritical),
+    ("vfs_write", NotCritical),
+    ("smp_call_function_many", IpiWait),
+    ("do_page_fault", NotCritical),
+    ("handle_mm_fault", NotCritical),
+    ("do_flush_tlb_all", TlbHandler),
+    ("copy_user_generic_string", NotCritical),
+    ("memcpy_orig", NotCritical),
+    ("flush_tlb_all", TlbHandler),
+    ("schedule", NotCritical),
+    ("pick_next_task_fair", NotCritical),
+    ("native_flush_tlb_others", IpiWait),
+    ("update_curr", NotCritical),
+    ("kmem_cache_alloc", NotCritical),
+    ("flush_tlb_func", TlbHandler),
+    ("kmem_cache_free", NotCritical),
+    ("__alloc_pages_nodemask", NotCritical),
+    ("flush_tlb_current_task", TlbHandler),
+    ("ext4_file_write_iter", NotCritical),
+    ("generic_perform_write", NotCritical),
+    ("flush_tlb_mm_range", TlbHandler),
+    ("tcp_sendmsg", NotCritical),
+    ("tcp_recvmsg", NotCritical),
+    ("flush_tlb_page", TlbHandler),
+    ("udp_sendmsg", NotCritical),
+    ("do_exit", NotCritical),
+    ("leave_mm", TlbHandler),
+    ("do_fork", NotCritical),
+    ("copy_process", NotCritical),
+    ("get_page_from_freelist", SpinlockCritical),
+    ("pipe_write", NotCritical),
+    ("pipe_read", NotCritical),
+    ("free_one_page", SpinlockCritical),
+    ("mutex_lock", NotCritical),
+    ("mutex_unlock", NotCritical),
+    ("release_pages", SpinlockCritical),
+    ("default_idle", NotCritical),
+    ("scheduler_ipi", SchedWakeup),
+    ("resched_curr", SchedWakeup),
+    ("kick_process", SchedWakeup),
+    ("sched_ttwu_pending", SchedWakeup),
+    ("ttwu_do_activate", SchedWakeup),
+    ("ttwu_do_wakeup", SchedWakeup),
+    ("__raw_spin_unlock", SpinlockCritical),
+    ("__raw_spin_unlock_irq", SpinlockCritical),
+    ("_raw_spin_unlock_irqrestore", SpinlockCritical),
+    ("_raw_spin_unlock_bh", SpinlockCritical),
+    ("__rwsem_do_wake", RwsemWake),
+    ("rwsem_wake", RwsemWake),
+    ("_raw_spin_lock", SpinWait),
+    ("native_queued_spin_lock_slowpath", SpinWait),
+    ("e1000_intr", Irq),
+    ("net_rx_action", Irq),
+    ("__do_softirq", Irq),
 ];
 
-/// Ordinary kernel functions that must classify as non-critical — a guard
-/// against over-matching whitelists.
-pub const ORDINARY_FUNCTIONS: &[&str] = &[
-    "startup_64",
-    "do_syscall_64",
-    "sys_read",
-    "sys_write",
-    "sys_mmap",
-    "sys_munmap",
-    "vfs_read",
-    "vfs_write",
-    "do_page_fault",
-    "handle_mm_fault",
-    "copy_user_generic_string",
-    "memcpy_orig",
-    "schedule",
-    "pick_next_task_fair",
-    "update_curr",
-    "kmem_cache_alloc",
-    "kmem_cache_free",
-    "__alloc_pages_nodemask",
-    "ext4_file_write_iter",
-    "generic_perform_write",
-    "tcp_sendmsg",
-    "tcp_recvmsg",
-    "udp_sendmsg",
-    "do_exit",
-    "do_fork",
-    "copy_process",
-    "pipe_write",
-    "pipe_read",
-    "mutex_lock",
-    "mutex_unlock",
-    "default_idle",
-];
+/// Exclusive end of the kernel text: the last function's end.
+pub(crate) const TEXT_END: u64 = KERNEL_TEXT_BASE + Sym::COUNT as u64 * FUNC_SIZE;
 
-/// The synthetic Linux 4.4 kernel map used by every simulated guest.
+/// A kernel function: its index in the layout, in address order.
+///
+/// `Debug` renders the quoted name, so scenario renderings and messages
+/// name the function.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Sym(u8);
+
+impl Sym {
+    /// Number of functions in the kernel text.
+    pub const COUNT: usize = FUNCTIONS.len();
+
+    /// The function named `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layout has no such function: at compile time when
+    /// evaluated in a `const` block, as [`sym!`](crate::sym) does.
+    pub const fn named(name: &str) -> Sym {
+        let mut i = 0;
+        while i < Self::COUNT {
+            if same_bytes(FUNCTIONS[i].0.as_bytes(), name.as_bytes()) {
+                return Sym(i as u8);
+            }
+            i += 1;
+        }
+        panic!("unknown kernel function");
+    }
+
+    /// Every function, in address order.
+    pub fn all() -> impl DoubleEndedIterator<Item = Sym> {
+        (0..Self::COUNT as u8).map(Sym)
+    }
+
+    /// The function at `index` in address order.
+    pub(crate) const fn at(index: usize) -> Sym {
+        Sym(index as u8)
+    }
+
+    /// This function's position in address order.
+    pub const fn index(self) -> usize {
+        self.0 as usize
+    }
+
+    /// The function's name, e.g. `smp_call_function_many`.
+    pub fn name(self) -> &'static str {
+        FUNCTIONS[self.index()].0
+    }
+
+    /// The function's Table 3 class.
+    pub fn class(self) -> CriticalClass {
+        FUNCTIONS[self.index()].1
+    }
+
+    /// Start address of the function's text.
+    pub const fn addr(self) -> u64 {
+        KERNEL_TEXT_BASE + self.0 as u64 * FUNC_SIZE
+    }
+
+    /// An instruction-pointer value *inside* the function (mid-body), as a
+    /// preempted vCPU would expose.
+    pub const fn ip(self) -> u64 {
+        self.addr() + FUNC_SIZE / 2
+    }
+}
+
+impl fmt::Debug for Sym {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.name(), f)
+    }
+}
+
+/// Byte-wise equality, usable in a `const fn`.
+const fn same_bytes(a: &[u8], b: &[u8]) -> bool {
+    if a.len() != b.len() {
+        return false;
+    }
+    let mut i = 0;
+    while i < a.len() {
+        if a[i] != b[i] {
+            return false;
+        }
+        i += 1;
+    }
+    true
+}
+
+/// The [`Sym`] of the kernel function a string literal names, looked up
+/// at compile time: a name the layout lacks fails the build.
+///
+/// ```
+/// let idle = ksym::sym!("default_idle");
+/// assert_eq!(idle.name(), "default_idle");
+/// ```
+///
+/// ```compile_fail
+/// let _ = ksym::sym!("no_such_function");
+/// ```
+#[macro_export]
+macro_rules! sym {
+    ($name:literal) => {
+        const { $crate::linux44::Sym::named($name) }
+    };
+}
+
+/// The synthetic Linux 4.4 kernel map, [`LINUX44`]: the `System.map`
+/// every simulated guest ships.
 ///
 /// # Examples
 ///
 /// ```
-/// use ksym::linux44::Linux44Map;
+/// use ksym::linux44::LINUX44;
+/// use ksym::sym;
 ///
-/// let map = Linux44Map::new();
-/// let ip = map.ip_in("kick_process");
-/// assert_eq!(map.table().resolve(ip).unwrap().name, "kick_process");
+/// let kick = sym!("kick_process");
+/// assert_eq!(LINUX44.table().resolve(kick.ip()), Some(kick));
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Linux44Map {
     table: SymbolTable,
 }
 
-impl Default for Linux44Map {
-    fn default() -> Self {
-        Self::new()
+/// The kernel map of every simulated guest, laid out at compile time.
+pub static LINUX44: Linux44Map = Linux44Map {
+    table: SymbolTable::new(layout_addrs(), TEXT_END),
+};
+
+/// Each function's start address, in address order.
+const fn layout_addrs() -> [u64; Sym::COUNT] {
+    let mut addrs = [0; Sym::COUNT];
+    let mut i = 0;
+    while i < Sym::COUNT {
+        addrs[i] = Sym::at(i).addr();
+        i += 1;
     }
+    addrs
 }
 
 impl Linux44Map {
-    /// Builds the synthetic kernel symbol table.
-    ///
-    /// Critical and ordinary functions are interleaved so classification
-    /// cannot accidentally succeed through address-range heuristics.
-    pub fn new() -> Self {
-        let mut names: Vec<&str> = Vec::new();
-        let (mut ci, mut oi) = (0, 0);
-        // Interleave: two ordinary functions between each critical one.
-        while ci < CRITICAL_FUNCTIONS.len() || oi < ORDINARY_FUNCTIONS.len() {
-            if ci < CRITICAL_FUNCTIONS.len() {
-                names.push(CRITICAL_FUNCTIONS[ci]);
-                ci += 1;
-            }
-            for _ in 0..2 {
-                if oi < ORDINARY_FUNCTIONS.len() {
-                    names.push(ORDINARY_FUNCTIONS[oi]);
-                    oi += 1;
-                }
-            }
-        }
-        let symbols = names
-            .iter()
-            .enumerate()
-            .map(|(i, name)| Symbol {
-                addr: KERNEL_TEXT_BASE + i as u64 * FUNC_SIZE,
-                name: (*name).to_string(),
-            })
-            .collect();
-        Linux44Map {
-            table: SymbolTable::from_symbols(symbols),
-        }
-    }
-
-    /// The map every machine shares, built once per process: it is
-    /// immutable and the same for every machine, and building it (one
-    /// `String` per symbol) is a few microseconds of each `Machine::new`
-    /// otherwise.
-    pub fn shared() -> Arc<Linux44Map> {
-        static SHARED: OnceLock<Arc<Linux44Map>> = OnceLock::new();
-        Arc::clone(SHARED.get_or_init(|| Arc::new(Linux44Map::new())))
-    }
-
     /// The underlying symbol table.
     pub fn table(&self) -> &SymbolTable {
         &self.table
-    }
-
-    /// Start address of a function by name.
-    pub fn addr_of(&self, name: &str) -> Option<u64> {
-        self.table.addr_of(name)
-    }
-
-    /// An instruction-pointer value *inside* the named function (mid-body),
-    /// as a preempted vCPU would expose. Panics if the name is unknown —
-    /// guest models only reference functions this map defines.
-    pub fn ip_in(&self, name: &str) -> u64 {
-        self.addr_of(name)
-            .unwrap_or_else(|| panic!("unknown kernel function {name:?}"))
-            + FUNC_SIZE / 2
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::whitelist::Whitelist;
 
+    /// Every function's name, start address and class, pinned as the
+    /// fnv64 of their `name addr class` lines, and the Linux 4.4
+    /// whitelist classifying each function's instruction pointer as its
+    /// class.
+    #[test]
+    fn layout_is_pinned() {
+        let lines: String = Sym::all()
+            .map(|s| format!("{} {:#x} {:?}\n", s.name(), s.addr(), s.class()))
+            .collect();
+        assert_eq!(
+            metrics::render::fnv64(lines.as_bytes()),
+            0x0a9f_2d50_8f2d_9c94,
+            "{lines}"
+        );
+        let wl = Whitelist::linux44();
+        for s in Sym::all() {
+            assert_eq!(wl.classify(LINUX44.table(), s.ip()), s.class(), "{s:?}");
+        }
+    }
+
+    /// Each name looks up its own function, so no two share a name, and
+    /// the text holds the 33 critical functions of Table 3 and §5 next to
+    /// 31 ordinary ones.
     #[test]
     fn contains_all_table3_functions() {
-        let map = Linux44Map::new();
-        for name in CRITICAL_FUNCTIONS {
-            assert!(map.addr_of(name).is_some(), "missing {name}");
+        for s in Sym::all() {
+            assert_eq!(Sym::named(s.name()), s);
         }
-        for name in ORDINARY_FUNCTIONS {
-            assert!(map.addr_of(name).is_some(), "missing {name}");
-        }
-        assert_eq!(
-            map.table().len(),
-            CRITICAL_FUNCTIONS.len() + ORDINARY_FUNCTIONS.len()
-        );
+        let critical = Sym::all().filter(|s| s.class().is_critical()).count();
+        assert_eq!((critical, Sym::COUNT - critical), (33, 31));
     }
 
     #[test]
     fn ip_in_resolves_to_owner() {
-        let map = Linux44Map::new();
-        for name in CRITICAL_FUNCTIONS.iter().chain(ORDINARY_FUNCTIONS) {
-            let ip = map.ip_in(name);
-            assert_eq!(map.table().resolve(ip).unwrap().name, **name);
+        for s in Sym::all() {
+            assert_eq!(LINUX44.table().resolve(s.ip()), Some(s));
         }
     }
 
     #[test]
     fn user_ip_is_unmapped() {
-        let map = Linux44Map::new();
-        assert!(map.table().resolve(USER_IP).is_none());
+        assert!(LINUX44.table().resolve(USER_IP).is_none());
     }
 
     #[test]
     #[should_panic(expected = "unknown kernel function")]
     fn ip_in_unknown_function_panics() {
-        Linux44Map::new().ip_in("no_such_function");
+        Sym::named(std::hint::black_box("no_such_function"));
     }
 }

@@ -6,9 +6,8 @@
 //! migrate all preempted siblings, spin waits migrate the lock holder, IRQ
 //! work migrates the recipient vCPU.
 
+use crate::linux44::Sym;
 use crate::table::SymbolTable;
-// SIMLINT: lookup-only map (class_of/classify); no code path iterates it
-use std::collections::HashMap;
 
 /// The kind of critical OS service a kernel symbol belongs to.
 ///
@@ -46,86 +45,30 @@ impl CriticalClass {
     }
 }
 
-/// The whitelist mapping kernel function names to [`CriticalClass`].
+/// The whitelist: the [`CriticalClass`] of every kernel function.
 ///
 /// # Examples
 ///
 /// ```
+/// use ksym::sym;
 /// use ksym::whitelist::{CriticalClass, Whitelist};
 ///
 /// let wl = Whitelist::linux44();
-/// assert_eq!(wl.class_of("kick_process"), CriticalClass::SchedWakeup);
-/// assert_eq!(wl.class_of("sys_read"), CriticalClass::NotCritical);
+/// assert_eq!(wl.class_of(sym!("kick_process")), CriticalClass::SchedWakeup);
+/// assert_eq!(wl.class_of(sym!("sys_read")), CriticalClass::NotCritical);
 /// ```
 #[derive(Clone, Debug)]
 pub struct Whitelist {
-    // SIMLINT: queried by symbol name only (class_of); iteration order
-    // can never escape — len() is the sole aggregate observer.
-    classes: HashMap<&'static str, CriticalClass>,
-    /// Registered user-space critical regions: `(start, end, class)`.
-    ///
-    /// §4.4 of the paper sketches this as future work: "a new user-level
-    /// interface can be added to describe the user-level critical
-    /// sections ... the hypervisor will be able to register the critical
-    /// regions in its separate per-process symbol table, and accelerate
-    /// those regions on the micro-sliced CPU pool".
-    user_regions: Vec<(u64, u64, CriticalClass)>,
+    /// Class of each function, indexed by [`Sym::index`].
+    classes: [CriticalClass; Sym::COUNT],
 }
 
-/// The Table 3 whitelist entries for Linux 4.4 (name, class).
-pub const LINUX44_WHITELIST: &[(&str, CriticalClass)] = &[
-    // irq module.
-    ("irq_enter", CriticalClass::Irq),
-    ("irq_exit", CriticalClass::Irq),
-    ("handle_percpu_irq", CriticalClass::Irq),
-    ("e1000_intr", CriticalClass::Irq),
-    ("net_rx_action", CriticalClass::Irq),
-    ("__do_softirq", CriticalClass::Irq),
-    // kernel/smp.c — senders waiting for acknowledgements.
-    ("smp_call_function_single", CriticalClass::IpiWait),
-    ("smp_call_function_many", CriticalClass::IpiWait),
-    ("native_flush_tlb_others", CriticalClass::IpiWait),
-    // mm/tlb.c — receive-side flush work.
-    ("do_flush_tlb_all", CriticalClass::TlbHandler),
-    ("flush_tlb_all", CriticalClass::TlbHandler),
-    ("flush_tlb_func", CriticalClass::TlbHandler),
-    ("flush_tlb_current_task", CriticalClass::TlbHandler),
-    ("flush_tlb_mm_range", CriticalClass::TlbHandler),
-    ("flush_tlb_page", CriticalClass::TlbHandler),
-    ("leave_mm", CriticalClass::TlbHandler),
-    // mm — page allocator paths that run under zone spinlocks.
-    ("get_page_from_freelist", CriticalClass::SpinlockCritical),
-    ("free_one_page", CriticalClass::SpinlockCritical),
-    ("release_pages", CriticalClass::SpinlockCritical),
-    // sched/core.c.
-    ("scheduler_ipi", CriticalClass::SchedWakeup),
-    ("resched_curr", CriticalClass::SchedWakeup),
-    ("kick_process", CriticalClass::SchedWakeup),
-    ("sched_ttwu_pending", CriticalClass::SchedWakeup),
-    ("ttwu_do_activate", CriticalClass::SchedWakeup),
-    ("ttwu_do_wakeup", CriticalClass::SchedWakeup),
-    // spinlock release paths — the vCPU is inside a critical section.
-    ("__raw_spin_unlock", CriticalClass::SpinlockCritical),
-    ("__raw_spin_unlock_irq", CriticalClass::SpinlockCritical),
-    (
-        "_raw_spin_unlock_irqrestore",
-        CriticalClass::SpinlockCritical,
-    ),
-    ("_raw_spin_unlock_bh", CriticalClass::SpinlockCritical),
-    // Spin acquisition slowpaths — the PLE yield sites.
-    ("_raw_spin_lock", CriticalClass::SpinWait),
-    ("native_queued_spin_lock_slowpath", CriticalClass::SpinWait),
-    // rwsem.
-    ("__rwsem_do_wake", CriticalClass::RwsemWake),
-    ("rwsem_wake", CriticalClass::RwsemWake),
-];
-
 impl Whitelist {
-    /// The whitelist for the synthetic Linux 4.4 guest (Table 3).
+    /// The whitelist for the synthetic Linux 4.4 guest (Table 3): each
+    /// function's own class.
     pub fn linux44() -> Self {
         Whitelist {
-            classes: LINUX44_WHITELIST.iter().copied().collect(),
-            user_regions: Vec::new(),
+            classes: std::array::from_fn(|i| Sym::at(i).class()),
         }
     }
 
@@ -133,33 +76,13 @@ impl Whitelist {
     /// "detection disabled" baselines and ablations.
     pub fn empty() -> Self {
         Whitelist {
-            classes: HashMap::new(), // SIMLINT: empty lookup-only map
-            user_regions: Vec::new(),
+            classes: [CriticalClass::NotCritical; Sym::COUNT],
         }
     }
 
-    /// Registers a user-space critical region `[start, end)` (the §4.4
-    /// extension). Instruction pointers inside it classify as `class`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start >= end`.
-    pub fn register_user_region(&mut self, start: u64, end: u64, class: CriticalClass) {
-        assert!(start < end, "empty user region");
-        self.user_regions.push((start, end, class));
-    }
-
-    /// Number of registered user regions.
-    pub fn user_region_count(&self) -> usize {
-        self.user_regions.len()
-    }
-
-    /// Classifies a function name.
-    pub fn class_of(&self, name: &str) -> CriticalClass {
-        self.classes
-            .get(name)
-            .copied()
-            .unwrap_or(CriticalClass::NotCritical)
+    /// Classifies a kernel function.
+    pub fn class_of(&self, sym: Sym) -> CriticalClass {
+        self.classes[sym.index()]
     }
 
     /// Classifies an instruction pointer against a symbol table — the exact
@@ -168,136 +91,98 @@ impl Whitelist {
     /// Unmapped addresses (user space, modules we do not model) are
     /// [`CriticalClass::NotCritical`].
     pub fn classify(&self, table: &SymbolTable, ip: u64) -> CriticalClass {
-        match table.resolve(ip) {
-            Some(sym) => self.class_of(&sym.name),
-            None => self
-                .user_regions
-                .iter()
-                .find(|&&(start, end, _)| (start..end).contains(&ip))
-                .map(|&(_, _, class)| class)
-                .unwrap_or(CriticalClass::NotCritical),
-        }
-    }
-
-    /// Number of whitelisted functions.
-    pub fn len(&self) -> usize {
-        self.classes.len()
-    }
-
-    /// True if the whitelist has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.classes.is_empty()
+        table
+            .resolve(ip)
+            .map_or(CriticalClass::NotCritical, |sym| self.class_of(sym))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::linux44::{Linux44Map, CRITICAL_FUNCTIONS, ORDINARY_FUNCTIONS, USER_IP};
+    use crate::linux44::{LINUX44, TEXT_END, USER_IP};
+    use crate::sym;
+
+    /// The first and last byte of a function's text.
+    fn ends(s: Sym) -> [u64; 2] {
+        let next = Sym::all().nth(s.index() + 1).map_or(TEXT_END, Sym::addr);
+        [s.addr(), next - 1]
+    }
 
     #[test]
     fn every_critical_function_is_whitelisted() {
         let wl = Whitelist::linux44();
-        for name in CRITICAL_FUNCTIONS {
-            assert!(wl.class_of(name).is_critical(), "{name} should be critical");
+        for s in Sym::all().filter(|s| s.class().is_critical()) {
+            assert_eq!(wl.class_of(s), s.class(), "{s:?}");
+            for ip in ends(s) {
+                assert_eq!(wl.classify(LINUX44.table(), ip), s.class(), "{s:?} {ip:#x}");
+            }
         }
     }
 
+    /// No ordinary function classifies as critical anywhere in its text,
+    /// even right next to a critical neighbour.
     #[test]
     fn ordinary_functions_are_not_critical() {
         let wl = Whitelist::linux44();
-        for name in ORDINARY_FUNCTIONS {
-            assert_eq!(
-                wl.class_of(name),
-                CriticalClass::NotCritical,
-                "{name} must not be critical"
-            );
+        for s in Sym::all().filter(|s| !s.class().is_critical()) {
+            assert_eq!(wl.class_of(s), CriticalClass::NotCritical, "{s:?}");
+            for ip in ends(s) {
+                assert_eq!(
+                    wl.classify(LINUX44.table(), ip),
+                    CriticalClass::NotCritical,
+                    "{s:?} {ip:#x} must not be critical"
+                );
+            }
         }
+    }
+
+    /// The Linux 4.4 whitelist marks exactly the table's 33 critical
+    /// functions; the empty one marks none.
+    #[test]
+    fn whitelist_size_matches_table() {
+        let marked = |wl: &Whitelist| Sym::all().filter(|&s| wl.class_of(s).is_critical()).count();
+        let critical = Sym::all().filter(|s| s.class().is_critical()).count();
+        assert_eq!(marked(&Whitelist::linux44()), critical);
+        assert_eq!(critical, 33);
+        assert_eq!(marked(&Whitelist::empty()), 0);
     }
 
     #[test]
     fn classify_by_instruction_pointer() {
-        let map = Linux44Map::new();
         let wl = Whitelist::linux44();
         let cases = [
-            ("native_flush_tlb_others", CriticalClass::IpiWait),
-            ("flush_tlb_func", CriticalClass::TlbHandler),
-            ("_raw_spin_lock", CriticalClass::SpinWait),
-            ("__raw_spin_unlock", CriticalClass::SpinlockCritical),
-            ("ttwu_do_wakeup", CriticalClass::SchedWakeup),
-            ("rwsem_wake", CriticalClass::RwsemWake),
-            ("net_rx_action", CriticalClass::Irq),
-            ("sys_mmap", CriticalClass::NotCritical),
+            (sym!("native_flush_tlb_others"), CriticalClass::IpiWait),
+            (sym!("flush_tlb_func"), CriticalClass::TlbHandler),
+            (sym!("_raw_spin_lock"), CriticalClass::SpinWait),
+            (sym!("__raw_spin_unlock"), CriticalClass::SpinlockCritical),
+            (sym!("ttwu_do_wakeup"), CriticalClass::SchedWakeup),
+            (sym!("rwsem_wake"), CriticalClass::RwsemWake),
+            (sym!("net_rx_action"), CriticalClass::Irq),
+            (sym!("sys_mmap"), CriticalClass::NotCritical),
         ];
-        for (name, class) in cases {
-            assert_eq!(wl.classify(map.table(), map.ip_in(name)), class, "{name}");
+        for (sym, class) in cases {
+            assert_eq!(wl.classify(LINUX44.table(), sym.ip()), class, "{sym:?}");
         }
     }
 
     #[test]
     fn user_space_ip_is_never_critical() {
-        let map = Linux44Map::new();
         let wl = Whitelist::linux44();
         assert_eq!(
-            wl.classify(map.table(), USER_IP),
+            wl.classify(LINUX44.table(), USER_IP),
             CriticalClass::NotCritical
         );
     }
 
     #[test]
     fn empty_whitelist_disables_detection() {
-        let map = Linux44Map::new();
         let wl = Whitelist::empty();
-        assert!(wl.is_empty());
-        assert_eq!(
-            wl.classify(map.table(), map.ip_in("smp_call_function_many")),
-            CriticalClass::NotCritical
-        );
-    }
-
-    #[test]
-    fn user_regions_extend_classification() {
-        let map = Linux44Map::new();
-        let mut wl = Whitelist::linux44();
-        assert_eq!(wl.user_region_count(), 0);
-        // The default user IP is non-critical...
-        assert_eq!(
-            wl.classify(map.table(), USER_IP),
-            CriticalClass::NotCritical
-        );
-        // ...until its region is registered (§4.4 extension).
-        wl.register_user_region(
-            USER_IP - 0x100,
-            USER_IP + 0x100,
-            CriticalClass::SpinlockCritical,
-        );
-        assert_eq!(wl.user_region_count(), 1);
-        assert_eq!(
-            wl.classify(map.table(), USER_IP),
-            CriticalClass::SpinlockCritical
-        );
-        // Kernel addresses still resolve through the symbol table first.
-        assert_eq!(
-            wl.classify(map.table(), map.ip_in("kick_process")),
-            CriticalClass::SchedWakeup
-        );
-        // Outside the region stays non-critical.
-        assert_eq!(
-            wl.classify(map.table(), USER_IP + 0x200),
-            CriticalClass::NotCritical
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "empty user region")]
-    fn empty_user_region_panics() {
-        Whitelist::linux44().register_user_region(10, 10, CriticalClass::SpinWait);
-    }
-
-    #[test]
-    fn whitelist_size_matches_table() {
-        let wl = Whitelist::linux44();
-        assert_eq!(wl.len(), LINUX44_WHITELIST.len());
-        assert!(!wl.is_empty());
+        for sym in Sym::all() {
+            assert_eq!(
+                wl.classify(LINUX44.table(), sym.ip()),
+                CriticalClass::NotCritical
+            );
+        }
     }
 }

@@ -7,6 +7,7 @@
 //! TLB-bound, who is purely user-mode) are what the experiments rely on.
 
 use crate::profile::{LockChoice, LockOp, ProfileProgram, WorkloadProfile};
+use guest::sym;
 use simcore::time::SimDuration;
 
 fn us(n: u64) -> SimDuration {
@@ -163,7 +164,10 @@ impl Workload {
                         prob: 0.8,
                     },
                 ],
-                kernel_ops: vec![("do_fork", us(12), 0.9), ("vfs_write", us(6), 0.9)],
+                kernel_ops: vec![
+                    (sym!("do_fork"), us(12), 0.9),
+                    (sym!("vfs_write"), us(6), 0.9),
+                ],
                 tlb_prob: 0.0,
                 tlb_local: SimDuration::ZERO,
                 wake_prob: 0.20,
@@ -196,7 +200,10 @@ impl Workload {
                         prob: 0.2,
                     },
                 ],
-                kernel_ops: vec![("do_fork", us(10), 0.5), ("vfs_read", us(5), 0.6)],
+                kernel_ops: vec![
+                    (sym!("do_fork"), us(10), 0.5),
+                    (sym!("vfs_read"), us(5), 0.6),
+                ],
                 tlb_prob: 0.0,
                 tlb_local: SimDuration::ZERO,
                 wake_prob: 0.05,
@@ -224,7 +231,7 @@ impl Workload {
                         prob: 0.4,
                     },
                 ],
-                kernel_ops: vec![("vfs_read", us(6), 0.8)],
+                kernel_ops: vec![(sym!("vfs_read"), us(6), 0.8)],
                 tlb_prob: 0.0,
                 tlb_local: SimDuration::ZERO,
                 wake_prob: 0.15,
@@ -252,7 +259,7 @@ impl Workload {
                         prob: 0.3,
                     },
                 ],
-                kernel_ops: vec![("sys_mmap", us(6), 1.0)],
+                kernel_ops: vec![(sym!("sys_mmap"), us(6), 1.0)],
                 // mmap-heavy: mostly page-allocator lock pressure plus a
                 // light tail of munmap TLB shootdowns.
                 tlb_prob: 0.03,
@@ -270,7 +277,7 @@ impl Workload {
                     hold: us(2),
                     prob: 0.4,
                 }],
-                kernel_ops: vec![("sys_mmap", us(4), 0.6)],
+                kernel_ops: vec![(sym!("sys_mmap"), us(4), 0.6)],
                 tlb_prob: 0.85,
                 tlb_local: us(3),
                 wake_prob: 0.05,
@@ -286,7 +293,7 @@ impl Workload {
                     hold: us(2),
                     prob: 0.3,
                 }],
-                kernel_ops: vec![("sys_mmap", us(4), 0.3)],
+                kernel_ops: vec![(sym!("sys_mmap"), us(4), 0.3)],
                 tlb_prob: 0.45,
                 tlb_local: us(3),
                 wake_prob: 0.03,
@@ -301,7 +308,7 @@ impl Workload {
                 WorkloadProfile::compute("blackscholes", SimDuration::from_millis(3), Some(1_000))
             }
             Workload::Bodytrack => WorkloadProfile {
-                kernel_ops: vec![("sys_read", us(3), 0.05)],
+                kernel_ops: vec![(sym!("sys_read"), us(3), 0.05)],
                 ..WorkloadProfile::compute("bodytrack", SimDuration::from_millis(2), Some(1_500))
             },
             Workload::Streamcluster => {
@@ -311,14 +318,14 @@ impl Workload {
                 WorkloadProfile::compute("raytrace", SimDuration::from_millis(3), Some(1_000))
             }
             Workload::Perlbench => WorkloadProfile {
-                kernel_ops: vec![("sys_read", us(3), 0.03)],
+                kernel_ops: vec![(sym!("sys_read"), us(3), 0.03)],
                 ..WorkloadProfile::compute("perlbench", SimDuration::from_millis(3), Some(1_000))
             },
             Workload::Sjeng => {
                 WorkloadProfile::compute("sjeng", SimDuration::from_millis(5), Some(600))
             }
             Workload::Bzip2 => WorkloadProfile {
-                kernel_ops: vec![("vfs_read", us(4), 0.10)],
+                kernel_ops: vec![(sym!("vfs_read"), us(4), 0.10)],
                 ..WorkloadProfile::compute("bzip2", SimDuration::from_millis(2), Some(1_500))
             },
             Workload::IperfServer => WorkloadProfile {

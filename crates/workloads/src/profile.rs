@@ -1,7 +1,8 @@
 //! The generic workload engine: profiles → segment streams.
 
-use guest::kernel::LockLayout;
+use guest::kernel::{LockKind, LockLayout};
 use guest::segment::{Program, Segment};
+use guest::Sym;
 use simcore::rng::SimRng;
 use simcore::time::SimDuration;
 
@@ -40,7 +41,7 @@ pub struct WorkloadProfile {
     /// Lock acquisitions per iteration.
     pub lock_ops: Vec<LockOp>,
     /// Non-critical kernel work `(symbol, mean duration, probability)`.
-    pub kernel_ops: Vec<(&'static str, SimDuration, f64)>,
+    pub kernel_ops: Vec<(Sym, SimDuration, f64)>,
     /// Probability of an `mmap`/`munmap` TLB shootdown per iteration.
     pub tlb_prob: f64,
     /// Local flush cost preceding the shootdown IPIs.
@@ -119,10 +120,12 @@ impl ProfileProgram {
         }
     }
 
-    fn lock_index(&self, choice: LockChoice, rng: &mut SimRng) -> (u16, &'static str) {
-        match choice {
-            LockChoice::PageAlloc => (self.layout.page_alloc(), "get_page_from_freelist"),
-            LockChoice::Dentry => (self.layout.dentry(rng.below(4) as u16), "__raw_spin_unlock"),
+    /// The lock an operation acquires, with the critical-section function
+    /// that runs while it is held.
+    fn lock_index(&self, choice: LockChoice, rng: &mut SimRng) -> (u16, Sym) {
+        let (lock, kind) = match choice {
+            LockChoice::PageAlloc => (self.layout.page_alloc(), LockKind::PageAlloc),
+            LockChoice::Dentry => (self.layout.dentry(rng.below(4) as u16), LockKind::Dentry),
             LockChoice::Runqueue => {
                 // Mostly the local run queue; sometimes a sibling's.
                 let cpu = if rng.chance(0.7) {
@@ -130,10 +133,11 @@ impl ProfileProgram {
                 } else {
                     rng.below(self.num_vcpus as u64) as u16
                 };
-                (self.layout.runqueue(cpu), "_raw_spin_unlock_irqrestore")
+                (self.layout.runqueue(cpu), LockKind::Runqueue)
             }
-            LockChoice::PageReclaim => (self.layout.page_reclaim(), "free_one_page"),
-        }
+            LockChoice::PageReclaim => (self.layout.page_reclaim(), LockKind::PageReclaim),
+        };
+        (lock, kind.critical_sym())
     }
 
     /// Refills `queue` with the segment list for one iteration — always
@@ -236,7 +240,7 @@ mod tests {
                 hold: us(3),
                 prob: 1.0,
             }],
-            kernel_ops: vec![("do_fork", us(8), 1.0)],
+            kernel_ops: vec![(guest::sym!("do_fork"), us(8), 1.0)],
             tlb_prob: 0.0,
             tlb_local: SimDuration::ZERO,
             wake_prob: 0.0,
@@ -262,7 +266,7 @@ mod tests {
         assert_eq!(segments.len(), 12);
         assert!(matches!(
             segments[0],
-            Segment::Kernel { sym: "do_fork", .. }
+            Segment::Kernel { sym, .. } if sym == guest::sym!("do_fork")
         ));
         assert!(matches!(segments[1], Segment::Critical { .. }));
         assert!(matches!(segments[2], Segment::User { .. }));
@@ -347,7 +351,7 @@ mod tests {
             for _ in 0..20 {
                 let (idx, sym) = p.lock_index(choice, &mut rng);
                 assert_eq!(layout.kind_of(idx), kind);
-                assert!(!sym.is_empty());
+                assert_eq!(sym, kind.critical_sym());
             }
         }
     }

@@ -12,7 +12,7 @@
 //! yield-site census (the data behind Table 3).
 
 use hypervisor::{BaselinePolicy, Machine};
-use ksym::whitelist::Whitelist;
+use ksym::Sym;
 use microslice::DetectionEngine;
 use simcore::ids::VmId;
 use simcore::time::SimTime;
@@ -21,8 +21,7 @@ use workloads::{scenarios, Workload};
 fn main() {
     let (cfg, specs) = scenarios::corun(Workload::Gmake);
     let mut machine = Machine::new(cfg, specs, Box::new(BaselinePolicy));
-    let mut engine = DetectionEngine::new();
-    let whitelist = Whitelist::linux44();
+    let engine = DetectionEngine::new();
 
     println!("Sampling vCPU instruction pointers of the gmake VM:\n");
     for sample in 1..=5u64 {
@@ -36,7 +35,7 @@ fn main() {
                 .kernel_map()
                 .table()
                 .resolve(ip)
-                .map(|s| s.name.as_str())
+                .map(Sym::name)
                 .unwrap_or("<user space>");
             let class = engine.classify(&machine, vcpu);
             let state = if machine.vcpu(vcpu).is_running() {
@@ -56,14 +55,7 @@ fn main() {
     }
 
     println!("Yield-site census so far (Table 3 analysis):");
-    let mut sites: Vec<_> = machine
-        .stats
-        .yield_sites
-        .iter()
-        .map(|(s, c)| (*s, *c))
-        .collect();
-    sites.sort_by_key(|&(_, c)| core::cmp::Reverse(c));
-    for (site, count) in sites {
-        println!("  {count:>8}  {site:<34} {:?}", whitelist.class_of(site));
+    for (site, class, count) in machine.stats.yield_sites.ranked() {
+        println!("  {count:>8}  {site:<34} {class:?}");
     }
 }
